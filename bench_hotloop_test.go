@@ -12,12 +12,12 @@ package fixedpsnr_test
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sync"
 	"testing"
 
 	"fixedpsnr"
+	"fixedpsnr/internal/datagen"
 )
 
 var (
@@ -30,17 +30,7 @@ func chunkBenchField() *fixedpsnr.Field {
 	hotFieldOnce.Do(func() {
 		dims := []int{128, 192, 192}
 		f := fixedpsnr.NewField("chunkbench", fixedpsnr.Float32, dims...)
-		plane := dims[1] * dims[2]
-		for i := range f.Data {
-			x := i / plane
-			rem := i % plane
-			y := rem / dims[2]
-			z := rem % dims[2]
-			v := math.Sin(float64(x)/17)*math.Cos(float64(y)/23) +
-				0.5*math.Sin(float64(z)/11) +
-				0.05*math.Sin(float64(i)/3)
-			f.Data[i] = float64(float32(v))
-		}
+		datagen.ChunkBench(f.Data, 0, dims)
 		hotField = f
 	})
 	return hotField

@@ -6,11 +6,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"time"
 
 	"fixedpsnr"
+	"fixedpsnr/internal/datagen"
 )
 
 // ChunkRecord is the chunked-encoder benchmark record: compression ratio,
@@ -32,26 +32,12 @@ type ChunkRecord struct {
 	HeapSysBytes  uint64  `json:"heap_sys_bytes"`
 }
 
-// synthReader generates the benchmark field on the fly: smooth structure
-// (separable trigonometric modes) with a deterministic high-frequency
-// perturbation, single-precision rounded, value range known analytically
-// enough for a declared [-2, 2] envelope.
+// synthReader generates the chunkbench field (datagen.ChunkBench) on the
+// fly, inside its declared [-2, 2] envelope.
 type synthReader struct {
 	dims []int
 	pos  int
 	n    int
-}
-
-func synthValue(i int, dims []int) float64 {
-	plane := dims[1] * dims[2]
-	x := i / plane
-	rem := i % plane
-	y := rem / dims[2]
-	z := rem % dims[2]
-	v := math.Sin(float64(x)/17)*math.Cos(float64(y)/23) +
-		0.5*math.Sin(float64(z)/11) +
-		0.05*math.Sin(float64(i)/3)
-	return float64(float32(v))
 }
 
 func (r *synthReader) Spec() (fixedpsnr.FieldSpec, error) {
@@ -73,9 +59,7 @@ func (r *synthReader) ReadValues(dst []float64) (int, error) {
 	if n > r.n-r.pos {
 		n = r.n - r.pos
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = synthValue(r.pos+i, r.dims)
-	}
+	datagen.ChunkBench(dst[:n], r.pos, r.dims)
 	r.pos += n
 	return n, nil
 }
@@ -84,9 +68,7 @@ func (r *synthReader) ReadValues(dst []float64) (int, error) {
 // need the values in memory (ratio steering, PSNR verification).
 func synthFieldForBench(dims []int) *fixedpsnr.Field {
 	f := fixedpsnr.NewField("chunkbench", fixedpsnr.Float32, dims...)
-	for i := range f.Data {
-		f.Data[i] = synthValue(i, dims)
-	}
+	datagen.ChunkBench(f.Data, 0, dims)
 	return f
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"fixedpsnr"
+	"fixedpsnr/internal/datagen"
 	"fixedpsnr/internal/fieldio"
 )
 
@@ -27,9 +28,7 @@ func mkfieldMain(args []string) error {
 		return err
 	}
 	f := fixedpsnr.NewField(*name, fixedpsnr.Float64, dims...)
-	for i := range f.Data {
-		f.Data[i] = synthValue(i, dims)
-	}
+	datagen.ChunkBench(f.Data, 0, dims)
 	if err := fieldio.WriteFile(*out, f); err != nil {
 		return err
 	}

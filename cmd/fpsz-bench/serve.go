@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"fixedpsnr"
+	"fixedpsnr/internal/datagen"
 	"fixedpsnr/internal/fieldio"
 	"fixedpsnr/internal/serve"
 )
@@ -90,8 +91,9 @@ func buildServeArchive(dir string, dims []int, nFields int) (archivePath string,
 	for fi := 0; fi < nFields; fi++ {
 		fld.Name = fmt.Sprintf("field%03d", fi)
 		scale := 1 + 0.05*float64(fi)
+		datagen.ChunkBench(fld.Data, 0, dims)
 		for i := range fld.Data {
-			fld.Data[i] = scale * synthValue(i, dims)
+			fld.Data[i] *= scale
 		}
 		blob, _, err := enc.Encode(context.Background(), fld)
 		if err != nil {

@@ -128,7 +128,6 @@ func compress(ctx context.Context, args []string) error {
 		capacity   = fs.Int("capacity", 0, "quantization intervals (0 = 65536)")
 		autoCap    = fs.Bool("autocap", false, "estimate capacity from the data")
 		workers    = fs.Int("workers", 0, "worker goroutines (0 = all CPUs)")
-		level      = fs.Int("level", 0, "DEFLATE level (0 = fastest)")
 		chunkPts   = fs.Int("chunkpoints", 0, "target chunk size in points for random-access streams (0 = default tiling)")
 	)
 	var rois roiFlags
@@ -147,7 +146,6 @@ func compress(ctx context.Context, args []string) error {
 		Capacity:      *capacity,
 		AutoCapacity:  *autoCap,
 		Workers:       *workers,
-		Level:         *level,
 		ChunkPoints:   *chunkPts,
 		RegionTargets: rois,
 	}

@@ -14,8 +14,8 @@ import (
 // Encoder in the public API) threads through repeated Compress calls so
 // the hot path stops allocating its large transient buffers fresh every
 // time: quantization-code slices, reconstruction buffers, transform block
-// buffers, pre-DEFLATE staging bytes, output buffers, and DEFLATE writers
-// (whose internal window state dominates a flate.NewWriter call).
+// buffers, pre-DEFLATE staging bytes, output buffers, Huffman tables,
+// DEFLATE encoders, and inflate readers.
 //
 // All pools are backed by sync.Pool, so one Scratch is safe for
 // concurrent use by any number of goroutines — a single Encoder shared
@@ -29,7 +29,6 @@ type Scratch struct {
 	floats   sync.Pool // *[]float64
 	bytes    sync.Pool // *[]byte
 	bufs     sync.Pool // *bytes.Buffer
-	flates   sync.Pool // *pooledFlate
 	huffs    sync.Pool // *huffman.Scratch
 	huffDecs sync.Pool // *huffman.DecodeScratch
 	flateRs  sync.Pool // io.ReadCloser + flate.Resetter
@@ -37,13 +36,6 @@ type Scratch struct {
 
 	mu     sync.Mutex // guards shards
 	shards []*Scratch // per-worker children, created lazily by Shard
-}
-
-// pooledFlate remembers the level a pooled DEFLATE writer was created
-// with; flate.Writer cannot change level on Reset.
-type pooledFlate struct {
-	w     *flate.Writer
-	level int
 }
 
 // NewScratch returns an empty scratch pool set.
@@ -159,7 +151,7 @@ func (s *Scratch) PutBuffer(b *bytes.Buffer) {
 }
 
 // Huffman returns a reusable Huffman construction scratch (nil when s is
-// nil, which huffman.EncodeScratch accepts). Each instance serves one
+// nil, which huffman.EncodeLanes4 accepts). Each instance serves one
 // encode at a time; get one per in-flight chunk and put it back after.
 func (s *Scratch) Huffman() *huffman.Scratch {
 	if s == nil {
@@ -226,30 +218,6 @@ func (s *Scratch) PutFlateReader(fr io.ReadCloser) {
 	s.flateRs.Put(fr)
 }
 
-// FlateWriter returns a DEFLATE writer at the given level targeting w,
-// reusing pooled writer state when the level matches.
-func (s *Scratch) FlateWriter(w io.Writer, level int) (*flate.Writer, error) {
-	if s != nil {
-		if v, ok := s.flates.Get().(*pooledFlate); ok {
-			if v.level == level {
-				v.w.Reset(w)
-				return v.w, nil
-			}
-			// Stale level (the session changed configuration): drop it.
-		}
-	}
-	return flate.NewWriter(w, level)
-}
-
-// PutFlateWriter returns a writer obtained from FlateWriter to the pool.
-// The caller must have called Close (or Flush) already.
-func (s *Scratch) PutFlateWriter(fw *flate.Writer, level int) {
-	if s == nil || fw == nil {
-		return
-	}
-	s.flates.Put(&pooledFlate{w: fw, level: level})
-}
-
 // Deflater returns a pooled purpose-built DEFLATE encoder (the
 // internal/deflate back-end). An Encoder carries its hash table, token
 // buffers, and code tables — pooling them keeps the encode hot path
@@ -272,37 +240,13 @@ func (s *Scratch) PutDeflater(e *deflate.Encoder) {
 }
 
 // AppendDeflate compresses src into a complete DEFLATE stream appended
-// to dst and returns the extended slice. This is the single routing
-// point for the encode side: level 0 — the default everywhere — selects
-// the purpose-built internal/deflate encoder (entropy-gated match
-// search, one-pass dynamic Huffman); any explicit non-zero level keeps
-// the stdlib compress/flate writer as an escape hatch for debugging and
-// ratio comparisons. Both back-ends emit conformant DEFLATE, so readers
-// never care which one produced a stream.
-func (s *Scratch) AppendDeflate(dst, src []byte, level int) ([]byte, error) {
-	if level == 0 {
-		e := s.Deflater()
-		dst = e.AppendEncode(dst, src)
-		s.PutDeflater(e)
-		return dst, nil
-	}
-	buf := s.Buffer()
-	fw, err := s.FlateWriter(buf, level)
-	if err != nil {
-		s.PutBuffer(buf)
-		return nil, err
-	}
-	_, werr := fw.Write(src)
-	cerr := fw.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		s.PutBuffer(buf)
-		return nil, werr
-	}
-	dst = append(dst, buf.Bytes()...)
-	s.PutFlateWriter(fw, level)
-	s.PutBuffer(buf)
-	return dst, nil
+// to dst and returns the extended slice, through a pooled purpose-built
+// internal/deflate encoder (entropy-gated match search, one-pass dynamic
+// Huffman). Its output is standard DEFLATE, fuzzed against the stock
+// compress/flate inflater.
+func (s *Scratch) AppendDeflate(dst, src []byte) []byte {
+	e := s.Deflater()
+	dst = e.AppendEncode(dst, src)
+	s.PutDeflater(e)
+	return dst
 }

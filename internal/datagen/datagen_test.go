@@ -1,6 +1,8 @@
 package datagen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -353,6 +355,36 @@ func TestTimeSeriesReproducible(t *testing.T) {
 		for i := range a[tdx].Data {
 			if a[tdx].Data[i] != b[tdx].Data[i] {
 				t.Fatalf("series not reproducible at t=%d i=%d", tdx, i)
+			}
+		}
+	}
+}
+
+// TestChunkBenchPinned pins the chunkbench generator bit for bit, so
+// throughput figures measured on it stay comparable across releases,
+// and checks that a piecewise fill (the streaming reader's access
+// pattern) reproduces the whole-field fill.
+func TestChunkBenchPinned(t *testing.T) {
+	dims := []int{24, 40, 36}
+	whole := make([]float64, dims[0]*dims[1]*dims[2])
+	ChunkBench(whole, 0, dims)
+	h := fnv.New64a()
+	for _, v := range whole {
+		if !(v >= -2 && v <= 2) {
+			t.Fatalf("value %g outside [-2, 2]", v)
+		}
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+	if got, want := h.Sum64(), uint64(0x8f59f0571ac3ce2); got != want {
+		t.Fatalf("chunkbench field hash %#x, want %#x", got, want)
+	}
+	piece := make([]float64, 1000)
+	for start := 0; start < len(whole); start += len(piece) {
+		p := piece[:min(len(piece), len(whole)-start)]
+		ChunkBench(p, start, dims)
+		for k, v := range p {
+			if math.Float64bits(v) != math.Float64bits(whole[start+k]) {
+				t.Fatalf("piecewise fill differs at %d", start+k)
 			}
 		}
 	}

@@ -162,6 +162,38 @@ func TestAllocs(t *testing.T) {
 	}
 }
 
+// TestBuildLensKraft checks the length-limit repair on chain-shaped
+// (Fibonacci) frequencies, whose unlimited Huffman tree is a path with
+// leaves many levels past the limit: the limited code must still satisfy
+// the Kraft inequality (Σ 2^-len ≤ 1), or inflaters reject the block
+// header as an over-subscribed code.
+func TestBuildLensKraft(t *testing.T) {
+	for _, c := range []struct{ n, maxLen int }{
+		{numCL, maxCLBits}, // the code-length alphabet at its 7-bit limit
+		{30, maxBits},      // a literal/length-sized chain at 15 bits
+	} {
+		freq := make([]uint32, c.n)
+		a, b := uint32(1), uint32(1)
+		for i := range freq {
+			freq[i] = a
+			a, b = b, a+b
+		}
+		lens := make([]uint8, c.n)
+		var scratch []uint32
+		buildLens(freq, c.maxLen, lens, &scratch)
+		kraft := 0 // in units of 2^-maxLen
+		for s, l := range lens {
+			if l == 0 || int(l) > c.maxLen {
+				t.Fatalf("n=%d maxLen=%d: symbol %d has length %d", c.n, c.maxLen, s, l)
+			}
+			kraft += 1 << (c.maxLen - int(l))
+		}
+		if kraft > 1<<c.maxLen {
+			t.Errorf("n=%d maxLen=%d: Kraft sum %d/%d > 1 (over-subscribed code)", c.n, c.maxLen, kraft, 1<<c.maxLen)
+		}
+	}
+}
+
 // FuzzDeflateVsStdlib is the differential fuzzer of the CI fuzz-smoke
 // job: every stream the purpose-built encoder emits must inflate
 // byte-identically with stock compress/flate.

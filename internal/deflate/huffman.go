@@ -212,19 +212,20 @@ func buildLens(freq []uint32, maxLen int, lens []uint8, scratch *[]uint32) uint6
 	}
 
 	// Histogram of leaf depths, clamping overflow past maxLen, then the
-	// zlib repair: move one interior slot down a level per two overflowed
-	// leaves until the Kraft sum holds again.
+	// zlib repair step: move a leaf from the deepest level shorter than
+	// maxLen one level down and give it a clamped leaf as its sibling,
+	// which lowers the Kraft sum by one 2^-maxLen unit. Repeat until the
+	// sum is ≤ 1 again. Counting overflowed leaves instead (two per step)
+	// under-repairs when leaves sit more than one level past the limit,
+	// as chain-shaped frequencies put them.
 	var blCount [maxBits + 1]int
-	overflow := 0
+	kraft := 0 // Σ 2^(maxLen-len), in units of 2^-maxLen
 	for i := 0; i < n; i++ {
-		d := int(depth[i])
-		if d > maxLen {
-			overflow++
-			d = maxLen
-		}
+		d := min(int(depth[i]), maxLen)
 		blCount[d]++
+		kraft += 1 << (maxLen - d)
 	}
-	for overflow > 0 {
+	for kraft > 1<<maxLen {
 		b := maxLen - 1
 		for blCount[b] == 0 {
 			b--
@@ -232,7 +233,7 @@ func buildLens(freq []uint32, maxLen int, lens []uint8, scratch *[]uint32) uint6
 		blCount[b]--
 		blCount[b+1] += 2
 		blCount[maxLen]--
-		overflow -= 2
+		kraft--
 	}
 
 	// Reassign: shortest lengths to the most frequent symbols. syms is

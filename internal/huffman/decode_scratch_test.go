@@ -18,7 +18,7 @@ func skewedStream(tb testing.TB, depth int) ([]int32, []byte) {
 		}
 		a, b = b, a+b
 	}
-	enc, err := Encode(syms)
+	enc, err := encodeSingle(syms)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		corpora = append(corpora, syms)
 	}
 	for i, syms := range corpora {
-		enc, err := Encode(syms)
+		enc, err := encodeSingle(syms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantN, err := Decode(enc)
+		want, wantN, err := DecodeInto(nil, enc, nil)
 		if err != nil {
 			t.Fatalf("corpus %d: %v", i, err)
 		}
@@ -125,11 +125,11 @@ func FuzzDecodeScratchDifferential(f *testing.F) {
 			}
 			a, b = b, a+b
 		}
-		if enc, err := Encode(syms); err == nil {
+		if enc, err := encodeSingle(syms); err == nil {
 			f.Add(enc)
 		}
 	}
-	if enc, err := Encode(quantCodes(512, 9)); err == nil {
+	if enc, err := encodeSingle(quantCodes(512, 9)); err == nil {
 		f.Add(enc)
 	}
 	f.Add([]byte{})
@@ -137,7 +137,7 @@ func FuzzDecodeScratchDifferential(f *testing.F) {
 	ds := NewDecodeScratch()
 	var dst []int32
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, wantN, wantErr := Decode(data)
+		want, wantN, wantErr := DecodeInto(nil, data, nil)
 		got, gotN, gotErr := DecodeInto(dst, data, ds)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("error divergence: fresh %v, scratch %v", wantErr, gotErr)
@@ -155,7 +155,7 @@ func FuzzDecodeScratchDifferential(f *testing.F) {
 
 func BenchmarkDecodeScratch(b *testing.B) {
 	syms := quantCodes(1<<20, 2)
-	enc, err := Encode(syms)
+	enc, err := encodeSingle(syms)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,14 +1,19 @@
 // Package huffman implements the customized Huffman coding stage of the SZ
 // pipeline: a canonical Huffman coder over integer symbols (quantization
 // codes). The encoder builds the code from symbol frequencies, emits a
-// compact table (code lengths only) followed by the packed bit stream, and
+// compact table (code lengths only) followed by the packed bit streams, and
 // the decoder reconstructs the canonical code from the lengths.
+//
+// EncodeLanes4 is the only encoder: it splits the symbols into four
+// interleaved lanes under one shared table, and DecodeLanes4Into reverses
+// it. DecodeInto reads the older single-stream layout and serves legacy
+// chunk payloads only; nothing writes that layout any more.
 //
 // Symbols are non-negative int32s — the quantization-code element type,
 // which halves the memory traffic of the counting and emit passes over
-// multi-megapoint symbol slices compared to machine-word ints. Typical alphabets are the 2n quantization codes of the SZ
-// quantizer (tens of thousands of possible symbols of which a few hundred
-// occur).
+// multi-megapoint symbol slices compared to machine-word ints. Typical
+// alphabets are the 2n quantization codes of the SZ quantizer (tens of
+// thousands of possible symbols of which a few hundred occur).
 package huffman
 
 import (
@@ -49,7 +54,6 @@ type Scratch struct {
 	nodes   []enode
 	heap    []int32
 	stack   []int64
-	w       bitstream.Writer
 	lw      [4]bitstream.Writer // per-lane body writers (EncodeLanes4)
 }
 
@@ -275,48 +279,6 @@ func (c *canonicalSorter) Swap(i, j int) {
 	c.lens[i], c.lens[j] = c.lens[j], c.lens[i]
 }
 
-// Encode Huffman-encodes syms and returns a self-describing byte stream:
-// the canonical table followed by the packed code words. The alphabet is
-// implicit in the symbols themselves; symbols must be non-negative.
-func Encode(syms []int32) ([]byte, error) { return EncodeScratch(nil, syms, nil) }
-
-// EncodeTo appends the encoded stream Encode would produce to dst and
-// returns the extended slice, so callers staging a larger container can
-// reuse one append buffer instead of copying a freshly allocated block.
-func EncodeTo(dst []byte, syms []int32) ([]byte, error) { return EncodeScratch(dst, syms, nil) }
-
-// EncodeScratch is EncodeTo drawing every construction table — the dense
-// frequency counts, the arena-allocated Huffman tree, the heap, and the
-// canonical code tables — from sc, so repeated encodes (one per slab per
-// compression, in a long-lived session) stop rebuilding them from the
-// heap. A nil sc allocates fresh. The encoded bytes are identical
-// whatever sc is.
-func EncodeScratch(dst []byte, syms []int32, sc *Scratch) ([]byte, error) {
-	maxSym := int32(0)
-	for _, s := range syms {
-		if s < 0 {
-			return nil, fmt.Errorf("huffman: negative symbol %d", s)
-		}
-		if s > maxSym {
-			maxSym = s
-		}
-	}
-	return encodeBounded(dst, syms, int(maxSym), sc)
-}
-
-// EncodeScratchMax is EncodeScratch for callers that already know an
-// inclusive upper bound on every symbol value (e.g. a quantizer whose
-// codes are < capacity by construction): it skips the validation pass,
-// which on multi-megabyte symbol slices is a full extra trip through
-// memory. Every symbol MUST lie in [0, maxSym]; one outside that range
-// panics (slice bounds) rather than returning an error. The encoded
-// bytes are identical to EncodeScratch — the emitted table covers only
-// symbols that actually occur, so an over-estimated bound costs a
-// little scratch memory, not stream bytes.
-func EncodeScratchMax(dst []byte, syms []int32, maxSym int, sc *Scratch) ([]byte, error) {
-	return encodeBounded(dst, syms, maxSym, sc)
-}
-
 // buildTable counts syms, builds the canonical code, and appends the
 // self-describing table header — uvarint(len(syms)), uvarint(nsym), then
 // the (symbol, length) pairs in canonical order — to dst. It returns the
@@ -425,70 +387,10 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 	return dst, lenOf, codes, nil
 }
 
-// emitSyms packs syms' code words into w, two symbols per WriteBits call
-// when their combined width fits one staged write (almost always:
-// typical code lengths are well under 28 bits), halving the per-call
-// overhead on the hot loop.
-func emitSyms(w *bitstream.Writer, syms []int32, lenOf []uint8, codes []uint64) {
-	i := 0
-	for ; i+2 <= len(syms); i += 2 {
-		s0, s1 := syms[i], syms[i+1]
-		l0, l1 := uint(lenOf[s0]), uint(lenOf[s1])
-		if l0+l1 <= 56 {
-			w.WriteBits(codes[s0]<<l1|codes[s1], l0+l1)
-			continue
-		}
-		w.WriteBits(codes[s0], l0)
-		w.WriteBits(codes[s1], l1)
-	}
-	if i < len(syms) {
-		s := syms[i]
-		w.WriteBits(codes[s], uint(lenOf[s]))
-	}
-}
-
-func encodeBounded(dst []byte, syms []int32, maxSym int, sc *Scratch) ([]byte, error) {
-	dst, lenOf, codes, err := buildTable(dst, syms, maxSym, sc)
-	if err != nil {
-		return nil, err
-	}
-	var w *bitstream.Writer
-	if sc != nil {
-		// Reuse the scratch-owned Writer (and its buffer): body is copied
-		// into dst below, so nothing escapes.
-		sc.w.Reset()
-		w = &sc.w
-	} else {
-		w = bitstream.NewWriter(len(syms) / 2)
-	}
-	emitSyms(w, syms, lenOf, codes)
-	body := w.Bytes()
-
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	dst = append(dst, body...)
-	return dst, nil
-}
-
-// EncodeLanes4Scratch is EncodeLanes4 computing the symbol bound itself
-// with a validation pass — the EncodeScratch to EncodeLanes4's
-// EncodeScratchMax, for callers whose symbols carry no construction-time
-// bound.
-func EncodeLanes4Scratch(dst []byte, syms []int32, sc *Scratch) ([]byte, error) {
-	maxSym := int32(0)
-	for _, s := range syms {
-		if s < 0 {
-			return nil, fmt.Errorf("huffman: negative symbol %d", s)
-		}
-		if s > maxSym {
-			maxSym = s
-		}
-	}
-	return EncodeLanes4(dst, syms, int(maxSym), sc)
-}
-
 // emitPair packs two symbols' code words into w, one WriteBits call when
-// their combined width fits one staged write — the same pairing emitSyms
-// applies to consecutive symbols of a contiguous slice.
+// their combined width fits one staged write (almost always: typical code
+// lengths are well under 28 bits), halving the per-call overhead on the
+// hot loop.
 func emitPair(w *bitstream.Writer, s0, s1 int32, lenOf []uint8, codes []uint64) {
 	l0, l1 := uint(lenOf[s0]), uint(lenOf[s1])
 	if l0+l1 <= 56 {
@@ -500,8 +402,8 @@ func emitPair(w *bitstream.Writer, s0, s1 int32, lenOf []uint8, codes []uint64) 
 }
 
 // EncodeLanes4 appends the four-lane interleaved encoding of syms to dst:
-// the same canonical table header Encode emits (built over all symbols,
-// shared by every lane), then the four lane body byte lengths as
+// the canonical table header (built over all symbols, shared by every
+// lane), then the four lane body byte lengths as
 // uvarints, then the four packed lane bitstreams back to back. Lane i
 // carries symbols i, i+4, i+8, … — the CountLanes4 assignment — each as
 // an independent bitstream, so DecodeLanes4Into can keep four symbol
@@ -513,11 +415,16 @@ func emitPair(w *bitstream.Writer, s0, s1 int32, lenOf []uint8, codes []uint64) 
 // no staged kernels.LaneSplit4 scatter — a strided-store pass over the
 // whole slice that profiles as most of the lane overhead — ever runs on
 // the encode path. The bytes are identical to splitting first and
-// emitting each lane slice with emitSyms; the differential test against
+// emitting each lane slice on its own; the differential test against
 // that kernels.LaneSplit4 reference pins the equivalence.
 //
-// Every symbol must lie in [0, maxSym], as for EncodeScratchMax. A nil
-// sc allocates fresh; the encoded bytes are identical whatever sc is.
+// Every symbol must lie in [0, maxSym] — callers pass a bound they know
+// by construction (a quantizer's capacity−1), which skips a validation
+// pass over the symbols; one outside that range panics (slice bounds)
+// rather than returning an error. The emitted table covers only symbols
+// that occur, so an over-estimated bound costs scratch memory, not
+// stream bytes. A nil sc allocates fresh; the encoded bytes are identical
+// whatever sc is.
 func EncodeLanes4(dst []byte, syms []int32, maxSym int, sc *Scratch) ([]byte, error) {
 	if sc == nil {
 		sc = NewScratch()
@@ -540,7 +447,7 @@ func EncodeLanes4(dst []byte, syms []int32, maxSym int, sc *Scratch) ([]byte, er
 		emitPair(w3, syms[i+3], syms[i+7], lenOf, codes)
 	}
 	// Tail: each lane has at most two symbols left (positions i+j and
-	// i+4+j), paired exactly as emitSyms would pair them.
+	// i+4+j), paired exactly as the block loop pairs them.
 	for j, w := range [4]*bitstream.Writer{w0, w1, w2, w3} {
 		if i+j >= len(syms) {
 			break
@@ -564,13 +471,6 @@ func EncodeLanes4(dst []byte, syms []int32, maxSym int, sc *Scratch) ([]byte, er
 		dst = append(dst, body...)
 	}
 	return dst, nil
-}
-
-// Decode reverses Encode. It returns the decoded symbols and the number of
-// bytes consumed from buf, allowing the caller to embed the Huffman block
-// inside a larger stream.
-func Decode(buf []byte) (syms []int32, consumed int, err error) {
-	return DecodeInto(nil, buf, nil)
 }
 
 // parseTable reads the leading symbol count and canonical (symbol,
@@ -773,13 +673,16 @@ func (ds *DecodeScratch) decodeSym(r *bitstream.Reader, csyms []int32) (int32, e
 	}
 }
 
-// DecodeInto is Decode appending the symbols into dst[:0] (grown as
-// needed) and drawing every decoding table — the one-level lookup table,
-// the canonical symbol/length slices, the per-length canonical tables,
-// and the bit reader — from ds, so repeated decodes (one per chunk, in a
-// long-lived session) stop rebuilding them from the heap. Nil dst and/or
-// ds allocate fresh. The decoded symbols are identical whatever dst and
-// ds are.
+// DecodeInto decodes one single-stream block — the canonical table, a
+// uvarint body length, and the packed code words — the layout of legacy
+// chunk payloads. It returns the symbols and the number of bytes
+// consumed from buf, so the block can sit inside a larger stream. The
+// symbols are appended into dst[:0] (grown as needed), and every decoding
+// table — the one-level lookup table, the canonical symbol/length slices,
+// the per-length canonical tables, and the bit reader — comes from ds, so
+// repeated decodes (one per chunk, in a long-lived session) stop
+// rebuilding them from the heap. Nil dst and/or ds allocate fresh. The
+// decoded symbols are identical whatever dst and ds are.
 func DecodeInto(dst []int32, buf []byte, ds *DecodeScratch) (syms []int32, consumed int, err error) {
 	if ds == nil {
 		ds = &DecodeScratch{}

@@ -33,10 +33,13 @@ func quantCodes(n int, seed int64) []int32 {
 
 func BenchmarkEncode(b *testing.B) {
 	syms := quantCodes(1<<20, 1)
+	sc := NewScratch()
+	var dst []byte
 	b.SetBytes(int64(len(syms)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Encode(syms); err != nil {
+		var err error
+		if dst, err = EncodeLanes4(dst[:0], syms, 1<<16-1, sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,14 +47,14 @@ func BenchmarkEncode(b *testing.B) {
 
 func BenchmarkDecode(b *testing.B) {
 	syms := quantCodes(1<<20, 2)
-	enc, err := Encode(syms)
+	enc, err := EncodeLanes4(nil, syms, 1<<16-1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(syms)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Decode(enc); err != nil {
+		if _, _, err := DecodeLanes4Into(nil, enc, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

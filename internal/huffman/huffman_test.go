@@ -9,13 +9,13 @@ import (
 
 func roundTrip(t *testing.T, syms []int32) {
 	t.Helper()
-	enc, err := Encode(syms)
+	enc, err := encodeSingle(syms)
 	if err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatalf("encodeSingle: %v", err)
 	}
-	dec, consumed, err := Decode(enc)
+	dec, consumed, err := DecodeInto(nil, enc, nil)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeInto: %v", err)
 	}
 	if consumed != len(enc) {
 		t.Fatalf("consumed %d of %d bytes", consumed, len(enc))
@@ -67,23 +67,17 @@ func TestRoundTripRandomQuantCodes(t *testing.T) {
 	roundTrip(t, syms)
 }
 
-func TestEncodeRejectsNegative(t *testing.T) {
-	if _, err := Encode([]int32{1, -2}); err == nil {
-		t.Fatal("expected error for negative symbol")
-	}
-}
-
 func TestDecodeRejectsTruncated(t *testing.T) {
-	enc, err := Encode([]int32{1, 2, 3, 1, 2, 3, 3, 3})
+	enc, err := encodeSingle([]int32{1, 2, 3, 1, 2, 3, 3, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 1; cut < len(enc); cut++ {
-		if _, _, err := Decode(enc[:cut]); err == nil {
+		if _, _, err := DecodeInto(nil, enc[:cut], nil); err == nil {
 			// Some prefixes may parse as a shorter valid stream only
 			// if counts allow; a fully valid decode of a strict prefix
 			// that consumed everything would be a bug.
-			dec, consumed, _ := Decode(enc[:cut])
+			dec, consumed, _ := DecodeInto(nil, enc[:cut], nil)
 			if consumed == cut && reflect.DeepEqual(dec, []int32{1, 2, 3, 1, 2, 3, 3, 3}) {
 				t.Fatalf("truncated stream (cut=%d) decoded to the full input", cut)
 			}
@@ -92,22 +86,22 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, _, err := Decode([]byte{}); err == nil {
+	if _, _, err := DecodeInto(nil, []byte{}, nil); err == nil {
 		t.Fatal("expected error for empty buffer")
 	}
-	if _, _, err := Decode([]byte{0xff}); err == nil {
+	if _, _, err := DecodeInto(nil, []byte{0xff}, nil); err == nil {
 		t.Fatal("expected error for bare 0xff")
 	}
 }
 
 func TestDecodeTrailingBytesIgnored(t *testing.T) {
 	syms := []int32{4, 4, 2, 9}
-	enc, err := Encode(syms)
+	enc, err := encodeSingle(syms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withTrailer := append(append([]byte{}, enc...), 0xAA, 0xBB)
-	dec, consumed, err := Decode(withTrailer)
+	dec, consumed, err := DecodeInto(nil, withTrailer, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +121,7 @@ func TestCompressionBeatsFixedWidth(t *testing.T) {
 	for i := range syms {
 		syms[i] = int32(32768 + int(rng.NormFloat64()*2))
 	}
-	enc, err := Encode(syms)
+	enc, err := EncodeLanes4(nil, syms, maxSymOf(syms), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +137,11 @@ func TestRoundTripProperty(t *testing.T) {
 		for i, v := range raw {
 			syms[i] = int32(v)
 		}
-		enc, err := Encode(syms)
+		enc, err := encodeSingle(syms)
 		if err != nil {
 			return false
 		}
-		dec, consumed, err := Decode(enc)
+		dec, consumed, err := DecodeInto(nil, enc, nil)
 		if err != nil || consumed != len(enc) {
 			return false
 		}

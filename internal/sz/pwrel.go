@@ -38,7 +38,7 @@ func CompressPWRel(f *field.Field, ebRel float64, opt Options) ([]byte, *Stats, 
 
 // CompressPWRelCtx is CompressPWRel with cancellation and buffer reuse:
 // ctx and sc are threaded into the inner log-domain Lorenzo compression,
-// and the mask DEFLATE writer comes from the scratch pool.
+// and the mask DEFLATE encoder comes from the scratch pool.
 func CompressPWRelCtx(ctx context.Context, f *field.Field, ebRel float64, opt Options, sc *codec.Scratch) ([]byte, *Stats, error) {
 	if err := f.Validate(); err != nil {
 		return nil, nil, err
@@ -78,10 +78,7 @@ func CompressPWRelCtx(ctx context.Context, f *field.Field, ebRel float64, opt Op
 		return nil, nil, fmt.Errorf("sz: pwrel inner compression: %w", err)
 	}
 
-	maskStream, err := sc.AppendDeflate(nil, masks, opt.Level)
-	if err != nil {
-		return nil, nil, err
-	}
+	maskStream := sc.AppendDeflate(nil, masks)
 
 	payload := make([]byte, 0, 16+len(maskStream)+len(inner))
 	payload = appendFloat64(payload, ebRel)

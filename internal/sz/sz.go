@@ -26,16 +26,13 @@
 package sz
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
 
 	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
-	"fixedpsnr/internal/huffman"
 	"fixedpsnr/internal/kernels"
 	"fixedpsnr/internal/parallel"
 	"fixedpsnr/internal/quantizer"
@@ -43,8 +40,8 @@ import (
 
 // Options is the unified codec configuration (see codec.Options). The SZ
 // pipeline reads ErrorBound, Capacity, AutoCapacity, Workers, ChunkRows,
-// ChunkPoints, Level, and the header annotations; BlockSize and
-// Transform are ignored.
+// ChunkPoints, and the header annotations; BlockSize and Transform are
+// ignored.
 type Options = codec.Options
 
 // Stats is the unified compression outcome report (see codec.Stats).
@@ -60,7 +57,7 @@ func Compress(f *field.Field, opt Options) ([]byte, *Stats, error) {
 // check ctx between chunks (a cancelled context aborts within one chunk
 // of work per worker and surfaces ctx.Err()), and the large per-chunk
 // transients — quantization codes, the reconstruction buffer, the
-// pre-DEFLATE staging bytes, and the DEFLATE writer — come from scratch
+// pre-DEFLATE staging bytes, and the DEFLATE encoder — come from scratch
 // when it is non-nil, so a session reusing one scratch across calls stops
 // paying those allocations on the hot path.
 //
@@ -183,7 +180,7 @@ func compressChunk(data []float64, dims []int, prec field.Precision, opt Options
 	if min > max {
 		min, max = math.NaN(), math.NaN()
 	}
-	payload, err := encodeChunk(codes, literals, prec, opt.Capacity, opt.Level, sc)
+	payload, err := sc.AppendPayload(nil, nil, codes, opt.Capacity-1, literals, prec)
 	sc.PutInt32s(codes)
 	if err != nil {
 		return nil, cst, err
@@ -271,7 +268,7 @@ func decompressChunk(payload []byte, h *Header, c int, dst []float64, sc *codec.
 	if err != nil {
 		return err
 	}
-	codes, literals, err := decodeChunk(payload, h.Precision, sc)
+	codes, literals, err := sc.ParsePayload(payload, h.Precision, nil)
 	if err != nil {
 		return fmt.Errorf("sz: chunk %d: %w", c, err)
 	}
@@ -796,279 +793,6 @@ func decompress3D(out []float64, codes []int32, literals []float64, dims []int, 
 		})
 	wfPool.Put(wf)
 	return nil
-}
-
-// encodeChunk serializes one slab as a versioned lanes4 payload:
-//
-//	[codec.PayloadMarker][codec.PayloadVersionLanes4]
-//	uvarint(npoints)
-//	[codes flag] uvarint(codesLen) <four-lane Huffman block, raw or DEFLATE>
-//	uvarint(litLen) <DEFLATE(uvarint(nlit) + literal bytes), litLen bytes>
-//
-// The quantization codes go through huffman.EncodeLanes4 and are usually
-// stored uncompressed — on noisy chunks Huffman output is within ~0.1%
-// of incompressible, so wrapping it in DEFLATE bought nothing but the
-// dominant share of decode time. Smooth chunks, whose Huffman body is
-// runs of one pattern, keep the DEFLATE wrap when it wins meaningfully
-// (codec.CodesDeflateWins); the literal section (raw IEEE floats,
-// genuinely compressible) is always deflated. The staging buffers and
-// DEFLATE encoder come from sc (nil = fresh allocations); the returned
-// payload shares no storage with the scratch pools. level 0 selects the
-// purpose-built internal/deflate back-end, any other level the stdlib
-// writer (see Scratch.AppendDeflate). capacity is the quantizer capacity
-// that produced codes (every code is < capacity by construction), which
-// lets the Huffman coder skip its validation pass.
-func encodeChunk(codes []int32, literals []float64, prec field.Precision, capacity, level int, sc *codec.Scratch) ([]byte, error) {
-	out := sc.Bytes(len(codes)/2 + len(literals)*8 + 64)
-	out = append(out, codec.PayloadMarker, codec.PayloadVersionLanes4)
-	out = binary.AppendUvarint(out, uint64(len(codes)))
-
-	block := sc.Bytes(len(codes)/2 + 64)
-	hs := sc.Huffman()
-	block, err := huffman.EncodeLanes4(block, codes, capacity-1, hs)
-	sc.PutHuffman(hs)
-	if err != nil {
-		sc.PutBytes(block)
-		sc.PutBytes(out)
-		return nil, err
-	}
-	comp, err := sc.AppendDeflate(sc.Bytes(len(block)/2+64), block, level)
-	if err != nil {
-		sc.PutBytes(comp)
-		sc.PutBytes(block)
-		sc.PutBytes(out)
-		return nil, err
-	}
-	if codec.CodesDeflateWins(len(block), len(comp)) {
-		out = append(out, codec.PayloadCodesDeflate)
-		out = binary.AppendUvarint(out, uint64(len(comp)))
-		out = append(out, comp...)
-	} else {
-		out = append(out, codec.PayloadCodesRaw)
-		out = binary.AppendUvarint(out, uint64(len(block)))
-		out = append(out, block...)
-	}
-	sc.PutBytes(comp)
-	sc.PutBytes(block)
-
-	raw := sc.Bytes(len(literals)*8 + 16)
-	raw = binary.AppendUvarint(raw, uint64(len(literals)))
-	raw = appendLiterals(raw, literals, prec)
-	stage, err := sc.AppendDeflate(sc.Bytes(len(raw)/2+64), raw, level)
-	sc.PutBytes(raw)
-	if err != nil {
-		sc.PutBytes(stage)
-		sc.PutBytes(out)
-		return nil, err
-	}
-	out = binary.AppendUvarint(out, uint64(len(stage)))
-	out = append(out, stage...)
-	sc.PutBytes(stage)
-
-	// Hand back an exact-size copy, so append growth is amortized by the
-	// pool and the returned payload carries no slack capacity.
-	payload := append([]byte(nil), out...)
-	sc.PutBytes(out)
-	return payload, nil
-}
-
-// decodeChunk reverses encodeChunk (and, for streams written before the
-// payload-version marker, the legacy whole-payload DEFLATE layout —
-// dispatched on the first byte, which no DEFLATE stream can share). The
-// inflate reader and staging buffer, the Huffman decode tables, and the
-// returned codes and literals slices all come from sc (nil = fresh
-// allocations); the caller owns the returned slices and should
-// PutInts/PutFloats them when done.
-func decodeChunk(payload []byte, prec field.Precision, sc *codec.Scratch) (codes []int32, literals []float64, err error) {
-	if len(payload) >= 2 && payload[0] == codec.PayloadMarker {
-		return decodeChunkLanes4(payload, prec, sc)
-	}
-	return decodeChunkLegacy(payload, prec, sc)
-}
-
-// decodeChunkLanes4 decodes a versioned lanes4 chunk payload.
-func decodeChunkLanes4(payload []byte, prec field.Precision, sc *codec.Scratch) (codes []int32, literals []float64, err error) {
-	if payload[1] != codec.PayloadVersionLanes4 {
-		return nil, nil, fmt.Errorf("sz: unsupported chunk payload version %d", payload[1])
-	}
-	npoints, rest, err := readUvarint(payload[2:])
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(rest) < 1 {
-		return nil, nil, fmt.Errorf("sz: truncated codes section")
-	}
-	codesEnc := rest[0]
-	codesLen, rest, err := readUvarint(rest[1:])
-	if err != nil {
-		return nil, nil, err
-	}
-	if codesLen > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("sz: codes section shorter than declared (%d < %d)", len(rest), codesLen)
-	}
-	block := rest[:codesLen]
-	rest = rest[codesLen:]
-	switch codesEnc {
-	case codec.PayloadCodesRaw:
-		// block is the lanes4 bitstream as stored — the fast path.
-	case codec.PayloadCodesDeflate:
-		fr := sc.FlateReader(bytes.NewReader(block))
-		cbuf := sc.Buffer()
-		defer sc.PutBuffer(cbuf)
-		if _, err := cbuf.ReadFrom(fr); err != nil {
-			fr.Close()
-			sc.PutFlateReader(fr)
-			return nil, nil, fmt.Errorf("inflate: %w", err)
-		}
-		if err := fr.Close(); err != nil {
-			sc.PutFlateReader(fr)
-			return nil, nil, err
-		}
-		sc.PutFlateReader(fr)
-		block = cbuf.Bytes()
-	default:
-		return nil, nil, fmt.Errorf("sz: unknown codes encoding %d", codesEnc)
-	}
-	if npoints > uint64(len(block))*8 {
-		// Every code costs at least one bit in its lane; reject a corrupt
-		// count before sizing the code buffer from it. The check runs
-		// against the materialized (post-inflate) block, since a deflated
-		// codes section legitimately holds more symbols than 8× its
-		// stored bytes.
-		return nil, nil, fmt.Errorf("sz: %d codes cannot fit in %d codes-section bytes", npoints, len(block))
-	}
-	hd := sc.HuffDecode()
-	codes, _, err = huffman.DecodeLanes4Into(sc.Int32s(int(npoints))[:0], block, hd)
-	sc.PutHuffDecode(hd)
-	if err != nil {
-		return nil, nil, err
-	}
-	if uint64(len(codes)) != npoints {
-		sc.PutInt32s(codes)
-		return nil, nil, fmt.Errorf("sz: decoded %d codes, header says %d", len(codes), npoints)
-	}
-	litLen, rest, err := readUvarint(rest)
-	if err != nil {
-		sc.PutInt32s(codes)
-		return nil, nil, err
-	}
-	if litLen > uint64(len(rest)) {
-		sc.PutInt32s(codes)
-		return nil, nil, fmt.Errorf("sz: literal section shorter than declared (%d < %d)", len(rest), litLen)
-	}
-
-	fr := sc.FlateReader(bytes.NewReader(rest[:litLen]))
-	buf := sc.Buffer()
-	defer sc.PutBuffer(buf)
-	if _, err := buf.ReadFrom(fr); err != nil {
-		fr.Close()
-		sc.PutFlateReader(fr)
-		sc.PutInt32s(codes)
-		return nil, nil, fmt.Errorf("inflate: %w", err)
-	}
-	if err := fr.Close(); err != nil {
-		sc.PutFlateReader(fr)
-		sc.PutInt32s(codes)
-		return nil, nil, err
-	}
-	sc.PutFlateReader(fr)
-	nlit, lit, err := readUvarint(buf.Bytes())
-	if err != nil {
-		sc.PutInt32s(codes)
-		return nil, nil, err
-	}
-	literals, err = readLiterals(lit, int(nlit), prec, sc)
-	if err != nil {
-		sc.PutInt32s(codes)
-		return nil, nil, err
-	}
-	return codes, literals, nil
-}
-
-// decodeChunkLegacy decodes the pre-lane layout: the whole payload is one
-// DEFLATE stream wrapping uvarint(npoints), the single-stream Huffman
-// block, uvarint(nlit), and the literal bytes.
-func decodeChunkLegacy(payload []byte, prec field.Precision, sc *codec.Scratch) (codes []int32, literals []float64, err error) {
-	fr := sc.FlateReader(bytes.NewReader(payload))
-	buf := sc.Buffer()
-	defer sc.PutBuffer(buf)
-	if _, err := buf.ReadFrom(fr); err != nil {
-		fr.Close()
-		sc.PutFlateReader(fr)
-		return nil, nil, fmt.Errorf("inflate: %w", err)
-	}
-	if err := fr.Close(); err != nil {
-		sc.PutFlateReader(fr)
-		return nil, nil, err
-	}
-	sc.PutFlateReader(fr)
-	raw := buf.Bytes()
-	npoints, rest, err := readUvarint(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	if npoints > uint64(len(rest))*8 {
-		// Every code costs at least one bit downstream; reject a corrupt
-		// count before sizing the code buffer from it.
-		return nil, nil, fmt.Errorf("sz: %d codes cannot fit in %d payload bytes", npoints, len(rest))
-	}
-	hd := sc.HuffDecode()
-	codes, consumed, err := huffman.DecodeInto(sc.Int32s(int(npoints))[:0], rest, hd)
-	sc.PutHuffDecode(hd)
-	if err != nil {
-		return nil, nil, err
-	}
-	if uint64(len(codes)) != npoints {
-		sc.PutInt32s(codes)
-		return nil, nil, fmt.Errorf("sz: decoded %d codes, header says %d", len(codes), npoints)
-	}
-	rest = rest[consumed:]
-	nlit, rest, err := readUvarint(rest)
-	if err != nil {
-		sc.PutInt32s(codes)
-		return nil, nil, err
-	}
-	literals, err = readLiterals(rest, int(nlit), prec, sc)
-	if err != nil {
-		sc.PutInt32s(codes)
-		return nil, nil, err
-	}
-	return codes, literals, nil
-}
-
-func appendLiterals(b []byte, vals []float64, prec field.Precision) []byte {
-	if prec == field.Float32 {
-		var tmp [4]byte
-		for _, v := range vals {
-			binary.LittleEndian.PutUint32(tmp[:], math.Float32bits(float32(v)))
-			b = append(b, tmp[:]...)
-		}
-		return b
-	}
-	var tmp [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		b = append(b, tmp[:]...)
-	}
-	return b
-}
-
-func readLiterals(b []byte, n int, prec field.Precision, sc *codec.Scratch) ([]float64, error) {
-	size := prec.Bytes()
-	if len(b) < n*size {
-		return nil, fmt.Errorf("sz: literal stream truncated (%d < %d)", len(b), n*size)
-	}
-	out := sc.Floats(n)
-	if prec == field.Float32 {
-		for i := 0; i < n; i++ {
-			out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:])))
-		}
-		return out, nil
-	}
-	for i := 0; i < n; i++ {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out, nil
 }
 
 // estimateCapacity samples first-phase prediction errors (predicting from

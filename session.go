@@ -178,9 +178,6 @@ func WithChunkRows(n int) Option { return func(o *Options) { o.ChunkRows = n } }
 // Encoder.EncodeFrom with bounded memory.
 func WithChunkPoints(n int) Option { return func(o *Options) { o.ChunkPoints = n } }
 
-// WithLevel sets the DEFLATE level (0 = fastest).
-func WithLevel(level int) Option { return func(o *Options) { o.Level = level } }
-
 // WithBlockSize sets the transform block edge (transform pipeline).
 func WithBlockSize(n int) Option { return func(o *Options) { o.BlockSize = n } }
 

@@ -231,6 +231,9 @@ func TestEncoderReuseAllocatesLess(t *testing.T) {
 // table, and per-chunk payload copies. A creeping count here means a
 // pool stopped being used on the hot path.
 func TestEncoderWarmAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation measurements")
+	}
 	f := waveField("allocs-pin", 200, 250)
 	enc := mustEncoder(t,
 		fixedpsnr.WithMode(fixedpsnr.ModePSNR),
@@ -314,7 +317,7 @@ func TestOptionsValidate(t *testing.T) {
 		{Mode: fixedpsnr.ModeRel, RelBound: 1e-4},
 		{Mode: fixedpsnr.ModePSNR, TargetPSNR: 80},
 		{Mode: fixedpsnr.ModePWRel, PWRelBound: 0.01},
-		{Mode: fixedpsnr.ModePSNR, TargetPSNR: 60, Capacity: 1024, BlockSize: 16, Level: 6},
+		{Mode: fixedpsnr.ModePSNR, TargetPSNR: 60, Capacity: 1024, BlockSize: 16},
 	}
 	for i, opt := range valid {
 		if err := opt.Validate(); err != nil {
@@ -340,7 +343,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Mode: fixedpsnr.ModeAbs, ErrorBound: 1, Capacity: 1 << 21},
 		{Mode: fixedpsnr.ModeAbs, ErrorBound: 1, BlockSize: -4},
 		{Mode: fixedpsnr.ModeAbs, ErrorBound: 1, BlockSize: 1 << 21},
-		{Mode: fixedpsnr.ModeAbs, ErrorBound: 1, Level: 42},
 	}
 	for i, opt := range invalid {
 		err := opt.Validate()
@@ -357,8 +359,8 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatal("NewEncoder accepted a negative PSNR target")
 	}
 	f := waveField("v", 16, 16)
-	if _, _, err := fixedpsnr.Compress(f, fixedpsnr.Options{Mode: fixedpsnr.ModeAbs, ErrorBound: 1, Level: 42}); err == nil {
-		t.Fatal("Compress accepted an absurd DEFLATE level")
+	if _, _, err := fixedpsnr.Compress(f, fixedpsnr.Options{Mode: fixedpsnr.ModeAbs, ErrorBound: 1, Capacity: 7}); err == nil {
+		t.Fatal("Compress accepted an odd capacity")
 	}
 }
 
