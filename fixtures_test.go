@@ -41,8 +41,33 @@ func fixtureField(name string, prec fixedpsnr.Precision, dims ...int) *fixedpsnr
 
 // fixtureConfigs are the encode configurations pinned by committed
 // fixtures: every steered target and both pipelines, all with explicit
-// Workers and ChunkPoints so the tiling is machine-independent.
+// Workers and ChunkPoints so the tiling is machine-independent. The
+// transform configs cover a multi-pass ratio solve, partial blocks (a
+// 6-edge grid over 18- and 10-row chunks leaves 4-edge remainders) and
+// the Haar transform.
 func fixtureConfigs() map[string]fixedpsnr.Options {
+	cfgs := legacyFixtureConfigs()
+	cfgs["otc_ratio"] = fixedpsnr.Options{
+		Mode: fixedpsnr.ModeRatio, TargetRatio: 8,
+		Compressor:  fixedpsnr.CompressorTransform,
+		ChunkPoints: fixedpsnr.MinChunkPoints, Workers: 2,
+	}
+	cfgs["otc_bs6"] = fixedpsnr.Options{
+		Mode: fixedpsnr.ModePSNR, TargetPSNR: 60,
+		Compressor: fixedpsnr.CompressorTransform, BlockSize: 6,
+		ChunkPoints: fixedpsnr.MinChunkPoints, Workers: 2,
+	}
+	cfgs["wavelet_psnr"] = fixedpsnr.Options{
+		Mode: fixedpsnr.ModePSNR, TargetPSNR: 60,
+		Compressor:  fixedpsnr.CompressorWavelet,
+		ChunkPoints: fixedpsnr.MinChunkPoints, Workers: 2,
+	}
+	return cfgs
+}
+
+// legacyFixtureConfigs are the configurations that also have a frozen
+// pre-lane fixture directly under testdata/streams.
+func legacyFixtureConfigs() map[string]fixedpsnr.Options {
 	return map[string]fixedpsnr.Options{
 		"sz_psnr_calibrated": {
 			Mode: fixedpsnr.ModePSNR, TargetPSNR: 60, Calibrated: true,
@@ -125,7 +150,7 @@ func TestStreamFixtures(t *testing.T) {
 // the codes or literals, so the two decodes must agree on every float.
 func TestLegacyStreamFixtures(t *testing.T) {
 	f := fixtureField("fixture", fixedpsnr.Float32, 64, 64, 16)
-	for name, opt := range fixtureConfigs() {
+	for name, opt := range legacyFixtureConfigs() {
 		t.Run(name, func(t *testing.T) {
 			legacy, err := os.ReadFile(filepath.Join("testdata", "streams", name+".fpsz"))
 			if err != nil {

@@ -127,7 +127,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// fixtureStreams reads the committed stream fixtures: the five current
+// fixtureStreams reads the committed stream fixtures: the eight current
 // four-lane streams and the five frozen legacy ones.
 func fixtureStreams(tb testing.TB) [][]byte {
 	tb.Helper()
@@ -146,8 +146,8 @@ func fixtureStreams(tb testing.TB) [][]byte {
 			out = append(out, blob)
 		}
 	}
-	if len(out) != 10 {
-		tb.Fatalf("found %d stream fixtures, want 10", len(out))
+	if len(out) != 13 {
+		tb.Fatalf("found %d stream fixtures, want 13", len(out))
 	}
 	return out
 }
@@ -184,7 +184,7 @@ func smallChunkHeader(tb testing.TB, id codec.ID) *codec.Header {
 // decoders, which parse with their own prefix callbacks. Every input
 // must come back as an error or a result, never a panic, and an accepted
 // payload with a small alphabet must survive a re-encode unchanged.
-// Seeds are every chunk payload of the committed fixtures (five
+// Seeds are every chunk payload of the committed fixtures (eight
 // four-lane streams, five legacy) plus the literal-count regressions.
 // The fixture payloads are 8-20 KB, so fuzz with a bound on minimization
 // (-fuzzminimizetime 1s), or minimizing one new input eats the run.
