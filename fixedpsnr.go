@@ -132,6 +132,9 @@ const (
 	DefaultChunkPoints = codec.DefaultChunkPoints
 )
 
+// MaxBlockSize is the largest accepted BlockSize (transform pipeline).
+const MaxBlockSize = codec.MaxBlockSize
+
 // Plan is the bound derivation produced by fixed-PSNR planning.
 type Plan = core.Plan
 
@@ -341,7 +344,8 @@ type Options struct {
 	// below that floor the fixed overhead dominates even at the default
 	// capacity.
 	ChunkPoints int
-	// BlockSize is the transform block edge (transform pipeline).
+	// BlockSize is the transform block edge (transform pipeline), at
+	// most MaxBlockSize. Zero selects the default of 8.
 	BlockSize int
 }
 
@@ -437,8 +441,8 @@ func (opt Options) Validate() error {
 	if opt.Capacity != 0 && (opt.Capacity < 4 || opt.Capacity%2 != 0) {
 		return fmt.Errorf("fixedpsnr: Capacity must be an even number >= 4 (or 0 for the default), got %d", opt.Capacity)
 	}
-	if opt.BlockSize < 0 || opt.BlockSize > 1<<20 {
-		return fmt.Errorf("fixedpsnr: BlockSize %d outside [0, 2^20]", opt.BlockSize)
+	if opt.BlockSize < 0 || opt.BlockSize > MaxBlockSize {
+		return fmt.Errorf("fixedpsnr: BlockSize %d outside [0, %d]", opt.BlockSize, MaxBlockSize)
 	}
 	// Each chunk pays a Huffman table sized by Capacity plus a chunk-table
 	// entry; below MinChunkPoints that fixed overhead dominates the

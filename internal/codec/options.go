@@ -1,5 +1,11 @@
 package codec
 
+// MaxBlockSize is the largest transform block edge: encoders reject a
+// larger BlockSize and decoders a payload that declares one, which also
+// bounds each worker's block buffer (2·MaxBlockSize³ float64s) and the
+// per-edge transform bases a process caches.
+const MaxBlockSize = 64
+
 // Options is the unified per-codec configuration. Both pipelines read the
 // common core (ErrorBound, Capacity, Workers, and the header
 // annotations); each ignores the knobs that do not apply to it, so one
@@ -26,7 +32,8 @@ type Options struct {
 	// DefaultChunkPoints for the streaming encoder. Values below
 	// MinChunkPoints are rejected by validation.
 	ChunkPoints int
-	// BlockSize is the transform block edge (otc pipeline).
+	// BlockSize is the transform block edge (otc pipeline), at most
+	// MaxBlockSize. Zero selects the pipeline default.
 	BlockSize int
 	// Transform selects the block transform (otc pipeline).
 	Transform Transform

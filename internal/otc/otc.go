@@ -27,7 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
@@ -75,6 +75,9 @@ func (otcCodec) CompressChunk(ctx context.Context, data []float64, dims []int, p
 	}
 	if !(copt.ErrorBound > 0) || math.IsInf(copt.ErrorBound, 0) || math.IsNaN(copt.ErrorBound) {
 		return nil, codec.ChunkStats{}, fmt.Errorf("otc: error bound (half bin width) must be positive and finite, got %g", copt.ErrorBound)
+	}
+	if err := checkBlockSize(copt); err != nil {
+		return nil, codec.ChunkStats{}, err
 	}
 	q, err := quantizer.New(copt.ErrorBound, copt.Capacity)
 	if err != nil {
@@ -125,23 +128,36 @@ func blockEdge(o Options) int {
 	return o.BlockSize
 }
 
+// checkBlockSize rejects block edges above codec.MaxBlockSize. Every
+// encode entry point runs it: codec-level callers skip the public
+// options validation.
+func checkBlockSize(o Options) error {
+	if o.BlockSize > codec.MaxBlockSize {
+		return fmt.Errorf("otc: block size %d exceeds the maximum %d", o.BlockSize, codec.MaxBlockSize)
+	}
+	return nil
+}
+
 // Stats is the unified compression outcome report (see codec.Stats).
 // This pipeline does not measure its exact MSE, so Stats.MSE is NaN.
 type Stats = codec.Stats
 
-// dctCache shares DCT basis matrices across blocks and calls.
-var dctCache sync.Map // int → *transform.DCT
+// dctCache shares DCT bases across blocks and calls, one per edge.
+var dctCache [codec.MaxBlockSize + 1]atomic.Pointer[transform.DCT]
 
 func dctFor(n int) (*transform.DCT, error) {
-	if v, ok := dctCache.Load(n); ok {
-		return v.(*transform.DCT), nil
+	if n < 1 || n > codec.MaxBlockSize {
+		return nil, fmt.Errorf("otc: block edge %d outside [1, %d]", n, codec.MaxBlockSize)
+	}
+	if d := dctCache[n].Load(); d != nil {
+		return d, nil
 	}
 	d, err := transform.NewDCT(n)
 	if err != nil {
 		return nil, err
 	}
-	actual, _ := dctCache.LoadOrStore(n, d)
-	return actual.(*transform.DCT), nil
+	dctCache[n].CompareAndSwap(nil, d)
+	return dctCache[n].Load(), nil
 }
 
 // blockRange describes one block along each axis: offsets and sizes.
@@ -149,46 +165,85 @@ type blockRange struct {
 	off  [3]int
 	size [3]int
 	n    int // total points
+	pos  int // offset of the block's first code in the chunk's code stream
 }
 
-// blockGrid enumerates blocks covering dims with edge length b, cutting
-// partial blocks at the boundary.
-func blockGrid(dims []int, b int) []blockRange {
-	steps := make([][]blockRange, len(dims))
+// blockGrid enumerates the blocks covering dims with edge length b,
+// cutting partial blocks at the boundary, in row-major grid order (axis
+// 0 slowest) — the order their codes follow in a chunk payload. Axes
+// past the rank have length 1.
+type blockGrid struct {
+	dims [3]int
+	nb   [3]int // blocks along each axis
+	b    int
+}
+
+func newBlockGrid(dims []int, b int) blockGrid {
+	g := blockGrid{dims: [3]int{1, 1, 1}, nb: [3]int{1, 1, 1}, b: b}
 	for a, d := range dims {
-		for lo := 0; lo < d; lo += b {
-			hi := lo + b
-			if hi > d {
-				hi = d
-			}
-			var r blockRange
-			r.off[a] = lo
-			r.size[a] = hi - lo
-			steps[a] = append(steps[a], r)
-		}
+		g.dims[a] = d
+		g.nb[a] = (d + b - 1) / b
 	}
-	// Cartesian product across axes.
-	blocks := []blockRange{{size: [3]int{1, 1, 1}, n: 1}}
-	for a := range dims {
-		var next []blockRange
-		for _, base := range blocks {
-			for _, s := range steps[a] {
-				nb := base
-				nb.off[a] = s.off[a]
-				nb.size[a] = s.size[a]
-				next = append(next, nb)
-			}
-		}
-		blocks = next
+	return g
+}
+
+// len returns the number of blocks.
+func (g blockGrid) len() int { return g.nb[0] * g.nb[1] * g.nb[2] }
+
+// maxPoints returns the point count of the largest block, the first.
+func (g blockGrid) maxPoints() int {
+	return min(g.b, g.dims[0]) * min(g.b, g.dims[1]) * min(g.b, g.dims[2])
+}
+
+// block returns block bi of the grid. Its codes start after those of
+// every earlier block: all off[0] planes above it, then off[1] rows of
+// its own slab, then off[2] points of its own rows.
+func (g blockGrid) block(bi int) blockRange {
+	idx := [3]int{bi / (g.nb[1] * g.nb[2]), bi / g.nb[2] % g.nb[1], bi % g.nb[2]}
+	var br blockRange
+	for a, i := range idx {
+		br.off[a] = i * g.b
+		br.size[a] = min(g.b, g.dims[a]-br.off[a])
 	}
-	for i := range blocks {
-		n := 1
-		for a := 0; a < len(dims); a++ {
-			n *= blocks[i].size[a]
-		}
-		blocks[i].n = n
+	br.n = br.size[0] * br.size[1] * br.size[2]
+	br.pos = br.off[0]*g.dims[1]*g.dims[2] + br.size[0]*br.off[1]*g.dims[2] + br.size[0]*br.size[1]*br.off[2]
+	return br
+}
+
+// blockBufs hands each worker slot of a parallel block loop one buffer,
+// drawn from the slot's scratch shard on first use: room for the grid's
+// largest block twice over, since the DCT axis kernel writes out of
+// place.
+type blockBufs struct {
+	sc   *codec.Scratch
+	n    int // points in the largest block
+	bufs [][]float64
+}
+
+// newBlockBufs sizes the slot table for parallel.ForEachWorkerCtx over
+// g's blocks with the given worker bound.
+func newBlockBufs(sc *codec.Scratch, g blockGrid, workers int) *blockBufs {
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
 	}
-	return blocks
+	return &blockBufs{sc: sc, n: g.maxPoints(), bufs: make([][]float64, min(workers, g.len()))}
+}
+
+// get returns worker slot w's two n-point halves.
+func (b *blockBufs) get(w, n int) (cur, tmp []float64) {
+	buf := b.bufs[w]
+	if buf == nil {
+		buf = b.sc.Shard(w).Floats(2 * b.n)
+		b.bufs[w] = buf
+	}
+	return buf[:n], buf[b.n : b.n+n]
+}
+
+// release returns every slot's buffer to its shard.
+func (b *blockBufs) release() {
+	for w, buf := range b.bufs {
+		b.sc.Shard(w).PutFloats(buf)
+	}
 }
 
 // gatherBlock copies a block into buf (row-major within the block).
@@ -245,110 +300,45 @@ func scatterBlock(data []float64, dims []int, br blockRange, buf []float64) {
 	}
 }
 
-// forwardBlock applies the separable orthonormal block transform in place
-// over a block buffer with the given per-axis sizes (rank = len(sizes)).
-func forwardBlock(buf []float64, sizes []int, tr Transform) error {
-	return applyBlock(buf, sizes, tr, false)
-}
-
-// inverseBlock inverts forwardBlock.
-func inverseBlock(buf []float64, sizes []int, tr Transform) error {
-	return applyBlock(buf, sizes, tr, true)
-}
-
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-func log2int(n int) int {
-	l := 0
-	for m := n; m > 1; m >>= 1 {
-		l++
-	}
-	return l
-}
-
-func applyBlock(buf []float64, sizes []int, tr Transform, inverse bool) error {
-	rank := len(sizes)
-	// Strides for row-major layout of the block.
-	strides := make([]int, rank)
-	s := 1
-	for a := rank - 1; a >= 0; a-- {
-		strides[a] = s
-		s *= sizes[a]
-	}
-	total := s
-	line := make([]float64, 0, 64)
-	out := make([]float64, 0, 64)
-	for a := 0; a < rank; a++ {
-		L := sizes[a]
-		if L == 1 {
-			continue
-		}
-		// Haar requires power-of-two lengths; other lengths keep the
-		// exact-size DCT so the block transform remains orthonormal.
-		useHaar := tr == TransformHaar && isPow2(L)
-		var d *transform.DCT
-		if !useHaar {
-			var err error
-			d, err = dctFor(L)
+// applyBlock applies the separable orthonormal block transform (or, with
+// inverse, its inverse) to the row-major block in cur, whose per-axis
+// sizes are sizes, axis 0 first; tmp is scratch of the same length. Each
+// axis runs through a transform axis kernel over the block's
+// [outer][L][stride] view. It returns the buffer holding the result,
+// which is cur or tmp.
+func applyBlock(cur, tmp []float64, sizes []int, tr Transform, inverse bool) ([]float64, error) {
+	outer, stride := 1, len(cur)
+	for _, L := range sizes {
+		stride /= L
+		switch {
+		case L == 1:
+		case tr == TransformHaar && isPow2(L):
+			// Haar requires power-of-two lengths; other lengths keep the
+			// exact-size DCT so the block transform remains orthonormal.
+			haar := transform.HaarForwardAxis
+			if inverse {
+				haar = transform.HaarInverseAxis
+			}
+			if err := haar(cur, tmp, outer, L, stride); err != nil {
+				return nil, err
+			}
+		default:
+			d, err := dctFor(L)
 			if err != nil {
-				return err
+				return nil, err
 			}
+			if inverse {
+				d.InverseAxis(tmp, cur, outer, stride)
+			} else {
+				d.ForwardAxis(tmp, cur, outer, stride)
+			}
+			cur, tmp = tmp, cur
 		}
-		line = line[:L]
-		out = out[:L]
-		stride := strides[a]
-		nlines := total / L
-		for ln := 0; ln < nlines; ln++ {
-			// Decompose the line index into coordinates of the other
-			// axes to find the base offset.
-			base := 0
-			rem := ln
-			for x := rank - 1; x >= 0; x-- {
-				if x == a {
-					continue
-				}
-				c := rem % sizes[x]
-				rem /= sizes[x]
-				base += c * strides[x]
-			}
-			if stride == 1 {
-				copy(line, buf[base:base+L])
-			} else {
-				idx := base
-				for k := range line {
-					line[k] = buf[idx]
-					idx += stride
-				}
-			}
-			if useHaar {
-				levels := log2int(L)
-				var err error
-				if inverse {
-					err = transform.HaarInverse(line, levels)
-				} else {
-					err = transform.HaarForward(line, levels)
-				}
-				if err != nil {
-					return err
-				}
-				copy(out, line)
-			} else if inverse {
-				d.Inverse(out, line)
-			} else {
-				d.Forward(out, line)
-			}
-			if stride == 1 {
-				copy(buf[base:base+L], out)
-			} else {
-				idx := base
-				for k := range out {
-					buf[idx] = out[k]
-					idx += stride
-				}
-			}
-		}
+		outer *= L
 	}
-	return nil
+	return cur, nil
 }
 
 // Compress compresses the field by blockwise orthonormal DCT and uniform
@@ -371,6 +361,9 @@ func Compress(f *field.Field, opt Options) ([]byte, *Stats, error) {
 // layout exactly.
 func CompressCtx(ctx context.Context, f *field.Field, opt Options, sc *codec.Scratch) ([]byte, *Stats, error) {
 	if err := f.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := checkBlockSize(opt); err != nil {
 		return nil, nil, err
 	}
 	// Trust the value range the public layer already measured (see the
@@ -425,7 +418,7 @@ func CompressCtx(ctx context.Context, f *field.Field, opt Options, sc *codec.Scr
 			Min:           cst.Min,
 			Max:           cst.Max,
 		}
-		totalBlocks += len(blockGrid(subDims, blockEdge(opt)))
+		totalBlocks += newBlockGrid(subDims, blockEdge(opt)).len()
 	}
 
 	h := &codec.Header{
@@ -481,49 +474,43 @@ func chunkSpans(dims []int, opt Options) [][2]int {
 }
 
 // compressChunk transforms, quantizes, and entropy-codes one row slab.
-// Blocks within the chunk run in parallel under opt.Workers.
+// Blocks within the chunk run in parallel under opt.Workers; each writes
+// its codes into one chunk-wide slice at its own offset.
 func compressChunk(ctx context.Context, data []float64, dims []int, opt Options, q *quantizer.Quantizer, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
 	var cst codec.ChunkStats
-	blocks := blockGrid(dims, blockEdge(opt))
-	type blockOut struct {
-		codes    []int32
-		literals []float64
-	}
-	outs := make([]blockOut, len(blocks))
-	err := parallel.ForEachWorkerCtx(ctx, len(blocks), opt.Workers, func(w, bi int) error {
-		br := blocks[bi]
-		sc := sc.Shard(w)
-		buf := sc.Floats(br.n)
-		gatherBlock(data, dims, br, buf)
-		sizes := br.size[:len(dims)]
-		if err := forwardBlock(buf, sizes, opt.Transform); err != nil {
-			sc.PutFloats(buf)
+	g := newBlockGrid(dims, blockEdge(opt))
+	codes := sc.Int32s(len(data))
+	defer sc.PutInt32s(codes)
+	lits := make([][]float64, g.len()) // per-block literals, nil for most
+	bufs := newBlockBufs(sc, g, opt.Workers)
+	defer bufs.release()
+	err := parallel.ForEachWorkerCtx(ctx, g.len(), opt.Workers, func(w, bi int) error {
+		br := g.block(bi)
+		cur, tmp := bufs.get(w, br.n)
+		gatherBlock(data, dims, br, cur)
+		coef, err := applyBlock(cur, tmp, br.size[:len(dims)], opt.Transform, false)
+		if err != nil {
 			return err
 		}
-		codes := make([]int32, len(buf))
-		var literals []float64
-		for i, c := range buf {
+		cs := codes[br.pos : br.pos+br.n]
+		for i, c := range coef {
 			code, ok := q.Quantize(c)
 			if !ok {
-				literals = append(literals, c)
-				codes[i] = 0
+				lits[bi] = append(lits[bi], c)
+				cs[i] = 0
 				continue
 			}
-			codes[i] = int32(code)
+			cs[i] = int32(code)
 		}
-		sc.PutFloats(buf)
-		outs[bi] = blockOut{codes: codes, literals: literals}
 		return nil
 	})
 	if err != nil {
 		return nil, cst, err
 	}
 
-	var codes []int32
 	var literals []float64
-	for _, o := range outs {
-		codes = append(codes, o.codes...)
-		literals = append(literals, o.literals...)
+	for _, l := range lits {
+		literals = append(literals, l...)
 	}
 	// The payload prefix records the transform and block size; the
 	// coefficient literals are stored as float64 whatever the field's
@@ -569,7 +556,7 @@ func Decompress(data []byte) (*field.Field, *codec.Header, error) {
 
 // DecompressScratch is Decompress drawing transient decode buffers — the
 // inflate window, code and literal slices, Huffman decode tables, and
-// per-block coefficient buffers — from sc, so session callers reuse
+// per-worker block buffers — from sc, so session callers reuse
 // allocations across streams. A nil sc allocates fresh; the
 // reconstruction is identical either way.
 func DecompressScratch(data []byte, sc *codec.Scratch) (*field.Field, *codec.Header, error) {
@@ -627,54 +614,49 @@ func decompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc 
 	if err != nil {
 		return err
 	}
-	blocks := blockGrid(dims, blockSize)
+	g := newBlockGrid(dims, blockSize)
 
-	// Pre-compute per-block offsets into the code/literal streams. The
-	// literal offsets depend on the code stream, so this pass is serial;
-	// the inverse transforms then run in parallel.
-	codeOff := make([]int, len(blocks)+1)
-	litOff := make([]int, len(blocks)+1)
-	pos := 0
+	// Each block's literals start after those of every earlier block,
+	// which depends on the codes before it, so this pass is serial; the
+	// inverse transforms then run in parallel.
+	litOff := make([]int, g.len())
 	lit := 0
-	for bi, br := range blocks {
-		codeOff[bi] = pos
+	for bi := range litOff {
 		litOff[bi] = lit
-		for _, c := range codes[pos : pos+br.n] {
+		br := g.block(bi)
+		for _, c := range codes[br.pos : br.pos+br.n] {
 			if c == 0 {
 				lit++
 			}
 		}
-		pos += br.n
 	}
-	codeOff[len(blocks)] = pos
-	litOff[len(blocks)] = lit
 	if lit != len(literals) {
 		return fmt.Errorf("otc: literal count mismatch (%d vs %d)", lit, len(literals))
 	}
 
-	return parallel.ForEachWorkerCtx(context.Background(), len(blocks), 0, func(w, bi int) error {
-		br := blocks[bi]
-		sc := sc.Shard(w)
-		buf := sc.Floats(br.n)
-		defer sc.PutFloats(buf)
+	bufs := newBlockBufs(sc, g, 0)
+	defer bufs.release()
+	return parallel.ForEachWorkerCtx(context.Background(), g.len(), 0, func(w, bi int) error {
+		br := g.block(bi)
+		cur, tmp := bufs.get(w, br.n)
 		li := litOff[bi]
-		// Range over the block's code window with buf pinned to the same
+		// Range over the block's code window with cur pinned to the same
 		// length so the compiler drops both bounds checks in the hot loop.
-		cs := codes[codeOff[bi]:codeOff[bi+1]]
-		buf = buf[:len(cs)]
+		cs := codes[br.pos : br.pos+br.n]
+		cur = cur[:len(cs)]
 		for i, c := range cs {
 			if c == 0 {
-				buf[i] = literals[li]
+				cur[i] = literals[li]
 				li++
 				continue
 			}
-			buf[i] = q.Reconstruct(int(c))
+			cur[i] = q.Reconstruct(int(c))
 		}
-		sizes := br.size[:len(dims)]
-		if err := inverseBlock(buf, sizes, tr); err != nil {
+		vals, err := applyBlock(cur, tmp, br.size[:len(dims)], tr, true)
+		if err != nil {
 			return err
 		}
-		scatterBlock(dst, dims, br, buf)
+		scatterBlock(dst, dims, br, vals)
 		return nil
 	})
 }
@@ -691,7 +673,7 @@ func parsePrefix(b []byte) (rest []byte, tr Transform, blockSize int, err error)
 		return nil, 0, 0, fmt.Errorf("otc: unknown transform %d", b[0])
 	}
 	bs, k := binary.Uvarint(b[1:])
-	if k <= 0 || bs == 0 || bs > 1<<20 {
+	if k <= 0 || bs == 0 || bs > codec.MaxBlockSize {
 		return nil, 0, 0, fmt.Errorf("otc: bad block size")
 	}
 	return b[1+k:], tr, int(bs), nil

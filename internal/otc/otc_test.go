@@ -39,7 +39,7 @@ func smoothField(name string, noise float64, dims ...int) *field.Field {
 
 func TestBlockGridCoversField(t *testing.T) {
 	for _, dims := range [][]int{{17}, {10, 13}, {5, 9, 12}} {
-		blocks := blockGrid(dims, 4)
+		g := newBlockGrid(dims, 4)
 		covered := make(map[int]int)
 		inner := func(br blockRange) {
 			// Enumerate all flat indices in the block.
@@ -68,7 +68,15 @@ func TestBlockGridCoversField(t *testing.T) {
 		for _, d := range dims {
 			total *= d
 		}
-		for _, br := range blocks {
+		pos := 0
+		for bi := range g.len() {
+			br := g.block(bi)
+			// Codes follow grid order: each block starts where the
+			// previous one ended.
+			if br.pos != pos {
+				t.Fatalf("dims %v: block %d codes start at %d, want %d", dims, bi, br.pos, pos)
+			}
+			pos += br.n
 			inner(br)
 		}
 		if len(covered) != total {
@@ -89,7 +97,9 @@ func TestGatherScatterInverse(t *testing.T) {
 		src[i] = float64(i)
 	}
 	dst := make([]float64, len(src))
-	for _, br := range blockGrid(dims, 4) {
+	g := newBlockGrid(dims, 4)
+	for bi := range g.len() {
+		br := g.block(bi)
 		buf := make([]float64, br.n)
 		gatherBlock(src, dims, br, buf)
 		scatterBlock(dst, dims, br, buf)
@@ -110,12 +120,14 @@ func TestForwardInverseBlockRoundTrip(t *testing.T) {
 				n *= s
 			}
 			buf := make([]float64, n)
+			tmp := make([]float64, n)
 			orig := make([]float64, n)
 			for i := range buf {
 				buf[i] = rng.NormFloat64()
 				orig[i] = buf[i]
 			}
-			if err := forwardBlock(buf, sizes, tr); err != nil {
+			buf, err := applyBlock(buf, tmp, sizes, tr, false)
+			if err != nil {
 				t.Fatal(err)
 			}
 			// Parseval inside the block — Theorem 2's hypothesis holds
@@ -128,7 +140,9 @@ func TestForwardInverseBlockRoundTrip(t *testing.T) {
 			if math.Abs(e0-e1) > 1e-10*(1+e0) {
 				t.Fatalf("%v sizes %v: block Parseval violated (%g vs %g)", tr, sizes, e0, e1)
 			}
-			if err := inverseBlock(buf, sizes, tr); err != nil {
+			tmp = make([]float64, n)
+			buf, err = applyBlock(buf, tmp, sizes, tr, true)
+			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range buf {

@@ -69,3 +69,93 @@ func HaarInverse(x []float64, levels int) error {
 }
 
 const invSqrt2 = 0.7071067811865476 // 1/√2
+
+// HaarForwardAxis applies the full-depth HaarForward (log2(n) levels) to
+// every line along the middle axis of x viewed as a row-major
+// [outer][n][stride] array, in place, using tmp (at least as long as the
+// view) as scratch. Each line's result is bit-identical to HaarForward on
+// the gathered line. n must be a power of two.
+func HaarForwardAxis(x, tmp []float64, outer, n, stride int) error {
+	if n == 0 || n&(n-1) != 0 {
+		return fmt.Errorf("transform: Haar length %d is not a power of two", n)
+	}
+	plane := n * stride
+	for o := 0; o < outer; o++ {
+		xs := x[o*plane : (o+1)*plane]
+		ts := tmp[o*plane : (o+1)*plane]
+		for m := n; m > 1; m /= 2 {
+			haarSplit(ts, xs, m/2*stride, stride)
+			copy(xs[:m*stride], ts[:m*stride])
+		}
+	}
+	return nil
+}
+
+// HaarInverseAxis inverts HaarForwardAxis, with the same view and scratch
+// rules; each line is bit-identical to HaarInverse at log2(n) levels.
+func HaarInverseAxis(x, tmp []float64, outer, n, stride int) error {
+	if n == 0 || n&(n-1) != 0 {
+		return fmt.Errorf("transform: Haar length %d is not a power of two", n)
+	}
+	plane := n * stride
+	for o := 0; o < outer; o++ {
+		xs := x[o*plane : (o+1)*plane]
+		ts := tmp[o*plane : (o+1)*plane]
+		for m := 2; m <= n; m *= 2 {
+			haarMerge(ts, xs, m/2*stride, stride)
+			copy(xs[:m*stride], ts[:m*stride])
+		}
+	}
+	return nil
+}
+
+// haarSplit runs one forward Haar level over the rows (each w values
+// wide) of x[:2·half]: row pair (2i, 2i+1) becomes averages in row i of
+// t[:half] and differences in row i of t[half:2·half].
+func haarSplit(t, x []float64, half, w int) {
+	lo, hi := t[:half], t[half:2*half]
+	if w == 1 {
+		x = x[:2*len(lo)]
+		for i := range lo {
+			a, b := x[2*i], x[2*i+1]
+			lo[i] = (a + b) * invSqrt2
+			hi[i] = (a - b) * invSqrt2
+		}
+		return
+	}
+	for r := 0; r < half; r += w {
+		a := x[2*r : 2*r+w]
+		b := x[2*r+w : 2*r+2*w]
+		l, h := lo[r:r+w], hi[r:r+w]
+		b, l, h = b[:len(a)], l[:len(a)], h[:len(a)]
+		for s, u := range a {
+			l[s] = (u + b[s]) * invSqrt2
+			h[s] = (u - b[s]) * invSqrt2
+		}
+	}
+}
+
+// haarMerge inverts haarSplit: averages in the rows of x[:half] and
+// differences in the rows of x[half:2·half] become row pairs of t.
+func haarMerge(t, x []float64, half, w int) {
+	sum, dif := x[:half], x[half:2*half]
+	if w == 1 {
+		t = t[:2*len(sum)]
+		for i, u := range sum {
+			v := dif[i]
+			t[2*i] = (u + v) * invSqrt2
+			t[2*i+1] = (u - v) * invSqrt2
+		}
+		return
+	}
+	for r := 0; r < half; r += w {
+		ev := t[2*r : 2*r+w]
+		od := t[2*r+w : 2*r+2*w]
+		u, v := sum[r:r+w], dif[r:r+w]
+		od, u, v = od[:len(ev)], u[:len(ev)], v[:len(ev)]
+		for s := range ev {
+			ev[s] = (u[s] + v[s]) * invSqrt2
+			od[s] = (u[s] - v[s]) * invSqrt2
+		}
+	}
+}

@@ -14,16 +14,6 @@ func BenchmarkDCTForward8(b *testing.B) {
 	}
 }
 
-func BenchmarkDCTForward2D8(b *testing.B) {
-	d, _ := NewDCT(8)
-	src := randSlice(64, 2)
-	dst := make([]float64, 64)
-	b.SetBytes(64 * 8)
-	for i := 0; i < b.N; i++ {
-		d.Forward2D(dst, src)
-	}
-}
-
 func BenchmarkDCTForward3D8(b *testing.B) {
 	d, _ := NewDCT(8)
 	src := randSlice(512, 3)

@@ -2,6 +2,7 @@ package transform
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -66,7 +67,7 @@ func TestDCTOrthonormal(t *testing.T) {
 			for b := 0; b < n; b++ {
 				var dot float64
 				for j := 0; j < n; j++ {
-					dot += d.forward[a][j] * d.forward[b][j]
+					dot += d.basis[a*n+j] * d.basis[b*n+j]
 				}
 				want := 0.0
 				if a == b {
@@ -103,22 +104,6 @@ func TestDCTParseval1D(t *testing.T) {
 	d.Forward(coef, src)
 	if math.Abs(l2(src)-l2(coef)) > 1e-12*l2(src) {
 		t.Fatalf("Parseval violated: %g vs %g", l2(src), l2(coef))
-	}
-}
-
-func TestDCT2DRoundTripAndParseval(t *testing.T) {
-	n := 8
-	d, _ := NewDCT(n)
-	src := randSlice(n*n, 3)
-	coef := make([]float64, n*n)
-	back := make([]float64, n*n)
-	d.Forward2D(coef, src)
-	if math.Abs(l2(src)-l2(coef)) > 1e-12*l2(src) {
-		t.Fatalf("2D Parseval violated")
-	}
-	d.Inverse2D(back, coef)
-	if diff := maxAbsDiff(src, back); diff > 1e-12 {
-		t.Fatalf("2D round-trip diff %g", diff)
 	}
 }
 
@@ -217,6 +202,120 @@ func TestHaarKnownValues(t *testing.T) {
 	for i := range want {
 		if math.Abs(x[i]-want[i]) > 1e-12 {
 			t.Fatalf("Haar[%d] = %g, want %g", i, x[i], want[i])
+		}
+	}
+}
+
+// gatherLine and scatterLine move line (o, s) of a row-major
+// [outer][n][stride] view in and out of a contiguous vector.
+func gatherLine(line, x []float64, o, n, stride, s int) {
+	for j := range line {
+		line[j] = x[(o*n+j)*stride+s]
+	}
+}
+
+func scatterLine(x, line []float64, o, n, stride, s int) {
+	for j, v := range line {
+		x[(o*n+j)*stride+s] = v
+	}
+}
+
+// The axis kernels must match the one-vector transforms on every line,
+// bit for bit, across the tile remainders: sizes and strides that are
+// and are not multiples of the tile widths, odd and even line counts.
+func TestAxisKernelsMatchOneVector(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17} {
+		d, err := NewDCT(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, outer := range []int{1, 2, 3} {
+			for _, stride := range []int{1, 2, 3, 5, 8, 9} {
+				src := randSlice(outer*n*stride, int64(n*100+outer*10+stride))
+				line := make([]float64, n)
+				want := make([]float64, n)
+				check := func(name string, got []float64, ref func(dst, src []float64)) {
+					t.Helper()
+					for o := 0; o < outer; o++ {
+						for s := 0; s < stride; s++ {
+							gatherLine(line, src, o, n, stride, s)
+							ref(want, line)
+							for j := range want {
+								if g := got[(o*n+j)*stride+s]; math.Float64bits(g) != math.Float64bits(want[j]) {
+									t.Fatalf("%s n=%d outer=%d stride=%d line (%d,%d)[%d] = %v, one-vector %v",
+										name, n, outer, stride, o, s, j, g, want[j])
+								}
+							}
+						}
+					}
+				}
+				got := make([]float64, len(src))
+				d.ForwardAxis(got, src, outer, stride)
+				check("ForwardAxis", got, d.Forward)
+				d.InverseAxis(got, src, outer, stride)
+				check("InverseAxis", got, d.Inverse)
+				if n&(n-1) != 0 {
+					continue
+				}
+				tmp := make([]float64, len(src))
+				haar := func(inverse bool) func(dst, src []float64) {
+					return func(dst, src []float64) {
+						copy(dst, src)
+						var err error
+						if inverse {
+							err = HaarInverse(dst, bits.Len(uint(n))-1)
+						} else {
+							err = HaarForward(dst, bits.Len(uint(n))-1)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				copy(got, src)
+				if err := HaarForwardAxis(got, tmp, outer, n, stride); err != nil {
+					t.Fatal(err)
+				}
+				check("HaarForwardAxis", got, haar(false))
+				copy(got, src)
+				if err := HaarInverseAxis(got, tmp, outer, n, stride); err != nil {
+					t.Fatal(err)
+				}
+				check("HaarInverseAxis", got, haar(true))
+			}
+		}
+	}
+	if err := HaarForwardAxis(make([]float64, 6), make([]float64, 6), 1, 3, 2); err == nil {
+		t.Fatal("HaarForwardAxis accepted a non-power-of-two length")
+	}
+	if err := HaarInverseAxis(make([]float64, 6), make([]float64, 6), 1, 6, 1); err == nil {
+		t.Fatal("HaarInverseAxis accepted a non-power-of-two length")
+	}
+}
+
+// Forward3D applies Forward along each axis, fastest first.
+func TestDCT3DMatchesAxes(t *testing.T) {
+	n := 5
+	d, _ := NewDCT(n)
+	src := randSlice(n*n*n, 9)
+	want := append([]float64(nil), src...)
+	line := make([]float64, n)
+	out := make([]float64, n)
+	for _, stride := range []int{1, n, n * n} {
+		outer := n * n / stride
+		for o := 0; o < outer; o++ {
+			for s := 0; s < stride; s++ {
+				gatherLine(line, want, o, n, stride, s)
+				d.Forward(out, line)
+				scatterLine(want, out, o, n, stride, s)
+			}
+		}
+	}
+	got := make([]float64, len(src))
+	d.Forward3D(got, src)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("Forward3D[%d] = %v, per-axis Forward %v", i, got[i], want[i])
 		}
 	}
 }

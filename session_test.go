@@ -258,6 +258,53 @@ func TestEncoderWarmAllocsPinned(t *testing.T) {
 	}
 }
 
+// The transform pipeline's warm encode and decode allocate a small fixed
+// number of times however many blocks a field has: codes go into one
+// pooled chunk-wide slice and each worker slot reuses one block buffer.
+// The field is 32×64×64, 512 blocks of 8³.
+func TestTransformWarmAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation measurements")
+	}
+	f := waveField("otc-allocs-pin", 32, 64, 64)
+	enc := mustEncoder(t,
+		fixedpsnr.WithMode(fixedpsnr.ModePSNR),
+		fixedpsnr.WithTargetPSNR(60),
+		fixedpsnr.WithCompressor(fixedpsnr.CompressorTransform),
+		fixedpsnr.WithWorkers(1),
+	)
+	dec := fixedpsnr.NewDecoder()
+	ctx := context.Background()
+	var blob []byte
+	for i := 0; i < 3; i++ { // warm the pools
+		var err error
+		if blob, _, err = enc.Encode(ctx, f); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := dec.Decode(ctx, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encAllocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := enc.Encode(ctx, f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	decAllocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := dec.Decode(ctx, blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm transform pipeline: encode %.0f allocs/op, decode %.0f allocs/op", encAllocs, decAllocs)
+	const maxAllocs = 64
+	if encAllocs > maxAllocs {
+		t.Errorf("warm transform encode allocates %.0f/op, want <= %d", encAllocs, maxAllocs)
+	}
+	if decAllocs > maxAllocs {
+		t.Errorf("warm transform decode allocates %.0f/op, want <= %d", decAllocs, maxAllocs)
+	}
+}
+
 func TestEncodeBatch(t *testing.T) {
 	fields := []*fixedpsnr.Field{
 		waveField("U", 40, 50),
@@ -318,6 +365,7 @@ func TestOptionsValidate(t *testing.T) {
 		{Mode: fixedpsnr.ModePSNR, TargetPSNR: 80},
 		{Mode: fixedpsnr.ModePWRel, PWRelBound: 0.01},
 		{Mode: fixedpsnr.ModePSNR, TargetPSNR: 60, Capacity: 1024, BlockSize: 16},
+		{Mode: fixedpsnr.ModePSNR, TargetPSNR: 60, BlockSize: fixedpsnr.MaxBlockSize},
 	}
 	for i, opt := range valid {
 		if err := opt.Validate(); err != nil {
@@ -343,6 +391,7 @@ func TestOptionsValidate(t *testing.T) {
 		{Mode: fixedpsnr.ModeAbs, ErrorBound: 1, Capacity: 1 << 21},
 		{Mode: fixedpsnr.ModeAbs, ErrorBound: 1, BlockSize: -4},
 		{Mode: fixedpsnr.ModeAbs, ErrorBound: 1, BlockSize: 1 << 21},
+		{Mode: fixedpsnr.ModeAbs, ErrorBound: 1, BlockSize: fixedpsnr.MaxBlockSize + 1},
 	}
 	for i, opt := range invalid {
 		err := opt.Validate()
@@ -361,6 +410,15 @@ func TestOptionsValidate(t *testing.T) {
 	f := waveField("v", 16, 16)
 	if _, _, err := fixedpsnr.Compress(f, fixedpsnr.Options{Mode: fixedpsnr.ModeAbs, ErrorBound: 1, Capacity: 7}); err == nil {
 		t.Fatal("Compress accepted an odd capacity")
+	}
+	// A block edge past the maximum is an error, not a panic in a
+	// transform worker.
+	wide := waveField("wide", 4, 100)
+	if _, _, err := fixedpsnr.Compress(wide, fixedpsnr.Options{
+		Mode: fixedpsnr.ModePSNR, TargetPSNR: 60,
+		Compressor: fixedpsnr.CompressorTransform, BlockSize: 100,
+	}); err == nil {
+		t.Fatal("Compress accepted BlockSize 100")
 	}
 }
 
