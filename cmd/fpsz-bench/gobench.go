@@ -13,7 +13,10 @@ import (
 
 // GoBenchResult is one parsed `go test -bench` result line.
 type GoBenchResult struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Procs is the GOMAXPROCS the benchmark ran at: the name's "-N"
+	// suffix, or 1 when it has none (go test omits the suffix at 1).
+	Procs       int     `json:"procs"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
@@ -89,7 +92,8 @@ func parseGoBench(r io.Reader) ([]GoBenchResult, error) {
 		if err != nil {
 			continue
 		}
-		res := GoBenchResult{Name: trimGOMAXPROCS(fields[0]), Iterations: iters}
+		name, procs := splitGOMAXPROCS(fields[0])
+		res := GoBenchResult{Name: name, Procs: procs, Iterations: iters}
 		seen := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -115,13 +119,14 @@ func parseGoBench(r io.Reader) ([]GoBenchResult, error) {
 	return out, sc.Err()
 }
 
-// trimGOMAXPROCS strips the trailing "-N" procs suffix from a benchmark
-// name.
-func trimGOMAXPROCS(name string) string {
+// splitGOMAXPROCS splits the trailing "-N" procs suffix off a benchmark
+// name. go test prints no suffix when GOMAXPROCS is 1, so a bare name
+// ran on one core.
+func splitGOMAXPROCS(name string) (string, int) {
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
 		}
 	}
-	return name
+	return name, 1
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -82,7 +83,7 @@ PASS
 		t.Fatalf("parsed %d results, want 2", len(results))
 	}
 	r := results[0]
-	if r.Name != "BenchmarkOneShotCompress" || r.Iterations != 100 ||
+	if r.Name != "BenchmarkOneShotCompress" || r.Procs != 8 || r.Iterations != 100 ||
 		r.NsPerOp != 11481571 || r.MBPerSec != 87.10 || r.BytesPerOp != 7391472 || r.AllocsPerOp != 59 {
 		t.Fatalf("first result mismatch: %+v", r)
 	}
@@ -114,9 +115,9 @@ func TestRatioRecordsRejectsUnknownCodec(t *testing.T) {
 func TestThroughputRecords(t *testing.T) {
 	gb := []GoBenchResult{
 		{Name: "BenchmarkChunkedEncode1Core", MBPerSec: 75.2},
-		{Name: "BenchmarkChunkedEncodeAllCores", MBPerSec: 140.5},
+		{Name: "BenchmarkChunkedEncodeAllCores", Procs: 4, MBPerSec: 140.5},
 		{Name: "BenchmarkChunkedDecode1Core", MBPerSec: 280.1},
-		{Name: "BenchmarkChunkedDecodeAllCores", MBPerSec: 300.9},
+		{Name: "BenchmarkChunkedDecodeAllCores", Procs: 4, MBPerSec: 300.9},
 		{Name: "BenchmarkUnrelated", MBPerSec: 1.0},
 	}
 	recs := throughputRecords(gb)
@@ -146,9 +147,9 @@ func TestThroughputRecords(t *testing.T) {
 func TestCheckScaling(t *testing.T) {
 	gb := []GoBenchResult{
 		{Name: "BenchmarkChunkedEncode1Core", MBPerSec: 100},
-		{Name: "BenchmarkChunkedEncodeAllCores", MBPerSec: 320},
+		{Name: "BenchmarkChunkedEncodeAllCores", Procs: 4, MBPerSec: 320},
 		{Name: "BenchmarkChunkedDecode1Core", MBPerSec: 200},
-		{Name: "BenchmarkChunkedDecodeAllCores", MBPerSec: 500},
+		{Name: "BenchmarkChunkedDecodeAllCores", Procs: 4, MBPerSec: 500},
 	}
 	recs := throughputRecords(gb)
 	if recs[0].ScalingEfficiency <= 0 || recs[0].Cores <= 0 {
@@ -176,5 +177,64 @@ func TestCheckScaling(t *testing.T) {
 	}
 	if err := checkScaling(throughputRecords(gb[2:]), 2.4); err == nil {
 		t.Fatal("want error with encode datapoints missing")
+	}
+}
+
+// TestScalingUnmeasuredOnOneCore covers both sides of the core-count
+// rule: go-bench output from a GOMAXPROCS=1 run (no "-N" suffix) yields
+// records marked unmeasured with no scaling figures, which
+// -require-throughput accepts and -require-scaling rejects with an error
+// naming the core count; the same output at GOMAXPROCS=2 yields measured
+// records that pass a floor their ratios meet.
+func TestScalingUnmeasuredOnOneCore(t *testing.T) {
+	const oneCore = `BenchmarkChunkedEncode1Core     3  11481571 ns/op  100.00 MB/s
+BenchmarkChunkedEncodeAllCores  3  11481571 ns/op  103.00 MB/s
+BenchmarkChunkedDecode1Core     3  11481571 ns/op  300.00 MB/s
+BenchmarkChunkedDecodeAllCores  3  11481571 ns/op  296.00 MB/s
+`
+	gb, err := parseGoBench(strings.NewReader(oneCore))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := throughputRecords(gb)
+	if len(recs) != 2 {
+		t.Fatalf("records = %+v", recs)
+	}
+	for _, r := range recs {
+		if !r.ScalingUnmeasured || r.Cores != 1 || r.Scaling != 0 || r.ScalingEfficiency != 0 {
+			t.Fatalf("one-core record not marked unmeasured: %+v", r)
+		}
+	}
+	blob, err := json.Marshal(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js := string(blob); !strings.Contains(js, `"scaling_unmeasured":true`) || strings.Contains(js, `"scaling":`) {
+		t.Fatalf("one-core record JSON = %s", js)
+	}
+	if err := checkThroughput(recs); err != nil {
+		t.Fatalf("throughput datapoints are present on one core: %v", err)
+	}
+	err = checkScaling(recs, 1.0)
+	if err == nil || !strings.Contains(err.Error(), "1 core") {
+		t.Fatalf("checkScaling on one core: err %v, want an error naming the core count", err)
+	}
+
+	twoCores := strings.ReplaceAll(oneCore, "AllCores ", "AllCores-2 ")
+	gb, err = parseGoBench(strings.NewReader(twoCores))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs = throughputRecords(gb)
+	for _, r := range recs {
+		if r.ScalingUnmeasured || r.Cores != 2 || !(r.Scaling > 0) || r.ScalingEfficiency != r.Scaling/2 {
+			t.Fatalf("two-core record: %+v", r)
+		}
+	}
+	if err := checkScaling(recs, 0.95); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkScaling(recs, 1.0); err == nil {
+		t.Fatal("want error with decode scaling 0.99 below floor 1.0")
 	}
 }

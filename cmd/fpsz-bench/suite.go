@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"fixedpsnr"
@@ -33,30 +32,39 @@ type ThroughputRecord struct {
 	OneCoreMBps  float64 `json:"one_core_mb_per_sec"`
 	AllCoresMBps float64 `json:"all_cores_mb_per_sec"`
 	Scaling      float64 `json:"scaling,omitempty"` // all-cores / one-core
-	Cores        int     `json:"cores,omitempty"`   // cores the all-core run used
+	Cores        int     `json:"cores"`             // GOMAXPROCS of the all-core run
 	// ScalingEfficiency is Scaling normalized by the core count: 1.0 is
 	// perfect linear scaling, and the ISSUE 9 all-core target is ≥ 0.7.
 	ScalingEfficiency float64 `json:"scaling_efficiency,omitempty"`
+	// ScalingUnmeasured marks a record whose all-core run had fewer than
+	// two cores: its all-core/1-core ratio is noise, not scaling, so
+	// Scaling and ScalingEfficiency stay unset.
+	ScalingUnmeasured bool `json:"scaling_unmeasured,omitempty"`
 }
 
 // throughputRecords distills the chunked encode/decode datapoints from
 // parsed go-bench results. Missing benchmarks yield zero-valued fields;
-// an op with neither datapoint is omitted.
+// an op with neither datapoint is omitted. The core count is the
+// all-core benchmark's GOMAXPROCS; below two cores the record is marked
+// unmeasured instead of carrying a scaling factor.
 func throughputRecords(gb []GoBenchResult) []ThroughputRecord {
-	mbps := make(map[string]float64, len(gb))
+	byName := make(map[string]GoBenchResult, len(gb))
 	for _, r := range gb {
-		mbps[r.Name] = r.MBPerSec
+		byName[r.Name] = r
 	}
 	var out []ThroughputRecord
 	for _, op := range []string{"Encode", "Decode"} {
-		one := mbps["BenchmarkChunked"+op+"1Core"]
-		all := mbps["BenchmarkChunked"+op+"AllCores"]
-		if one == 0 && all == 0 {
+		one := byName["BenchmarkChunked"+op+"1Core"]
+		all := byName["BenchmarkChunked"+op+"AllCores"]
+		if one.MBPerSec == 0 && all.MBPerSec == 0 {
 			continue
 		}
-		tr := ThroughputRecord{Op: strings.ToLower(op), OneCoreMBps: one, AllCoresMBps: all, Cores: runtime.GOMAXPROCS(0)}
-		if one > 0 {
-			tr.Scaling = all / one
+		tr := ThroughputRecord{Op: strings.ToLower(op), OneCoreMBps: one.MBPerSec, AllCoresMBps: all.MBPerSec, Cores: all.Procs}
+		switch {
+		case tr.Cores < 2:
+			tr.ScalingUnmeasured = true
+		case one.MBPerSec > 0:
+			tr.Scaling = all.MBPerSec / one.MBPerSec
 			tr.ScalingEfficiency = tr.Scaling / float64(tr.Cores)
 		}
 		out = append(out, tr)
@@ -65,7 +73,9 @@ func throughputRecords(gb []GoBenchResult) []ThroughputRecord {
 }
 
 // checkThroughput enforces the CI contract: both ops present, with
-// non-zero single-core and all-core MB/s and a recorded scaling factor.
+// non-zero single-core and all-core MB/s and a recorded scaling factor
+// (or a record marked unmeasured on one core, which checkScaling
+// rejects).
 func checkThroughput(recs []ThroughputRecord) error {
 	if len(recs) != 2 {
 		return fmt.Errorf("throughput: want encode and decode datapoints, got %d", len(recs))
@@ -74,7 +84,7 @@ func checkThroughput(recs []ThroughputRecord) error {
 		if !(r.OneCoreMBps > 0) || !(r.AllCoresMBps > 0) {
 			return fmt.Errorf("throughput: %s MB/s not positive (1-core %.2f, all-cores %.2f)", r.Op, r.OneCoreMBps, r.AllCoresMBps)
 		}
-		if !(r.Scaling > 0) {
+		if !r.ScalingUnmeasured && !(r.Scaling > 0) {
 			return fmt.Errorf("throughput: %s scaling factor missing", r.Op)
 		}
 	}
@@ -85,7 +95,9 @@ func checkThroughput(recs []ThroughputRecord) error {
 // datapoint's all-core/1-core factor must be at least `factor`. It is
 // the CI guard against regressions that serialize the chunk pipeline
 // (a lock on the scratch pools, a single-threaded stage) without
-// slowing the single-core numbers.
+// slowing the single-core numbers. A record measured on fewer than two
+// cores fails: one core cannot show scaling, so passing or failing it
+// would be decided by noise.
 func checkScaling(recs []ThroughputRecord, factor float64) error {
 	// Both ops must be present: a go-bench run that dropped the decode
 	// benchmarks used to sail through this loop with only the encode
@@ -93,6 +105,10 @@ func checkScaling(recs []ThroughputRecord, factor float64) error {
 	seen := make(map[string]bool, len(recs))
 	for _, r := range recs {
 		seen[r.Op] = true
+		if r.ScalingUnmeasured {
+			return fmt.Errorf("scaling: %s scaling unmeasured: the all-core run had %d core(s), and scaling needs at least 2",
+				r.Op, r.Cores)
+		}
 		if !(r.Scaling >= factor) {
 			return fmt.Errorf("scaling: %s all-core/1-core factor %.2f below required %.2f (1-core %.2f MB/s, all-cores %.2f MB/s on %d cores)",
 				r.Op, r.Scaling, factor, r.OneCoreMBps, r.AllCoresMBps, r.Cores)

@@ -26,10 +26,14 @@ import (
 	"fixedpsnr/internal/kernels"
 )
 
-// maxCodeLen bounds canonical code lengths. A Huffman tree over n symbols
-// with total count N has depth ≤ log_φ(N)+O(1); 62 accommodates any input
-// this module can produce while keeping codes in a uint64.
-const maxCodeLen = 62
+// maxCodeLen caps canonical code lengths at 57 bits, the window one
+// bitstream refill guarantees, so every code resolves from a single
+// refilled window and the emit loop's accumulator never overflows. The
+// cap rejects nothing a real encoder can write: a Huffman code of depth d
+// needs a total count of at least the Fibonacci number F(d+2), so a code
+// deeper than 57 bits needs more than 10^12 symbols (F(60) ≈ 1.5·10^12)
+// in one block.
+const maxCodeLen = 57
 
 // enode is a Huffman tree node in the arena-allocated encoder tree:
 // children are arena indices, so the whole tree lives in one slice.
@@ -54,7 +58,6 @@ type Scratch struct {
 	nodes   []enode
 	heap    []int32
 	stack   []int64
-	lw      [4]bitstream.Writer // per-lane body writers (EncodeLanes4)
 }
 
 // NewScratch returns an empty Huffman scratch.
@@ -195,10 +198,14 @@ func heapPop(h []int32, nodes []enode) ([]int32, int32) {
 // tableBits peeked bits resolve (canonical index, code length) for every
 // code no longer than tableBits in a single load. Canonical order sorts
 // short codes first, so at most 1<<tableBits of them exist and their
-// canonical indices fit 11 bits — one uint16 entry packs idx<<4 | length.
-// Longer codes (rare on real quantization-code distributions) fall back to
-// the canonical per-length walk.
-const tableBits = 11
+// canonical indices fit 12 bits — one uint16 entry packs idx<<4 | length,
+// and the table is 8 KB. Longer codes (common at the 90 dB end of the
+// fixed-PSNR range, where a fifth of the codes exceed 11 bits) resolve
+// from the reader's refilled 64-bit window by the canonical per-length
+// walk, longSym. Their entries have length field 0 and hold, in the
+// index field, the shortest code length under that 12-bit prefix, where
+// the walk starts.
+const tableBits = 12
 
 // DecodeScratch holds the Huffman decoder's reusable state — the lookup
 // table, the canonical symbol/length slices, and the per-length canonical
@@ -211,7 +218,7 @@ type DecodeScratch struct {
 	lens []uint8 // parallel code lengths
 	dup  []int32 // duplicate-detection scratch
 
-	table     [1 << tableBits]uint16 // peek pattern → idx<<4 | len; 0 = fallback
+	table     [1 << tableBits]uint16 // peek pattern → idx<<4 | len; len 0: long, walk from idx
 	firstCode [maxCodeLen + 2]uint64
 	firstSym  [maxCodeLen + 2]int32
 	countAt   [maxCodeLen + 2]int32
@@ -220,7 +227,7 @@ type DecodeScratch struct {
 	// tables above were last built from, plus a hash for fast rejection.
 	// Chunks of one field frequently share histograms (smooth regions
 	// quantize to near-identical code distributions), so a pooled scratch
-	// sees the same table back to back and skips the 4 KB table clear and
+	// sees the same table back to back and skips the 8 KB table clear and
 	// populate. The full vector comparison after the hash match makes a
 	// collision harmless.
 	tblSyms  []int32
@@ -282,9 +289,10 @@ func (c *canonicalSorter) Swap(i, j int) {
 // buildTable counts syms, builds the canonical code, and appends the
 // self-describing table header — uvarint(len(syms)), uvarint(nsym), then
 // the (symbol, length) pairs in canonical order — to dst. It returns the
-// dense symbol→length and symbol→code tables the emit loops index; both
-// are scratch-owned (valid until the next build with the same sc).
-func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, lenOf []uint8, codes []uint64, err error) {
+// dense symbol→length and symbol→code tables the emit loops index, both
+// scratch-owned (valid until the next build with the same sc), and the
+// exact bit size of each four-lane body.
+func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, lenOf []uint8, codes []uint64, laneBits [4]int64, err error) {
 	// Count into four interleaved lanes (kernels.CountLanes4): runs of
 	// one dominant symbol (the common case for quantization codes)
 	// otherwise serialize on store-to-load forwarding of a single
@@ -349,7 +357,7 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 			if n.left < 0 {
 				if depth > maxCodeLen {
 					sc.keep(present, nodes, heap, stack)
-					return nil, nil, nil, fmt.Errorf("huffman: code length %d exceeds maximum %d", depth, maxCodeLen)
+					return nil, nil, nil, laneBits, fmt.Errorf("huffman: code length %d exceeds maximum %d", depth, maxCodeLen)
 				}
 				lenOf[n.symbol] = uint8(depth)
 				continue
@@ -377,6 +385,19 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 		prevLen = l
 	}
 
+	// Lane bits are Σ count·length over each lane's own counts. The merge
+	// above overwrote lane 0 with the totals, so lane 0 is the total
+	// minus lanes 1–3.
+	var total int64
+	for _, s := range present {
+		l := int64(lenOf[s])
+		total += freq[s] * l
+		laneBits[1] += lane1[s] * l
+		laneBits[2] += lane2[s] * l
+		laneBits[3] += lane3[s] * l
+	}
+	laneBits[0] = total - laneBits[1] - laneBits[2] - laneBits[3]
+
 	dst = binary.AppendUvarint(dst, uint64(len(syms)))
 	dst = binary.AppendUvarint(dst, uint64(nsym))
 	for _, s := range present {
@@ -384,21 +405,58 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 		dst = binary.AppendUvarint(dst, uint64(lenOf[s]))
 	}
 	sc.keep(present, nodes, heap, stack)
-	return dst, lenOf, codes, nil
+	return dst, lenOf, codes, laneBits, nil
 }
 
-// emitPair packs two symbols' code words into w, one WriteBits call when
-// their combined width fits one staged write (almost always: typical code
-// lengths are well under 28 bits), halving the per-call overhead on the
-// hot loop.
-func emitPair(w *bitstream.Writer, s0, s1 int32, lenOf []uint8, codes []uint64) {
-	l0, l1 := uint(lenOf[s0]), uint(lenOf[s1])
-	if l0+l1 <= 56 {
-		w.WriteBits(codes[s0]<<l1|codes[s1], l0+l1)
-		return
+// emitLane packs the code words of syms[0], syms[4], syms[8], … — one
+// lane of the four-lane split — MSB-first into out, which must hold the
+// lane's bytes plus 8. The bits stay in a register accumulator: after
+// each pair of symbols every staged bit is stored left-aligned as one
+// big-endian 8-byte word at the first unfinished byte, and the cursor
+// advances past the finished bytes, so the flush has no branch and the
+// unfinished bits are rewritten by the next store. At most 7 bits stay
+// staged between stores, so a pair of codes fits the 64-bit accumulator
+// whenever the two total at most maxCodeLen = 57 bits; a wider pair
+// (two codes of 29+ bits) stores its first code alone. The final partial
+// byte is zero-padded. It is kept out of line: inlined into
+// EncodeLanes4, the accumulator, bit count and cursor spill to the stack
+// and every symbol waits on store-to-load round trips.
+//
+//go:noinline
+func emitLane(out []byte, syms []int32, lenOf []uint8, codes []uint64) {
+	// Equal lengths let one bounds check cover both table lookups.
+	codes = codes[:len(lenOf)]
+	var acc uint64 // staged bits, right-aligned; only the low nb are live
+	var nb uint
+	p := 0
+	i := 0
+	for ; i+4 < len(syms); i += 8 {
+		s0, s1 := syms[i], syms[i+4]
+		l0, l1 := uint(lenOf[s0]), uint(lenOf[s1])
+		c0 := codes[s0]
+		if l0+l1 > maxCodeLen {
+			// The pair would overflow the accumulator: store the first
+			// code on its own.
+			acc = acc<<(l0&63) | c0
+			nb += l0
+			binary.BigEndian.PutUint64(out[p:p+8], acc<<((64-nb)&63))
+			p += int(nb >> 3)
+			nb &= 7
+			l0, c0 = 0, 0
+		}
+		acc = (acc<<(l0&63)|c0)<<(l1&63) | codes[s1]
+		nb += l0 + l1
+		binary.BigEndian.PutUint64(out[p:p+8], acc<<((64-nb)&63))
+		p += int(nb >> 3)
+		nb &= 7
 	}
-	w.WriteBits(codes[s0], l0)
-	w.WriteBits(codes[s1], l1)
+	if i < len(syms) {
+		s := syms[i]
+		l := uint(lenOf[s])
+		acc = acc<<(l&63) | codes[s]
+		nb += l
+		binary.BigEndian.PutUint64(out[p:p+8], acc<<((64-nb)&63))
+	}
 }
 
 // EncodeLanes4 appends the four-lane interleaved encoding of syms to dst:
@@ -410,13 +468,15 @@ func emitPair(w *bitstream.Writer, s0, s1 int32, lenOf []uint8, codes []uint64) 
 // resolutions in flight instead of serializing on one peek→consume
 // chain.
 //
-// The emit fuses the lane split into one sequential pass: each block of
-// eight input symbols hands lane j the pair (syms[i+j], syms[i+4+j]), so
-// no staged kernels.LaneSplit4 scatter — a strided-store pass over the
-// whole slice that profiles as most of the lane overhead — ever runs on
-// the encode path. The bytes are identical to splitting first and
-// emitting each lane slice on its own; the differential test against
-// that kernels.LaneSplit4 reference pins the equivalence.
+// The table build already counts each lane's symbols, so every lane
+// body's exact size is known before any bit is written: the lane lengths
+// go out first, and each lane then emits straight into its slot in dst
+// (emitLane), reading its symbols at stride 4 — no staged
+// kernels.LaneSplit4 scatter, no per-lane writer buffers and no body
+// copies. The bytes are identical to splitting first and emitting each
+// lane slice on its own; the differential test against that
+// kernels.LaneSplit4 reference pins the equivalence. The emit may write
+// up to 8 bytes past the returned slice's length, within its capacity.
 //
 // Every symbol must lie in [0, maxSym] — callers pass a bound they know
 // by construction (a quantizer's capacity−1), which skips a validation
@@ -429,54 +489,38 @@ func EncodeLanes4(dst []byte, syms []int32, maxSym int, sc *Scratch) ([]byte, er
 	if sc == nil {
 		sc = NewScratch()
 	}
-	dst, lenOf, codes, err := buildTable(dst, syms, maxSym, sc)
+	dst, lenOf, codes, laneBits, err := buildTable(dst, syms, maxSym, sc)
 	if err != nil {
 		return nil, err
 	}
-
-	w0, w1, w2, w3 := &sc.lw[0], &sc.lw[1], &sc.lw[2], &sc.lw[3]
-	w0.Reset()
-	w1.Reset()
-	w2.Reset()
-	w3.Reset()
-	i := 0
-	for ; i+8 <= len(syms); i += 8 {
-		emitPair(w0, syms[i], syms[i+4], lenOf, codes)
-		emitPair(w1, syms[i+1], syms[i+5], lenOf, codes)
-		emitPair(w2, syms[i+2], syms[i+6], lenOf, codes)
-		emitPair(w3, syms[i+3], syms[i+7], lenOf, codes)
+	var laneLen [4]int
+	total := 0
+	for lane, bits := range laneBits {
+		laneLen[lane] = int((bits + 7) / 8)
+		total += laneLen[lane]
+		dst = binary.AppendUvarint(dst, uint64(laneLen[lane]))
 	}
-	// Tail: each lane has at most two symbols left (positions i+j and
-	// i+4+j), paired exactly as the block loop pairs them.
-	for j, w := range [4]*bitstream.Writer{w0, w1, w2, w3} {
-		if i+j >= len(syms) {
-			break
-		}
-		if i+4+j < len(syms) {
-			emitPair(w, syms[i+j], syms[i+4+j], lenOf, codes)
-			continue
-		}
-		s := syms[i+j]
-		w.WriteBits(codes[s], uint(lenOf[s]))
+	// Lanes emit in order: a lane's last stores spill up to 8 bytes into
+	// the next lane's slot, which that lane then overwrites, and lane 3's
+	// spill lands in the 8 bytes of slack past the end.
+	start := len(dst)
+	dst = slices.Grow(dst, total+8)
+	body := dst[start : start+total+8]
+	for lane := range min(4, len(syms)) {
+		emitLane(body, syms[lane:], lenOf, codes)
+		body = body[laneLen[lane]:]
 	}
-
-	var bodies [4][]byte
-	for lane, w := range [4]*bitstream.Writer{w0, w1, w2, w3} {
-		bodies[lane] = w.Bytes()
-	}
-	for _, body := range bodies {
-		dst = binary.AppendUvarint(dst, uint64(len(body)))
-	}
-	for _, body := range bodies {
-		dst = append(dst, body...)
-	}
-	return dst, nil
+	return dst[:start+total], nil
 }
 
 // parseTable reads the leading symbol count and canonical (symbol,
 // length) table shared by the single-stream and four-lane formats,
 // returning the scratch-owned canonical slices and the bytes consumed.
-// On return csyms/clens are kept in ds for reuse by the next parse.
+// On return csyms/clens are kept in ds for reuse by the next parse. A
+// declared code length above maxCodeLen = 57 bits is an error, so the
+// decoders resolve every code from one refilled window. The cap rejects
+// nothing a real encoder can write: a Huffman code deeper than 57 bits
+// needs more than 10^12 symbols in one block.
 func parseTable(buf []byte, ds *DecodeScratch) (n uint64, csyms []int32, clens []uint8, consumed int, err error) {
 	rd := buf
 	n, k := binary.Uvarint(rd)
@@ -574,7 +618,7 @@ func tableKey(syms []int32, lens []uint8) uint64 {
 // csyms/clens describe: the per-length first-code/first-symbol tables and
 // the one-level lookup table. When the scratch last built the same
 // canonical vectors — hash fast-reject, then full comparison — the
-// existing tables are reused, skipping the 4 KB table clear and populate;
+// existing tables are reused, skipping the 8 KB table clear and populate;
 // chunks of one field frequently share histograms, so pooled scratches
 // hit this cache back to back.
 func (ds *DecodeScratch) prepareTables(csyms []int32, clens []uint8) {
@@ -604,15 +648,16 @@ func (ds *DecodeScratch) prepareTables(csyms []int32, clens []uint8) {
 	}
 
 	// One-level lookup table: every code of length ≤ tableBits owns all
-	// 1<<(tableBits-len) patterns it prefixes; entry 0 marks the long-code
-	// fallback. Canonical order puts short codes first, so their indices
-	// fit the packed uint16.
+	// 1<<(tableBits-len) patterns it prefixes. Canonical order puts short
+	// codes first, so their indices fit the packed uint16.
 	table := &ds.table
 	clear(table[:])
 	code = 0
 	prev := uint8(0)
+	long := len(clens)
 	for i, l := range clens {
 		if uint(l) > tableBits {
+			long = i
 			break
 		}
 		code <<= uint(l - prev)
@@ -620,7 +665,7 @@ func (ds *DecodeScratch) prepareTables(csyms []int32, clens []uint8) {
 		lo := code << (tableBits - uint(l))
 		hi := lo + 1<<(tableBits-uint(l))
 		if lo >= uint64(len(table)) {
-			break // oversubscribed (corrupt) table; fallback still guards
+			break // oversubscribed (corrupt) table; longSym still guards
 		}
 		if hi > uint64(len(table)) {
 			hi = uint64(len(table))
@@ -631,6 +676,18 @@ func (ds *DecodeScratch) prepareTables(csyms []int32, clens []uint8) {
 		}
 		code++
 	}
+	// Long codes: the entry of each prefix they extend records the
+	// shortest long length under it — canonical order meets that code
+	// first — so the walk starts there. A prefix no code extends keeps
+	// entry 0, and its walk matches nothing.
+	for _, l := range clens[long:] {
+		code <<= uint(l - prev)
+		prev = l
+		if p := code >> (uint(l) - tableBits); p < uint64(len(table)) && table[p] == 0 {
+			table[p] = uint16(l) << 4
+		}
+		code++
+	}
 
 	ds.tblKey = key
 	ds.tblSyms = append(ds.tblSyms[:0], csyms...)
@@ -638,16 +695,45 @@ func (ds *DecodeScratch) prepareTables(csyms []int32, clens []uint8) {
 	ds.tblValid = true
 }
 
+// errCodeTooLong reports window bits that match no canonical code of at
+// most maxCodeLen bits: only a corrupt table or body produces it.
+var errCodeTooLong = fmt.Errorf("huffman: code longer than %d bits", maxCodeLen)
+
+// longSym decodes one code longer than tableBits from r, whose table
+// entry e has length field 0. One refill stages ≥ maxCodeLen bits (or
+// the rest of the stream), and the canonical per-length walk finds the
+// code in that window: from the length e records up, the first length
+// whose leading window bits fall inside that length's run of canonical
+// codes. Each length costs a shift and a compare, and the index stays
+// below len(csyms) even on corrupt tables, because firstSym[l] +
+// countAt[l] never exceeds the table size. It returns
+// bitstream.ErrOutOfBits when the code runs past the end of the stream.
+func (ds *DecodeScratch) longSym(r *bitstream.Reader, e uint16, csyms []int32) (int32, error) {
+	r.Refill()
+	w := r.Window()
+	for l := max(uint(e>>4), tableBits+1); l <= maxCodeLen; l++ {
+		if d := w>>(64-l) - ds.firstCode[l]; d < uint64(ds.countAt[l]) {
+			if l > r.Buffered() {
+				return 0, bitstream.ErrOutOfBits
+			}
+			r.Skip(l)
+			return csyms[ds.firstSym[l]+int32(d)], nil
+		}
+	}
+	return 0, errCodeTooLong
+}
+
 // decodeSym resolves one symbol from r through the prepared tables: a
-// single-load table hit on short codes, the canonical per-length walk on
-// long ones. It is the checked slow path the four-lane decoder falls back
-// to for tail symbols and rare long-code rounds; the hot loops inline the
-// table hit themselves. Returns bitstream.ErrOutOfBits on exhaustion.
+// single-load table hit on short codes, longSym on long ones. It is the
+// checked path the four-lane decoder finishes each stream with; the hot
+// loops inline the table hit themselves. Returns bitstream.ErrOutOfBits
+// on exhaustion.
 func (ds *DecodeScratch) decodeSym(r *bitstream.Reader, csyms []int32) (int32, error) {
 	if r.Buffered() < tableBits {
 		r.Refill()
 	}
-	if e := ds.table[r.Window()>>(64-tableBits)]; e != 0 {
+	e := ds.table[r.Window()>>(64-tableBits)]
+	if e&0xf != 0 {
 		l := uint(e & 0xf)
 		if l > r.Buffered() {
 			return 0, bitstream.ErrOutOfBits
@@ -655,22 +741,7 @@ func (ds *DecodeScratch) decodeSym(r *bitstream.Reader, csyms []int32) (int32, e
 		r.Skip(l)
 		return csyms[e>>4], nil
 	}
-	var cw uint64
-	l := 0
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, bitstream.ErrOutOfBits
-		}
-		cw = cw<<1 | uint64(b)
-		l++
-		if l > maxCodeLen {
-			return 0, fmt.Errorf("huffman: code longer than %d bits", maxCodeLen)
-		}
-		if ds.countAt[l] > 0 && cw-ds.firstCode[l] < uint64(ds.countAt[l]) {
-			return csyms[ds.firstSym[l]+int32(cw-ds.firstCode[l])], nil
-		}
-	}
+	return ds.longSym(r, e, csyms)
 }
 
 // DecodeInto decodes one single-stream block — the canonical table, a
@@ -722,9 +793,6 @@ func DecodeInto(dst []int32, buf []byte, ds *DecodeScratch) (syms []int32, consu
 
 	ds.prepareTables(csyms, clens)
 	table := &ds.table
-	firstCode := &ds.firstCode
-	firstSym := &ds.firstSym
-	countAt := &ds.countAt
 
 	r := &ds.r
 	r.Reset(body)
@@ -735,12 +803,14 @@ func DecodeInto(dst []int32, buf []byte, ds *DecodeScratch) (syms []int32, consu
 	// The hot loop refills the reader's 64-bit window once per symbol at
 	// most, resolves short codes with a single table load, and consumes
 	// their bits with an unchecked Skip — no per-bit calls, no double
-	// refill check from a Peek/Consume pair.
+	// refill check from a Peek/Consume pair. Long codes resolve from the
+	// refilled window (longSym).
 	for pos := range out {
 		if r.Buffered() < tableBits {
 			r.Refill()
 		}
-		if e := table[r.Window()>>(64-tableBits)]; e != 0 {
+		e := table[r.Window()>>(64-tableBits)]
+		if e&0xf != 0 {
 			l := uint(e & 0xf)
 			if l > r.Buffered() {
 				return nil, 0, fmt.Errorf("huffman: bit stream exhausted after %d of %d symbols", pos, n)
@@ -749,24 +819,14 @@ func DecodeInto(dst []int32, buf []byte, ds *DecodeScratch) (syms []int32, consu
 			out[pos] = csyms[e>>4]
 			continue
 		}
-		// Long code (or exhaustion): canonical walk, one bit at a time.
-		var cw uint64
-		l := 0
-		for {
-			b, err := r.ReadBit()
-			if err != nil {
-				return nil, 0, fmt.Errorf("huffman: bit stream exhausted after %d of %d symbols", pos, n)
-			}
-			cw = cw<<1 | uint64(b)
-			l++
-			if l > maxCodeLen {
-				return nil, 0, fmt.Errorf("huffman: code longer than %d bits", maxCodeLen)
-			}
-			if countAt[l] > 0 && cw-firstCode[l] < uint64(countAt[l]) {
-				out[pos] = csyms[firstSym[l]+int32(cw-firstCode[l])]
-				break
-			}
+		s, err := ds.longSym(r, e, csyms)
+		if err == bitstream.ErrOutOfBits {
+			return nil, 0, fmt.Errorf("huffman: bit stream exhausted after %d of %d symbols", pos, n)
 		}
+		if err != nil {
+			return nil, 0, err
+		}
+		out[pos] = s
 	}
 	return out, consumed, nil
 }
@@ -849,15 +909,18 @@ func DecodeLanes4Into(dst []int32, buf []byte, ds *DecodeScratch) (syms []int32,
 		dst = make([]int32, n)
 	}
 	out := dst[:n]
-	// Block hot loop: one fused refill buys every lane ≥ 44 staged bits —
+	// Block hot loop: one fused refill buys every lane ≥ 48 staged bits —
 	// four table codes of ≤ tableBits each — so four whole rounds (16
 	// symbols) run with no refill branch, no exhaustion check, and no
 	// per-symbol call. Within each round the four table lookups depend
 	// only on their own lane's window, so the CPU overlaps all four
 	// symbol resolutions — the ILP the single-stream peek→consume chain
-	// can never expose. A fallback entry (long code, or a lane too near
-	// its end to re-arm) exits to the checked per-round loop below, which
-	// finishes the stream.
+	// can never expose. A round that meets a long code (length field 0)
+	// finishes
+	// here too: the other lanes consume their table codes, each long lane
+	// refills its own window and resolves the code from it (longSym), and
+	// the block re-arms, since that refill and the long code spent the
+	// lane's block budget.
 	pos := 0
 blocks:
 	for pos+16 <= int(n) {
@@ -874,8 +937,12 @@ blocks:
 			e1 := table[r1.Window()>>(64-tableBits)]
 			e2 := table[r2.Window()>>(64-tableBits)]
 			e3 := table[r3.Window()>>(64-tableBits)]
-			if e0 == 0 || e1 == 0 || e2 == 0 || e3 == 0 {
-				break blocks // nothing consumed this round; finish below
+			if e0&0xf == 0 || e1&0xf == 0 || e2&0xf == 0 || e3&0xf == 0 {
+				if lane, err := ds.longRound(out[pos:pos+4], [4]uint16{e0, e1, e2, e3}, csyms); err != nil {
+					return nil, 0, laneErr(err, pos+lane, n)
+				}
+				pos += 4
+				continue blocks
 			}
 			r0.Skip(uint(e0 & 0xf))
 			r1.Skip(uint(e1 & 0xf))
@@ -888,59 +955,50 @@ blocks:
 			pos += 4
 		}
 	}
-	// Checked per-round loop: the block loop's remainder (stream tails,
-	// long codes, corrupt streams) decodes with full per-symbol guards.
-	for ; pos+4 <= int(n); pos += 4 {
-		if r0.Buffered() < tableBits || r1.Buffered() < tableBits ||
-			r2.Buffered() < tableBits || r3.Buffered() < tableBits {
-			bitstream.Refill4(r0, r1, r2, r3)
+	// Checked remainder: the final < 16 symbols, plus everything after a
+	// lane runs too near its end to arm a block — under 48 bits, so under
+	// 48 of its symbols — decode one at a time with full guards. Symbol
+	// pos sits on lane pos mod 4, matching LaneSplit4.
+	for ; pos < int(n); pos++ {
+		s, err := ds.decodeSym(&ds.lanes[pos&3], csyms)
+		if err != nil {
+			return nil, 0, laneErr(err, pos, n)
 		}
-		e0 := table[r0.Window()>>(64-tableBits)]
-		e1 := table[r1.Window()>>(64-tableBits)]
-		e2 := table[r2.Window()>>(64-tableBits)]
-		e3 := table[r3.Window()>>(64-tableBits)]
-		if e0 == 0 || e1 == 0 || e2 == 0 || e3 == 0 {
-			for lane, r := range [4]*bitstream.Reader{r0, r1, r2, r3} {
-				s, derr := ds.decodeSym(r, csyms)
-				if derr == bitstream.ErrOutOfBits {
-					return nil, 0, fmt.Errorf("huffman: lane %d bit stream exhausted after %d of %d symbols", lane, pos+lane, n)
-				}
-				if derr != nil {
-					return nil, 0, derr
-				}
-				out[pos+lane] = s
-			}
-			continue
-		}
-		l0, l1 := uint(e0&0xf), uint(e1&0xf)
-		l2, l3 := uint(e2&0xf), uint(e3&0xf)
-		if l0 > r0.Buffered() || l1 > r1.Buffered() ||
-			l2 > r2.Buffered() || l3 > r3.Buffered() {
-			return nil, 0, fmt.Errorf("huffman: bit stream exhausted after %d of %d symbols", pos, n)
-		}
-		r0.Skip(l0)
-		r1.Skip(l1)
-		r2.Skip(l2)
-		r3.Skip(l3)
-		out[pos] = csyms[e0>>4]
-		out[pos+1] = csyms[e1>>4]
-		out[pos+2] = csyms[e2>>4]
-		out[pos+3] = csyms[e3>>4]
-	}
-	// Tail: the final 1–3 symbols land on lanes 0.. in order, matching
-	// LaneSplit4.
-	for lane, r := range [4]*bitstream.Reader{r0, r1, r2, r3} {
-		if pos+lane >= int(n) {
-			break
-		}
-		s, derr := ds.decodeSym(r, csyms)
-		if derr == bitstream.ErrOutOfBits {
-			return nil, 0, fmt.Errorf("huffman: lane %d bit stream exhausted after %d of %d symbols", lane, pos+lane, n)
-		}
-		if derr != nil {
-			return nil, 0, derr
-		}
-		out[pos+lane] = s
+		out[pos] = s
 	}
 	return out, consumed, nil
+}
+
+// longRound finishes a block-loop round that met a long code: lanes with
+// a table entry consume it, each long lane resolves its code through
+// longSym, and the symbols land in out[0:4]. On failure it returns the
+// failing lane. It is kept out of line so the block loop's fast path
+// holds its four entries in registers instead of spilling them for this
+// rarer path.
+//
+//go:noinline
+func (ds *DecodeScratch) longRound(out []int32, e [4]uint16, csyms []int32) (int, error) {
+	for lane := range 4 {
+		r := &ds.lanes[lane]
+		if e[lane]&0xf != 0 {
+			r.Skip(uint(e[lane] & 0xf))
+			out[lane] = csyms[e[lane]>>4]
+			continue
+		}
+		s, err := ds.longSym(r, e[lane], csyms)
+		if err != nil {
+			return lane, err
+		}
+		out[lane] = s
+	}
+	return 0, nil
+}
+
+// laneErr words a failed four-lane symbol decode at output position pos
+// of n.
+func laneErr(err error, pos int, n uint64) error {
+	if err == bitstream.ErrOutOfBits {
+		return fmt.Errorf("huffman: lane %d bit stream exhausted after %d of %d symbols", pos&3, pos, n)
+	}
+	return err
 }

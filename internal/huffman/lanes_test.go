@@ -56,7 +56,7 @@ func TestEncodeLanes4MatchesSplitReference(t *testing.T) {
 			t.Fatalf("corpus %d: %v", i, err)
 		}
 
-		ref, lenOf, codes, err := buildTable(nil, syms, maxSym, NewScratch())
+		ref, lenOf, codes, _, err := buildTable(nil, syms, maxSym, NewScratch())
 		if err != nil {
 			t.Fatalf("corpus %d: %v", i, err)
 		}

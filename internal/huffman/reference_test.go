@@ -33,7 +33,7 @@ func emitSyms(w *bitstream.Writer, syms []int32, lenOf []uint8, codes []uint64) 
 // differentials use it as their reference. Symbols must be
 // non-negative.
 func encodeSingle(syms []int32) ([]byte, error) {
-	dst, lenOf, codes, err := buildTable(nil, syms, maxSymOf(syms), nil)
+	dst, lenOf, codes, _, err := buildTable(nil, syms, maxSymOf(syms), nil)
 	if err != nil {
 		return nil, err
 	}
