@@ -11,8 +11,9 @@ import (
 )
 
 // laneCorpora sweeps the shapes the four-lane format cares about: every
-// tail length mod 4 (and mod 8, the fused emit's block size), plus the
-// skewed and quantization-code streams the single-stream tests use.
+// tail length mod 4 (and mod 8, the emit's pair stride), the skewed and
+// quantization-code streams the single-stream tests use, and the wide
+// corpus whose codes run past the decode table.
 func laneCorpora(tb testing.TB) [][]int32 {
 	corpora := [][]int32{{}}
 	for n := 1; n <= 19; n++ {
@@ -31,7 +32,7 @@ func laneCorpora(tb testing.TB) [][]int32 {
 		syms, _ := skewedStream(tb, depth)
 		corpora = append(corpora, syms)
 	}
-	return corpora
+	return append(corpora, wideCorpora()...)
 }
 
 func maxSymOf(syms []int32) int {

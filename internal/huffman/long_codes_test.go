@@ -79,33 +79,20 @@ func TestWideCorpusShape(t *testing.T) {
 	}
 }
 
-// TestWideRoundTrip drives the wide corpus through both layouts: the
-// four-lane encoding through DecodeLanes4Into and the single-stream
-// reference encoding through DecodeInto must both return the input,
-// with one scratch of each kind reused across all streams.
-func TestWideRoundTrip(t *testing.T) {
-	sc := NewScratch()
+// TestWideSingleStreamRoundTrip drives the wide corpus through the
+// single-stream reference encoding and DecodeInto, with one scratch
+// reused across all streams. The four-lane side runs in
+// TestLanes4RoundTrip and TestEncodeLanes4MatchesSplitReference, whose
+// laneCorpora include the wide corpus.
+func TestWideSingleStreamRoundTrip(t *testing.T) {
 	ds := NewDecodeScratch()
 	var dst []int32
 	for _, syms := range wideCorpora() {
-		lanes, err := EncodeLanes4(nil, syms, 1<<16-1, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, consumed, err := DecodeLanes4Into(dst, lanes, ds)
-		if err != nil {
-			t.Fatalf("n=%d: DecodeLanes4Into: %v", len(syms), err)
-		}
-		if consumed != len(lanes) || !slices.Equal(got, syms) {
-			t.Fatalf("n=%d: four-lane round trip mismatch (consumed %d of %d)", len(syms), consumed, len(lanes))
-		}
-		dst = got
-
 		single, err := encodeSingle(syms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, consumed, err = DecodeInto(dst, single, ds)
+		got, consumed, err := DecodeInto(dst, single, ds)
 		if err != nil {
 			t.Fatalf("n=%d: DecodeInto: %v", len(syms), err)
 		}
