@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -496,23 +495,13 @@ func (ar *ArchiveReader) ExtractRegionAtContext(ctx context.Context, i int, off,
 	if err != nil {
 		return nil, nil, err
 	}
-	e := ar.entries[i]
 	f, err := codec.DecompressRegionFrom(ctx, h, func(ci int) ([]byte, error) {
 		return ar.ChunkPayload(i, ci)
+	}, func() ([]byte, error) {
+		return ar.Stream(i)
 	}, off, ext, ar.scratch)
-	if errors.Is(err, codec.ErrNotChunked) {
-		// Whole-entry fallback for streams without chunk access.
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		full, _, ferr := ar.ExtractAt(i)
-		if ferr != nil {
-			return nil, nil, ferr
-		}
-		f, err = full.Slice(off, ext)
-	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("fixedpsnr: entry %d (%q): %w", i, e.name, err)
+		return nil, nil, fmt.Errorf("fixedpsnr: entry %d (%q): %w", i, ar.entries[i].name, err)
 	}
 	return f, h, nil
 }

@@ -6,9 +6,7 @@ import (
 	"io"
 
 	"fixedpsnr/internal/codec"
-	"fixedpsnr/internal/parallel"
 	"fixedpsnr/internal/plan"
-	"fixedpsnr/internal/quantizer"
 )
 
 // FieldSpec describes a field whose values arrive incrementally through
@@ -139,7 +137,7 @@ func (e *Encoder) EncodeFrom(ctx context.Context, fr FieldReader) ([]byte, *Resu
 		return nil, nil, err
 	}
 	if spec.HasRange && vr == 0 {
-		return encodeConstantFrom(fr, spec, opt, res)
+		return encodeConstantFrom(fr, spec, res)
 	}
 
 	name := opt.codecName()
@@ -151,102 +149,26 @@ func (e *Encoder) EncodeFrom(ctx context.Context, fr FieldReader) ([]byte, *Resu
 	if !ok {
 		return nil, nil, fmt.Errorf("fixedpsnr: codec %q cannot compress chunk-by-chunk: %w", name, codec.ErrNotChunked)
 	}
-	if name != "sz" && name != "otc" {
-		// EncodeFrom assembles the container itself and must stamp the
-		// stream ID the chunks decode under; custom pipelines own their
-		// IDs and go through Encode.
-		return nil, nil, fmt.Errorf("fixedpsnr: EncodeFrom supports the built-in pipelines, not %q", name)
-	}
 
 	copt := opt.codecOptions(res, vr)
 	if copt.ChunkPoints == 0 && copt.ChunkRows == 0 {
 		copt.ChunkPoints = DefaultChunkPoints
 	}
-	// The codec's own planner (otc aligns chunks to its block edge) must
-	// drive the tiling so EncodeFrom stays byte-identical to Encode.
-	spans := codec.PlanChunkSpans(cc, spec.Dims, copt)
-	inner := 1
-	for _, d := range spec.Dims[1:] {
-		inner *= d
-	}
-
-	payloads := make([][]byte, len(spans))
-	chunks := make([]codec.ChunkInfo, len(spans))
-	// The Group's semaphore is the bounded window: the reader blocks in
-	// Go once `workers` chunks are in flight, so at most workers+1 chunk
-	// buffers exist at any moment, all drawn from the session's pools.
-	g := parallel.NewGroup(opt.Workers)
-	for ci := range spans {
-		if err := ctx.Err(); err != nil {
-			g.Wait()
-			return nil, nil, err
-		}
-		if g.Err() != nil {
-			break
-		}
-		rows := spans[ci][1] - spans[ci][0]
-		buf := e.scratch.Floats(rows * inner)
+	// Chunks are read in order into session buffers as worker slots free
+	// up, so at most Workers+1 chunk buffers exist at any moment.
+	rows := func(h *codec.Header, ci int) ([]float64, func(), error) {
+		buf := e.scratch.Floats(h.ChunkPoints(ci))
 		if err := readFull(fr, buf); err != nil {
-			g.Wait()
+			e.scratch.PutFloats(buf)
 			return nil, nil, fmt.Errorf("fixedpsnr: reading chunk %d: %w", ci, err)
 		}
-		ci := ci
-		g.Go(func() error {
-			defer e.scratch.PutFloats(buf)
-			dims := append([]int{rows}, spec.Dims[1:]...)
-			payload, cst, err := cc.CompressChunk(ctx, buf, dims, spec.Precision, copt, e.scratch)
-			if err != nil {
-				return fmt.Errorf("fixedpsnr: chunk %d: %w", ci, err)
-			}
-			payloads[ci] = payload
-			chunks[ci] = codec.ChunkInfo{
-				Rows:          rows,
-				Unpredictable: cst.Unpredictable,
-				MSE:           cst.MSE,
-				Min:           cst.Min,
-				Max:           cst.Max,
-			}
-			return nil
-		})
+		return buf, func() { e.scratch.PutFloats(buf) }, nil
 	}
-	if err := g.Wait(); err != nil {
-		return nil, nil, err
-	}
-
-	h := &codec.Header{
-		Codec:      streamIDFor(name),
-		Precision:  spec.Precision,
-		Mode:       res.StreamMode,
-		Name:       spec.Name,
-		Dims:       append([]int(nil), spec.Dims...),
-		EbAbs:      res.EbAbs,
-		TargetPSNR: res.TargetPSNR,
-		ValueRange: vr,
-		Capacity:   copt.Capacity,
-		Chunks:     chunks,
-	}
-	if h.Capacity == 0 {
-		h.Capacity = quantizer.DefaultCapacity
-	}
-	out, err := codec.AssembleStream(h, payloads)
+	out, st, err := codec.EncodeRows(ctx, spec.Name, spec.Precision, spec.Dims, cc, copt, e.scratch, rows)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	npts := h.NPoints()
-	st := codec.StatsFromChunks(h, len(out), npts*spec.Precision.Bytes())
 	return out, resultFromStats(st, res.EbAbs, res.EbRel, res.TargetPSNR, res.EstimatedPSNR), nil
-}
-
-// streamIDFor maps a built-in registry name to the stream ID its chunked
-// streams carry. Custom ChunkCodecs are reached through Encode (they
-// produce their own headers); EncodeFrom assembles the container itself
-// and supports the built-in pipelines.
-func streamIDFor(name string) codec.ID {
-	if name == "otc" {
-		return codec.IDOTC
-	}
-	return codec.IDLorenzo
 }
 
 // readFull fills buf completely from fr.
@@ -273,7 +195,7 @@ func readFull(fr FieldReader, buf []float64) error {
 // encodeConstantFrom handles the zero-range case: the stream is a
 // constant header carrying the first value; the reader is drained to
 // honor the read-once contract.
-func encodeConstantFrom(fr FieldReader, spec FieldSpec, opt Options, res plan.Resolution) ([]byte, *Result, error) {
+func encodeConstantFrom(fr FieldReader, spec FieldSpec, res plan.Resolution) ([]byte, *Result, error) {
 	var first [1]float64
 	n, err := fr.ReadValues(first[:])
 	if err != nil && err != io.EOF {
@@ -293,25 +215,6 @@ func encodeConstantFrom(fr FieldReader, spec FieldSpec, opt Options, res plan.Re
 			return nil, nil, err
 		}
 	}
-	h := &codec.Header{
-		Codec:      codec.IDConstant,
-		Precision:  spec.Precision,
-		Mode:       res.StreamMode,
-		Name:       spec.Name,
-		Dims:       append([]int(nil), spec.Dims...),
-		ConstValue: first[0],
-	}
-	out := h.Marshal()
-	npts := h.NPoints()
-	st := &codec.Stats{
-		OriginalBytes:   npts * spec.Precision.Bytes(),
-		CompressedBytes: len(out),
-		NPoints:         npts,
-		Chunks:          1,
-	}
-	if len(out) > 0 {
-		st.Ratio = float64(st.OriginalBytes) / float64(len(out))
-		st.BitRate = 8 * float64(len(out)) / float64(npts)
-	}
+	out, st := codec.ConstantStream(spec.Name, spec.Precision, spec.Dims, res.StreamMode, first[0])
 	return out, resultFromStats(st, res.EbAbs, res.EbRel, res.TargetPSNR, res.EstimatedPSNR), nil
 }

@@ -1,15 +1,18 @@
 // Package codec is the registry layer of the compression stack: it owns
 // the shared stream container (header format, codec identifiers, unified
-// options and statistics) and a registry through which concrete pipelines
-// — internal/sz (prediction-based) and internal/otc (orthogonal
-// transform) — publish themselves.
+// options and statistics), the chunked container's encode and decode
+// loops, and a registry through which concrete pipelines — internal/sz
+// (prediction-based) and internal/otc (orthogonal transform) — publish
+// themselves.
 //
 // The layering is:
 //
 //	fixedpsnr          public API: Field in, stream out
 //	internal/plan      mode → absolute-bound derivation + calibration
-//	internal/codec     this package: registry, container, shared types
-//	internal/sz, /otc  concrete pipelines, self-registered via init()
+//	internal/codec     this package: registry, container, tiling, chunk
+//	                   scheduling, assembly, whole and region decode
+//	internal/sz, /otc  concrete pipelines (the per-chunk compress and
+//	                   decompress pair), self-registered via init()
 //
 // Decompression routes by registry lookup on the codec byte recorded in
 // the stream header, so adding a pipeline is a registration, not a
@@ -53,11 +56,13 @@ type Codec interface {
 }
 
 // ChunkCodec is the optional interface of pipelines that operate one
-// row-slab chunk at a time. It is what the chunked container's advanced
-// paths are built on: the streaming encoder (bounded-memory EncodeFrom)
-// compresses chunks as they arrive, region decoding touches only the
-// chunks a request intersects, and the calibrated fixed-PSNR refinement
-// recompresses only the chunks whose error contribution is stale.
+// row-slab chunk at a time. The chunked container is built on it: Encode
+// and EncodeRows tile a field and compress its chunks through
+// CompressChunk (the streaming encoder as chunks arrive, the calibrated
+// refinement only the chunks whose error contribution is stale), and
+// DecompressRegionFrom decodes only the chunks a request intersects.
+// Streams the container assembles carry the codec's first stream ID,
+// IDs()[0], so that ID must be the one DecompressChunk decodes.
 //
 // Both built-in pipelines implement it. A registered Codec that does not
 // is still fully usable through Compress/Decompress; the chunk-granular
@@ -83,11 +88,11 @@ type ChunkCodec interface {
 }
 
 // ScratchDecompressor is the optional interface of pipelines whose
-// whole-stream decode path can reuse session scratch buffers. The
-// registry-level DecompressScratch routes through it when available, so a
-// session Decoder holding one Scratch stops paying the decode-side
-// transient allocations (inflate windows, Huffman tables, code slices)
-// on every call.
+// whole-stream decode path can reuse session scratch buffers. The chunk
+// decoder's fallback for streams it cannot read chunk by chunk routes
+// through it when available, so a session Decoder holding one Scratch
+// stops paying the decode-side transient allocations (inflate windows,
+// Huffman tables, code slices) on every call.
 type ScratchDecompressor interface {
 	Codec
 	// DecompressScratch is Decompress drawing transient buffers from sc.
@@ -176,30 +181,4 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Decompress reconstructs a field from any registered stream: it parses
-// the header once and routes to the pipeline registered for the codec
-// byte. This is the single decode entry point for the public API, the
-// archive container, and the CLI.
-func Decompress(data []byte) (*field.Field, *Header, error) {
-	return DecompressScratch(data, nil)
-}
-
-// DecompressScratch is Decompress threading a session's scratch pools
-// into pipelines that can use them (ScratchDecompressor implementers);
-// other pipelines decode exactly as before. A nil sc is valid.
-func DecompressScratch(data []byte, sc *Scratch) (*field.Field, *Header, error) {
-	h, err := ParseHeader(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	c, ok := Lookup(h.Codec)
-	if !ok {
-		return nil, nil, fmt.Errorf("codec: no registered codec for stream ID %v", h.Codec)
-	}
-	if sd, ok := c.(ScratchDecompressor); ok {
-		return sd.DecompressScratch(data, sc)
-	}
-	return c.Decompress(data)
 }

@@ -46,8 +46,7 @@ type Options struct {
 
 // Stats is the unified compression outcome report. Fields that a
 // pipeline does not measure keep their documented sentinel (NaN MSE for
-// pipelines without Theorem 1 measurement, zero Chunks/Blocks when not
-// applicable).
+// pipelines without Theorem 1 measurement).
 type Stats struct {
 	OriginalBytes   int
 	CompressedBytes int
@@ -56,7 +55,6 @@ type Stats struct {
 	NPoints         int
 	Unpredictable   int // points (or coefficients) stored as literals
 	Chunks          int // independently decodable container chunks
-	Blocks          int // transform blocks (otc pipeline)
 	Capacity        int // quantization intervals actually used
 	// ValueRange is the measured value range of the compressed field.
 	// Recorded so callers can convert the measured MSE into a PSNR in

@@ -4,22 +4,43 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"fixedpsnr/internal/field"
 	"fixedpsnr/internal/parallel"
 )
 
-// Region decoding: reconstruct an axis-aligned sub-block of a field from
-// a compressed stream, decoding only the chunks the region intersects.
-// Because chunks tile the slowest dimension and each chunk restarts its
-// pipeline state, the result is byte-identical to slicing a full decode;
-// the cost scales with the intersected rows, not the field.
+// The chunked container's decode side: reconstruct an axis-aligned
+// sub-block of a field — the whole field being the widest one — decoding
+// only the chunks the region intersects. Because chunks tile the slowest
+// dimension and each chunk restarts its pipeline state, a region is
+// byte-identical to the matching slice of a full decode; the cost scales
+// with the intersected rows, not the field.
+
+// Decompress reconstructs a field from any registered stream: it parses
+// the header once and decodes through the chunk decoder, or through the
+// owning pipeline's whole-stream decoder for streams without chunk
+// access. This is the single decode entry point for the public API, the
+// archive container, and the CLI.
+func Decompress(data []byte) (*field.Field, *Header, error) {
+	return DecompressScratch(data, nil)
+}
+
+// DecompressScratch is Decompress drawing transient decode buffers from
+// a session's sc (nil allocates fresh).
+func DecompressScratch(data []byte, sc *Scratch) (*field.Field, *Header, error) {
+	h, err := ParseHeader(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	return decompressRegion(context.Background(), data, h, make([]int, len(h.Dims)), h.Dims, sc)
+}
 
 // DecompressRegion reconstructs the sub-block starting at off with
 // extents ext from a compressed stream. Chunk-capable streams decode only
-// the intersecting chunks; other streams (legacy single-payload, custom
-// codecs, pointwise-relative) fall back to a full decode plus crop, so
-// the call succeeds on every registered stream.
+// the intersecting chunks; other streams (custom codecs,
+// pointwise-relative) fall back to a full decode plus crop, so the call
+// succeeds on every registered stream.
 func DecompressRegion(data []byte, off, ext []int) (*field.Field, *Header, error) {
 	return DecompressRegionScratch(context.Background(), data, off, ext, nil)
 }
@@ -34,19 +55,16 @@ func DecompressRegionScratch(ctx context.Context, data []byte, off, ext []int, s
 	if err != nil {
 		return nil, nil, err
 	}
+	return decompressRegion(ctx, data, h, off, ext, sc)
+}
+
+// decompressRegion runs the chunk decoder over a stream held in memory.
+func decompressRegion(ctx context.Context, data []byte, h *Header, off, ext []int, sc *Scratch) (*field.Field, *Header, error) {
 	out, err := DecompressRegionFrom(ctx, h, func(ci int) ([]byte, error) {
 		return ChunkPayload(data, h, ci)
+	}, func() ([]byte, error) {
+		return data, nil
 	}, off, ext, sc)
-	if errors.Is(err, ErrNotChunked) {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		full, _, ferr := DecompressScratch(data, sc)
-		if ferr != nil {
-			return nil, nil, ferr
-		}
-		out, err = full.Slice(off, ext)
-	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -56,10 +74,9 @@ func DecompressRegionScratch(ctx context.Context, data []byte, off, ext []int, s
 // DecompressChunkInto decodes chunk ci of a chunk-capable stream into
 // dst, which must hold exactly ChunkPoints(ci) values — the chunk's full
 // row slab. It returns ErrNotChunked for streams without chunk-granular
-// access (including the constant pseudo-codec, whose "payload" is the
-// header itself) so callers can fall back to a whole-stream decode. This
-// is the unit a decoded-chunk cache stores: one slab, reusable across
-// every region that intersects it.
+// access so callers can fall back to a whole-stream decode. This is the
+// unit a decoded-chunk cache stores: one slab, reusable across every
+// region that intersects it.
 func DecompressChunkInto(dst []float64, h *Header, ci int, payload []byte, sc *Scratch) error {
 	if ci < 0 || ci >= len(h.Chunks) {
 		return fmt.Errorf("codec: chunk %d out of range [0,%d)", ci, len(h.Chunks))
@@ -73,25 +90,38 @@ func DecompressChunkInto(dst []float64, h *Header, ci int, payload []byte, sc *S
 		}
 		return nil
 	}
-	c, ok := Lookup(h.Codec)
-	if !ok {
-		return fmt.Errorf("codec: no registered codec for stream ID %v", h.Codec)
-	}
-	cc, ok := c.(ChunkCodec)
-	if !ok {
-		return ErrNotChunked
+	cc, err := chunkCodec(h)
+	if err != nil {
+		return err
 	}
 	return cc.DecompressChunk(payload, h, ci, dst, sc)
 }
 
-// DecompressRegionFrom is the chunk-granular core of DecompressRegion
-// for callers that can fetch individual chunk payloads without holding
-// the whole stream — the archive reader passes a closure that ReadAts
-// only the needed byte ranges. It returns ErrNotChunked when the stream
-// cannot be decoded chunk by chunk; such callers fall back to fetching
-// the whole entry. A cancelled ctx stops the decode within one chunk per
-// worker and surfaces ctx.Err().
-func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) ([]byte, error), off, ext []int, sc *Scratch) (*field.Field, error) {
+// chunkCodec looks up the pipeline that decodes h's chunks: ErrNotChunked
+// when it has no chunk decoder.
+func chunkCodec(h *Header) (ChunkCodec, error) {
+	c, ok := Lookup(h.Codec)
+	if !ok {
+		return nil, fmt.Errorf("codec: no registered codec for stream ID %v", h.Codec)
+	}
+	cc, ok := c.(ChunkCodec)
+	if !ok {
+		return nil, ErrNotChunked
+	}
+	return cc, nil
+}
+
+// DecompressRegionFrom is the chunk decoder behind every decode: whole
+// fields, regions, and archive extraction. payload fetches one chunk's
+// bytes, so a caller that does not hold the whole stream — the archive
+// reader — reads only the ranges it needs; whole fetches the entire
+// stream, which the fallback for streams without chunk access hands to
+// the owning pipeline's decoder before cropping. Chunks decode in
+// parallel, each worker from its own scratch shard; a chunk lying inside
+// a region that spans every inner dimension decodes straight into the
+// output, so a whole-field decode copies nothing. A cancelled ctx stops
+// the decode within one chunk per worker and surfaces ctx.Err().
+func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) ([]byte, error), whole func() ([]byte, error), off, ext []int, sc *Scratch) (*field.Field, error) {
 	if err := field.ValidateRegion(h.Dims, off, ext); err != nil {
 		return nil, err
 	}
@@ -102,13 +132,12 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 		}
 		return out, nil
 	}
-	c, ok := Lookup(h.Codec)
-	if !ok {
-		return nil, fmt.Errorf("codec: no registered codec for stream ID %v", h.Codec)
+	cc, err := chunkCodec(h)
+	if errors.Is(err, ErrNotChunked) {
+		return decompressWhole(ctx, h, whole, off, ext, sc)
 	}
-	cc, ok := c.(ChunkCodec)
-	if !ok {
-		return nil, ErrNotChunked
+	if err != nil {
+		return nil, err
 	}
 
 	rowLo, rowHi := off[0], off[0]+ext[0]
@@ -122,36 +151,75 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 	if len(hit) == 0 {
 		return nil, fmt.Errorf("codec: region rows [%d,%d) intersect no chunk", rowLo, rowHi)
 	}
+	direct := true // the region spans every inner dimension
+	for a := 1; a < len(ext); a++ {
+		direct = direct && off[a] == 0 && ext[a] == h.Dims[a]
+	}
 
 	out := field.New(h.Name, h.Precision, ext...)
 	inner := h.InnerPoints()
 	dstOff := make([]int, len(ext))
-	err := parallel.ForEachCtx(ctx, len(hit), 0, func(i int) error {
+	err = parallel.ForEachWorkerCtx(ctx, len(hit), 0, func(w, i int) error {
 		ci := hit[i]
 		ck := h.Chunks[ci]
 		pl, err := payload(ci)
 		if err != nil {
 			return fmt.Errorf("codec: chunk %d: %w", ci, err)
 		}
-		slab := sc.Floats(ck.Rows * inner)
-		defer sc.PutFloats(slab)
-		if err := cc.DecompressChunk(pl, h, ci, slab, sc); err != nil {
+		wsc := sc.Shard(w)
+		if direct && ck.RowStart >= rowLo && ck.RowStart+ck.Rows <= rowHi {
+			lo := (ck.RowStart - rowLo) * inner
+			return cc.DecompressChunk(pl, h, ci, out.Data[lo:lo+ck.Rows*inner], wsc)
+		}
+		slab := wsc.Floats(ck.Rows * inner)
+		defer wsc.PutFloats(slab)
+		if err := cc.DecompressChunk(pl, h, ci, slab, wsc); err != nil {
 			return err
 		}
 		copyChunkRegion(out.Data, ext, dstOff, slab, h, ci, off, rowLo, rowHi)
 		return nil
 	})
+	if errors.Is(err, ErrNotChunked) {
+		return decompressWhole(ctx, h, whole, off, ext, sc)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// decompressWhole decodes a stream the chunk decoder cannot read —
+// log-domain pointwise-relative streams, codecs without chunk access —
+// through its pipeline's whole-stream decoder, then crops the region.
+func decompressWhole(ctx context.Context, h *Header, whole func() ([]byte, error), off, ext []int, sc *Scratch) (*field.Field, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	data, err := whole()
+	if err != nil {
+		return nil, err
+	}
+	c, _ := Lookup(h.Codec)
+	var full *field.Field
+	if sd, ok := c.(ScratchDecompressor); ok {
+		full, _, err = sd.DecompressScratch(data, sc)
+	} else {
+		full, _, err = c.Decompress(data)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if slices.Equal(ext, full.Dims) {
+		return full, nil
+	}
+	return full.Slice(off, ext)
+}
+
 // copyChunkRegion copies the intersection of chunk ci's decoded slab with
 // the requested region into the output block: the chunk's rows are
 // clipped to the region's row window, then the inner dimensions are
-// cropped while copying. Shared by the streaming region decode above and
-// cache-fed region assembly in the serving layer.
+// cropped while copying. Shared by the chunk decoder above and cache-fed
+// region assembly in the serving layer.
 func copyChunkRegion(dst []float64, ext, dstOff []int, slab []float64, h *Header, ci int, off []int, rowLo, rowHi int) {
 	ck := h.Chunks[ci]
 	lo, hi := ck.RowStart, ck.RowStart+ck.Rows

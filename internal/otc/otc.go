@@ -41,7 +41,7 @@ const DefaultBlockSize = 8
 
 // otcCodec publishes this pipeline in the codec registry. It owns the
 // orthogonal-transform stream ID; constant streams it emits carry
-// codec.IDConstant and route to the sz pipeline's decoder.
+// codec.IDConstant, which the container decodes itself.
 type otcCodec struct{}
 
 func (otcCodec) Name() string { return "otc" }
@@ -52,49 +52,29 @@ func (otcCodec) IDs() []codec.ID { return []codec.ID{codec.IDOTC} }
 // the pipeline does not track the data-domain distortion exactly.
 func (otcCodec) MeasuresMSE() bool { return false }
 
+// Compress encodes f through the chunked container (codec.Encode):
+// chunks compress in parallel, each worker from its own shard of sc, and
+// the block loop inside each chunk is parallel too. Blocks are cut at
+// chunk boundaries, preserving orthonormality; the default tiling is one
+// whole-field chunk (see ChunkSpans).
 func (otcCodec) Compress(ctx context.Context, f *field.Field, opt codec.Options, sc *codec.Scratch) ([]byte, *codec.Stats, error) {
-	return CompressCtx(ctx, f, opt, sc)
+	if err := checkBlockSize(opt); err != nil {
+		return nil, nil, err
+	}
+	return codec.Encode(ctx, f, otcCodec{}, opt, sc)
 }
 
+// Decompress decodes OTC and constant streams through the chunk decoder
+// and rejects every other stream ID.
 func (otcCodec) Decompress(data []byte) (*field.Field, *codec.Header, error) {
-	return Decompress(data)
-}
-
-// DecompressScratch implements codec.ScratchDecompressor.
-func (otcCodec) DecompressScratch(data []byte, sc *codec.Scratch) (*field.Field, *codec.Header, error) {
-	return DecompressScratch(data, sc)
-}
-
-// CompressChunk implements codec.ChunkCodec: one row slab through the
-// blockwise transform pipeline. Blocks are cut to the chunk boundary, so
-// every chunk is independently decodable.
-func (otcCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt codec.Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
-	copt := opt
-	if copt.Capacity == 0 {
-		copt.Capacity = quantizer.DefaultCapacity
-	}
-	if !(copt.ErrorBound > 0) || math.IsInf(copt.ErrorBound, 0) || math.IsNaN(copt.ErrorBound) {
-		return nil, codec.ChunkStats{}, fmt.Errorf("otc: error bound (half bin width) must be positive and finite, got %g", copt.ErrorBound)
-	}
-	if err := checkBlockSize(copt); err != nil {
-		return nil, codec.ChunkStats{}, err
-	}
-	q, err := quantizer.New(copt.ErrorBound, copt.Capacity)
+	h, err := codec.ParseHeader(data)
 	if err != nil {
-		return nil, codec.ChunkStats{}, err
+		return nil, nil, err
 	}
-	return compressChunk(ctx, data, dims, copt, q, sc)
-}
-
-// DecompressChunk implements codec.ChunkCodec for OTC streams.
-func (otcCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc *codec.Scratch) error {
-	if h.Codec != codec.IDOTC {
-		return codec.ErrNotChunked
+	if h.Codec != codec.IDOTC && h.Codec != codec.IDConstant {
+		return nil, nil, fmt.Errorf("otc: stream has codec %v, not %v", h.Codec, codec.IDOTC)
 	}
-	if len(dst) != h.ChunkPoints(ci) {
-		return fmt.Errorf("otc: chunk %d dst has %d points, want %d", ci, len(dst), h.ChunkPoints(ci))
-	}
-	return decompressChunk(payload, h, ci, dst, sc)
+	return codec.DecompressScratch(data, nil)
 }
 
 func init() { codec.Register(otcCodec{}) }
@@ -117,7 +97,8 @@ const (
 // Options is the unified codec configuration (see codec.Options). The
 // transform pipeline reads ErrorBound (half the coefficient bin width:
 // δ = 2·ErrorBound), Transform, BlockSize, Capacity, Workers, and the
-// header annotations; AutoCapacity and ChunkRows are ignored.
+// header annotations, and tiles by ChunkRows or ChunkPoints (see
+// ChunkSpans); AutoCapacity is ignored.
 type Options = codec.Options
 
 // blockEdge resolves the block-size default.
@@ -342,123 +323,22 @@ func applyBlock(cur, tmp []float64, sizes []int, tr Transform, inverse bool) ([]
 }
 
 // Compress compresses the field by blockwise orthonormal DCT and uniform
-// coefficient quantization with bin width opt.Delta.
+// coefficient quantization with bin width 2·opt.ErrorBound.
 func Compress(f *field.Field, opt Options) ([]byte, *Stats, error) {
-	return CompressCtx(context.Background(), f, opt, nil)
+	return otcCodec{}.Compress(context.Background(), f, opt, nil)
 }
 
-// CompressCtx is Compress with cancellation and buffer reuse: workers
-// check ctx between transform blocks (a cancelled context aborts within
-// one block of work per worker and surfaces ctx.Err()), and the block
-// gather buffers plus the entropy-stage staging buffers and DEFLATE
-// encoder come from sc when it is non-nil.
-//
-// When Options.ChunkPoints or ChunkRows is set the field is tiled into
-// independently decodable chunks along the slowest dimension (blocks are
-// cut at chunk boundaries, preserving orthonormality), enabling
-// random-access region decodes of transform streams; the default keeps
-// one chunk covering the whole field, which matches the historical block
-// layout exactly.
-func CompressCtx(ctx context.Context, f *field.Field, opt Options, sc *codec.Scratch) ([]byte, *Stats, error) {
-	if err := f.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := checkBlockSize(opt); err != nil {
-		return nil, nil, err
-	}
-	// Trust the value range the public layer already measured (see the
-	// matching comment in sz.CompressCtx); rescan only when absent.
-	vr := opt.ValueRange
-	if vr == 0 {
-		_, _, vr = f.ValueRange()
-		opt.ValueRange = vr
-	}
-	if vr == 0 {
-		return compressConstant(f, opt)
-	}
-	if !(opt.ErrorBound > 0) || math.IsInf(opt.ErrorBound, 0) || math.IsNaN(opt.ErrorBound) {
-		return nil, nil, fmt.Errorf("otc: error bound (half bin width) must be positive and finite, got %g", opt.ErrorBound)
-	}
-	capacity := opt.Capacity
-	if capacity == 0 {
-		capacity = quantizer.DefaultCapacity
-	}
-	copt := opt
-	copt.Capacity = capacity
-	// quantizer.New takes the half-width (error bound) convention;
-	// the coefficient bin width is δ = 2·ErrorBound.
-	q, err := quantizer.New(opt.ErrorBound, capacity)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	spans := chunkSpans(f.Dims, opt)
-	inner := 1
-	for _, d := range f.Dims[1:] {
-		inner *= d
-	}
-	payloads := make([][]byte, len(spans))
-	chunks := make([]codec.ChunkInfo, len(spans))
-	totalBlocks := 0
-	// Chunks run serially; the block loop inside each chunk is parallel,
-	// so the default single-chunk layout keeps its full concurrency.
-	for c, span := range spans {
-		lo, hi := span[0], span[1]
-		sub := f.Data[lo*inner : hi*inner]
-		subDims := append([]int{hi - lo}, f.Dims[1:]...)
-		payload, cst, err := compressChunk(ctx, sub, subDims, copt, q, sc)
-		if err != nil {
-			return nil, nil, err
-		}
-		payloads[c] = payload
-		chunks[c] = codec.ChunkInfo{
-			Rows:          hi - lo,
-			Unpredictable: cst.Unpredictable,
-			MSE:           cst.MSE,
-			Min:           cst.Min,
-			Max:           cst.Max,
-		}
-		totalBlocks += newBlockGrid(subDims, blockEdge(opt)).len()
-	}
-
-	h := &codec.Header{
-		Codec:      codec.IDOTC,
-		Precision:  f.Precision,
-		Mode:       opt.Mode,
-		Name:       f.Name,
-		Dims:       f.Dims,
-		EbAbs:      opt.ErrorBound,
-		TargetPSNR: opt.TargetPSNR,
-		ValueRange: opt.ValueRange,
-		Capacity:   capacity,
-		Chunks:     chunks,
-	}
-	if h.TargetPSNR == 0 && opt.Mode != codec.ModePSNR {
-		h.TargetPSNR = math.NaN()
-	}
-	out, err := codec.AssembleStream(h, payloads)
-	if err != nil {
-		return nil, nil, err
-	}
-	st := codec.StatsFromChunks(h, len(out), f.SizeBytes())
-	st.ValueRange = vr
-	st.Blocks = totalBlocks
-	st.MSE = math.NaN() // not measured by this pipeline
-	return out, st, nil
+// Decompress reconstructs a field from an OTC (or constant) stream.
+func Decompress(data []byte) (*field.Field, *codec.Header, error) {
+	return otcCodec{}.Decompress(data)
 }
 
 // ChunkSpans implements codec.ChunkPlanner, so every container
-// assembler (CompressCtx here, the public streaming encoder) tiles
-// identically for the same options.
+// assembler tiles identically for the same options: a single
+// whole-field chunk by default, explicit ChunkRows verbatim, and
+// ChunkPoints rounded up to a multiple of the block edge so chunk
+// boundaries do not shear transform blocks.
 func (otcCodec) ChunkSpans(dims []int, opt codec.Options) [][2]int {
-	return chunkSpans(dims, opt)
-}
-
-// chunkSpans tiles dims[0] for this pipeline: a single whole-field chunk
-// by default, explicit ChunkRows verbatim, and ChunkPoints rounded up to
-// a multiple of the block edge so chunk boundaries do not shear
-// transform blocks.
-func chunkSpans(dims []int, opt Options) [][2]int {
 	if opt.ChunkRows > 0 {
 		return parallel.Chunks(dims[0], opt.ChunkRows)
 	}
@@ -473,18 +353,32 @@ func chunkSpans(dims []int, opt Options) [][2]int {
 	return parallel.Chunks(dims[0], rows)
 }
 
-// compressChunk transforms, quantizes, and entropy-codes one row slab.
-// Blocks within the chunk run in parallel under opt.Workers; each writes
-// its codes into one chunk-wide slice at its own offset.
-func compressChunk(ctx context.Context, data []float64, dims []int, opt Options, q *quantizer.Quantizer, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
+// CompressChunk implements codec.ChunkCodec: it transforms, quantizes,
+// and entropy-codes one row slab. Blocks are cut to the chunk boundary,
+// so every chunk is independently decodable. Blocks within the chunk run
+// in parallel under opt.Workers; each writes its codes into one
+// chunk-wide slice at its own offset.
+func (otcCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
 	var cst codec.ChunkStats
+	if opt.Capacity == 0 {
+		opt.Capacity = quantizer.DefaultCapacity
+	}
+	if err := checkBlockSize(opt); err != nil {
+		return nil, cst, err
+	}
+	// quantizer.New takes the half-width (error bound) convention; the
+	// coefficient bin width is δ = 2·ErrorBound.
+	q, err := quantizer.New(opt.ErrorBound, opt.Capacity)
+	if err != nil {
+		return nil, cst, fmt.Errorf("otc: %w", err)
+	}
 	g := newBlockGrid(dims, blockEdge(opt))
 	codes := sc.Int32s(len(data))
 	defer sc.PutInt32s(codes)
 	lits := make([][]float64, g.len()) // per-block literals, nil for most
 	bufs := newBlockBufs(sc, g, opt.Workers)
 	defer bufs.release()
-	err := parallel.ForEachWorkerCtx(ctx, g.len(), opt.Workers, func(w, bi int) error {
+	err = parallel.ForEachWorkerCtx(ctx, g.len(), opt.Workers, func(w, bi int) error {
 		br := g.block(bi)
 		cur, tmp := bufs.get(w, br.n)
 		gatherBlock(data, dims, br, cur)
@@ -527,73 +421,17 @@ func compressChunk(ctx context.Context, data []float64, dims []int, opt Options,
 	return payload, cst, nil
 }
 
-func compressConstant(f *field.Field, opt Options) ([]byte, *Stats, error) {
-	h := &codec.Header{
-		Codec:      codec.IDConstant,
-		Precision:  f.Precision,
-		Mode:       opt.Mode,
-		Name:       f.Name,
-		Dims:       f.Dims,
-		ConstValue: f.Data[0],
-	}
-	out := h.Marshal()
-	st := &Stats{
-		OriginalBytes:   f.SizeBytes(),
-		CompressedBytes: len(out),
-		Ratio:           float64(f.SizeBytes()) / float64(len(out)),
-		BitRate:         8 * float64(len(out)) / float64(f.Len()),
-		NPoints:         f.Len(),
-		Blocks:          1,
-	}
-	return out, st, nil
-}
-
-// Decompress reconstructs a field from an OTC stream. It accepts constant
-// streams as well so callers can route by magic alone.
-func Decompress(data []byte) (*field.Field, *codec.Header, error) {
-	return DecompressScratch(data, nil)
-}
-
-// DecompressScratch is Decompress drawing transient decode buffers — the
-// inflate window, code and literal slices, Huffman decode tables, and
-// per-worker block buffers — from sc, so session callers reuse
-// allocations across streams. A nil sc allocates fresh; the
-// reconstruction is identical either way.
-func DecompressScratch(data []byte, sc *codec.Scratch) (*field.Field, *codec.Header, error) {
-	h, err := codec.ParseHeader(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if h.Codec == codec.IDConstant {
-		out := field.New(h.Name, h.Precision, h.Dims...)
-		for i := range out.Data {
-			out.Data[i] = h.ConstValue
-		}
-		return out, h, nil
-	}
+// DecompressChunk implements codec.ChunkCodec for OTC streams: it
+// reverses CompressChunk for chunk ci, reconstructing into dst (the
+// chunk's points). Blocks within the chunk run in parallel. Transient
+// buffers come from sc (nil = fresh allocations).
+func (otcCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc *codec.Scratch) error {
 	if h.Codec != codec.IDOTC {
-		return nil, nil, fmt.Errorf("otc: stream has codec %v, not %v", h.Codec, codec.IDOTC)
+		return codec.ErrNotChunked
 	}
-	out := field.New(h.Name, h.Precision, h.Dims...)
-	inner := h.InnerPoints()
-	for ci := range h.Chunks {
-		payload, err := codec.ChunkPayload(data, h, ci)
-		if err != nil {
-			return nil, nil, err
-		}
-		lo := h.Chunks[ci].RowStart
-		hi := lo + h.Chunks[ci].Rows
-		if err := decompressChunk(payload, h, ci, out.Data[lo*inner:hi*inner], sc); err != nil {
-			return nil, nil, err
-		}
+	if len(dst) != h.ChunkPoints(ci) {
+		return fmt.Errorf("otc: chunk %d dst has %d points, want %d", ci, len(dst), h.ChunkPoints(ci))
 	}
-	return out, h, nil
-}
-
-// decompressChunk reverses compressChunk for chunk ci, reconstructing
-// into dst (the chunk's points). Blocks within the chunk run in
-// parallel. Transient buffers come from sc (nil = fresh allocations).
-func decompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc *codec.Scratch) error {
 	var tr Transform
 	var blockSize int
 	codes, literals, err := sc.ParsePayload(payload, field.Float64, func(b []byte) ([]byte, error) {

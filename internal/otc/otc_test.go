@@ -177,7 +177,7 @@ func TestRoundTrip2D(t *testing.T) {
 	if d.MaxErr > 1 {
 		t.Fatalf("wild reconstruction error %g", d.MaxErr)
 	}
-	if st.Blocks == 0 || st.Ratio <= 1 {
+	if st.Chunks != 1 || st.Ratio <= 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }

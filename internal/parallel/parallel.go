@@ -123,9 +123,11 @@ func Partition(n, workers, w int) (lo, hi int) {
 
 // Group runs tasks concurrently with at most `workers` in flight and
 // returns the first error. It is the channel-semaphore pattern from
-// Effective Go wrapped in a reusable type.
+// Effective Go, with the semaphore's tokens being worker slots: each
+// task receives a slot in [0, workers) that no other in-flight task
+// holds, so callers can key per-worker state (scratch shards) on it.
 type Group struct {
-	sem      chan struct{}
+	slots    chan int
 	wg       sync.WaitGroup
 	mu       sync.Mutex
 	firstErr error
@@ -137,19 +139,24 @@ func NewGroup(workers int) *Group {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	return &Group{sem: make(chan struct{}, workers)}
+	g := &Group{slots: make(chan int, workers)}
+	for w := 0; w < workers; w++ {
+		g.slots <- w
+	}
+	return g
 }
 
-// Go schedules fn, blocking while the concurrency limit is saturated.
-func (g *Group) Go(fn func() error) {
-	g.sem <- struct{}{}
+// Go schedules fn on a free worker slot, blocking while every slot is
+// taken. The slot returns to the Group when fn does.
+func (g *Group) Go(fn func(slot int) error) {
+	slot := <-g.slots
 	g.wg.Add(1)
 	go func() {
 		defer func() {
-			<-g.sem
+			g.slots <- slot
 			g.wg.Done()
 		}()
-		if err := fn(); err != nil {
+		if err := fn(slot); err != nil {
 			g.mu.Lock()
 			if g.firstErr == nil {
 				g.firstErr = err

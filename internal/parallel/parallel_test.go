@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,7 +114,7 @@ func TestGroupRunsAll(t *testing.T) {
 	g := NewGroup(3)
 	var n int64
 	for i := 0; i < 40; i++ {
-		g.Go(func() error {
+		g.Go(func(int) error {
 			atomic.AddInt64(&n, 1)
 			return nil
 		})
@@ -131,7 +133,7 @@ func TestGroupLimitsConcurrency(t *testing.T) {
 	var cur, peak int64
 	var mu sync.Mutex
 	for i := 0; i < 20; i++ {
-		g.Go(func() error {
+		g.Go(func(int) error {
 			c := atomic.AddInt64(&cur, 1)
 			mu.Lock()
 			if c > peak {
@@ -150,13 +152,37 @@ func TestGroupLimitsConcurrency(t *testing.T) {
 	}
 }
 
+// TestGroupSlotsExclusive checks that no two in-flight tasks hold the
+// same worker slot and that every slot lies in [0, workers).
+func TestGroupSlotsExclusive(t *testing.T) {
+	const workers = 3
+	g := NewGroup(workers)
+	var held [workers]atomic.Int32
+	for i := 0; i < 200; i++ {
+		g.Go(func(slot int) error {
+			if slot < 0 || slot >= workers {
+				return fmt.Errorf("slot %d outside [0,%d)", slot, workers)
+			}
+			if held[slot].Add(1) != 1 {
+				return fmt.Errorf("slot %d held by two tasks", slot)
+			}
+			runtime.Gosched()
+			held[slot].Add(-1)
+			return nil
+		})
+	}
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGroupFirstError(t *testing.T) {
 	g := NewGroup(4)
 	boom := errors.New("boom")
 	for i := 0; i < 10; i++ {
-		g.Go(func() error { return nil })
+		g.Go(func(int) error { return nil })
 	}
-	g.Go(func() error { return boom })
+	g.Go(func(int) error { return boom })
 	if err := g.Wait(); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}

@@ -82,43 +82,50 @@ func recompress(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Op
 		return c.Compress(ctx, f, opt, sc)
 	}
 
-	copt := opt
-	copt.Capacity = h.Capacity // keep the container's quantizer geometry across passes
-	work := &codec.Header{
-		Codec:      h.Codec,
-		Precision:  h.Precision,
-		Mode:       h.Mode,
-		Name:       h.Name,
-		Dims:       h.Dims,
-		EbAbs:      opt.ErrorBound,
-		TargetPSNR: h.TargetPSNR,
-		ValueRange: h.ValueRange,
-		Capacity:   h.Capacity,
-		Chunks:     append([]codec.ChunkInfo(nil), h.Chunks...),
-	}
-	payloads := make([][]byte, len(h.Chunks))
-	subset := make([]int, len(h.Chunks))
-	for ci := range h.Chunks {
-		if payloads[ci], err = codec.ChunkPayload(prev, h, ci); err != nil {
-			return nil, nil, err
-		}
-		// Chunks that stay pinned keep the bound they were actually
-		// quantized with; recompressed entries reset to the implicit
-		// header bound inside recompressSubset.
-		work.Chunks[ci].EbAbs = h.ChunkBound(ci)
-		subset[ci] = ci
-	}
-	if err := recompressSubset(ctx, f, cc, copt, work, subset, payloads, opt.ErrorBound, pinExact, false, sc); err != nil {
+	work, payloads, err := workingCopy(h, prev)
+	if err != nil {
 		return nil, nil, err
 	}
+	work.EbAbs = opt.ErrorBound
+	subset := make([]int, len(h.Chunks))
+	for ci := range subset {
+		subset[ci] = ci
+	}
+	opt.Capacity = h.Capacity // keep the container's quantizer geometry across passes
+	if err := recompressSubset(ctx, f, cc, opt, work, subset, payloads, opt.ErrorBound, pinExact, false, sc); err != nil {
+		return nil, nil, err
+	}
+	return assemble(work, payloads)
+}
 
+// workingCopy returns an editable copy of a parsed stream's header plus
+// its chunk payloads — the state a steering loop rewrites in place before
+// assembling the final stream once. Every chunk entry records the bound
+// it was actually quantized with, so chunks a later pass leaves alone
+// keep it.
+func workingCopy(h *codec.Header, blob []byte) (*codec.Header, [][]byte, error) {
+	work := *h
+	work.Chunks = append([]codec.ChunkInfo(nil), h.Chunks...)
+	payloads := make([][]byte, len(h.Chunks))
+	for ci := range h.Chunks {
+		var err error
+		if payloads[ci], err = codec.ChunkPayload(blob, h, ci); err != nil {
+			return nil, nil, err
+		}
+		work.Chunks[ci].EbAbs = h.ChunkBound(ci)
+	}
+	return &work, payloads, nil
+}
+
+// assemble finalizes a steered working copy into its stream and stats.
+func assemble(work *codec.Header, payloads [][]byte) ([]byte, *codec.Stats, error) {
 	out, err := codec.AssembleStream(work, payloads)
 	if err != nil {
 		return nil, nil, err
 	}
-	st := codec.StatsFromChunks(work, len(out), f.SizeBytes())
-	if h.ValueRange > 0 {
-		st.ValueRange = h.ValueRange
+	st := codec.StatsFromChunks(work, len(out), work.NPoints()*work.Precision.Bytes())
+	if work.ValueRange > 0 {
+		st.ValueRange = work.ValueRange
 	}
 	return out, st, nil
 }

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
-	"fixedpsnr/internal/parallel"
 )
 
 // Region-group steering: one field, several quality targets. A Partition
@@ -154,28 +154,13 @@ func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.O
 	// Working state: the chunk table and payload slices of the stream
 	// being steered. Recompression rewrites entries and payloads in
 	// place; the final header is assembled once, after every group
-	// settles.
-	work := &codec.Header{
-		Codec:      h.Codec,
-		Precision:  h.Precision,
-		Mode:       h.Mode,
-		Name:       h.Name,
-		Dims:       h.Dims,
-		EbAbs:      h.EbAbs,
-		TargetPSNR: h.TargetPSNR,
-		ValueRange: h.ValueRange,
-		Capacity:   h.Capacity,
-		Chunks:     append([]codec.ChunkInfo(nil), h.Chunks...),
+	// settles. Grouped streams have no single field-level bound to fall
+	// back to, so every chunk entry carries its own.
+	work, payloads, err := workingCopy(h, blob)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	payloads := make([][]byte, len(h.Chunks))
-	for ci := range h.Chunks {
-		if payloads[ci], err = codec.ChunkPayload(blob, h, ci); err != nil {
-			return nil, nil, nil, err
-		}
-		// Every chunk records the bound it was actually quantized with:
-		// grouped streams have no single field-level bound to fall back
-		// to, so the per-chunk entry is authoritative.
-		work.Chunks[ci].EbAbs = h.ChunkBound(ci)
+	for ci := range work.Chunks {
 		work.Chunks[ci].Group = part.ChunkGroup[ci]
 	}
 
@@ -272,13 +257,9 @@ func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.O
 			TargetRatio: outcomes[gi].TargetRatio,
 		}
 	}
-	final, err := codec.AssembleStream(work, payloads)
+	final, st, err := assemble(work, payloads)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	st := codec.StatsFromChunks(work, len(final), f.SizeBytes())
-	if h.ValueRange > 0 {
-		st.ValueRange = h.ValueRange
 	}
 	return final, st, outcomes, nil
 }
@@ -304,30 +285,19 @@ func recompressSubset(ctx context.Context, f *field.Field, cc codec.ChunkCodec, 
 			}
 		}
 	}
-	inner := work.InnerPoints()
+	if pin {
+		// Exact at their recorded bound: payloads and entries stay.
+		subset = slices.DeleteFunc(slices.Clone(subset), func(ci int) bool { return work.Chunks[ci].MSE == 0 })
+	}
 	copt.ErrorBound = bound
-	return parallel.ForEachCtx(ctx, len(subset), copt.Workers, func(i int) error {
-		ci := subset[i]
-		ck := &work.Chunks[ci]
-		if pin && ck.MSE == 0 {
-			return nil // exact at its recorded bound; payload and entry stay
-		}
-		lo := ck.RowStart
-		sub := f.Data[lo*inner : (lo+ck.Rows)*inner]
-		pl, cst, err := cc.CompressChunk(ctx, sub, work.ChunkDims(ci), work.Precision, copt, sc)
-		if err != nil {
-			return err
-		}
-		payloads[ci] = pl
-		ck.Len = len(pl)
-		ck.Unpredictable = cst.Unpredictable
-		ck.EbAbs = 0
+	if err := codec.CompressChunks(ctx, cc, work, subset, payloads, copt, sc, codec.FieldRows(f.Data)); err != nil {
+		return err
+	}
+	for _, ci := range subset {
+		work.Chunks[ci].EbAbs = 0
 		if explicit {
-			ck.EbAbs = bound
+			work.Chunks[ci].EbAbs = bound
 		}
-		ck.MSE = cst.MSE
-		ck.Min = cst.Min
-		ck.Max = cst.Max
-		return nil
-	})
+	}
+	return nil
 }

@@ -2,12 +2,9 @@ package sz
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
-	"fixedpsnr/internal/quantizer"
 )
 
 // The stream container (header layout, codec identifiers, parsing) lives
@@ -83,26 +80,19 @@ func (szCodec) Decompress(data []byte) (*field.Field, *codec.Header, error) {
 	return Decompress(data)
 }
 
-// DecompressScratch implements codec.ScratchDecompressor.
+// DecompressScratch implements codec.ScratchDecompressor: log-domain
+// pointwise-relative streams decode here, drawing the mask inflate
+// reader and the inner stream's decode buffers from sc (nil allocates
+// fresh); every other stream goes to the chunk decoder.
 func (szCodec) DecompressScratch(data []byte, sc *codec.Scratch) (*field.Field, *codec.Header, error) {
-	return DecompressScratch(data, sc)
-}
-
-// CompressChunk implements codec.ChunkCodec: one row slab through the
-// full Lorenzo pipeline. ctx is checked once up front; a chunk is the
-// cancellation granularity of this pipeline.
-func (szCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt codec.Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, codec.ChunkStats{}, err
+	h, err := ParseHeader(data)
+	if err != nil {
+		return nil, nil, err
 	}
-	copt := opt
-	if copt.Capacity == 0 {
-		copt.Capacity = quantizer.DefaultCapacity
+	if h.Codec == CodecLogLorenzo {
+		return DecompressPWRelScratch(data, sc)
 	}
-	if !(copt.ErrorBound > 0) || math.IsInf(copt.ErrorBound, 0) || math.IsNaN(copt.ErrorBound) {
-		return nil, codec.ChunkStats{}, fmt.Errorf("sz: error bound must be positive and finite, got %g", copt.ErrorBound)
-	}
-	return compressChunk(data, dims, prec, copt, sc)
+	return codec.DecompressScratch(data, sc)
 }
 
 // CompressPWRel implements codec.PWRelCodec: pointwise-relative
@@ -110,19 +100,6 @@ func (szCodec) CompressChunk(ctx context.Context, data []float64, dims []int, pr
 // ModePWRel to any registered codec with this capability.
 func (szCodec) CompressPWRel(ctx context.Context, f *field.Field, pwRel float64, opt codec.Options, sc *codec.Scratch) ([]byte, *codec.Stats, error) {
 	return CompressPWRelCtx(ctx, f, pwRel, opt, sc)
-}
-
-// DecompressChunk implements codec.ChunkCodec for Lorenzo streams.
-// Constant and log-domain (pointwise-relative) streams are only decoded
-// whole and report ErrNotChunked.
-func (szCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc *codec.Scratch) error {
-	if h.Codec != codec.IDLorenzo {
-		return codec.ErrNotChunked
-	}
-	if len(dst) != h.ChunkPoints(ci) {
-		return fmt.Errorf("sz: chunk %d dst has %d points, want %d", ci, len(dst), h.ChunkPoints(ci))
-	}
-	return decompressChunk(payload, h, ci, dst, sc)
 }
 
 func init() { codec.Register(szCodec{}) }

@@ -185,7 +185,7 @@ func DecompressPWRelScratch(data []byte, sc *codec.Scratch) (*field.Field, *Head
 	zeroMask := masks[maskBytes:]
 
 	inner := payload[maskLen:]
-	logField, _, err := DecompressScratch(inner, sc)
+	logField, _, err := codec.DecompressScratch(inner, sc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sz: pwrel inner stream: %w", err)
 	}

@@ -34,7 +34,6 @@ import (
 	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
 	"fixedpsnr/internal/kernels"
-	"fixedpsnr/internal/parallel"
 	"fixedpsnr/internal/quantizer"
 )
 
@@ -53,133 +52,48 @@ func Compress(f *field.Field, opt Options) ([]byte, *Stats, error) {
 	return CompressCtx(context.Background(), f, opt, nil)
 }
 
-// CompressCtx is Compress with cancellation and buffer reuse: workers
-// check ctx between chunks (a cancelled context aborts within one chunk
-// of work per worker and surfaces ctx.Err()), and the large per-chunk
-// transients — quantization codes, the reconstruction buffer, the
-// pre-DEFLATE staging bytes, and the DEFLATE encoder — come from scratch
-// when it is non-nil, so a session reusing one scratch across calls stops
-// paying those allocations on the hot path.
-//
-// The field is tiled into independent chunks along the slowest dimension
-// (codec.ChunkSpans); each chunk restarts the predictor, compresses
-// through CompressChunk, and lands in the container's chunk table with
-// its exact MSE and value range, so streams are random-access at chunk
-// granularity and the global fixed-PSNR accounting can aggregate
-// per-chunk distortion.
+// CompressCtx is Compress with cancellation and buffer reuse: the
+// chunked container (codec.Encode) tiles the field into independent
+// row-slab chunks, each restarting the predictor, and compresses them
+// in parallel through CompressChunk, each worker drawing its transients
+// from its own shard of sc. A cancelled context aborts within one chunk
+// of work per worker and surfaces ctx.Err(). This pipeline adds only the
+// whole-field AutoCapacity estimate, resolved before tiling so every
+// chunk shares one quantizer geometry.
 func CompressCtx(ctx context.Context, f *field.Field, opt Options, sc *codec.Scratch) ([]byte, *Stats, error) {
-	if err := f.Validate(); err != nil {
-		return nil, nil, err
+	if opt.AutoCapacity && f.Validate() == nil {
+		opt.Capacity = estimateCapacity(f.Data, f.Dims, opt.ErrorBound)
 	}
-	// The public layer measures the value range to resolve its plan and
-	// passes it down in opt.ValueRange; trust it when present instead of
-	// rescanning the whole field (the scan is a measurable slice of the
-	// encode profile on large fields).
-	vr := opt.ValueRange
-	if vr == 0 {
-		_, _, vr = f.ValueRange()
-		opt.ValueRange = vr
-	}
-
-	if vr == 0 {
-		return compressConstant(f, opt)
-	}
-	if !(opt.ErrorBound > 0) || math.IsInf(opt.ErrorBound, 0) || math.IsNaN(opt.ErrorBound) {
-		return nil, nil, fmt.Errorf("sz: error bound must be positive and finite, got %g", opt.ErrorBound)
-	}
-
-	capacity := opt.Capacity
-	if opt.AutoCapacity {
-		capacity = estimateCapacity(f.Data, f.Dims, opt.ErrorBound)
-	}
-	if capacity == 0 {
-		capacity = quantizer.DefaultCapacity
-	}
-	copt := opt
-	copt.Capacity = capacity
-
-	spans := codec.ChunkSpans(f.Dims, opt)
-	inner := 1
-	for _, d := range f.Dims[1:] {
-		inner *= d
-	}
-
-	payloads := make([][]byte, len(spans))
-	chunks := make([]codec.ChunkInfo, len(spans))
-	// Each worker slot compresses from its own scratch shard: chunk
-	// buffers recycled by a worker come back to the same worker, so the
-	// pools never shuttle multi-megabyte buffers between cores.
-	err := parallel.ForEachWorkerCtx(ctx, len(spans), opt.Workers, func(w, c int) error {
-		lo, hi := spans[c][0], spans[c][1]
-		sub := f.Data[lo*inner : hi*inner]
-		subDims := append([]int{hi - lo}, f.Dims[1:]...)
-		payload, cst, err := compressChunk(sub, subDims, f.Precision, copt, sc.Shard(w))
-		if err != nil {
-			return fmt.Errorf("sz: chunk %d: %w", c, err)
-		}
-		payloads[c] = payload
-		chunks[c] = codec.ChunkInfo{
-			Rows:          hi - lo,
-			Unpredictable: cst.Unpredictable,
-			MSE:           cst.MSE,
-			Min:           cst.Min,
-			Max:           cst.Max,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	h := &Header{
-		Codec:      CodecLorenzo,
-		Precision:  f.Precision,
-		Mode:       opt.Mode,
-		Name:       f.Name,
-		Dims:       f.Dims,
-		EbAbs:      opt.ErrorBound,
-		TargetPSNR: opt.TargetPSNR,
-		ValueRange: opt.ValueRange,
-		Capacity:   capacity,
-		Chunks:     chunks,
-	}
-	if h.TargetPSNR == 0 && opt.Mode != ModePSNR {
-		h.TargetPSNR = math.NaN()
-	}
-	out, err := codec.AssembleStream(h, payloads)
-	if err != nil {
-		return nil, nil, err
-	}
-	st := codec.StatsFromChunks(h, len(out), f.SizeBytes())
-	st.ValueRange = vr
-	return out, st, nil
+	return codec.Encode(ctx, f, szCodec{}, opt, sc)
 }
 
-// compressChunk runs the full per-chunk pipeline — Lorenzo prediction,
-// quantization, Huffman, DEFLATE — over one row slab and reports the
-// chunk's exact statistics. opt.Capacity and opt.ErrorBound must be
-// resolved (positive) already.
-func compressChunk(data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
+// CompressChunk implements codec.ChunkCodec: the full per-chunk
+// pipeline — Lorenzo prediction, quantization, Huffman, DEFLATE — over
+// one row slab, reporting the chunk's exact statistics. ctx is checked
+// once up front; a chunk is the cancellation granularity of this
+// pipeline.
+func (szCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
 	var cst codec.ChunkStats
+	if err := ctx.Err(); err != nil {
+		return nil, cst, err
+	}
+	if opt.Capacity == 0 {
+		opt.Capacity = quantizer.DefaultCapacity
+	}
 	q, err := quantizer.New(opt.ErrorBound, opt.Capacity)
 	if err != nil {
-		return nil, cst, err
+		return nil, cst, fmt.Errorf("sz: %w", err)
 	}
 	codes := sc.Int32s(len(data))
 	recon := sc.Floats(len(data))
 	literals, sumSq := compressCore(data, dims, q, codes, recon)
 	sc.PutFloats(recon)
-	// Chunk value bounds come from a dedicated vector-wide scan rather
-	// than accumulators threaded through the (serial, latency-bound)
-	// prediction loop: the scan is memory-bound at sixteen lanes while
-	// two more accumulators per row would cost registers the grouped
-	// kernels need, and the chunk is still cache-resident from the
-	// prediction pass. NaNs are skipped; the all-NaN/empty sentinel maps
-	// to NaN/NaN as ValueBounds-style callers expect.
-	min, max := kernels.MinMax(data)
-	if min > max {
-		min, max = math.NaN(), math.NaN()
-	}
+	// Chunk value bounds come from a dedicated vector-wide scan, run
+	// while the chunk is still cache-resident from the prediction pass,
+	// rather than from accumulators threaded through the serial,
+	// latency-bound prediction loop, where they would cost registers the
+	// grouped kernels need.
+	cst.Min, cst.Max = codec.ValueBounds(data)
 	payload, err := sc.AppendPayload(nil, nil, codes, opt.Capacity-1, literals, prec)
 	sc.PutInt32s(codes)
 	if err != nil {
@@ -187,83 +101,27 @@ func compressChunk(data []float64, dims []int, prec field.Precision, opt Options
 	}
 	cst.Unpredictable = len(literals)
 	cst.MSE = sumSq / float64(len(data))
-	cst.Min, cst.Max = min, max
 	return payload, cst, nil
-}
-
-// compressConstant encodes a field whose value range is zero.
-func compressConstant(f *field.Field, opt Options) ([]byte, *Stats, error) {
-	h := &Header{
-		Codec:      CodecConstant,
-		Precision:  f.Precision,
-		Mode:       opt.Mode,
-		Name:       f.Name,
-		Dims:       f.Dims,
-		ConstValue: f.Data[0],
-	}
-	out := h.Marshal()
-	st := &Stats{
-		OriginalBytes:   f.SizeBytes(),
-		CompressedBytes: len(out),
-		Ratio:           float64(f.SizeBytes()) / float64(len(out)),
-		BitRate:         8 * float64(len(out)) / float64(f.Len()),
-		NPoints:         f.Len(),
-		Chunks:          1,
-	}
-	return out, st, nil
 }
 
 // Decompress reconstructs a field from a compressed stream.
 func Decompress(data []byte) (*field.Field, *Header, error) {
-	return DecompressScratch(data, nil)
+	return szCodec{}.DecompressScratch(data, nil)
 }
 
-// DecompressScratch is Decompress drawing transient decode buffers — the
-// inflate window, quantization-code slices, literal slices, and Huffman
-// decode tables — from sc, so session callers reuse allocations across
-// streams. A nil sc allocates fresh; the reconstruction is identical
-// either way.
-func DecompressScratch(data []byte, sc *codec.Scratch) (*field.Field, *Header, error) {
-	h, err := ParseHeader(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if h.Codec == CodecConstant {
-		out := field.New(h.Name, h.Precision, h.Dims...)
-		for i := range out.Data {
-			out.Data[i] = h.ConstValue
-		}
-		return out, h, nil
-	}
-	if h.Codec == CodecLogLorenzo {
-		return DecompressPWRelScratch(data, sc)
-	}
-	if h.Codec != CodecLorenzo {
-		return nil, nil, fmt.Errorf("sz: cannot decode codec %v here", h.Codec)
-	}
-
-	out := field.New(h.Name, h.Precision, h.Dims...)
-	inner := h.InnerPoints()
-	err = parallel.ForEachWorkerCtx(context.Background(), len(h.Chunks), 0, func(w, c int) error {
-		payload, err := codec.ChunkPayload(data, h, c)
-		if err != nil {
-			return err
-		}
-		lo := h.Chunks[c].RowStart
-		hi := lo + h.Chunks[c].Rows
-		return decompressChunk(payload, h, c, out.Data[lo*inner:hi*inner], sc.Shard(w))
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, h, nil
-}
-
-// decompressChunk reverses compressChunk for chunk c of a parsed Lorenzo
-// stream, reconstructing into dst (the chunk's points). Per-chunk bounds
+// DecompressChunk implements codec.ChunkCodec for Lorenzo streams,
+// reconstructing chunk c into dst (the chunk's points). Per-chunk bounds
 // written by selective recompression take precedence over the header
-// bound. Transient buffers come from sc (nil = fresh allocations).
-func decompressChunk(payload []byte, h *Header, c int, dst []float64, sc *codec.Scratch) error {
+// bound. Constant and log-domain (pointwise-relative) streams are only
+// decoded whole and report ErrNotChunked. Transient buffers come from sc
+// (nil = fresh allocations).
+func (szCodec) DecompressChunk(payload []byte, h *codec.Header, c int, dst []float64, sc *codec.Scratch) error {
+	if h.Codec != codec.IDLorenzo {
+		return codec.ErrNotChunked
+	}
+	if len(dst) != h.ChunkPoints(c) {
+		return fmt.Errorf("sz: chunk %d dst has %d points, want %d", c, len(dst), h.ChunkPoints(c))
+	}
 	q, err := quantizer.New(h.ChunkBound(c), h.Capacity)
 	if err != nil {
 		return err
