@@ -25,7 +25,7 @@ func chunkedHeader(rows ...int) *codec.Header {
 func TestBuildPartitionAssignsByRowIntersection(t *testing.T) {
 	h := chunkedHeader(16, 16, 16, 16) // rows [0,64)
 	specs := []GroupSpec{
-		{Name: "roi", RowLo: 16, RowHi: 30}, // intersects chunk 1 only
+		{Name: "roi", RowLo: 16, RowHi: 30},  // intersects chunk 1 only
 		{Name: "tail", RowLo: 47, RowHi: 64}, // last row of chunk 2 + chunk 3
 		{Name: "background", Default: true},
 	}

@@ -76,13 +76,13 @@ func TestDecodeRegionChunkBoundaryAbutment(t *testing.T) {
 	ctx := context.Background()
 	// 16-row chunks: boundaries at rows 16, 32, 48.
 	cases := [][2][]int{
-		{{16, 0, 0}, {16, 64, 16}},  // exactly chunk 1
-		{{0, 0, 0}, {16, 64, 16}},   // exactly chunk 0 (stream start)
-		{{48, 0, 0}, {16, 64, 16}},  // exactly the last chunk
-		{{15, 0, 0}, {2, 64, 16}},   // one row each side of a boundary
-		{{16, 0, 0}, {32, 64, 16}},  // two whole chunks
-		{{31, 5, 3}, {2, 20, 9}},    // boundary-straddling interior block
-		{{63, 63, 15}, {1, 1, 1}},   // single far-corner point
+		{{16, 0, 0}, {16, 64, 16}}, // exactly chunk 1
+		{{0, 0, 0}, {16, 64, 16}},  // exactly chunk 0 (stream start)
+		{{48, 0, 0}, {16, 64, 16}}, // exactly the last chunk
+		{{15, 0, 0}, {2, 64, 16}},  // one row each side of a boundary
+		{{16, 0, 0}, {32, 64, 16}}, // two whole chunks
+		{{31, 5, 3}, {2, 20, 9}},   // boundary-straddling interior block
+		{{63, 63, 15}, {1, 1, 1}},  // single far-corner point
 	}
 	for name, blob := range edgeStreams(t, f) {
 		full, _, err := dec.Decode(ctx, blob)
