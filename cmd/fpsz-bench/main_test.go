@@ -238,3 +238,28 @@ BenchmarkChunkedDecodeAllCores  3  11481571 ns/op  296.00 MB/s
 		t.Fatal("want error with decode scaling 0.99 below floor 1.0")
 	}
 }
+
+// TestRegionRecordsTinyGrid runs the region sweep on a 16x32x32 grid,
+// where the field is one MinChunkPoints chunk and the region of interest
+// claims it: the background owns no chunk, so its ratio is recorded as
+// unmeasured instead of NaN, and the records marshal to JSON.
+func TestRegionRecordsTinyGrid(t *testing.T) {
+	recs, err := regionRecords("16x32x32", 80, "8", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("%d records, want 1", len(recs))
+	}
+	r := recs[0]
+	if !r.BGRatioUnmeasured || r.BGRatio != 0 || r.BGPasses != 0 || r.ROIChunks != 1 {
+		t.Fatalf("record %+v: want an unmeasured background and one ROI chunk", r)
+	}
+	blob, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := string(blob); strings.Contains(s, `"bg_ratio":`) || !strings.Contains(s, `"bg_ratio_unmeasured":true`) {
+		t.Fatalf("JSON %s: want bg_ratio omitted and flagged unmeasured", s)
+	}
+}

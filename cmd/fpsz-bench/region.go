@@ -16,21 +16,25 @@ import (
 // steered to a fixed ratio, with both groups' achieved statistics and
 // the end-to-end encode throughput including every steering pass.
 type RegionRecord struct {
-	Name            string  `json:"name"`
-	Codec           string  `json:"codec"`
-	Dims            []int   `json:"dims"`
-	ROIPSNRTarget   float64 `json:"roi_psnr_target_db"`
-	ROIPSNR         float64 `json:"roi_psnr_db"`
-	ROIPasses       int     `json:"roi_passes"`
-	ROIChunks       int     `json:"roi_chunks"`
-	BGRatioTarget   float64 `json:"bg_ratio_target"`
-	BGRatio         float64 `json:"bg_ratio"`
-	BGPasses        int     `json:"bg_passes"`
-	StreamRatio     float64 `json:"stream_ratio"`
-	DecodedROIPSNR  float64 `json:"decoded_roi_psnr_db"`
-	EncodeMBps      float64 `json:"encode_mb_per_s"`
-	TotalFieldPSNR  float64 `json:"field_psnr_db"`
-	CompressedBytes int     `json:"compressed_bytes"`
+	Name          string  `json:"name"`
+	Codec         string  `json:"codec"`
+	Dims          []int   `json:"dims"`
+	ROIPSNRTarget float64 `json:"roi_psnr_target_db"`
+	ROIPSNR       float64 `json:"roi_psnr_db"`
+	ROIPasses     int     `json:"roi_passes"`
+	ROIChunks     int     `json:"roi_chunks"`
+	BGRatioTarget float64 `json:"bg_ratio_target"`
+	BGRatio       float64 `json:"bg_ratio,omitempty"`
+	// BGRatioUnmeasured marks a background group that owns no chunk —
+	// on a small grid the region of interest can claim the only one —
+	// so it has no ratio; BGRatio is then omitted.
+	BGRatioUnmeasured bool    `json:"bg_ratio_unmeasured,omitempty"`
+	BGPasses          int     `json:"bg_passes"`
+	StreamRatio       float64 `json:"stream_ratio"`
+	DecodedROIPSNR    float64 `json:"decoded_roi_psnr_db"`
+	EncodeMBps        float64 `json:"encode_mb_per_s"`
+	TotalFieldPSNR    float64 `json:"field_psnr_db"`
+	CompressedBytes   int     `json:"compressed_bytes"`
 }
 
 // regionMain sweeps the per-region quality targets over the synthetic
@@ -144,7 +148,7 @@ func regionRecords(dimsArg string, roiPSNR float64, ratiosArg string, workers in
 			decodedROIPSNR = -10*math.Log10(mse) + 20*math.Log10(vr)
 		}
 
-		recs = append(recs, RegionRecord{
+		rec := RegionRecord{
 			Name:            "region_" + dimsArg + "_bg" + strings.ReplaceAll(fmt.Sprintf("%g", target), ".", "_"),
 			Codec:           "sz",
 			Dims:            dims,
@@ -160,7 +164,11 @@ func regionRecords(dimsArg string, roiPSNR float64, ratiosArg string, workers in
 			EncodeMBps:      float64(res.OriginalBytes) / (1 << 20) / secs,
 			TotalFieldPSNR:  d.PSNR,
 			CompressedBytes: res.CompressedBytes,
-		})
+		}
+		if bg.Chunks == 0 {
+			rec.BGRatio, rec.BGRatioUnmeasured = 0, true
+		}
+		recs = append(recs, rec)
 	}
 	return recs, nil
 }

@@ -20,6 +20,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"fixedpsnr/internal/field"
 )
@@ -120,39 +121,39 @@ func Read(r io.Reader) (*field.Field, error) {
 			return nil, fmt.Errorf("fieldio: field too large (%v)", dims)
 		}
 	}
-	f := field.New(string(nameBuf), prec, dims...)
-	if prec == field.Float32 {
-		buf := make([]byte, 4*4096)
-		for off := 0; off < total; {
-			n := len(buf) / 4
-			if total-off < n {
-				n = total - off
-			}
-			if _, err := io.ReadFull(br, buf[:n*4]); err != nil {
-				return nil, fmt.Errorf("fieldio: reading values: %w", err)
-			}
-			for i := 0; i < n; i++ {
-				f.Data[off+i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:])))
-			}
-			off += n
+	// A declared size is only a claim: never allocate more than the body
+	// can hold. When the reader knows how many bytes remain (a
+	// bytes.Reader holding a request body), a size past them is rejected
+	// before allocating; otherwise the values grow as they arrive.
+	size := prec.Bytes()
+	capacity := total
+	if lr, ok := r.(interface{ Len() int }); ok {
+		if left := lr.Len() + br.Buffered(); total > left/size {
+			return nil, fmt.Errorf("fieldio: %v field needs %d value bytes, body has %d", dims, total*size, left)
 		}
 	} else {
-		buf := make([]byte, 8*4096)
-		for off := 0; off < total; {
-			n := len(buf) / 8
-			if total-off < n {
-				n = total - off
+		capacity = min(total, 1<<16)
+	}
+	data := make([]float64, 0, capacity)
+	buf := make([]byte, size*4096)
+	for len(data) < total {
+		off, n := len(data), min(4096, total-len(data))
+		if _, err := io.ReadFull(br, buf[:n*size]); err != nil {
+			return nil, fmt.Errorf("fieldio: reading values: %w", err)
+		}
+		data = slices.Grow(data, n)[:off+n]
+		dst := data[off:]
+		if prec == field.Float32 {
+			for i := range dst {
+				dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
 			}
-			if _, err := io.ReadFull(br, buf[:n*8]); err != nil {
-				return nil, fmt.Errorf("fieldio: reading values: %w", err)
+		} else {
+			for i := range dst {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 			}
-			for i := 0; i < n; i++ {
-				f.Data[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-			}
-			off += n
 		}
 	}
-	return f, nil
+	return &field.Field{Name: string(nameBuf), Precision: prec, Dims: dims, Data: data}, nil
 }
 
 // WriteFile writes the field to path, creating parent directories.

@@ -2,9 +2,12 @@ package fieldio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"fixedpsnr/internal/field"
@@ -140,5 +143,66 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFile(filepath.Join(dir, "missing.sdf")); err == nil {
 		t.Fatal("expected error for missing file")
+	}
+}
+
+// TestReadOversizedDeclaration pins the allocation of a 14-byte body that
+// declares a 512^3 float64 field (1 GiB of values) and holds none. With
+// the remaining length known (a bytes.Reader, as a server holds a request
+// body) Read rejects it before allocating any value storage; over a
+// reader of unknown length the values grow as they arrive, so the failed
+// read costs at most its first window.
+func TestReadOversizedDeclaration(t *testing.T) {
+	body := append([]byte(nil), Magic[:]...)
+	body = append(body, byte(field.Float64), 1, 'p', 3)
+	for range 3 {
+		body = binary.AppendUvarint(body, 512)
+	}
+	if len(body) != 14 {
+		t.Fatalf("probe body is %d bytes, want 14", len(body))
+	}
+	for _, tc := range []struct {
+		name  string
+		r     io.Reader
+		limit uint64
+	}{
+		{"known length", bytes.NewReader(body), 256 << 10},
+		{"unknown length", io.MultiReader(bytes.NewReader(body)), 1 << 20},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := Read(tc.r)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: 14-byte body declaring 2^27 values accepted", tc.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.limit {
+			t.Errorf("%s: Read allocated %d bytes before failing, limit %d", tc.name, got, tc.limit)
+		}
+	}
+}
+
+// TestReadGrowsUnknownLength round-trips a field larger than the initial
+// value window through a reader that does not report its length.
+func TestReadGrowsUnknownLength(t *testing.T) {
+	for _, prec := range []field.Precision{field.Float32, field.Float64} {
+		f := testField(prec, 9, 100, 90)
+		var buf bytes.Buffer
+		if err := Write(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		g, err := Read(io.MultiReader(&buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.Data) != len(f.Data) {
+			t.Fatalf("read %d values, want %d", len(g.Data), len(f.Data))
+		}
+		for i := range f.Data {
+			if math.Float64bits(g.Data[i]) != math.Float64bits(f.Data[i]) {
+				t.Fatalf("%v value %d: %g, want %g", prec, i, g.Data[i], f.Data[i])
+			}
+		}
 	}
 }

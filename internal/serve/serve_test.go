@@ -236,6 +236,9 @@ func TestServeErrors(t *testing.T) {
 		{"GET", "/v1/archives/e/fields/x/region?off=a,b&ext=1,1", nil, 400},   // not integers
 		{"PUT", "/v1/archives/e/fields/y?mode=bogus", sdf1Bytes(t, synthField("y", 8, 8)), 400},
 		{"PUT", "/v1/archives/e/fields/y", []byte("not a field"), 400},
+		// 14 bytes declaring a 512^3 float64 field: rejected before the
+		// reader allocates the 1 GiB it claims.
+		{"PUT", "/v1/archives/e/fields/y", append([]byte("SDF1\x01\x01p\x03"), 0x80, 0x04, 0x80, 0x04, 0x80, 0x04), 400},
 		{"PUT", "/v1/archives/..%2Fevil/fields/y", sdf1Bytes(t, synthField("y", 8, 8)), 400},
 	}
 	for _, tc := range cases {
