@@ -1,15 +1,14 @@
-// Package bitstream implements MSB-first bit-level writers and readers.
-// The Huffman stage of the compressors uses it to pack variable-length
-// codes densely; it is also reused by the transform compressor's
-// sign/significance planes.
+// Package bitstream implements the bit-level primitives of the entropy
+// stages: the MSB-first Reader the Huffman decoders pull variable-length
+// codes from, and the LSB-first writer of the DEFLATE encoder.
 //
-// Both directions operate word-at-a-time: the Writer stages bits in a
-// 64-bit accumulator and flushes whole groups of bytes per call, and the
-// Reader refills a 64-bit window from up to 8 input bytes at once, so the
-// per-bit function call and error check of a naive implementation never
-// appear on the hot path. The emitted bytes are identical to the original
-// bit-at-a-time implementation (retained as the reference in the
-// differential fuzz tests).
+// Both operate word-at-a-time: the Reader refills a 64-bit window from up
+// to 8 input bytes at once and the decoder consumes codes straight from
+// that window, and the LSBWriter stages bits in a 64-bit accumulator and
+// flushes whole groups of bytes per call, so the per-bit function call
+// and error check of a naive implementation never appear on the hot
+// path. The Reader's bit order is fuzzed against the original
+// bit-at-a-time reader (retained as the reference in the tests).
 package bitstream
 
 import (
@@ -17,112 +16,9 @@ import (
 	"errors"
 )
 
-// ErrOutOfBits is returned by Reader methods when the stream is exhausted.
+// ErrOutOfBits reports a code that runs past the end of a stream; the
+// decoders built on Reader return it.
 var ErrOutOfBits = errors.New("bitstream: out of bits")
-
-// Writer accumulates bits most-significant-first into a byte buffer.
-// The zero value is ready to use.
-//
-// Lifecycle: write bits, call Bytes once to flush and read the result,
-// then Reset before reusing the Writer — Bytes pads the final partial
-// byte, so writing after Bytes without a Reset would corrupt the stream
-// (Writer panics on that misuse rather than emitting garbage).
-type Writer struct {
-	buf    []byte
-	cur    uint64 // bits staged, right-aligned in the low `n` bits
-	n      uint   // number of staged bits (< 8 between calls)
-	bits   int    // total bits written
-	sealed bool   // Bytes has flushed; writes are invalid until Reset
-}
-
-// NewWriter returns a Writer with capacity hint of n bytes.
-func NewWriter(n int) *Writer {
-	return &Writer{buf: make([]byte, 0, n)}
-}
-
-// Reset discards all written bits, retaining the underlying buffer, so a
-// pooled Writer can be reused without reallocating. It is the documented
-// way to write again after Bytes.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.cur, w.n, w.bits = 0, 0, 0
-	w.sealed = false
-}
-
-// WriteBit appends a single bit (any non-zero b writes 1).
-func (w *Writer) WriteBit(b uint) {
-	if w.sealed {
-		panic("bitstream: Write after Bytes without Reset")
-	}
-	w.cur = w.cur<<1 | uint64(b&1)
-	w.n++
-	w.bits++
-	if w.n == 8 {
-		w.buf = append(w.buf, byte(w.cur))
-		w.cur, w.n = 0, 0
-	}
-}
-
-// WriteBits appends the low `width` bits of v, most significant first.
-// Widths above 56 split into two staged writes; width must be ≤ 64.
-func (w *Writer) WriteBits(v uint64, width uint) {
-	if width == 0 {
-		return
-	}
-	if w.sealed {
-		panic("bitstream: Write after Bytes without Reset")
-	}
-	if width > 56 {
-		// split: high part then low 32
-		w.writeBits(v>>32, width-32)
-		w.writeBits(v&0xffffffff, 32)
-		return
-	}
-	w.writeBits(v, width)
-}
-
-// writeBits is the staging fast path for width ≤ 56: one shift-or into the
-// accumulator, then a single multi-byte flush of every completed byte.
-// The flush stores a full 8-byte word and truncates the length back to
-// the 1–7 bytes actually completed — when capacity allows — so the hot
-// path is one branch and one store, with no memmove/growslice call per
-// flush; the bytes emitted are identical to the append path it falls
-// back to near the end of the buffer.
-func (w *Writer) writeBits(v uint64, width uint) {
-	w.cur = w.cur<<width | (v & (1<<width - 1))
-	w.n += width
-	w.bits += int(width)
-	if w.n >= 8 {
-		k := w.n >> 3 // 1..7 whole bytes ready
-		w.n &= 7
-		word := w.cur >> w.n << (64 - 8*k)
-		if n := len(w.buf); cap(w.buf)-n >= 8 {
-			w.buf = w.buf[: n+8 : cap(w.buf)]
-			binary.BigEndian.PutUint64(w.buf[n:], word)
-			w.buf = w.buf[:n+int(k)]
-		} else {
-			var tmp [8]byte
-			binary.BigEndian.PutUint64(tmp[:], word)
-			w.buf = append(w.buf, tmp[:k]...)
-		}
-		w.cur &= 1<<w.n - 1
-	}
-}
-
-// Bits returns the total number of bits written so far.
-func (w *Writer) Bits() int { return w.bits }
-
-// Bytes flushes any partial byte (zero-padded on the right) and returns the
-// underlying buffer. The Writer is sealed afterwards: call Reset before
-// writing again (writes without a Reset panic).
-func (w *Writer) Bytes() []byte {
-	if w.n > 0 {
-		w.buf = append(w.buf, byte(w.cur<<(8-w.n)))
-		w.cur, w.n = 0, 0
-	}
-	w.sealed = true
-	return w.buf
-}
 
 // Reader consumes bits most-significant-first from a byte slice. It keeps
 // a 64-bit staging window refilled from up to 8 input bytes at a time, so
@@ -176,42 +72,9 @@ func (r *Reader) refillTail() {
 	}
 }
 
-// Peek returns the next `width` bits MSB-first without consuming them,
-// zero-padded when fewer bits remain. width must be ≤ 57.
-func (r *Reader) Peek(width uint) uint64 {
-	if r.wn < width {
-		r.refill()
-	}
-	return r.w >> (64 - width)
-}
-
-// Consume advances the reader past `width` bits, which must have been
-// Peeked (width ≤ 57). It fails with ErrOutOfBits when fewer than `width`
-// bits remain, leaving the reader exhausted — the same terminal state a
-// failed ReadBits leaves.
-func (r *Reader) Consume(width uint) error {
-	if width > r.wn {
-		r.refill()
-		if width > r.wn {
-			r.exhaust()
-			return ErrOutOfBits
-		}
-	}
-	r.w <<= width
-	r.wn -= width
-	return nil
-}
-
-// exhaust moves the reader to the terminal empty state.
-func (r *Reader) exhaust() {
-	r.pos = len(r.buf)
-	r.w, r.wn = 0, 0
-}
-
 // Refill tops the staging window up to ≥ 57 valid bits (or to the end of
-// the stream). It is the explicit form of the refill Peek performs,
-// letting a tight decode loop refill once and then consume several
-// variable-length codes from the window with no per-code checks:
+// the stream), letting a tight decode loop refill once and then consume
+// several variable-length codes from the window with no per-code checks:
 //
 //	if r.Buffered() < maxLen { r.Refill() }
 //	w := r.Window()          // next bits, MSB-aligned, zero-padded
@@ -225,13 +88,13 @@ func (r *Reader) Refill() { r.refill() }
 func (r *Reader) Buffered() uint { return r.wn }
 
 // Window returns the staging window: the next Buffered() bits of the
-// stream, MSB-aligned at bit 63, zero-padded beyond. It does not refill
-// or consume.
+// stream, MSB-aligned at bit 63. The bits below them are the stream's
+// following bits as far as a refill loaded them, then zeros — zeros
+// throughout past the end of the stream. It does not refill or consume.
 func (r *Reader) Window() uint64 { return r.w }
 
 // Skip consumes width bits from the staging window without any checks;
-// the caller must ensure width ≤ Buffered(). Checked consumption is
-// Consume.
+// the caller must ensure width ≤ Buffered().
 func (r *Reader) Skip(width uint) {
 	r.w <<= width
 	r.wn -= width
@@ -249,54 +112,6 @@ func Refill4(a, b, c, d *Reader) {
 	b.refill()
 	c.refill()
 	d.refill()
-}
-
-// ReadBit reads a single bit.
-func (r *Reader) ReadBit() (uint, error) {
-	if r.wn == 0 {
-		r.refill()
-		if r.wn == 0 {
-			r.exhaust()
-			return 0, ErrOutOfBits
-		}
-	}
-	b := uint(r.w >> 63)
-	r.w <<= 1
-	r.wn--
-	return b, nil
-}
-
-// ReadBits reads `width` bits MSB-first and returns them in the low bits
-// of the result. width must be ≤ 64. When fewer than `width` bits remain
-// the reader consumes them all and returns ErrOutOfBits (matching the
-// bit-at-a-time reference: a failed wide read leaves the reader
-// exhausted).
-func (r *Reader) ReadBits(width uint) (uint64, error) {
-	if width == 0 {
-		return 0, nil
-	}
-	if width <= 57 {
-		if r.wn < width {
-			r.refill()
-			if r.wn < width {
-				r.exhaust()
-				return 0, ErrOutOfBits
-			}
-		}
-		v := r.w >> (64 - width)
-		r.w <<= width
-		r.wn -= width
-		return v, nil
-	}
-	hi, err := r.ReadBits(width - 32)
-	if err != nil {
-		return 0, err
-	}
-	lo, err := r.ReadBits(32)
-	if err != nil {
-		return 0, err
-	}
-	return hi<<32 | lo, nil
 }
 
 // Remaining returns the number of unread bits.

@@ -1,87 +1,52 @@
 package bitstream
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// readBits is the decode loops' read pattern over the Reader's window
+// primitives: refill when the window runs short, take the next width
+// bits from the top of the window, skip them. ok is false when fewer
+// than width bits remain; nothing is consumed then.
+func readBits(r *Reader, width uint) (v uint64, ok bool) {
+	if r.Buffered() < width {
+		r.Refill()
+		if r.Buffered() < width {
+			return 0, false
+		}
+	}
+	v = r.Window() >> (64 - width)
+	r.Skip(width)
+	return v, true
+}
+
 func TestSingleBits(t *testing.T) {
-	w := &Writer{}
-	pattern := []uint{1, 0, 1, 1, 0, 0, 1, 0, 1, 1} // 10 bits
-	for _, b := range pattern {
-		w.WriteBit(b)
-	}
-	if w.Bits() != 10 {
-		t.Fatalf("Bits = %d, want 10", w.Bits())
-	}
-	r := NewReader(w.Bytes())
+	pattern := []uint64{1, 0, 1, 1, 0, 0, 1, 0, 1, 1} // 10 bits
+	r := NewReader([]byte{0b10110010, 0b11000000})
 	for i, want := range pattern {
-		got, err := r.ReadBit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("bit %d = %d, want %d", i, got, want)
+		got, ok := readBits(r, 1)
+		if !ok || got != want {
+			t.Fatalf("bit %d = %d (ok %v), want %d", i, got, ok, want)
 		}
 	}
-}
-
-func TestWriteBitsMSBFirst(t *testing.T) {
-	w := NewWriter(4)
-	w.WriteBits(0b101, 3)
-	w.WriteBits(0b11110000, 8)
-	buf := w.Bytes()
-	// Expect 101 1111 0000 padded: 1011 1110 000xxxxx
-	if buf[0] != 0b10111110 {
-		t.Fatalf("first byte = %08b", buf[0])
-	}
-	if buf[1]&0b11100000 != 0 {
-		t.Fatalf("second byte = %08b", buf[1])
-	}
-}
-
-func TestWideWrites(t *testing.T) {
-	w := NewWriter(16)
-	v := uint64(0xDEADBEEFCAFE) // 48 bits
-	w.WriteBits(v, 48)
-	w.WriteBits(0x1FFFFFFFFFFFFFF, 57) // > 56 takes the split path
-	r := NewReader(w.Bytes())
-	got, err := r.ReadBits(48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != v {
-		t.Fatalf("48-bit value = %x, want %x", got, v)
-	}
-	got2, err := r.ReadBits(57)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 != 0x1FFFFFFFFFFFFFF {
-		t.Fatalf("57-bit value = %x", got2)
-	}
-}
-
-func TestZeroWidthWrite(t *testing.T) {
-	w := NewWriter(1)
-	w.WriteBits(123, 0)
-	if w.Bits() != 0 {
-		t.Fatal("zero-width write should write nothing")
+	if r.Remaining() != 6 {
+		t.Fatalf("Remaining = %d, want 6", r.Remaining())
 	}
 }
 
 func TestReaderExhaustion(t *testing.T) {
 	r := NewReader([]byte{0xFF})
-	if _, err := r.ReadBits(8); err != nil {
-		t.Fatal(err)
+	if v, ok := readBits(r, 8); !ok || v != 0xFF {
+		t.Fatalf("readBits(8) = %x, %v", v, ok)
 	}
-	if _, err := r.ReadBit(); err != ErrOutOfBits {
-		t.Fatalf("err = %v, want ErrOutOfBits", err)
+	r.Refill()
+	if r.Buffered() != 0 || r.Remaining() != 0 || r.Window() != 0 {
+		t.Fatalf("exhausted reader: Buffered %d, Remaining %d, Window %x", r.Buffered(), r.Remaining(), r.Window())
 	}
-	if _, err := r.ReadBits(4); err != ErrOutOfBits {
-		t.Fatalf("err = %v, want ErrOutOfBits", err)
+	if _, ok := readBits(r, 1); ok {
+		t.Fatal("read past the end succeeded")
 	}
 }
 
@@ -90,114 +55,74 @@ func TestRemaining(t *testing.T) {
 	if r.Remaining() != 16 {
 		t.Fatalf("Remaining = %d, want 16", r.Remaining())
 	}
-	r.ReadBits(5)
+	readBits(r, 5)
 	if r.Remaining() != 11 {
 		t.Fatalf("Remaining = %d, want 11", r.Remaining())
 	}
 }
 
-func TestWriterResetLifecycle(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBits(0b1011, 4)
-	first := append([]byte(nil), w.Bytes()...)
-	w.Reset()
-	if w.Bits() != 0 {
-		t.Fatalf("Bits after Reset = %d", w.Bits())
-	}
-	w.WriteBits(0b1011, 4)
-	if got := w.Bytes(); !bytes.Equal(got, first) {
-		t.Fatalf("post-Reset bytes %x != first use %x", got, first)
-	}
-}
-
-func TestWriterSealedPanics(t *testing.T) {
-	w := NewWriter(1)
-	w.WriteBit(1)
-	w.Bytes()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("write after Bytes without Reset should panic")
-		}
-	}()
-	w.WriteBits(3, 2)
-}
-
 func TestReaderReset(t *testing.T) {
 	r := NewReader([]byte{0xA5})
-	if _, err := r.ReadBits(8); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReadBit(); err != ErrOutOfBits {
-		t.Fatalf("err = %v, want ErrOutOfBits", err)
+	if _, ok := readBits(r, 8); !ok {
+		t.Fatal("short read")
 	}
 	r.Reset([]byte{0xFF, 0x00})
-	if r.Remaining() != 16 {
-		t.Fatalf("Remaining after Reset = %d", r.Remaining())
+	if r.Remaining() != 16 || r.Buffered() != 0 {
+		t.Fatalf("after Reset: Remaining %d, Buffered %d", r.Remaining(), r.Buffered())
 	}
-	v, err := r.ReadBits(16)
-	if err != nil || v != 0xFF00 {
-		t.Fatalf("ReadBits after Reset = %x, %v", v, err)
+	if v, ok := readBits(r, 16); !ok || v != 0xFF00 {
+		t.Fatalf("read after Reset = %x, %v", v, ok)
 	}
 }
 
+// TestPeekConsume checks the decode loops' peek and consume: Window
+// peeks without consuming, zero-padded past the end of the stream, and
+// Buffered bounds what Skip may consume.
 func TestPeekConsume(t *testing.T) {
 	r := NewReader([]byte{0b10110100, 0b11001010})
-	if got := r.Peek(3); got != 0b101 {
-		t.Fatalf("Peek(3) = %b", got)
+	r.Refill()
+	if r.Buffered() != 16 {
+		t.Fatalf("Buffered = %d, want 16", r.Buffered())
 	}
-	// Peek must not consume.
-	if got := r.Peek(5); got != 0b10110 {
-		t.Fatalf("second Peek(5) = %b", got)
+	if got := r.Window() >> (64 - 3); got != 0b101 {
+		t.Fatalf("peek 3 = %b", got)
 	}
-	if err := r.Consume(5); err != nil {
-		t.Fatal(err)
+	if got := r.Window() >> (64 - 5); got != 0b10110 {
+		t.Fatalf("second peek 5 = %b", got)
 	}
-	if got := r.Peek(11); got != 0b10011001010 {
-		t.Fatalf("Peek(11) = %011b", got)
+	r.Skip(5)
+	if got := r.Window() >> (64 - 11); got != 0b10011001010 {
+		t.Fatalf("peek 11 = %011b", got)
 	}
-	// Peek past the end zero-pads.
-	if err := r.Consume(8); err != nil {
-		t.Fatal(err)
+	r.Skip(8)
+	if got := r.Window() >> (64 - 8); got != 0b01000000 {
+		t.Fatalf("padded peek 8 = %08b", got)
 	}
-	if got := r.Peek(8); got != 0b01000000 {
-		t.Fatalf("padded Peek(8) = %08b", got)
-	}
-	if err := r.Consume(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Consume(1); err != ErrOutOfBits {
-		t.Fatalf("Consume past end = %v, want ErrOutOfBits", err)
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("Remaining = %d after exhaustion", r.Remaining())
+	r.Skip(3)
+	r.Refill()
+	if r.Buffered() != 0 || r.Remaining() != 0 {
+		t.Fatalf("Buffered %d, Remaining %d after the last bit", r.Buffered(), r.Remaining())
 	}
 }
 
-// Property: any sequence of (value, width) writes reads back identically.
+// Property: reading any buffer through the window in any schedule of
+// widths yields the reference reader's bits.
 func TestRoundTripProperty(t *testing.T) {
-	type op struct {
-		V uint64
-		W uint8
-	}
-	if err := quick.Check(func(ops []op) bool {
-		w := &Writer{}
-		var widths []uint
-		var values []uint64
-		for _, o := range ops {
-			width := uint(o.W%56) + 1
-			v := o.V & (1<<width - 1)
-			w.WriteBits(v, width)
-			widths = append(widths, width)
-			values = append(values, v)
-		}
-		r := NewReader(w.Bytes())
-		for i, width := range widths {
-			got, err := r.ReadBits(width)
-			if err != nil || got != values[i] {
+	if err := quick.Check(func(buf []byte, widths []uint8) bool {
+		r := NewReader(buf)
+		ref := &refReader{buf: buf}
+		for _, w := range widths {
+			width := uint(w%57) + 1
+			got, ok := readBits(r, width)
+			want, err := ref.ReadBits(width)
+			if ok != (err == nil) || got != want {
 				return false
 			}
+			if !ok {
+				return r.Remaining() < int(width)
+			}
 		}
-		return true
+		return r.Remaining() == ref.Remaining()
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
@@ -205,38 +130,19 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestInterleavedBitAndBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	w := &Writer{}
-	var log []uint64
-	var kinds []int
+	buf := make([]byte, 1200)
+	rng.Read(buf)
+	r := NewReader(buf)
+	ref := &refReader{buf: buf}
 	for i := 0; i < 1000; i++ {
-		if rng.Intn(2) == 0 {
-			b := uint(rng.Intn(2))
-			w.WriteBit(b)
-			log = append(log, uint64(b))
-			kinds = append(kinds, 0)
-		} else {
-			v := rng.Uint64() & 0xFFFF
-			w.WriteBits(v, 16)
-			log = append(log, v)
-			kinds = append(kinds, 1)
+		width := uint(1)
+		if rng.Intn(2) == 1 {
+			width = 16
 		}
-	}
-	r := NewReader(w.Bytes())
-	for i, want := range log {
-		var got uint64
-		var err error
-		if kinds[i] == 0 {
-			var b uint
-			b, err = r.ReadBit()
-			got = uint64(b)
-		} else {
-			got, err = r.ReadBits(16)
-		}
-		if err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("op %d = %x, want %x", i, got, want)
+		got, ok := readBits(r, width)
+		want, err := ref.ReadBits(width)
+		if !ok || err != nil || got != want {
+			t.Fatalf("op %d (width %d) = %x (ok %v), reference %x (%v)", i, width, got, ok, want, err)
 		}
 	}
 }
@@ -275,13 +181,13 @@ func TestWindowSkipRefill(t *testing.T) {
 	if got := r.Window() >> (64 - 56); got != 0xbeef0123456789 {
 		t.Fatalf("Window after top-up = %014x", got)
 	}
-	// Drain to the end through the checked API and confirm the tail bits.
+	// The end-of-stream refill stages every remaining bit.
 	r.Skip(48)
-	got, err := r.ReadBits(uint(r.Remaining()))
-	if err != nil {
-		t.Fatal(err)
+	r.Refill()
+	if r.Buffered() != 32 || r.Remaining() != 32 {
+		t.Fatalf("tail: Buffered %d, Remaining %d, want 32", r.Buffered(), r.Remaining())
 	}
-	if got != 0x89abcdef {
+	if got := r.Window() >> 32; got != 0x89abcdef {
 		t.Fatalf("tail = %x, want 89abcdef", got)
 	}
 }

@@ -2,99 +2,47 @@ package bitstream
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 )
 
-// opStream interprets fuzz bytes as a deterministic op program: each op is
-// 10 bytes — 1 selector, 1 width, 8 value — so the corpus explores mixed
-// WriteBit/WriteBits then mixed ReadBit/ReadBits schedules at arbitrary
-// bit offsets.
-type fuzzOp struct {
-	wide  bool
-	width uint
-	v     uint64
-}
-
-func decodeOps(data []byte) []fuzzOp {
-	var ops []fuzzOp
-	for len(data) >= 10 && len(ops) < 512 {
-		width := uint(data[1]%64) + 1 // 1..64
-		ops = append(ops, fuzzOp{
-			wide:  data[0]&1 == 1,
-			width: width,
-			v:     binary.LittleEndian.Uint64(data[2:10]),
-		})
-		data = data[10:]
-	}
-	return ops
-}
-
-// FuzzWriterDifferential checks the word-at-a-time Writer emits bytes
-// identical to the bit-at-a-time reference for any write schedule.
-func FuzzWriterDifferential(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 2, 0xff, 0, 0, 0, 0, 0, 0, 0, 1, 55, 0xde, 0xad, 0xbe, 0xef, 0xca, 0xfe, 0x01, 0x02})
-	f.Add(bytes.Repeat([]byte{1, 63, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55}, 12))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ops := decodeOps(data)
-		w := &Writer{}
-		ref := &refWriter{}
-		for _, op := range ops {
-			if op.wide {
-				w.WriteBits(op.v, op.width)
-				ref.WriteBits(op.v, op.width)
-			} else {
-				w.WriteBit(uint(op.v & 1))
-				ref.WriteBit(uint(op.v & 1))
-			}
-			if w.Bits() != ref.bits {
-				t.Fatalf("Bits() = %d, reference %d", w.Bits(), ref.bits)
-			}
-		}
-		got, want := w.Bytes(), ref.Bytes()
-		if !bytes.Equal(got, want) {
-			t.Fatalf("writer bytes differ:\n got %x\nwant %x", got, want)
-		}
-	})
-}
-
-// FuzzReaderDifferential checks the word-at-a-time Reader returns the
-// identical (value, err) sequence — and identical Remaining() at every
-// step, including the exhausted terminal state — as the bit-at-a-time
-// reference, for any buffer and any read schedule.
+// FuzzReaderDifferential checks the decode loops' read pattern — Refill
+// when Buffered runs short, take the top of Window, Skip — against the
+// bit-at-a-time reference for any buffer and any schedule of widths
+// (one program byte per read, 1..57 bits): every read must return the
+// reference's bits with identical Remaining, the window's bits below its
+// Buffered ones must be the stream's following bits or zeros, and a read
+// must fall short exactly when the reference runs out.
 func FuzzReaderDifferential(f *testing.F) {
 	f.Add([]byte{}, []byte{0xff})
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{0xde, 0xad})
 	// Exhaustion at every bit offset: wide reads against a short buffer.
-	f.Add(bytes.Repeat([]byte{1, 12, 0, 0, 0, 0, 0, 0, 0, 0}, 8), []byte{0xab, 0xcd, 0xef})
-	f.Add(bytes.Repeat([]byte{1, 63, 0, 0, 0, 0, 0, 0, 0, 0}, 4), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(bytes.Repeat([]byte{12}, 8), []byte{0xab, 0xcd, 0xef})
+	f.Add(bytes.Repeat([]byte{56}, 4), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Fuzz(func(t *testing.T, program, buf []byte) {
-		ops := decodeOps(program)
 		r := NewReader(buf)
 		ref := &refReader{buf: buf}
-		for i, op := range ops {
-			var gv, wv uint64
-			var gerr, werr error
-			if op.wide {
-				gv, gerr = r.ReadBits(op.width)
-				wv, werr = ref.ReadBits(op.width)
-			} else {
-				var gb, wb uint
-				gb, gerr = r.ReadBit()
-				wb, werr = ref.ReadBit()
-				gv, wv = uint64(gb), uint64(wb)
+		for i, p := range program {
+			width := uint(p%57) + 1
+			if r.Buffered() < width {
+				r.Refill()
 			}
-			if gv != wv || (gerr == nil) != (werr == nil) {
-				t.Fatalf("op %d (wide=%v width=%d): got (%d, %v), reference (%d, %v)",
-					i, op.wide, op.width, gv, gerr, wv, werr)
+			if next := ref.next64(); r.Window()&^next != 0 {
+				t.Fatalf("op %d: window %x disagrees with the stream's next bits %x", i, r.Window(), next)
 			}
-			if werr != nil {
-				// Both readers must now be in the exhausted terminal state.
-				if r.Remaining() != 0 || ref.Remaining() != 0 {
-					t.Fatalf("op %d: Remaining after error = %d, reference %d", i, r.Remaining(), ref.Remaining())
+			if r.Buffered() < width {
+				if r.Remaining() != ref.Remaining() || ref.Remaining() >= int(width) {
+					t.Fatalf("op %d: %d-bit read falls short with %d bits left, reference %d", i, width, r.Remaining(), ref.Remaining())
 				}
-				continue
+				if r.Buffered() != uint(r.Remaining()) {
+					t.Fatalf("op %d: end-of-stream refill staged %d of %d bits", i, r.Buffered(), r.Remaining())
+				}
+				return
+			}
+			got := r.Window() >> (64 - width)
+			r.Skip(width)
+			want, err := ref.ReadBits(width)
+			if err != nil || got != want {
+				t.Fatalf("op %d (width %d): got %x, reference %x (%v)", i, width, got, want, err)
 			}
 			if r.Remaining() != ref.Remaining() {
 				t.Fatalf("op %d: Remaining = %d, reference %d", i, r.Remaining(), ref.Remaining())
@@ -103,38 +51,53 @@ func FuzzReaderDifferential(f *testing.F) {
 	})
 }
 
-// FuzzPeekConsume checks the Peek/Consume primitives against plain reads:
-// peeking then consuming must yield exactly what ReadBits yields on an
-// identical reader, and Consume past the end must fail exactly when
-// ReadBits fails.
+// FuzzPeekConsume checks the four-lane form of the decode loops' peek
+// (Window) and consume (Skip): four lanes cut from buf are read in
+// lockstep, one group refilled together by Refill4 and a twin group one
+// by one by Refill, and every lane's window must match its twin's and
+// the reference reader's bits until the lane runs out.
 func FuzzPeekConsume(f *testing.F) {
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef}, uint(11))
 	f.Add([]byte{1}, uint(13))
 	f.Add([]byte{}, uint(1))
 	f.Fuzz(func(t *testing.T, buf []byte, seed uint) {
 		width := seed%57 + 1 // 1..57
-		pk := NewReader(buf)
-		rd := NewReader(buf)
-		for {
-			got := pk.Peek(width)
-			cerr := pk.Consume(width)
-			want, rerr := rd.ReadBits(width)
-			if (cerr == nil) != (rerr == nil) {
-				t.Fatalf("width %d: Consume err %v, ReadBits err %v", width, cerr, rerr)
-			}
-			if rerr != nil {
-				// Peek must have zero-padded: the valid prefix of got is
-				// whatever was left, which ReadBits refused to deliver.
-				if pk.Remaining() != 0 || rd.Remaining() != 0 {
-					t.Fatalf("width %d: exhausted readers report %d/%d remaining", width, pk.Remaining(), rd.Remaining())
+		var quad, twin [4]Reader
+		var ref [4]refReader
+		for l := range quad {
+			lane := buf[len(buf)*l/4 : len(buf)*(l+1)/4]
+			quad[l].Reset(lane)
+			twin[l].Reset(lane)
+			ref[l] = refReader{buf: lane}
+		}
+		for live := true; live; {
+			if quad[0].Buffered() < width || quad[1].Buffered() < width ||
+				quad[2].Buffered() < width || quad[3].Buffered() < width {
+				Refill4(&quad[0], &quad[1], &quad[2], &quad[3])
+				for l := range twin {
+					twin[l].Refill()
 				}
-				return
 			}
-			if got != want {
-				t.Fatalf("width %d: Peek+Consume = %x, ReadBits = %x", width, got, want)
-			}
-			if pk.Remaining() != rd.Remaining() {
-				t.Fatalf("width %d: Remaining %d vs %d", width, pk.Remaining(), rd.Remaining())
+			live = false
+			for l := range quad {
+				q, w := &quad[l], &twin[l]
+				if q.Buffered() != w.Buffered() || q.Window() != w.Window() || q.Remaining() != w.Remaining() {
+					t.Fatalf("lane %d: Refill4 staged %d bits %x, Refill %d bits %x", l, q.Buffered(), q.Window(), w.Buffered(), w.Window())
+				}
+				if q.Buffered() < width {
+					if ref[l].Remaining() >= int(width) {
+						t.Fatalf("lane %d: %d-bit read falls short, reference has %d bits", l, width, ref[l].Remaining())
+					}
+					continue
+				}
+				got := q.Window() >> (64 - width)
+				q.Skip(width)
+				w.Skip(width)
+				want, err := ref[l].ReadBits(width)
+				if err != nil || got != want {
+					t.Fatalf("lane %d: peek %x, reference %x (%v)", l, got, want, err)
+				}
+				live = true
 			}
 		}
 	})

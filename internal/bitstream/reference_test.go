@@ -1,55 +1,10 @@
 package bitstream
 
-// The bit-at-a-time Writer/Reader this package shipped before the
-// word-at-a-time rewrite, retained verbatim as the differential-testing
-// oracle: the fuzzers below require the optimized implementations to
-// produce identical bytes out and identical (value, err) sequences in,
-// including the exhausted terminal state at every bit offset.
-
-// refWriter is the original byte-at-a-time Writer.
-type refWriter struct {
-	buf  []byte
-	cur  uint64
-	n    uint
-	bits int
-}
-
-func (w *refWriter) WriteBit(b uint) {
-	w.cur = w.cur<<1 | uint64(b&1)
-	w.n++
-	w.bits++
-	if w.n == 8 {
-		w.buf = append(w.buf, byte(w.cur))
-		w.cur, w.n = 0, 0
-	}
-}
-
-func (w *refWriter) WriteBits(v uint64, width uint) {
-	if width == 0 {
-		return
-	}
-	if width > 56 {
-		w.WriteBits(v>>32, width-32)
-		w.WriteBits(v&0xffffffff, 32)
-		return
-	}
-	w.cur = w.cur<<width | (v & (1<<width - 1))
-	w.n += width
-	w.bits += int(width)
-	for w.n >= 8 {
-		w.n -= 8
-		w.buf = append(w.buf, byte(w.cur>>w.n))
-	}
-	w.cur &= 1<<w.n - 1
-}
-
-func (w *refWriter) Bytes() []byte {
-	if w.n > 0 {
-		w.buf = append(w.buf, byte(w.cur<<(8-w.n)))
-		w.cur, w.n = 0, 0
-	}
-	return w.buf
-}
+// The bit-at-a-time Reader this package shipped before the word-at-a-time
+// rewrite, retained as the differential-testing oracle: the tests and
+// fuzzers require every window the optimized Reader stages to hold
+// exactly the bits this reader returns, at every bit offset up to the
+// end of the stream.
 
 // refReader is the original bit-at-a-time Reader.
 type refReader struct {
@@ -85,4 +40,12 @@ func (r *refReader) ReadBits(width uint) (uint64, error) {
 
 func (r *refReader) Remaining() int {
 	return (len(r.buf)-r.pos)*8 - int(r.cur)
+}
+
+// next64 returns the next 64 bits of the stream, MSB-aligned and
+// zero-padded past its end, without consuming them.
+func (r refReader) next64() uint64 {
+	n := min(64, r.Remaining())
+	v, _ := r.ReadBits(uint(n))
+	return v << (64 - n)
 }

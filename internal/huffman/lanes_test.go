@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"fixedpsnr/internal/bitstream"
 	"fixedpsnr/internal/kernels"
 )
 
@@ -69,7 +68,7 @@ func TestEncodeLanes4MatchesSplitReference(t *testing.T) {
 		kernels.LaneSplit4(lanes[0], lanes[1], lanes[2], lanes[3], syms)
 		var bodies [4][]byte
 		for lane, ls := range lanes {
-			w := bitstream.NewWriter(len(ls))
+			w := newMSBWriter(len(ls))
 			emitSyms(w, ls, lenOf, codes)
 			bodies[lane] = w.Bytes()
 		}

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"fixedpsnr/internal/bitstream"
 )
 
 // wideCorpora returns wideCodes streams of 1<<14 + r symbols for r =
@@ -136,7 +134,7 @@ func handEncode(lens []uint8, syms []int32) (single, lanes []byte) {
 		hdr = binary.AppendUvarint(hdr, uint64(lens[s]))
 	}
 	emit := func(first, stride int) []byte {
-		w := bitstream.NewWriter(0)
+		w := newMSBWriter(0)
 		for i := first; i < len(syms); i += stride {
 			w.WriteBits(codes[syms[i]], uint(lens[syms[i]]))
 		}
@@ -198,7 +196,7 @@ func TestMaxCodeLenChain(t *testing.T) {
 		for i := lane; i < len(syms); i += 4 {
 			laneSyms = append(laneSyms, syms[i])
 		}
-		w := bitstream.NewWriter(0)
+		w := newMSBWriter(0)
 		emitSyms(w, laneSyms, lens, codes)
 		want := w.Bytes()
 		out := make([]byte, len(want)+8)
