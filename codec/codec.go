@@ -37,7 +37,9 @@ type (
 	Codec = icodec.Codec
 	// ChunkCodec is the optional interface of pipelines that compress
 	// and decompress one row-slab chunk at a time, unlocking streaming
-	// encodes, region decodes, and selective recompression.
+	// encodes, region decodes, and selective recompression. Streams the
+	// chunked container assembles carry the codec's first stream ID,
+	// IDs()[0].
 	ChunkCodec = icodec.ChunkCodec
 	// ChunkInfo is one entry of a chunked stream's per-chunk index.
 	ChunkInfo = icodec.ChunkInfo
