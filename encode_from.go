@@ -154,8 +154,8 @@ func (e *Encoder) EncodeFrom(ctx context.Context, fr FieldReader) ([]byte, *Resu
 	if copt.ChunkPoints == 0 && copt.ChunkRows == 0 {
 		copt.ChunkPoints = DefaultChunkPoints
 	}
-	// Chunks are read in order into session buffers as worker slots free
-	// up, so at most Workers+1 chunk buffers exist at any moment.
+	// Each worker reads its next chunk, in order, into a session buffer,
+	// so at most Workers chunk buffers exist at any moment.
 	rows := func(h *codec.Header, ci int) ([]float64, func(), error) {
 		buf := e.scratch.Floats(h.ChunkPoints(ci))
 		if err := readFull(fr, buf); err != nil {

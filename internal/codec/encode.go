@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"fixedpsnr/internal/field"
 	"fixedpsnr/internal/parallel"
@@ -18,9 +19,9 @@ import (
 
 // Rows supplies the values of chunk ci of the stream h describes:
 // h.ChunkPoints(ci) of them, row-major, starting at row
-// h.Chunks[ci].RowStart. CompressChunks calls it from one goroutine, in
-// subset order. A non-nil done is called once the chunk is compressed,
-// so a source that reads into pooled buffers can recycle them.
+// h.Chunks[ci].RowStart. CompressChunks calls it serially, in subset
+// order. A non-nil done is called once the chunk is compressed, so a
+// source that reads into pooled buffers can recycle them.
 type Rows func(h *Header, ci int) (data []float64, done func(), err error)
 
 // FieldRows is the Rows of an in-memory field: every chunk is a
@@ -97,42 +98,54 @@ func EncodeRows(ctx context.Context, name string, prec field.Precision, dims []i
 
 // CompressChunks compresses the chunks listed in subset under opt and
 // records each one's payload in payloads[ci] and its length and
-// statistics in h.Chunks[ci]; other chunks are untouched. Chunks are
-// handed out in subset order to at most opt.Workers goroutines, each
-// compressing from its own scratch shard, and rows is read only while a
-// worker slot is free, so a streaming source holds at most Workers+1
+// statistics in h.Chunks[ci]; other chunks are untouched. At most
+// opt.Workers goroutines take chunks in subset order, each compressing
+// from the scratch shard of its parallel.Group slot; rows is called
+// serially, in subset order, so a streaming source holds at most Workers
 // chunks at once. A cancelled ctx stops the loop within one chunk per
 // worker.
 func CompressChunks(ctx context.Context, cc ChunkCodec, h *Header, subset []int, payloads [][]byte, opt Options, sc *Scratch, rows Rows) error {
-	g := parallel.NewGroup(opt.Workers)
-	for _, ci := range subset {
-		if err := ctx.Err(); err != nil {
-			g.Wait()
-			return err
-		}
-		if g.Err() != nil {
-			break
-		}
-		data, done, err := rows(h, ci)
-		if err != nil {
-			g.Wait()
-			return err
-		}
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
+	}
+	g := parallel.NewGroup(workers)
+	var mu sync.Mutex // guards next and serializes rows
+	next := 0
+	for range min(workers, len(subset)) {
 		g.Go(func(slot int) error {
-			if done != nil {
-				defer done()
+			for {
+				mu.Lock()
+				if next == len(subset) || g.Err() != nil {
+					mu.Unlock()
+					return nil
+				}
+				ci := subset[next]
+				next++
+				err := ctx.Err()
+				var data []float64
+				var done func()
+				if err == nil {
+					data, done, err = rows(h, ci)
+				}
+				mu.Unlock()
+				if err != nil {
+					return err
+				}
+				payload, cst, err := cc.CompressChunk(ctx, data, h.ChunkDims(ci), h.Precision, opt, sc.Shard(slot))
+				if done != nil {
+					done()
+				}
+				if err != nil {
+					return fmt.Errorf("codec: chunk %d: %w", ci, err)
+				}
+				payloads[ci] = payload
+				ck := &h.Chunks[ci]
+				ck.Len = len(payload)
+				ck.Unpredictable = cst.Unpredictable
+				ck.MSE = cst.MSE
+				ck.Min, ck.Max = cst.Min, cst.Max
 			}
-			payload, cst, err := cc.CompressChunk(ctx, data, h.ChunkDims(ci), h.Precision, opt, sc.Shard(slot))
-			if err != nil {
-				return fmt.Errorf("codec: chunk %d: %w", ci, err)
-			}
-			payloads[ci] = payload
-			ck := &h.Chunks[ci]
-			ck.Len = len(payload)
-			ck.Unpredictable = cst.Unpredictable
-			ck.MSE = cst.MSE
-			ck.Min, ck.Max = cst.Min, cst.Max
-			return nil
 		})
 	}
 	return g.Wait()
