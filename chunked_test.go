@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"fixedpsnr"
@@ -365,15 +366,21 @@ func TestEncodeFromBoundedAllocation(t *testing.T) {
 		fixedpsnr.WithCapacity(4096),
 		fixedpsnr.WithWorkers(1),
 	)
+	// The scratch pools are sync.Pools, which cache per P and are
+	// emptied by GC: on one P with GC paused, the measured call reuses
+	// what the warm-up call pooled, so the figure is the streaming
+	// window's, not the scheduler's or the collector's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// Warm the scratch pools so the measurement reflects steady state.
 	if _, _, err := enc.EncodeFrom(context.Background(), &synthReader{dims: dims, n: n}); err != nil {
 		t.Fatal(err)
 	}
 
 	var before, after runtime.MemStats
-	runtime.GC()
 	runtime.ReadMemStats(&before)
+	gcPercent := debug.SetGCPercent(-1)
 	blob, _, err := enc.EncodeFrom(context.Background(), &synthReader{dims: dims, n: n})
+	debug.SetGCPercent(gcPercent)
 	if err != nil {
 		t.Fatal(err)
 	}
