@@ -662,8 +662,11 @@ func compress(ctx context.Context, f *Field, opt Options, sc *codec.Scratch, wc 
 	}
 
 	copt := opt.codecOptions(res, vr)
+	if specs != nil {
+		return finishRegions(ctx, f, opt, c, res, vr, copt, specs, sc)
+	}
 	tgt := req.BuildTarget(c, vr)
-	if tgt != nil && specs == nil && !opt.NoWarmStart {
+	if tgt != nil && !opt.NoWarmStart {
 		// Solver warm start: the first pass runs at the bound the last
 		// steered encode of this variable settled on, so repeated
 		// snapshots converge in 1–2 passes instead of starting
@@ -672,19 +675,11 @@ func compress(ctx context.Context, f *Field, opt Options, sc *codec.Scratch, wc 
 			copt.ErrorBound = b
 		}
 	}
-	blob, st, err := c.Compress(ctx, f, copt, sc)
-	if err != nil {
-		return nil, nil, err
-	}
 
-	if specs != nil {
-		return finishRegions(ctx, f, opt, c, res, vr, copt, blob, specs, sc)
-	}
-
-	// The steered quality targets — calibrated fixed-PSNR, fixed ratio —
-	// refine the first pass through the plan layer's generic Drive loop;
-	// single-pass modes get a nil target and pass through unchanged.
-	blob, st, ebAbs, passes, err := plan.Drive(ctx, f, c, copt, blob, st, tgt, sc)
+	// The plan layer's generic Drive loop runs every pass: the steered
+	// quality targets — calibrated fixed-PSNR, fixed ratio — refine the
+	// first pass, and single-pass modes get a nil target and one pass.
+	blob, st, ebAbs, passes, err := plan.Drive(ctx, f, c, copt, tgt, sc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -760,20 +755,12 @@ func regionGroupSpecs(f *Field, opt Options, req plan.Request) ([]plan.GroupSpec
 	return specs, nil
 }
 
-// finishRegions turns the first full-field pass into a grouped stream:
-// chunks are partitioned onto the region groups and every group's target
-// steers its own chunk subset through plan.DriveGroups. The public result
-// carries the global accounting plus per-group outcomes.
-func finishRegions(ctx context.Context, f *Field, opt Options, c codec.Codec, res plan.Resolution, vr float64, copt codec.Options, blob []byte, specs []plan.GroupSpec, sc *codec.Scratch) ([]byte, *Result, error) {
-	h, err := codec.ParseHeader(blob)
-	if err != nil {
-		return nil, nil, err
-	}
-	part, err := plan.BuildPartition(h, specs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fixedpsnr: %w", err)
-	}
-	final, st, outcomes, err := plan.DriveGroups(ctx, f, c, copt, blob, part, vr, sc)
+// finishRegions encodes a grouped stream: plan.DriveGroups runs the
+// first full-field pass, partitions its chunks onto the region groups,
+// and steers every group's own chunk subset. The public result carries
+// the global accounting plus per-group outcomes.
+func finishRegions(ctx context.Context, f *Field, opt Options, c codec.Codec, res plan.Resolution, vr float64, copt codec.Options, specs []plan.GroupSpec, sc *codec.Scratch) ([]byte, *Result, error) {
+	final, st, outcomes, err := plan.DriveGroups(ctx, f, c, copt, specs, vr, sc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fixedpsnr: %w", err)
 	}

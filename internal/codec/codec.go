@@ -10,9 +10,10 @@
 //	fixedpsnr          public API: Field in, stream out
 //	internal/plan      mode → absolute-bound derivation + calibration
 //	internal/codec     this package: registry, container, tiling, chunk
-//	                   scheduling, assembly, whole and region decode
-//	internal/sz, /otc  concrete pipelines (the per-chunk compress and
-//	                   decompress pair), self-registered via init()
+//	                   scheduling, entropy coding, assembly, whole and
+//	                   region decode
+//	internal/sz, /otc  concrete pipelines (the per-chunk quantize step
+//	                   and decompress), self-registered via init()
 //
 // Decompression routes by registry lookup on the codec byte recorded in
 // the stream header, so adding a pipeline is a registration, not a
@@ -58,8 +59,9 @@ type Codec interface {
 // ChunkCodec is the optional interface of pipelines that operate one
 // row-slab chunk at a time. The chunked container is built on it: Encode
 // and EncodeRows tile a field and compress its chunks through
-// CompressChunk (the streaming encoder as chunks arrive, the calibrated
-// refinement only the chunks whose error contribution is stale), and
+// CompressChunk (the streaming encoder as chunks arrive, the steering
+// passes only the chunks whose error contribution is stale, or only
+// their quantize step when the pipeline is a ChunkQuantizer), and
 // DecompressRegionFrom decodes only the chunks a request intersects.
 // Streams the container assembles carry the codec's first stream ID,
 // IDs()[0], so that ID must be the one DecompressChunk decodes.

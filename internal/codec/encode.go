@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"fixedpsnr/internal/field"
 	"fixedpsnr/internal/parallel"
@@ -12,14 +13,15 @@ import (
 )
 
 // The chunked container's encode side: tile a field into row-slab
-// chunks, compress a subset of them through a ChunkCodec, and assemble
-// the stream. Every encode path — a pipeline's whole-field Compress, the
-// streaming EncodeFrom, and the plan layer's recompression passes — runs
-// the one chunk loop in CompressChunks.
+// chunks, run a subset of them through a ChunkCodec, and assemble the
+// stream. Every encode path — a pipeline's whole-field Compress, the
+// streaming EncodeFrom, and the plan layer's steering passes — holds its
+// chunks in a Draft and runs them through the one chunk loop, forChunks,
+// which schedules both the quantize work and the entropy work.
 
 // Rows supplies the values of chunk ci of the stream h describes:
 // h.ChunkPoints(ci) of them, row-major, starting at row
-// h.Chunks[ci].RowStart. CompressChunks calls it serially, in subset
+// h.Chunks[ci].RowStart. The chunk loop calls it serially, in subset
 // order. A non-nil done is called once the chunk is compressed, so a
 // source that reads into pooled buffers can recycle them.
 type Rows func(h *Header, ci int) (data []float64, done func(), err error)
@@ -34,33 +36,92 @@ func FieldRows(data []float64) Rows {
 	}
 }
 
-// Encode compresses an in-memory field through cc. It measures the
-// value range when opt.ValueRange is zero (callers that already know it
-// pass it in to skip the scan); a zero range yields a ConstantStream.
-func Encode(ctx context.Context, f *field.Field, cc ChunkCodec, opt Options, sc *Scratch) ([]byte, *Stats, error) {
-	if err := f.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if opt.ValueRange == 0 {
-		_, _, opt.ValueRange = f.ValueRange()
-	}
-	if opt.ValueRange == 0 {
-		out, st := ConstantStream(f.Name, f.Precision, f.Dims, opt.Mode, f.Data[0])
-		return out, st, nil
-	}
-	out, st, err := EncodeRows(ctx, f.Name, f.Precision, f.Dims, cc, opt, sc, FieldRows(f.Data))
-	if err != nil {
-		return nil, nil, err
-	}
-	st.ValueRange = opt.ValueRange
-	return out, st, nil
+// Quantized is one chunk after a pipeline's quantize step: what
+// Scratch.AppendPayload writes the chunk's payload from, and the chunk's
+// statistics. Codes come from the Scratch passed to QuantizeChunk.
+type Quantized struct {
+	Prefix   []byte
+	Codes    []int32
+	MaxSym   int
+	Literals []float64
+	// Prec is the precision the literals are stored at.
+	Prec  field.Precision
+	Stats ChunkStats
+
+	sc *Scratch // where Codes goes back once the payload is written
 }
 
-// EncodeRows tiles a field of the given dims with cc's chunk planner,
-// compresses every chunk from rows, and assembles the stream. The header
-// records opt's bound, capacity (quantizer.DefaultCapacity when zero)
-// and annotations under cc's first stream ID.
-func EncodeRows(ctx context.Context, name string, prec field.Precision, dims []int, cc ChunkCodec, opt Options, sc *Scratch, rows Rows) ([]byte, *Stats, error) {
+// ChunkQuantizer is the optional interface of a ChunkCodec whose
+// CompressChunk is CompressQuantized: QuantizeChunk, then the
+// container's entropy step. By Theorem 1 a chunk's quantization-stage
+// MSE is final, so steering passes measured on distortion stop at
+// QuantizeChunk and only the accepted pass is entropy-coded; a
+// ChunkCodec without it is compressed in full on every pass.
+type ChunkQuantizer interface {
+	ChunkCodec
+	// QuantizeChunk runs the chunk pipeline up to the entropy stage,
+	// under CompressChunk's contract for data, dims, prec and opt. The
+	// returned Codes must come from sc.Int32s; the caller owns them.
+	QuantizeChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *Scratch) (Quantized, error)
+}
+
+// CompressQuantized is CompressChunk for a ChunkQuantizer: its quantize
+// step, then the entropy step, both from sc.
+func CompressQuantized(ctx context.Context, cq ChunkQuantizer, data []float64, dims []int, prec field.Precision, opt Options, sc *Scratch) ([]byte, ChunkStats, error) {
+	q, err := cq.QuantizeChunk(ctx, data, dims, prec, opt, sc)
+	if err != nil {
+		return nil, ChunkStats{}, err
+	}
+	q.sc = sc
+	payload, err := q.encode(sc)
+	return payload, q.Stats, err
+}
+
+// encode is the entropy step: it writes q's payload from sc's staging
+// buffers and returns q's codes to the scratch they came from.
+func (q *Quantized) encode(sc *Scratch) ([]byte, error) {
+	entropySteps.Add(1)
+	payload, err := sc.AppendPayload(nil, q.Prefix, q.Codes, q.MaxSym, q.Literals, q.Prec)
+	q.sc.PutInt32s(q.Codes)
+	q.Codes = nil
+	return payload, err
+}
+
+// entropySteps counts the chunks the entropy step has coded. Tests use
+// it to prove that steering passes measured on distortion stop at
+// quantization.
+var entropySteps atomic.Int64
+
+// EntropySteps returns the number of chunks the container's entropy
+// step has coded so far, process-wide.
+func EntropySteps() int64 { return entropySteps.Load() }
+
+// CapacityEstimator is the optional interface of a ChunkCodec that
+// resolves Options.AutoCapacity. TileField calls it over the whole field
+// before tiling, so every chunk shares one quantizer geometry; codecs
+// without it ignore AutoCapacity.
+type CapacityEstimator interface {
+	EstimateCapacity(data []float64, dims []int, ebAbs float64) int
+}
+
+// Draft is a chunked stream under construction: its header and chunk
+// table plus, per chunk, either the finished payload or the quantized
+// form still awaiting the entropy step. Steering loops keep one Draft
+// across passes and rewrite chunks in place; Assemble entropy-codes what
+// is still quantized, once, and writes the stream. A Draft that is not
+// assembled must be released, or its codes never return to their
+// scratch.
+type Draft struct {
+	Header   *Header
+	payloads [][]byte
+	quant    []*Quantized // non-nil: the chunk awaits the entropy step
+}
+
+// NewDraft tiles a field of the given dims with cc's chunk planner. The
+// header records opt's bound, capacity (quantizer.DefaultCapacity when
+// zero) and annotations under cc's first stream ID; no chunk holds data
+// yet.
+func NewDraft(name string, prec field.Precision, dims []int, cc ChunkCodec, opt Options) *Draft {
 	if opt.Capacity == 0 {
 		opt.Capacity = quantizer.DefaultCapacity
 	}
@@ -80,32 +141,198 @@ func EncodeRows(ctx context.Context, name string, prec field.Precision, dims []i
 	}
 	spans := PlanChunkSpans(cc, dims, opt)
 	h.Chunks = make([]ChunkInfo, len(spans))
-	subset := make([]int, len(spans))
 	for ci, s := range spans {
 		h.Chunks[ci] = ChunkInfo{RowStart: s[0], Rows: s[1] - s[0]}
-		subset[ci] = ci
 	}
-	payloads := make([][]byte, len(spans))
-	if err := CompressChunks(ctx, cc, h, subset, payloads, opt, sc, rows); err != nil {
+	return &Draft{Header: h, payloads: make([][]byte, len(spans)), quant: make([]*Quantized, len(spans))}
+}
+
+// TileField is the one whole-field tiling entry. It validates f,
+// measures the value range when opt.ValueRange is zero (callers that
+// already know it pass it in to skip the scan), resolves AutoCapacity
+// through cc's CapacityEstimator, and returns the field's Draft. A
+// constant field has no chunks: the Draft is nil and the field's stream
+// is a ConstantStream.
+func TileField(f *field.Field, cc ChunkCodec, opt Options) (*Draft, error) {
+	if err := f.Validate(); err != nil {
+		return nil, err
+	}
+	if opt.ValueRange == 0 {
+		_, _, opt.ValueRange = f.ValueRange()
+	}
+	if opt.ValueRange == 0 {
+		return nil, nil
+	}
+	if ce, ok := cc.(CapacityEstimator); ok && opt.AutoCapacity {
+		opt.Capacity = ce.EstimateCapacity(f.Data, f.Dims, opt.ErrorBound)
+	}
+	return NewDraft(f.Name, f.Precision, f.Dims, cc, opt), nil
+}
+
+// DraftOf holds a finished chunked stream's chunks as a Draft; the
+// payloads alias blob.
+func DraftOf(blob []byte) (*Draft, error) {
+	h, err := ParseHeader(blob)
+	if err != nil {
+		return nil, err
+	}
+	d := &Draft{Header: h, payloads: make([][]byte, len(h.Chunks)), quant: make([]*Quantized, len(h.Chunks))}
+	for ci := range h.Chunks {
+		if d.payloads[ci], err = ChunkPayload(blob, h, ci); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
+}
+
+// All lists every chunk index of the draft, in order.
+func (d *Draft) All() []int {
+	all := make([]int, len(d.Header.Chunks))
+	for ci := range all {
+		all[ci] = ci
+	}
+	return all
+}
+
+// Run runs the chunks listed in subset through cc at opt.ErrorBound and
+// the header's capacity, reading their values from rows, and records
+// each one's statistics and payload. With quantize set and cc a
+// ChunkQuantizer, the chunks stop at quantization instead: they keep
+// their quantized form until EntropyCode or Assemble writes their
+// payloads. Any earlier state of those chunks is dropped; other chunks
+// are untouched.
+func (d *Draft) Run(ctx context.Context, cc ChunkCodec, subset []int, opt Options, sc *Scratch, rows Rows, quantize bool) error {
+	cq, ok := cc.(ChunkQuantizer)
+	quantize = quantize && ok
+	opt.Capacity = d.Header.Capacity // every chunk shares the container's quantizer geometry
+	return forChunks(ctx, d.Header, subset, opt.Workers, rows, func(slot, ci int, data []float64) error {
+		d.drop(ci)
+		shard := sc.Shard(slot)
+		var cst ChunkStats
+		if quantize {
+			q, err := cq.QuantizeChunk(ctx, data, d.Header.ChunkDims(ci), d.Header.Precision, opt, shard)
+			if err != nil {
+				return err
+			}
+			q.sc = shard
+			d.quant[ci] = &q
+			cst = q.Stats
+		} else {
+			payload, st, err := cc.CompressChunk(ctx, data, d.Header.ChunkDims(ci), d.Header.Precision, opt, shard)
+			if err != nil {
+				return err
+			}
+			d.payloads[ci] = payload
+			d.Header.Chunks[ci].Len = len(payload)
+			cst = st
+		}
+		ck := &d.Header.Chunks[ci]
+		ck.Unpredictable = cst.Unpredictable
+		ck.MSE = cst.MSE
+		ck.Min, ck.Max = cst.Min, cst.Max
+		return nil
+	})
+}
+
+// EntropyCode runs the entropy step over the chunks of subset still
+// held quantized, writing their payloads and lengths, on at most workers
+// goroutines.
+func (d *Draft) EntropyCode(ctx context.Context, subset []int, workers int, sc *Scratch) error {
+	var pending []int
+	for _, ci := range subset {
+		if d.quant[ci] != nil {
+			pending = append(pending, ci)
+		}
+	}
+	if len(pending) == 0 {
+		return nil
+	}
+	return forChunks(ctx, d.Header, pending, workers, nil, func(slot, ci int, _ []float64) error {
+		q := d.quant[ci]
+		d.quant[ci] = nil
+		payload, err := q.encode(sc.Shard(slot))
+		if err != nil {
+			return err
+		}
+		d.payloads[ci] = payload
+		d.Header.Chunks[ci].Len = len(payload)
+		return nil
+	})
+}
+
+// Assemble entropy-codes every chunk still held quantized and returns
+// the stream — the header followed by the payloads — and its stats.
+func (d *Draft) Assemble(ctx context.Context, workers int, sc *Scratch) ([]byte, *Stats, error) {
+	if err := d.EntropyCode(ctx, d.All(), workers, sc); err != nil {
 		return nil, nil, err
 	}
-	out, err := AssembleStream(h, payloads)
+	out, err := AssembleStream(d.Header, d.payloads)
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, StatsFromChunks(h, len(out), h.NPoints()*prec.Bytes()), nil
+	return out, StatsFromChunks(d.Header, len(out), d.Header.NPoints()*d.Header.Precision.Bytes()), nil
 }
 
-// CompressChunks compresses the chunks listed in subset under opt and
-// records each one's payload in payloads[ci] and its length and
-// statistics in h.Chunks[ci]; other chunks are untouched. At most
-// opt.Workers goroutines take chunks in subset order, each compressing
-// from the scratch shard of its parallel.Group slot; rows is called
-// serially, in subset order, so a streaming source holds at most Workers
-// chunks at once. A cancelled ctx stops the loop within one chunk per
-// worker.
-func CompressChunks(ctx context.Context, cc ChunkCodec, h *Header, subset []int, payloads [][]byte, opt Options, sc *Scratch, rows Rows) error {
-	workers := opt.Workers
+// Release returns the codes of every chunk still held quantized to the
+// scratch they came from. A nil Draft holds none.
+func (d *Draft) Release() {
+	if d == nil {
+		return
+	}
+	for ci := range d.quant {
+		d.drop(ci)
+	}
+}
+
+// drop returns chunk ci's codes, if it holds any.
+func (d *Draft) drop(ci int) {
+	if q := d.quant[ci]; q != nil {
+		q.sc.PutInt32s(q.Codes)
+		d.quant[ci] = nil
+	}
+}
+
+// Encode compresses an in-memory field through cc: TileField, every
+// chunk compressed in full, and the stream assembled. A zero value range
+// yields a ConstantStream.
+func Encode(ctx context.Context, f *field.Field, cc ChunkCodec, opt Options, sc *Scratch) ([]byte, *Stats, error) {
+	d, err := TileField(f, cc, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	if d == nil {
+		out, st := ConstantStream(f.Name, f.Precision, f.Dims, opt.Mode, f.Data[0])
+		return out, st, nil
+	}
+	if err := d.Run(ctx, cc, d.All(), opt, sc, FieldRows(f.Data), false); err != nil {
+		return nil, nil, err
+	}
+	out, st, err := d.Assemble(ctx, opt.Workers, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.ValueRange = d.Header.ValueRange
+	return out, st, nil
+}
+
+// EncodeRows tiles a field of the given dims (NewDraft), compresses
+// every chunk from rows, and assembles the stream.
+func EncodeRows(ctx context.Context, name string, prec field.Precision, dims []int, cc ChunkCodec, opt Options, sc *Scratch, rows Rows) ([]byte, *Stats, error) {
+	d := NewDraft(name, prec, dims, cc, opt)
+	if err := d.Run(ctx, cc, d.All(), opt, sc, rows, false); err != nil {
+		return nil, nil, err
+	}
+	return d.Assemble(ctx, opt.Workers, sc)
+}
+
+// forChunks is the container's one chunk loop. At most workers
+// (non-positive: all CPUs) long-lived parallel.Group tasks take the
+// chunks of subset in order and call work with their worker slot, which
+// keys the scratch shard the work draws from. A non-nil rows supplies
+// each chunk's values; it is called serially, in subset order, so a
+// streaming source holds at most workers chunks at once. A cancelled ctx
+// stops the loop within one chunk per worker.
+func forChunks(ctx context.Context, h *Header, subset []int, workers int, rows Rows, work func(slot, ci int, data []float64) error) error {
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
@@ -125,26 +352,20 @@ func CompressChunks(ctx context.Context, cc ChunkCodec, h *Header, subset []int,
 				err := ctx.Err()
 				var data []float64
 				var done func()
-				if err == nil {
+				if err == nil && rows != nil {
 					data, done, err = rows(h, ci)
 				}
 				mu.Unlock()
 				if err != nil {
 					return err
 				}
-				payload, cst, err := cc.CompressChunk(ctx, data, h.ChunkDims(ci), h.Precision, opt, sc.Shard(slot))
+				err = work(slot, ci, data)
 				if done != nil {
 					done()
 				}
 				if err != nil {
 					return fmt.Errorf("codec: chunk %d: %w", ci, err)
 				}
-				payloads[ci] = payload
-				ck := &h.Chunks[ci]
-				ck.Len = len(payload)
-				ck.Unpredictable = cst.Unpredictable
-				ck.MSE = cst.MSE
-				ck.Min, ck.Max = cst.Min, cst.Max
 			}
 		})
 	}

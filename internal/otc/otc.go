@@ -353,28 +353,32 @@ func (otcCodec) ChunkSpans(dims []int, opt codec.Options) [][2]int {
 	return parallel.Chunks(dims[0], rows)
 }
 
-// CompressChunk implements codec.ChunkCodec: it transforms, quantizes,
-// and entropy-codes one row slab. Blocks are cut to the chunk boundary,
-// so every chunk is independently decodable. Blocks within the chunk run
-// in parallel under opt.Workers; each writes its codes into one
-// chunk-wide slice at its own offset.
-func (otcCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
-	var cst codec.ChunkStats
+// CompressChunk implements codec.ChunkCodec: QuantizeChunk, then the
+// container's Huffman and DEFLATE entropy step.
+func (c otcCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
+	return codec.CompressQuantized(ctx, c, data, dims, prec, opt, sc)
+}
+
+// QuantizeChunk implements codec.ChunkQuantizer: it transforms and
+// quantizes one row slab. Blocks are cut to the chunk boundary, so every
+// chunk is independently decodable. Blocks within the chunk run in
+// parallel under opt.Workers; each writes its codes into one chunk-wide
+// slice at its own offset.
+func (otcCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) (codec.Quantized, error) {
 	if opt.Capacity == 0 {
 		opt.Capacity = quantizer.DefaultCapacity
 	}
 	if err := checkBlockSize(opt); err != nil {
-		return nil, cst, err
+		return codec.Quantized{}, err
 	}
 	// quantizer.New takes the half-width (error bound) convention; the
 	// coefficient bin width is δ = 2·ErrorBound.
 	q, err := quantizer.New(opt.ErrorBound, opt.Capacity)
 	if err != nil {
-		return nil, cst, fmt.Errorf("otc: %w", err)
+		return codec.Quantized{}, fmt.Errorf("otc: %w", err)
 	}
 	g := newBlockGrid(dims, blockEdge(opt))
 	codes := sc.Int32s(len(data))
-	defer sc.PutInt32s(codes)
 	lits := make([][]float64, g.len()) // per-block literals, nil for most
 	bufs := newBlockBufs(sc, g, opt.Workers)
 	defer bufs.release()
@@ -399,7 +403,8 @@ func (otcCodec) CompressChunk(ctx context.Context, data []float64, dims []int, p
 		return nil
 	})
 	if err != nil {
-		return nil, cst, err
+		sc.PutInt32s(codes)
+		return codec.Quantized{}, err
 	}
 
 	var literals []float64
@@ -409,16 +414,12 @@ func (otcCodec) CompressChunk(ctx context.Context, data []float64, dims []int, p
 	// The payload prefix records the transform and block size; the
 	// coefficient literals are stored as float64 whatever the field's
 	// precision.
-	var pre [1 + binary.MaxVarintLen64]byte
-	prefix := binary.AppendUvarint(append(pre[:0], byte(opt.Transform)), uint64(blockEdge(opt)))
-	payload, err := sc.AppendPayload(nil, prefix, codes, opt.Capacity-1, literals, field.Float64)
-	if err != nil {
-		return nil, cst, err
-	}
-	cst.Unpredictable = len(literals)
-	cst.MSE = math.NaN() // quantization happens in the transform domain
-	cst.Min, cst.Max = codec.ValueBounds(data)
-	return payload, cst, nil
+	prefix := binary.AppendUvarint(append(make([]byte, 0, 1+binary.MaxVarintLen64), byte(opt.Transform)), uint64(blockEdge(opt)))
+	out := codec.Quantized{Prefix: prefix, Codes: codes, MaxSym: opt.Capacity - 1, Literals: literals, Prec: field.Float64}
+	out.Stats.Unpredictable = len(literals)
+	out.Stats.MSE = math.NaN() // quantization happens in the transform domain
+	out.Stats.Min, out.Stats.Max = codec.ValueBounds(data)
+	return out, nil
 }
 
 // DecompressChunk implements codec.ChunkCodec for OTC streams: it

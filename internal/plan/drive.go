@@ -3,40 +3,53 @@ package plan
 import (
 	"context"
 	"math"
+	"slices"
 
 	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
 )
 
-// Drive is the generic quality-steering loop: given the first pass's
-// output at opt.ErrorBound, it measures the target's statistic, asks the
-// target's solver for the next bound, and recompresses until the target
-// accepts the stream or its pass budget runs out — whichever comes first.
-// The codec never learns what it is being steered toward; it only ever
-// sees an absolute bound.
+// Drive is the generic quality-steering loop: it compresses f at
+// opt.ErrorBound, measures the target's statistic, asks the target's
+// solver for the next bound, and recompresses until the target accepts
+// the pass or its pass budget runs out — whichever comes first. The
+// codec never learns what it is being steered toward; it only ever sees
+// an absolute bound.
 //
 // For the fixed-PSNR target this is the paper's calibrated mode
 // (Theorem 1: the quantization-stage MSE equals the end-to-end MSE, so
 // each pass measures its exact distortion for free); for the fixed-ratio
-// target the same loop steers on aggregate compressed bytes. Both steer
-// on statistics aggregated from the stream's chunk table when present,
-// and both recompress through the chunk-aware path: a distortion-steered
-// target keeps exact (MSE == 0) chunks verbatim across passes, a
-// size-steered one redoes every chunk at the new bound.
+// target the same loop steers on aggregate compressed bytes. Chunk
+// codecs recompress through the chunk-aware steering state: a
+// distortion-steered target keeps exact (MSE == 0) chunks verbatim
+// across passes, and because it reads no bytes its passes stop at
+// quantization — only the returned pass is entropy-coded, once. A
+// size-steered target redoes every chunk at the new bound and
+// entropy-codes every pass it measures.
 //
 // Drive returns the final stream, stats, the absolute bound it settled
 // on, and the number of compression passes consumed (1 = the first pass
-// was accepted as-is). A nil target — single-pass modes — passes the
-// first pass through untouched. ctx is checked before every extra
-// compression pass (and threaded into the codec, which checks it between
-// chunks); sc supplies reusable scratch buffers to each pass (nil =
-// allocate fresh).
-func Drive(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options, blob []byte, st *codec.Stats, tgt Target, sc *codec.Scratch) ([]byte, *codec.Stats, float64, int, error) {
-	ebAbs := opt.ErrorBound
+// was accepted as-is). A nil target — single-pass modes — runs the one
+// pass through the codec's Compress. ctx is checked before every extra
+// pass and inside the chunk loops; sc supplies reusable scratch buffers
+// to each pass (nil = allocate fresh), and every buffer a pass retains
+// goes back to it, also when the encode fails or is cancelled.
+func Drive(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options, tgt Target, sc *codec.Scratch) ([]byte, *codec.Stats, float64, int, error) {
 	if tgt == nil {
-		return blob, st, ebAbs, 1, nil
+		blob, st, err := c.Compress(ctx, f, opt, sc)
+		return blob, st, opt.ErrorBound, 1, err
 	}
-	history := []Pass{{Bound: ebAbs, Measured: tgt.Measure(blob, st)}}
+	s, err := steer(ctx, f, c, opt, tgt, sc)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	defer s.d.Release()
+	bound := opt.ErrorBound
+	m, err := s.measure(ctx, tgt)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	history := []Pass{{Bound: bound, Measured: m}}
 	for pass := 0; pass < tgt.MaxPasses(); pass++ {
 		next, done, err := tgt.Solve(history)
 		if err != nil {
@@ -48,84 +61,184 @@ func Drive(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, 0, err
 		}
-		opt.ErrorBound = next
-		nb, nst, nerr := recompress(ctx, f, c, opt, blob, tgt.PinExactChunks(), sc)
-		if nerr != nil {
-			return nil, nil, 0, 0, nerr
+		if err := s.pass(ctx, tgt, next); err != nil {
+			return nil, nil, 0, 0, err
 		}
-		blob, st, ebAbs = nb, nst, next
-		history = append(history, Pass{Bound: next, Measured: tgt.Measure(blob, st)})
+		bound = next
+		if m, err = s.measure(ctx, tgt); err != nil {
+			return nil, nil, 0, 0, err
+		}
+		history = append(history, Pass{Bound: next, Measured: m})
 	}
-	return blob, st, ebAbs, len(history), nil
+	blob, st, err := s.assemble(ctx)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	return blob, st, bound, len(history), nil
 }
 
-// recompress produces a stream at the (new) bound in opt. For chunked
-// streams from a ChunkCodec it reuses the previous pass's tiling and
-// container geometry, recompressing chunks in parallel through the same
-// recompressSubset worker the region-group loop uses; with pinExact set,
-// chunks whose recorded MSE is zero — already exact, so their error
-// contribution is final at any bound — keep their payloads verbatim with
-// their previous bound pinned in their chunk entries. Non-chunked
-// streams (and, under pinExact, streams without measured chunk
-// statistics) fall back to a full Compress pass.
-func recompress(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options, prev []byte, pinExact bool, sc *codec.Scratch) ([]byte, *codec.Stats, error) {
+// steering is the state Drive and DriveGroups rewrite pass by pass.
+// Chunk codecs keep the stream's chunks in a codec.Draft, each either
+// quantized or entropy-coded: a pass redoes only the chunks it must, and
+// the chunks of passes nothing reads bytes from stay quantized until the
+// final assembly. Codecs without chunk-granular recompression — and,
+// under a distortion target, chunked streams without measured chunk
+// MSEs — recompress the whole field every pass instead.
+type steering struct {
+	f   *field.Field
+	c   codec.Codec
+	cc  codec.ChunkCodec
+	opt codec.Options
+	sc  *codec.Scratch
+
+	d *codec.Draft // nil: whole-field passes
+	// blob and st are the latest pass as a stream: every whole-field
+	// pass's own, or the Draft as last assembled (nil once a pass
+	// rewrites it).
+	blob []byte
+	st   *codec.Stats
+}
+
+// steer runs the first pass at opt.ErrorBound. A ChunkQuantizer's first
+// pass tiles the field through codec.TileField — the entry unsteered
+// encodes take, AutoCapacity included — and stops at quantization
+// unless tgt reads bytes (a nil tgt, the region groups' shared pass,
+// reads none). Any other codec's first pass is its own Compress, whose
+// chunked stream becomes the Draft.
+func steer(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options, tgt Target, sc *codec.Scratch) (*steering, error) {
+	s := &steering{f: f, c: c, opt: opt, sc: sc}
+	if cq, ok := c.(codec.ChunkQuantizer); ok {
+		d, err := codec.TileField(f, cq, opt)
+		if err != nil {
+			return nil, err
+		}
+		if d != nil {
+			s.cc, s.d = cq, d
+			if err := s.run(ctx, tgt, d.All()); err != nil {
+				d.Release()
+				return nil, err
+			}
+			return s, nil
+		}
+	}
+	var err error
+	if s.blob, s.st, err = c.Compress(ctx, f, opt, sc); err != nil {
+		return nil, err
+	}
 	cc, ok := c.(codec.ChunkCodec)
 	if !ok {
-		return c.Compress(ctx, f, opt, sc)
+		return s, nil
 	}
-	h, err := codec.ParseHeader(prev)
-	if err != nil || len(h.Chunks) == 0 {
-		return c.Compress(ctx, f, opt, sc)
+	d, err := codec.DraftOf(s.blob)
+	if err != nil || len(d.Header.Chunks) == 0 {
+		return s, nil
 	}
-	if pinExact && math.IsNaN(h.AggregateMSE()) {
-		// Pinning decisions need measured per-chunk MSEs.
-		return c.Compress(ctx, f, opt, sc)
+	if tgt != nil && tgt.PinExactChunks() && math.IsNaN(d.Header.AggregateMSE()) {
+		return s, nil // pinning decisions need measured chunk MSEs
 	}
-
-	work, payloads, err := workingCopy(h, prev)
-	if err != nil {
-		return nil, nil, err
-	}
-	work.EbAbs = opt.ErrorBound
-	subset := make([]int, len(h.Chunks))
-	for ci := range subset {
-		subset[ci] = ci
-	}
-	opt.Capacity = h.Capacity // keep the container's quantizer geometry across passes
-	if err := recompressSubset(ctx, f, cc, opt, work, subset, payloads, opt.ErrorBound, pinExact, false, sc); err != nil {
-		return nil, nil, err
-	}
-	return assemble(work, payloads)
+	s.cc, s.d = cc, d
+	return s, nil
 }
 
-// workingCopy returns an editable copy of a parsed stream's header plus
-// its chunk payloads — the state a steering loop rewrites in place before
-// assembling the final stream once. Every chunk entry records the bound
-// it was actually quantized with, so chunks a later pass leaves alone
-// keep it.
-func workingCopy(h *codec.Header, blob []byte) (*codec.Header, [][]byte, error) {
-	work := *h
-	work.Chunks = append([]codec.ChunkInfo(nil), h.Chunks...)
-	payloads := make([][]byte, len(h.Chunks))
-	for ci := range h.Chunks {
+// run redoes the chunks of subset at s.opt.ErrorBound: quantized only
+// when tgt reads no bytes, entropy-coded too otherwise.
+func (s *steering) run(ctx context.Context, tgt Target, subset []int) error {
+	return s.d.Run(ctx, s.cc, subset, s.opt, s.sc, codec.FieldRows(s.f.Data), tgt == nil || !tgt.ReadsBytes())
+}
+
+// pass recompresses the field at bound for Drive.
+func (s *steering) pass(ctx context.Context, tgt Target, bound float64) error {
+	if s.d == nil {
+		s.opt.ErrorBound = bound
 		var err error
-		if payloads[ci], err = codec.ChunkPayload(blob, h, ci); err != nil {
-			return nil, nil, err
-		}
-		work.Chunks[ci].EbAbs = h.ChunkBound(ci)
+		s.blob, s.st, err = s.c.Compress(ctx, s.f, s.opt, s.sc)
+		return err
 	}
-	return &work, payloads, nil
+	s.rebase()
+	s.d.Header.EbAbs = bound
+	return s.recompress(ctx, tgt, s.d.All(), bound, false)
 }
 
-// assemble finalizes a steered working copy into its stream and stats.
-func assemble(work *codec.Header, payloads [][]byte) ([]byte, *codec.Stats, error) {
-	out, err := codec.AssembleStream(work, payloads)
+// rebase makes every chunk entry record the bound it was quantized
+// with, so chunks a later pass leaves alone keep it, and drops the
+// stream assembled from the old chunk table.
+func (s *steering) rebase() {
+	h := s.d.Header
+	for ci := range h.Chunks {
+		h.Chunks[ci].EbAbs = h.ChunkBound(ci)
+	}
+	s.blob, s.st = nil, nil
+}
+
+// recompress redoes one chunk subset at a new bound, leaving every other
+// chunk untouched; the redone chunks stop at quantization unless tgt
+// reads bytes. Under a target that pins exact chunks, chunks whose
+// recorded MSE is zero — exact at their current bound, so their error
+// contribution is final — keep their state and entries verbatim;
+// pinning is skipped entirely when any chunk in the subset lacks a
+// measured MSE, because the pinning decision needs one.
+//
+// explicit selects the bound bookkeeping of redone entries: group
+// steering records the bound in every chunk entry (grouped streams have
+// no single field-level bound), while the field-wide loop leaves it 0 —
+// "the header bound" — preserving the historical ungrouped entry layout
+// byte for byte.
+func (s *steering) recompress(ctx context.Context, tgt Target, subset []int, bound float64, explicit bool) error {
+	h := s.d.Header
+	if tgt != nil && tgt.PinExactChunks() && !slices.ContainsFunc(subset, func(ci int) bool { return math.IsNaN(h.Chunks[ci].MSE) }) {
+		subset = slices.DeleteFunc(slices.Clone(subset), func(ci int) bool { return h.Chunks[ci].MSE == 0 })
+	}
+	s.opt.ErrorBound = bound
+	if err := s.run(ctx, tgt, subset); err != nil {
+		return err
+	}
+	for _, ci := range subset {
+		h.Chunks[ci].EbAbs = 0
+		if explicit {
+			h.Chunks[ci].EbAbs = bound
+		}
+	}
+	return nil
+}
+
+// measure reads tgt's statistic off the latest pass: from the Draft's
+// chunk table when tgt reads no bytes, else from the assembled stream.
+func (s *steering) measure(ctx context.Context, tgt Target) (float64, error) {
+	if gt, ok := tgt.(GroupTarget); ok && s.d != nil && !tgt.ReadsBytes() {
+		return gt.MeasureGroup(s.d.Header, s.d.All()), nil
+	}
+	if s.blob == nil {
+		var err error
+		if s.blob, s.st, err = s.assemble(ctx); err != nil {
+			return 0, err
+		}
+	}
+	return tgt.Measure(s.blob, s.st), nil
+}
+
+// measureGroup reads a group target's statistic off the chunk table,
+// entropy-coding the group's quantized chunks first when it reads bytes.
+func (s *steering) measureGroup(ctx context.Context, gt GroupTarget, subset []int) (float64, error) {
+	if gt.ReadsBytes() {
+		if err := s.d.EntropyCode(ctx, subset, s.opt.Workers, s.sc); err != nil {
+			return 0, err
+		}
+	}
+	return gt.MeasureGroup(s.d.Header, subset), nil
+}
+
+// assemble returns the latest pass as a stream and its stats,
+// entropy-coding whatever chunks are still quantized.
+func (s *steering) assemble(ctx context.Context) ([]byte, *codec.Stats, error) {
+	if s.blob != nil {
+		return s.blob, s.st, nil
+	}
+	out, st, err := s.d.Assemble(ctx, s.opt.Workers, s.sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	st := codec.StatsFromChunks(work, len(out), work.NPoints()*work.Precision.Bytes())
-	if work.ValueRange > 0 {
-		st.ValueRange = work.ValueRange
+	if s.d.Header.ValueRange > 0 {
+		st.ValueRange = s.d.Header.ValueRange
 	}
 	return out, st, nil
 }

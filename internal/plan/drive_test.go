@@ -33,10 +33,10 @@ func (c *flatCodec) Decompress([]byte) (*field.Field, *codec.Header, error) {
 
 // psnrDrive runs the calibrated fixed-PSNR target through the generic
 // loop — the shape every caller uses.
-func psnrDrive(t *testing.T, c codec.Codec, opt codec.Options, blob []byte, st *codec.Stats, target, vr float64) ([]byte, *codec.Stats, float64, int, error) {
+func psnrDrive(t *testing.T, c codec.Codec, opt codec.Options, target, vr float64) ([]byte, *codec.Stats, float64, int, error) {
 	t.Helper()
 	tgt := NewPSNRTarget(target, vr, Tuning{})
-	return Drive(context.Background(), field.New("f", field.Float64, 4, 4), c, opt, blob, st, tgt, nil)
+	return Drive(context.Background(), field.New("f", field.Float64, 4, 4), c, opt, tgt, nil)
 }
 
 // TestDriveStallIsAnError: when two equal passes make the secant step
@@ -45,11 +45,7 @@ func psnrDrive(t *testing.T, c codec.Codec, opt codec.Options, blob []byte, st *
 func TestDriveStallIsAnError(t *testing.T) {
 	c := &flatCodec{mse: 1e-2} // 20 dB at vr=1, far from the 40 dB target
 	opt := codec.Options{ErrorBound: 0.01}
-	blob, st, err := c.Compress(context.Background(), nil, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, _, err = psnrDrive(t, c, opt, blob, st, 40, 1)
+	_, _, _, _, err := psnrDrive(t, c, opt, 40, 1)
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
 		t.Fatalf("err = %v, want refinement-stalled error", err)
 	}
@@ -68,31 +64,26 @@ func TestDriveWithinToleranceExitsClean(t *testing.T) {
 	mse := math.Pow(10, -target/10) // exactly on target at vr=1
 	c := &flatCodec{mse: mse}
 	opt := codec.Options{ErrorBound: 0.01}
-	blob, st, err := c.Compress(context.Background(), nil, opt, nil)
+	nb, nst, eb, passes, err := psnrDrive(t, c, opt, target, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, nst, eb, passes, err := psnrDrive(t, c, opt, blob, st, target, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.compressions != 1 || eb != opt.ErrorBound || &nb[0] != &blob[0] || nst.MSE != mse || passes != 1 {
+	if c.compressions != 1 || eb != opt.ErrorBound || nb[0] != 0xFA || nst.MSE != mse || passes != 1 {
 		t.Fatalf("within-tolerance pass must be a no-op (compressions=%d passes=%d)", c.compressions, passes)
 	}
 }
 
 // TestDriveNilTargetPassesThrough: single-pass modes hand Drive a nil
-// target and must get their first pass back untouched.
+// target and must get the codec's one pass back untouched.
 func TestDriveNilTargetPassesThrough(t *testing.T) {
 	c := &flatCodec{mse: 1}
 	opt := codec.Options{ErrorBound: 0.25}
-	blob, st, _ := c.Compress(context.Background(), nil, opt, nil)
-	nb, nst, eb, passes, err := Drive(context.Background(), nil, c, opt, blob, st, nil, nil)
+	nb, nst, eb, passes, err := Drive(context.Background(), nil, c, opt, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &nb[0] != &blob[0] || nst != st || eb != opt.ErrorBound || passes != 1 {
-		t.Fatal("nil target must pass the first pass through unchanged")
+	if c.compressions != 1 || nb[0] != 0xFA || nst.MSE != 1 || eb != opt.ErrorBound || passes != 1 {
+		t.Fatal("nil target must pass the one pass through unchanged")
 	}
 }
 
@@ -138,9 +129,8 @@ func TestDriveRatioConvergesOnPowerLawCodec(t *testing.T) {
 	for _, target := range []float64{5, 20, 80} {
 		c := &sizeCodec{origBytes: 1 << 20, base: 100, a: 0.7}
 		opt := codec.Options{ErrorBound: 1e-4}
-		blob, st, _ := c.Compress(context.Background(), nil, opt, nil)
 		tgt := NewRatioTarget(target, 32, Tuning{})
-		_, nst, eb, passes, err := Drive(context.Background(), nil, c, opt, blob, st, tgt, nil)
+		_, nst, eb, passes, err := Drive(context.Background(), nil, c, opt, tgt, nil)
 		if err != nil {
 			t.Fatalf("target %g: %v", target, err)
 		}
@@ -159,9 +149,8 @@ func TestDriveRatioConvergesOnPowerLawCodec(t *testing.T) {
 func TestDriveRespectsMaxPasses(t *testing.T) {
 	c := &sizeCodec{origBytes: 1 << 20, base: 100, a: 0.7}
 	opt := codec.Options{ErrorBound: 1e-4}
-	blob, st, _ := c.Compress(context.Background(), nil, opt, nil)
 	tgt := NewRatioTarget(80, 32, Tuning{MaxPasses: 1})
-	_, _, _, passes, err := Drive(context.Background(), nil, c, opt, blob, st, tgt, nil)
+	_, _, _, passes, err := Drive(context.Background(), nil, c, opt, tgt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

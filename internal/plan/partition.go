@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
@@ -121,51 +120,53 @@ type GroupOutcome struct {
 	PayloadBytes int
 }
 
-// DriveGroups is the group-aware generalization of Drive: it takes the
-// first full-field pass (compressed at the default group's bound), maps
-// its chunks onto the partition's groups, and then runs every group's
-// own Measure/Solve/accept loop over only that group's chunks. Region
-// groups whose initial bound differs from the first pass's start with a
-// recompression of their chunks at their own bound; from there each
-// group's target steers exactly as in Drive, with exact chunks pinned
-// across passes for distortion targets. Chunks outside a group are never
-// touched by that group's passes.
+// DriveGroups is the group-aware generalization of Drive: it runs the
+// first full-field pass at the default group's bound (opt.ErrorBound),
+// maps its chunks onto the specs' groups (BuildPartition), and then runs
+// every group's own Measure/Solve/accept loop over only that group's
+// chunks. Region groups whose initial bound differs from the first
+// pass's start with a recompression of their chunks at their own bound;
+// from there each group's target steers exactly as in Drive, with exact
+// chunks pinned across passes for distortion targets. Chunks outside a
+// group are never touched by that group's passes.
+//
+// The shared first pass stops at quantization. A group whose target
+// reads bytes (fixed ratio) entropy-codes its chunks before each measure
+// and recompresses them in full; every other group's chunks stay
+// quantized through its passes, and the final assembly entropy-codes
+// them once.
 //
 // The returned stream is a version-4 grouped container: group table from
 // the specs, per-chunk group IDs and quantization bounds, and the global
 // Header.AggregateMSE accounting intact. Outcomes are reported in spec
 // order.
-func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options, blob []byte, part *Partition, vr float64, sc *codec.Scratch) ([]byte, *codec.Stats, []GroupOutcome, error) {
-	cc, ok := c.(codec.ChunkCodec)
-	if !ok {
+func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options, specs []GroupSpec, vr float64, sc *codec.Scratch) ([]byte, *codec.Stats, []GroupOutcome, error) {
+	if _, ok := c.(codec.ChunkCodec); !ok {
 		return nil, nil, nil, fmt.Errorf("plan: region groups need chunk-granular recompression: %w", codec.ErrNotChunked)
 	}
-	h, err := codec.ParseHeader(blob)
+	s, err := steer(ctx, f, c, opt, nil, sc)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if len(h.Chunks) == 0 {
-		return nil, nil, nil, fmt.Errorf("plan: region groups need a chunked stream (codec %v wrote none)", h.Codec)
+	defer s.d.Release()
+	if s.d == nil {
+		return nil, nil, nil, fmt.Errorf("plan: region groups need a chunked stream (codec %q wrote none)", c.Name())
 	}
-	if len(part.ChunkGroup) != len(h.Chunks) {
-		return nil, nil, nil, fmt.Errorf("plan: partition covers %d chunks, stream has %d", len(part.ChunkGroup), len(h.Chunks))
+	part, err := BuildPartition(s.d.Header, specs)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
-	// Working state: the chunk table and payload slices of the stream
-	// being steered. Recompression rewrites entries and payloads in
-	// place; the final header is assembled once, after every group
-	// settles. Grouped streams have no single field-level bound to fall
-	// back to, so every chunk entry carries its own.
-	work, payloads, err := workingCopy(h, blob)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	// Working state: the Draft's chunk table, rewritten in place and
+	// assembled once, after every group settles. Grouped streams have no
+	// single field-level bound to fall back to, so every chunk entry
+	// carries its own.
+	work := s.d.Header
+	first := work.EbAbs // the shared first pass ran at the default bound
+	s.rebase()
 	for ci := range work.Chunks {
 		work.Chunks[ci].Group = part.ChunkGroup[ci]
 	}
-
-	copt := opt
-	copt.Capacity = h.Capacity // keep the container's quantizer geometry across passes
 
 	outcomes := make([]GroupOutcome, len(part.Specs))
 	for gi := range part.Specs {
@@ -182,10 +183,10 @@ func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.O
 			out.TargetRatio = g.Request.TargetRatio
 		}
 		out.Chunks = len(subset)
+		out.Ratio = math.NaN()
 		if len(subset) == 0 {
-			out.EbAbs = h.EbAbs
+			out.EbAbs = first
 			out.MSE = math.NaN()
-			out.Ratio = math.NaN()
 			continue
 		}
 
@@ -196,25 +197,29 @@ func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.O
 		tgt := g.Request.BuildTarget(c, vr)
 		var gt GroupTarget
 		if tgt != nil {
+			var ok bool
 			if gt, ok = tgt.(GroupTarget); !ok {
 				return nil, nil, nil, fmt.Errorf("plan: group %q: target %s cannot steer a region group", g.Name, tgt.Describe())
 			}
 		}
-		pin := tgt != nil && tgt.PinExactChunks()
 
-		bound := h.EbAbs // the shared first pass ran at the default bound
+		bound := first
 		passes := 1
 		if !g.Default && res.EbAbs != bound {
 			// The group's own first pass: its chunks move to the group's
 			// initial bound while every other group's chunks stay put.
-			if err := recompressSubset(ctx, f, cc, copt, work, subset, payloads, res.EbAbs, pin, true, sc); err != nil {
+			if err := s.recompress(ctx, tgt, subset, res.EbAbs, true); err != nil {
 				return nil, nil, nil, fmt.Errorf("plan: group %q: %w", g.Name, err)
 			}
 			bound = res.EbAbs
 			passes++
 		}
 		if gt != nil {
-			history := []Pass{{Bound: bound, Measured: gt.MeasureGroup(work, subset)}}
+			m, err := s.measureGroup(ctx, gt, subset)
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("plan: group %q: %w", g.Name, err)
+			}
+			history := []Pass{{Bound: bound, Measured: m}}
 			for p := 0; p < tgt.MaxPasses(); p++ {
 				next, done, err := gt.Solve(history)
 				if err != nil {
@@ -226,23 +231,21 @@ func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.O
 				if err := ctx.Err(); err != nil {
 					return nil, nil, nil, err
 				}
-				if err := recompressSubset(ctx, f, cc, copt, work, subset, payloads, next, pin, true, sc); err != nil {
+				if err := s.recompress(ctx, tgt, subset, next, true); err != nil {
 					return nil, nil, nil, fmt.Errorf("plan: group %q: %w", g.Name, err)
 				}
 				bound = next
 				passes++
-				history = append(history, Pass{Bound: next, Measured: gt.MeasureGroup(work, subset)})
+				if m, err = s.measureGroup(ctx, gt, subset); err != nil {
+					return nil, nil, nil, fmt.Errorf("plan: group %q: %w", g.Name, err)
+				}
+				history = append(history, Pass{Bound: next, Measured: m})
 			}
 		}
 		out.EbAbs = bound
 		out.Passes = passes
 		out.Points = work.GroupPoints(subset)
-		out.PayloadBytes = work.GroupPayloadBytes(subset)
 		out.MSE = work.GroupAggregateMSE(subset)
-		out.Ratio = math.NaN()
-		if orig := float64(out.Points) * float64(work.Precision.Bytes()); orig > 0 && out.PayloadBytes > 0 {
-			out.Ratio = orig / float64(out.PayloadBytes)
-		}
 		if g.Default {
 			work.EbAbs = bound
 		}
@@ -257,47 +260,20 @@ func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.O
 			TargetRatio: outcomes[gi].TargetRatio,
 		}
 	}
-	final, st, err := assemble(work, payloads)
+	final, st, err := s.assemble(ctx)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	// Payload sizes are final only once every chunk is entropy-coded.
+	for gi, out := range outcomes {
+		if out.Chunks == 0 {
+			continue
+		}
+		out.PayloadBytes = work.GroupPayloadBytes(part.Subset(gi))
+		if orig := float64(out.Points) * float64(work.Precision.Bytes()); orig > 0 && out.PayloadBytes > 0 {
+			out.Ratio = orig / float64(out.PayloadBytes)
+		}
+		outcomes[gi] = out
+	}
 	return final, st, outcomes, nil
-}
-
-// recompressSubset recompresses one chunk subset at a new bound, leaving
-// every other chunk untouched. With pin set (distortion-steered
-// targets), chunks whose recorded MSE is zero — exact at their current
-// bound, so their error contribution is final — keep their payloads and
-// entries verbatim; pinning is skipped entirely when any chunk in the
-// subset lacks a measured MSE, because the pinning decision needs one.
-//
-// explicit selects the bound bookkeeping of recompressed entries: group
-// steering records the bound in every chunk entry (grouped streams have
-// no single field-level bound), while the field-wide loop leaves it 0 —
-// "the header bound" — preserving the historical ungrouped entry layout
-// byte for byte.
-func recompressSubset(ctx context.Context, f *field.Field, cc codec.ChunkCodec, copt codec.Options, work *codec.Header, subset []int, payloads [][]byte, bound float64, pin, explicit bool, sc *codec.Scratch) error {
-	if pin {
-		for _, ci := range subset {
-			if math.IsNaN(work.Chunks[ci].MSE) {
-				pin = false
-				break
-			}
-		}
-	}
-	if pin {
-		// Exact at their recorded bound: payloads and entries stay.
-		subset = slices.DeleteFunc(slices.Clone(subset), func(ci int) bool { return work.Chunks[ci].MSE == 0 })
-	}
-	copt.ErrorBound = bound
-	if err := codec.CompressChunks(ctx, cc, work, subset, payloads, copt, sc, codec.FieldRows(f.Data)); err != nil {
-		return err
-	}
-	for _, ci := range subset {
-		work.Chunks[ci].EbAbs = 0
-		if explicit {
-			work.Chunks[ci].EbAbs = bound
-		}
-	}
-	return nil
 }

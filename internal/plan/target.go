@@ -57,6 +57,12 @@ type Pass struct {
 type Target interface {
 	// Describe names the target for error messages and logs.
 	Describe() string
+	// ReadsBytes reports whether the statistic is read from compressed
+	// bytes. A target that reads none steers on the quantization
+	// stage's chunk statistics, which Theorem 1 makes final, so the
+	// steering loops leave its passes' chunks quantized and
+	// entropy-code only the pass they return.
+	ReadsBytes() bool
 	// Measure extracts the steering statistic from one finished pass:
 	// the stream (whose chunk table carries per-chunk sizes and MSEs)
 	// and the codec's aggregate stats.
@@ -147,6 +153,7 @@ func (t *psnrTarget) Describe() string {
 
 func (t *psnrTarget) MaxPasses() int       { return t.maxPasses }
 func (t *psnrTarget) PinExactChunks() bool { return true }
+func (t *psnrTarget) ReadsBytes() bool     { return false }
 
 // Measure returns the field MSE the loop steers on: the
 // point-count-weighted aggregate of the per-chunk MSEs in the stream's
@@ -247,6 +254,7 @@ func (t *ratioTarget) Describe() string {
 
 func (t *ratioTarget) MaxPasses() int       { return t.maxPasses }
 func (t *ratioTarget) PinExactChunks() bool { return false }
+func (t *ratioTarget) ReadsBytes() bool     { return true }
 
 // Measure returns the achieved compression ratio of the pass. Every
 // pipeline measures it — size needs no Theorem 1 — which is why fixed

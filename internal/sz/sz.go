@@ -57,51 +57,54 @@ func Compress(f *field.Field, opt Options) ([]byte, *Stats, error) {
 // row-slab chunks, each restarting the predictor, and compresses them
 // in parallel through CompressChunk, each worker drawing its transients
 // from its own shard of sc. A cancelled context aborts within one chunk
-// of work per worker and surfaces ctx.Err(). This pipeline adds only the
-// whole-field AutoCapacity estimate, resolved before tiling so every
-// chunk shares one quantizer geometry.
+// of work per worker and surfaces ctx.Err().
 func CompressCtx(ctx context.Context, f *field.Field, opt Options, sc *codec.Scratch) ([]byte, *Stats, error) {
-	if opt.AutoCapacity && f.Validate() == nil {
-		opt.Capacity = estimateCapacity(f.Data, f.Dims, opt.ErrorBound)
-	}
 	return codec.Encode(ctx, f, szCodec{}, opt, sc)
 }
 
+// EstimateCapacity implements codec.CapacityEstimator: the container
+// resolves AutoCapacity through it over the whole field, before tiling,
+// so every chunk shares one quantizer geometry.
+func (szCodec) EstimateCapacity(data []float64, dims []int, ebAbs float64) int {
+	return estimateCapacity(data, dims, ebAbs)
+}
+
 // CompressChunk implements codec.ChunkCodec: the full per-chunk
-// pipeline — Lorenzo prediction, quantization, Huffman, DEFLATE — over
-// one row slab, reporting the chunk's exact statistics. ctx is checked
-// once up front; a chunk is the cancellation granularity of this
-// pipeline.
-func (szCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
-	var cst codec.ChunkStats
+// pipeline — QuantizeChunk, then the container's Huffman and DEFLATE
+// entropy step — over one row slab.
+func (c szCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
+	return codec.CompressQuantized(ctx, c, data, dims, prec, opt, sc)
+}
+
+// QuantizeChunk implements codec.ChunkQuantizer: Lorenzo prediction and
+// quantization over one row slab, reporting the chunk's exact
+// statistics. ctx is checked once up front; a chunk is the cancellation
+// granularity of this pipeline.
+func (szCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) (codec.Quantized, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, cst, err
+		return codec.Quantized{}, err
 	}
 	if opt.Capacity == 0 {
 		opt.Capacity = quantizer.DefaultCapacity
 	}
 	q, err := quantizer.New(opt.ErrorBound, opt.Capacity)
 	if err != nil {
-		return nil, cst, fmt.Errorf("sz: %w", err)
+		return codec.Quantized{}, fmt.Errorf("sz: %w", err)
 	}
 	codes := sc.Int32s(len(data))
 	recon := sc.Floats(len(data))
 	literals, sumSq := compressCore(data, dims, q, codes, recon)
 	sc.PutFloats(recon)
+	out := codec.Quantized{Codes: codes, MaxSym: opt.Capacity - 1, Literals: literals, Prec: prec}
 	// Chunk value bounds come from a dedicated vector-wide scan, run
 	// while the chunk is still cache-resident from the prediction pass,
 	// rather than from accumulators threaded through the serial,
 	// latency-bound prediction loop, where they would cost registers the
 	// grouped kernels need.
-	cst.Min, cst.Max = codec.ValueBounds(data)
-	payload, err := sc.AppendPayload(nil, nil, codes, opt.Capacity-1, literals, prec)
-	sc.PutInt32s(codes)
-	if err != nil {
-		return nil, cst, err
-	}
-	cst.Unpredictable = len(literals)
-	cst.MSE = sumSq / float64(len(data))
-	return payload, cst, nil
+	out.Stats.Min, out.Stats.Max = codec.ValueBounds(data)
+	out.Stats.Unpredictable = len(literals)
+	out.Stats.MSE = sumSq / float64(len(data))
+	return out, nil
 }
 
 // Decompress reconstructs a field from a compressed stream.
