@@ -8,7 +8,9 @@ package fixedpsnr_test
 // The field is the same synthetic used by `fpsz-bench chunk` (separable
 // trigonometric modes plus a high-frequency perturbation), at a reduced
 // 128×192×192 so benchmark iterations stay affordable; MB/s numbers are
-// directly comparable across runs of the same grid.
+// directly comparable across runs of the same grid. That field is in band
+// on the first pass at every PSNR target, so the steering path has its
+// own benchmark over the sparse fields of a Hurricane snapshot.
 
 import (
 	"context"
@@ -97,3 +99,56 @@ func BenchmarkChunkedEncode1Core(b *testing.B)    { benchmarkChunkedEncode(b, 1)
 func BenchmarkChunkedEncodeAllCores(b *testing.B) { benchmarkChunkedEncode(b, runtime.NumCPU()) }
 func BenchmarkChunkedDecode1Core(b *testing.B)    { benchmarkChunkedDecode(b, 1) }
 func BenchmarkChunkedDecodeAllCores(b *testing.B) { benchmarkChunkedDecode(b, runtime.NumCPU()) }
+
+// BenchmarkCalibratedEncode1Core times the steering path on one core: a
+// calibrated 30 dB encode of each of the 13 fields of the 16×64×64
+// Hurricane snapshot the container digests pin, with the warm start off
+// so every iteration steers from the Eq. 8 bound. Its sparse fields take
+// up to 4 passes; the mean passes per field is reported, and the
+// benchmark fails if it drops below 2, where it would stop timing
+// multi-pass steering.
+func BenchmarkCalibratedEncode1Core(b *testing.B) {
+	specs := datagen.Hurricane(nil).Specs
+	fields := make([]*fixedpsnr.Field, len(specs))
+	size := 0
+	for i, spec := range specs {
+		fields[i] = hurricaneField(spec.Name, fixedpsnr.Float32, 0)()
+		size += fields[i].SizeBytes()
+	}
+	withCores(b, 1)
+	enc, err := fixedpsnr.NewEncoder(
+		fixedpsnr.WithMode(fixedpsnr.ModePSNR),
+		fixedpsnr.WithTargetPSNR(30),
+		fixedpsnr.WithCalibrated(true),
+		fixedpsnr.WithWarmStart(false),
+		fixedpsnr.WithWorkers(1),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	encodeAll := func() (passes int) {
+		for _, f := range fields {
+			_, res, err := enc.Encode(ctx, f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			passes += res.Passes
+		}
+		return passes
+	}
+	encodeAll() // warm pools
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	passes := 0
+	for i := 0; i < b.N; i++ {
+		passes += encodeAll()
+	}
+	b.StopTimer()
+	mean := float64(passes) / float64(b.N*len(fields))
+	b.ReportMetric(mean, "passes/field")
+	if mean < 2 {
+		b.Fatalf("%.2f passes per field; the benchmark needs at least 2 to time steering", mean)
+	}
+}
