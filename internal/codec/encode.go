@@ -36,6 +36,154 @@ func FieldRows(data []float64) Rows {
 	}
 }
 
+// Encode compresses an in-memory field through cc: TileField, every
+// chunk compressed in full, and the stream assembled. A zero value range
+// yields a ConstantStream.
+func Encode(ctx context.Context, f *field.Field, cc ChunkCodec, opt Options, sc *Scratch) ([]byte, *Stats, error) {
+	d, err := TileField(f, cc, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	if d == nil {
+		out, st := ConstantStream(f.Name, f.Precision, f.Dims, opt.Mode, f.Data[0])
+		return out, st, nil
+	}
+	if err := d.Run(ctx, cc, d.All(), opt, sc, FieldRows(f.Data), false); err != nil {
+		return nil, nil, err
+	}
+	out, st, err := d.Assemble(ctx, opt.Workers, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.ValueRange = d.Header.ValueRange
+	return out, st, nil
+}
+
+// EncodeRows tiles a field of the given dims (NewDraft), compresses
+// every chunk from rows, and assembles the stream.
+func EncodeRows(ctx context.Context, name string, prec field.Precision, dims []int, cc ChunkCodec, opt Options, sc *Scratch, rows Rows) ([]byte, *Stats, error) {
+	d := NewDraft(name, prec, dims, cc, opt)
+	if err := d.Run(ctx, cc, d.All(), opt, sc, rows, false); err != nil {
+		return nil, nil, err
+	}
+	return d.Assemble(ctx, opt.Workers, sc)
+}
+
+// NewDraft tiles a field of the given dims with cc's chunk planner. The
+// header records opt's bound, capacity (quantizer.DefaultCapacity when
+// zero) and annotations under cc's first stream ID; no chunk holds data
+// yet.
+func NewDraft(name string, prec field.Precision, dims []int, cc ChunkCodec, opt Options) *Draft {
+	if opt.Capacity == 0 {
+		opt.Capacity = quantizer.DefaultCapacity
+	}
+	h := &Header{
+		Codec:      cc.IDs()[0],
+		Precision:  prec,
+		Mode:       opt.Mode,
+		Name:       name,
+		Dims:       dims,
+		EbAbs:      opt.ErrorBound,
+		TargetPSNR: opt.TargetPSNR,
+		ValueRange: opt.ValueRange,
+		Capacity:   opt.Capacity,
+	}
+	if h.TargetPSNR == 0 && opt.Mode != ModePSNR {
+		h.TargetPSNR = math.NaN()
+	}
+	spans := PlanChunkSpans(cc, dims, opt)
+	h.Chunks = make([]ChunkInfo, len(spans))
+	for ci, s := range spans {
+		h.Chunks[ci] = ChunkInfo{RowStart: s[0], Rows: s[1] - s[0]}
+	}
+	return &Draft{Header: h, payloads: make([][]byte, len(spans)), quant: make([]*Quantized, len(spans))}
+}
+
+// TileField is the one whole-field tiling entry. It validates f,
+// measures the value range when opt.ValueRange is zero (callers that
+// already know it pass it in to skip the scan), resolves AutoCapacity
+// through cc's CapacityEstimator, and returns the field's Draft. A
+// constant field has no chunks: the Draft is nil and the field's stream
+// is a ConstantStream.
+func TileField(f *field.Field, cc ChunkCodec, opt Options) (*Draft, error) {
+	if err := f.Validate(); err != nil {
+		return nil, err
+	}
+	if opt.ValueRange == 0 {
+		_, _, opt.ValueRange = f.ValueRange()
+	}
+	if opt.ValueRange == 0 {
+		return nil, nil
+	}
+	if ce, ok := cc.(CapacityEstimator); ok && opt.AutoCapacity {
+		opt.Capacity = ce.EstimateCapacity(f.Data, f.Dims, opt.ErrorBound)
+	}
+	return NewDraft(f.Name, f.Precision, f.Dims, cc, opt), nil
+}
+
+// forChunks is the container's one chunk loop. At most workers
+// (non-positive: all CPUs) long-lived parallel.Group tasks take the
+// chunks of subset in order and call work with their worker slot, which
+// keys the scratch shard the work draws from. A non-nil rows supplies
+// each chunk's values; it is called serially, in subset order, so a
+// streaming source holds at most workers chunks at once. A cancelled ctx
+// stops the loop within one chunk per worker.
+func forChunks(ctx context.Context, h *Header, subset []int, workers int, rows Rows, work func(slot, ci int, data []float64) error) error {
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
+	}
+	g := parallel.NewGroup(workers)
+	var mu sync.Mutex // guards next and serializes rows
+	next := 0
+	for range min(workers, len(subset)) {
+		g.Go(func(slot int) error {
+			for {
+				mu.Lock()
+				if next == len(subset) || g.Err() != nil {
+					mu.Unlock()
+					return nil
+				}
+				ci := subset[next]
+				next++
+				err := ctx.Err()
+				var data []float64
+				var done func()
+				if err == nil && rows != nil {
+					data, done, err = rows(h, ci)
+				}
+				mu.Unlock()
+				if err != nil {
+					return err
+				}
+				err = work(slot, ci, data)
+				if done != nil {
+					done()
+				}
+				if err != nil {
+					return fmt.Errorf("codec: chunk %d: %w", ci, err)
+				}
+			}
+		})
+	}
+	return g.Wait()
+}
+
+// ConstantStream encodes a field whose every value is v: the header
+// alone, under the constant pseudo-codec.
+func ConstantStream(name string, prec field.Precision, dims []int, mode Mode, v float64) ([]byte, *Stats) {
+	h := &Header{Codec: IDConstant, Precision: prec, Mode: mode, Name: name, Dims: dims, ConstValue: v}
+	out := h.Marshal()
+	n := h.NPoints()
+	return out, &Stats{
+		OriginalBytes:   n * prec.Bytes(),
+		CompressedBytes: len(out),
+		Ratio:           float64(n*prec.Bytes()) / float64(len(out)),
+		BitRate:         8 * float64(len(out)) / float64(n),
+		NPoints:         n,
+		Chunks:          1,
+	}
+}
+
 // Quantized is one chunk after a pipeline's quantize step: what
 // Scratch.AppendPayload writes the chunk's payload from, and the chunk's
 // statistics. Codes come from the Scratch passed to QuantizeChunk.
@@ -115,58 +263,6 @@ type Draft struct {
 	Header   *Header
 	payloads [][]byte
 	quant    []*Quantized // non-nil: the chunk awaits the entropy step
-}
-
-// NewDraft tiles a field of the given dims with cc's chunk planner. The
-// header records opt's bound, capacity (quantizer.DefaultCapacity when
-// zero) and annotations under cc's first stream ID; no chunk holds data
-// yet.
-func NewDraft(name string, prec field.Precision, dims []int, cc ChunkCodec, opt Options) *Draft {
-	if opt.Capacity == 0 {
-		opt.Capacity = quantizer.DefaultCapacity
-	}
-	h := &Header{
-		Codec:      cc.IDs()[0],
-		Precision:  prec,
-		Mode:       opt.Mode,
-		Name:       name,
-		Dims:       dims,
-		EbAbs:      opt.ErrorBound,
-		TargetPSNR: opt.TargetPSNR,
-		ValueRange: opt.ValueRange,
-		Capacity:   opt.Capacity,
-	}
-	if h.TargetPSNR == 0 && opt.Mode != ModePSNR {
-		h.TargetPSNR = math.NaN()
-	}
-	spans := PlanChunkSpans(cc, dims, opt)
-	h.Chunks = make([]ChunkInfo, len(spans))
-	for ci, s := range spans {
-		h.Chunks[ci] = ChunkInfo{RowStart: s[0], Rows: s[1] - s[0]}
-	}
-	return &Draft{Header: h, payloads: make([][]byte, len(spans)), quant: make([]*Quantized, len(spans))}
-}
-
-// TileField is the one whole-field tiling entry. It validates f,
-// measures the value range when opt.ValueRange is zero (callers that
-// already know it pass it in to skip the scan), resolves AutoCapacity
-// through cc's CapacityEstimator, and returns the field's Draft. A
-// constant field has no chunks: the Draft is nil and the field's stream
-// is a ConstantStream.
-func TileField(f *field.Field, cc ChunkCodec, opt Options) (*Draft, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	if opt.ValueRange == 0 {
-		_, _, opt.ValueRange = f.ValueRange()
-	}
-	if opt.ValueRange == 0 {
-		return nil, nil
-	}
-	if ce, ok := cc.(CapacityEstimator); ok && opt.AutoCapacity {
-		opt.Capacity = ce.EstimateCapacity(f.Data, f.Dims, opt.ErrorBound)
-	}
-	return NewDraft(f.Name, f.Precision, f.Dims, cc, opt), nil
 }
 
 // DraftOf holds a finished chunked stream's chunks as a Draft; the
@@ -289,101 +385,5 @@ func (d *Draft) drop(ci int) {
 	if q := d.quant[ci]; q != nil {
 		q.sc.PutInt32s(q.Codes)
 		d.quant[ci] = nil
-	}
-}
-
-// Encode compresses an in-memory field through cc: TileField, every
-// chunk compressed in full, and the stream assembled. A zero value range
-// yields a ConstantStream.
-func Encode(ctx context.Context, f *field.Field, cc ChunkCodec, opt Options, sc *Scratch) ([]byte, *Stats, error) {
-	d, err := TileField(f, cc, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if d == nil {
-		out, st := ConstantStream(f.Name, f.Precision, f.Dims, opt.Mode, f.Data[0])
-		return out, st, nil
-	}
-	if err := d.Run(ctx, cc, d.All(), opt, sc, FieldRows(f.Data), false); err != nil {
-		return nil, nil, err
-	}
-	out, st, err := d.Assemble(ctx, opt.Workers, sc)
-	if err != nil {
-		return nil, nil, err
-	}
-	st.ValueRange = d.Header.ValueRange
-	return out, st, nil
-}
-
-// EncodeRows tiles a field of the given dims (NewDraft), compresses
-// every chunk from rows, and assembles the stream.
-func EncodeRows(ctx context.Context, name string, prec field.Precision, dims []int, cc ChunkCodec, opt Options, sc *Scratch, rows Rows) ([]byte, *Stats, error) {
-	d := NewDraft(name, prec, dims, cc, opt)
-	if err := d.Run(ctx, cc, d.All(), opt, sc, rows, false); err != nil {
-		return nil, nil, err
-	}
-	return d.Assemble(ctx, opt.Workers, sc)
-}
-
-// forChunks is the container's one chunk loop. At most workers
-// (non-positive: all CPUs) long-lived parallel.Group tasks take the
-// chunks of subset in order and call work with their worker slot, which
-// keys the scratch shard the work draws from. A non-nil rows supplies
-// each chunk's values; it is called serially, in subset order, so a
-// streaming source holds at most workers chunks at once. A cancelled ctx
-// stops the loop within one chunk per worker.
-func forChunks(ctx context.Context, h *Header, subset []int, workers int, rows Rows, work func(slot, ci int, data []float64) error) error {
-	if workers <= 0 {
-		workers = parallel.DefaultWorkers()
-	}
-	g := parallel.NewGroup(workers)
-	var mu sync.Mutex // guards next and serializes rows
-	next := 0
-	for range min(workers, len(subset)) {
-		g.Go(func(slot int) error {
-			for {
-				mu.Lock()
-				if next == len(subset) || g.Err() != nil {
-					mu.Unlock()
-					return nil
-				}
-				ci := subset[next]
-				next++
-				err := ctx.Err()
-				var data []float64
-				var done func()
-				if err == nil && rows != nil {
-					data, done, err = rows(h, ci)
-				}
-				mu.Unlock()
-				if err != nil {
-					return err
-				}
-				err = work(slot, ci, data)
-				if done != nil {
-					done()
-				}
-				if err != nil {
-					return fmt.Errorf("codec: chunk %d: %w", ci, err)
-				}
-			}
-		})
-	}
-	return g.Wait()
-}
-
-// ConstantStream encodes a field whose every value is v: the header
-// alone, under the constant pseudo-codec.
-func ConstantStream(name string, prec field.Precision, dims []int, mode Mode, v float64) ([]byte, *Stats) {
-	h := &Header{Codec: IDConstant, Precision: prec, Mode: mode, Name: name, Dims: dims, ConstValue: v}
-	out := h.Marshal()
-	n := h.NPoints()
-	return out, &Stats{
-		OriginalBytes:   n * prec.Bytes(),
-		CompressedBytes: len(out),
-		Ratio:           float64(n*prec.Bytes()) / float64(len(out)),
-		BitRate:         8 * float64(len(out)) / float64(n),
-		NPoints:         n,
-		Chunks:          1,
 	}
 }
