@@ -231,7 +231,6 @@ func (q *Quantized) encode(sc *Scratch) ([]byte, error) {
 	entropySteps.Add(1)
 	payload, err := sc.AppendPayload(nil, q.Prefix, q.Codes, q.MaxSym, q.Literals, q.Prec)
 	q.sc.PutInt32s(q.Codes)
-	q.Codes = nil
 	return payload, err
 }
 
