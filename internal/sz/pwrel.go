@@ -73,7 +73,7 @@ func CompressPWRelCtx(ctx context.Context, f *field.Field, ebRel float64, opt Op
 	innerOpt.ErrorBound = ebLog
 	innerOpt.Mode = ModePWRel
 	innerOpt.TargetPSNR = math.NaN()
-	inner, innerStats, err := CompressCtx(ctx, logField, innerOpt, sc)
+	inner, innerStats, err := szCodec{}.Compress(ctx, logField, innerOpt, sc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sz: pwrel inner compression: %w", err)
 	}

@@ -49,17 +49,7 @@ type Stats = codec.Stats
 // Compress compresses the field under the given absolute error bound and
 // returns the encoded stream plus statistics.
 func Compress(f *field.Field, opt Options) ([]byte, *Stats, error) {
-	return CompressCtx(context.Background(), f, opt, nil)
-}
-
-// CompressCtx is Compress with cancellation and buffer reuse: the
-// chunked container (codec.Encode) tiles the field into independent
-// row-slab chunks, each restarting the predictor, and compresses them
-// in parallel through CompressChunk, each worker drawing its transients
-// from its own shard of sc. A cancelled context aborts within one chunk
-// of work per worker and surfaces ctx.Err().
-func CompressCtx(ctx context.Context, f *field.Field, opt Options, sc *codec.Scratch) ([]byte, *Stats, error) {
-	return codec.Encode(ctx, f, szCodec{}, opt, sc)
+	return szCodec{}.Compress(context.Background(), f, opt, nil)
 }
 
 // EstimateCapacity implements codec.CapacityEstimator: the container
