@@ -137,7 +137,7 @@ func (e *Encoder) EncodeFrom(ctx context.Context, fr FieldReader) ([]byte, *Resu
 		return nil, nil, err
 	}
 	if spec.HasRange && vr == 0 {
-		return encodeConstantFrom(fr, spec, res)
+		return encodeConstantFrom(fr, spec, opt.Mode, res)
 	}
 
 	name := opt.codecName()
@@ -195,7 +195,7 @@ func readFull(fr FieldReader, buf []float64) error {
 // encodeConstantFrom handles the zero-range case: the stream is a
 // constant header carrying the first value; the reader is drained to
 // honor the read-once contract.
-func encodeConstantFrom(fr FieldReader, spec FieldSpec, res plan.Resolution) ([]byte, *Result, error) {
+func encodeConstantFrom(fr FieldReader, spec FieldSpec, mode Mode, res plan.Resolution) ([]byte, *Result, error) {
 	var first [1]float64
 	n, err := fr.ReadValues(first[:])
 	if err != nil && err != io.EOF {
@@ -215,6 +215,6 @@ func encodeConstantFrom(fr FieldReader, spec FieldSpec, res plan.Resolution) ([]
 			return nil, nil, err
 		}
 	}
-	out, st := codec.ConstantStream(spec.Name, spec.Precision, spec.Dims, res.StreamMode, first[0])
+	out, st := codec.ConstantStream(spec.Name, spec.Precision, spec.Dims, mode, first[0])
 	return out, resultFromStats(st, res.EbAbs, res.EbRel, res.TargetPSNR, res.EstimatedPSNR), nil
 }

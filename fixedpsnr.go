@@ -138,7 +138,8 @@ const MaxBlockSize = codec.MaxBlockSize
 // Plan is the bound derivation produced by fixed-PSNR planning.
 type Plan = core.Plan
 
-// Mode selects the error-control strategy (see internal/plan).
+// Mode selects the error-control strategy (see internal/plan). It is the
+// mode byte stream headers record (StreamInfo.Mode), a uint8.
 type Mode = plan.Mode
 
 // Modes.
@@ -513,7 +514,7 @@ func (opt Options) codecOptions(res plan.Resolution, vr float64) codec.Options {
 		ChunkPoints:  opt.ChunkPoints,
 		BlockSize:    opt.BlockSize,
 		Transform:    opt.Compressor.transform(),
-		Mode:         res.StreamMode,
+		Mode:         opt.Mode,
 		TargetPSNR:   res.TargetPSNR,
 		ValueRange:   vr,
 	}
@@ -630,7 +631,7 @@ func compress(ctx context.Context, f *Field, opt Options, sc *codec.Scratch, wc 
 		return nil, nil, fmt.Errorf("fixedpsnr: codec %q is not registered", name)
 	}
 
-	if res.PWRel {
+	if opt.Mode == ModePWRel {
 		// Pointwise-relative compression is a distinct log-domain path
 		// dispatched by capability (Validate guarantees the codec has
 		// it). The inner log-domain stream annotates its own value range.
@@ -642,9 +643,7 @@ func compress(ctx context.Context, f *Field, opt Options, sc *codec.Scratch, wc 
 		if err != nil {
 			return nil, nil, err
 		}
-		r := resultFromStats(st, opt.PWRelBound, 0, math.NaN(), res.EstimatedPSNR)
-		r.Passes = 1
-		return blob, r, nil
+		return blob, resultFromStats(st, opt.PWRelBound, 0, math.NaN(), res.EstimatedPSNR), nil
 	}
 
 	// Region targets are validated against the field before any
@@ -686,6 +685,14 @@ func compress(ctx context.Context, f *Field, opt Options, sc *codec.Scratch, wc 
 	if tgt != nil && !opt.NoWarmStart {
 		wc.store(f.Name, opt, ebAbs)
 	}
+	return blob, steeredResult(st, opt, res, vr, ebAbs, passes), nil
+}
+
+// steeredResult is the Result of an encode whose steering settled on
+// ebAbs after the given number of passes. A bound that moved off the
+// plan's moves EbRel with it, and in ratio mode the PSNR estimate too:
+// the planned ratio bound is only the entropy model's seed.
+func steeredResult(st *codec.Stats, opt Options, res plan.Resolution, vr, ebAbs float64, passes int) *Result {
 	ebRel := res.EbRel
 	estimate := res.EstimatedPSNR
 	if ebAbs != res.EbAbs {
@@ -701,7 +708,7 @@ func compress(ctx context.Context, f *Field, opt Options, sc *codec.Scratch, wc 
 	if opt.Mode == ModeRatio {
 		r.TargetRatio = opt.TargetRatio
 	}
-	return blob, r, nil
+	return r
 }
 
 // regionGroupSpecs validates the region targets against a concrete field
@@ -794,22 +801,7 @@ func finishRegions(ctx context.Context, f *Field, opt Options, c codec.Codec, re
 			Chunks:        o.Chunks,
 		}
 	}
-	ebRel := 0.0
-	if vr > 0 {
-		ebRel = ebAbs / vr
-	}
-	estimate := res.EstimatedPSNR
-	if opt.Mode == ModeRatio && ebAbs != res.EbAbs {
-		// Same convention as the field-wide ratio path: the estimate
-		// tracks the bound the background actually settled on, not the
-		// entropy-model seed.
-		estimate = core.EstimatePSNRFromAbsBound(vr, ebAbs)
-	}
-	r := resultFromStats(st, ebAbs, ebRel, res.TargetPSNR, estimate)
-	r.Passes = passes
-	if opt.Mode == ModeRatio {
-		r.TargetRatio = opt.TargetRatio
-	}
+	r := steeredResult(st, opt, res, vr, ebAbs, passes)
 	r.Regions = regions
 	return final, r, nil
 }

@@ -264,22 +264,6 @@ type Draft struct {
 	quant    []*Quantized // non-nil: the chunk awaits the entropy step
 }
 
-// DraftOf holds a finished chunked stream's chunks as a Draft; the
-// payloads alias blob.
-func DraftOf(blob []byte) (*Draft, error) {
-	h, err := ParseHeader(blob)
-	if err != nil {
-		return nil, err
-	}
-	d := &Draft{Header: h, payloads: make([][]byte, len(h.Chunks)), quant: make([]*Quantized, len(h.Chunks))}
-	for ci := range h.Chunks {
-		if d.payloads[ci], err = ChunkPayload(blob, h, ci); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
-}
-
 // All lists every chunk index of the draft, in order.
 func (d *Draft) All() []int {
 	all := make([]int, len(d.Header.Chunks))

@@ -9,18 +9,18 @@ import (
 	"fixedpsnr/internal/field"
 )
 
-// Drive is the generic quality-steering loop: it compresses f at
-// opt.ErrorBound, measures the target's statistic, asks the target's
-// solver for the next bound, and recompresses until the target accepts
-// the pass or its pass budget runs out — whichever comes first. The
-// codec never learns what it is being steered toward; it only ever sees
-// an absolute bound.
+// Drive steers a whole field: it compresses f at opt.ErrorBound and
+// hands the pass to solve, which measures the target's statistic, asks
+// the target's solver for the next bound, and recompresses until the
+// target accepts the pass or its pass budget runs out — whichever comes
+// first. The codec never learns what it is being steered toward; it only
+// ever sees an absolute bound.
 //
 // For the fixed-PSNR target this is the paper's calibrated mode
 // (Theorem 1: the quantization-stage MSE equals the end-to-end MSE, so
 // each pass measures its exact distortion for free); for the fixed-ratio
-// target the same loop steers on aggregate compressed bytes. Chunk
-// codecs recompress through the chunk-aware steering state: a
+// target the same loop steers on the stream's bytes, header included.
+// Chunk codecs run every pass on a codec.Draft (see steer): a
 // distortion-steered target keeps exact (MSE == 0) chunks verbatim
 // across passes, and because it reads no bytes its passes stop at
 // quantization — only the returned pass is entropy-coded, once. A
@@ -44,46 +44,59 @@ func Drive(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options
 		return nil, nil, 0, 0, err
 	}
 	defer s.d.Release()
-	bound := opt.ErrorBound
-	m, err := s.measure(ctx, tgt)
+	bound, passes, err := solve(ctx, tgt, opt.ErrorBound,
+		func() (float64, error) { return s.measure(ctx, tgt) },
+		func(bound float64) error { return s.pass(ctx, tgt, bound) })
 	if err != nil {
 		return nil, nil, 0, 0, err
-	}
-	history := []Pass{{Bound: bound, Measured: m}}
-	for pass := 0; pass < tgt.MaxPasses(); pass++ {
-		next, done, err := tgt.Solve(history)
-		if err != nil {
-			return nil, nil, 0, 0, err
-		}
-		if done {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, 0, 0, err
-		}
-		if err := s.pass(ctx, tgt, next); err != nil {
-			return nil, nil, 0, 0, err
-		}
-		bound = next
-		if m, err = s.measure(ctx, tgt); err != nil {
-			return nil, nil, 0, 0, err
-		}
-		history = append(history, Pass{Bound: next, Measured: m})
 	}
 	blob, st, err := s.assemble(ctx)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	return blob, st, bound, len(history), nil
+	return blob, st, bound, passes, nil
+}
+
+// solve is the one steering loop. The pass at bound is already made: it
+// measures it, then, until tgt accepts or its pass budget runs out,
+// checks ctx, redoes the pass at the bound tgt proposes and measures
+// again. It returns the last pass's bound and the number of passes,
+// counting the one it started from.
+func solve(ctx context.Context, tgt Target, bound float64, measure func() (float64, error), redo func(bound float64) error) (float64, int, error) {
+	m, err := measure()
+	if err != nil {
+		return 0, 0, err
+	}
+	history := []Pass{{Bound: bound, Measured: m}}
+	for range tgt.MaxPasses() {
+		next, done, err := tgt.Solve(history)
+		if err != nil {
+			return 0, 0, err
+		}
+		if done {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return 0, 0, err
+		}
+		if err := redo(next); err != nil {
+			return 0, 0, err
+		}
+		if m, err = measure(); err != nil {
+			return 0, 0, err
+		}
+		bound = next
+		history = append(history, Pass{Bound: next, Measured: m})
+	}
+	return bound, len(history), nil
 }
 
 // steering is the state Drive and DriveGroups rewrite pass by pass.
 // Chunk codecs keep the stream's chunks in a codec.Draft, each either
 // quantized or entropy-coded: a pass redoes only the chunks it must, and
 // the chunks of passes nothing reads bytes from stay quantized until the
-// final assembly. Codecs without chunk-granular recompression — and,
-// under a distortion target, chunked streams without measured chunk
-// MSEs — recompress the whole field every pass instead.
+// final assembly. Codecs that are not chunk codecs recompress the whole
+// field every pass instead.
 type steering struct {
 	f   *field.Field
 	c   codec.Codec
@@ -99,21 +112,22 @@ type steering struct {
 	st   *codec.Stats
 }
 
-// steer runs the first pass at opt.ErrorBound. A ChunkQuantizer's first
-// pass tiles the field through codec.TileField — the entry unsteered
-// encodes take, AutoCapacity included — and stops at quantization
-// unless tgt reads bytes (a nil tgt, the region groups' shared pass,
-// reads none). Any other codec's first pass is its own Compress, whose
-// chunked stream becomes the Draft.
+// steer runs the first pass at opt.ErrorBound. A ChunkCodec's first pass
+// tiles the field through codec.TileField — the entry unsteered encodes
+// take, AutoCapacity included — and runs on the Draft: it stops at
+// quantization when the codec is a ChunkQuantizer and tgt reads no bytes
+// (a nil tgt, the region groups' shared pass, reads none), and runs
+// CompressChunk otherwise. Any other codec, and a constant field, which
+// has no chunks, takes whole-field passes through the codec's Compress.
 func steer(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options, tgt Target, sc *codec.Scratch) (*steering, error) {
 	s := &steering{f: f, c: c, opt: opt, sc: sc}
-	if cq, ok := c.(codec.ChunkQuantizer); ok {
-		d, err := codec.TileField(f, cq, opt)
+	if cc, ok := c.(codec.ChunkCodec); ok {
+		d, err := codec.TileField(f, cc, opt)
 		if err != nil {
 			return nil, err
 		}
 		if d != nil {
-			s.cc, s.d = cq, d
+			s.cc, s.d = cc, d
 			if err := s.run(ctx, tgt, d.All()); err != nil {
 				d.Release()
 				return nil, err
@@ -125,18 +139,6 @@ func steer(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options
 	if s.blob, s.st, err = c.Compress(ctx, f, opt, sc); err != nil {
 		return nil, err
 	}
-	cc, ok := c.(codec.ChunkCodec)
-	if !ok {
-		return s, nil
-	}
-	d, err := codec.DraftOf(s.blob)
-	if err != nil || len(d.Header.Chunks) == 0 {
-		return s, nil
-	}
-	if tgt != nil && tgt.PinExactChunks() && math.IsNaN(d.Header.AggregateMSE()) {
-		return s, nil // pinning decisions need measured chunk MSEs
-	}
-	s.cc, s.d = cc, d
 	return s, nil
 }
 
@@ -201,11 +203,12 @@ func (s *steering) recompress(ctx context.Context, tgt Target, subset []int, bou
 	return nil
 }
 
-// measure reads tgt's statistic off the latest pass: from the Draft's
-// chunk table when tgt reads no bytes, else from the assembled stream.
+// measure reads tgt's field-wide statistic off the latest pass: from the
+// Draft's chunk table when tgt reads no bytes, else from the stats of
+// the assembled stream.
 func (s *steering) measure(ctx context.Context, tgt Target) (float64, error) {
-	if gt, ok := tgt.(GroupTarget); ok && s.d != nil && !tgt.ReadsBytes() {
-		return gt.MeasureGroup(s.d.Header, s.d.All()), nil
+	if s.d != nil && !tgt.ReadsBytes() {
+		return tgt.MeasureGroup(s.d.Header, s.d.All()), nil
 	}
 	if s.blob == nil {
 		var err error
@@ -213,18 +216,19 @@ func (s *steering) measure(ctx context.Context, tgt Target) (float64, error) {
 			return 0, err
 		}
 	}
-	return tgt.Measure(s.blob, s.st), nil
+	return tgt.Measure(s.st), nil
 }
 
-// measureGroup reads a group target's statistic off the chunk table,
-// entropy-coding the group's quantized chunks first when it reads bytes.
-func (s *steering) measureGroup(ctx context.Context, gt GroupTarget, subset []int) (float64, error) {
-	if gt.ReadsBytes() {
+// measureGroup reads tgt's statistic over one group's chunks off the
+// chunk table, entropy-coding the group's quantized chunks first when
+// tgt reads bytes.
+func (s *steering) measureGroup(ctx context.Context, tgt Target, subset []int) (float64, error) {
+	if tgt.ReadsBytes() {
 		if err := s.d.EntropyCode(ctx, subset, s.opt.Workers, s.sc); err != nil {
 			return 0, err
 		}
 	}
-	return gt.MeasureGroup(s.d.Header, subset), nil
+	return tgt.MeasureGroup(s.d.Header, subset), nil
 }
 
 // assemble returns the latest pass as a stream and its stats,

@@ -12,9 +12,9 @@ import (
 // Region-group steering: one field, several quality targets. A Partition
 // maps the chunked container's row slabs onto named region groups — a
 // region of interest held at a high fixed PSNR, the background steered to
-// a cheap fixed ratio — and DriveGroups runs one Measure/Solve/accept
-// loop per group over only that group's chunks, recompressing stale
-// chunks selectively while every other group stays pinned. The global
+// a cheap fixed ratio — and DriveGroups runs the steering loop once per
+// group over only that group's chunks, recompressing stale chunks
+// selectively while every other group stays pinned. The global
 // fixed-PSNR accounting is unchanged: the final stream's AggregateMSE is
 // still the point-weighted mean over all chunks.
 
@@ -120,21 +120,23 @@ type GroupOutcome struct {
 	PayloadBytes int
 }
 
-// DriveGroups is the group-aware generalization of Drive: it runs the
-// first full-field pass at the default group's bound (opt.ErrorBound),
-// maps its chunks onto the specs' groups (BuildPartition), and then runs
-// every group's own Measure/Solve/accept loop over only that group's
-// chunks. Region groups whose initial bound differs from the first
-// pass's start with a recompression of their chunks at their own bound;
-// from there each group's target steers exactly as in Drive, with exact
-// chunks pinned across passes for distortion targets. Chunks outside a
-// group are never touched by that group's passes.
+// DriveGroups steers each region group of a field on its own: it runs
+// the first full-field pass at the default group's bound
+// (opt.ErrorBound), maps its chunks onto the specs' groups
+// (BuildPartition), and then hands every group's chunks to solve, the
+// loop Drive runs field-wide. Region groups whose initial bound differs
+// from the first pass's start with a recompression of their chunks at
+// their own bound; from there each group's target measures and steers
+// only the group's chunks, with exact chunks pinned across passes for
+// distortion targets. Chunks outside a group are never touched by that
+// group's passes.
 //
-// The shared first pass stops at quantization. A group whose target
-// reads bytes (fixed ratio) entropy-codes its chunks before each measure
-// and recompresses them in full; every other group's chunks stay
-// quantized through its passes, and the final assembly entropy-codes
-// them once.
+// The shared first pass stops at quantization when the codec is a
+// ChunkQuantizer. A group whose target reads bytes (fixed ratio)
+// entropy-codes its chunks before each measure, measures their payload
+// bytes without the header, and recompresses them in full; every other
+// group's chunks stay quantized through its passes, and the final
+// assembly entropy-codes them once.
 //
 // The returned stream is a version-4 grouped container: group table from
 // the specs, per-chunk group IDs and quantization bounds, and the global
@@ -150,7 +152,7 @@ func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.O
 	}
 	defer s.d.Release()
 	if s.d == nil {
-		return nil, nil, nil, fmt.Errorf("plan: region groups need a chunked stream (codec %q wrote none)", c.Name())
+		return nil, nil, nil, fmt.Errorf("plan: region groups need a chunked stream (a constant field has no chunks)")
 	}
 	part, err := BuildPartition(s.d.Header, specs)
 	if err != nil {
@@ -195,14 +197,6 @@ func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.O
 			return nil, nil, nil, fmt.Errorf("plan: group %q: %w", g.Name, err)
 		}
 		tgt := g.Request.BuildTarget(c, vr)
-		var gt GroupTarget
-		if tgt != nil {
-			var ok bool
-			if gt, ok = tgt.(GroupTarget); !ok {
-				return nil, nil, nil, fmt.Errorf("plan: group %q: target %s cannot steer a region group", g.Name, tgt.Describe())
-			}
-		}
-
 		bound := first
 		passes := 1
 		if !g.Default && res.EbAbs != bound {
@@ -214,33 +208,15 @@ func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.O
 			bound = res.EbAbs
 			passes++
 		}
-		if gt != nil {
-			m, err := s.measureGroup(ctx, gt, subset)
+		if tgt != nil {
+			b, n, err := solve(ctx, tgt, bound,
+				func() (float64, error) { return s.measureGroup(ctx, tgt, subset) },
+				func(bound float64) error { return s.recompress(ctx, tgt, subset, bound, true) })
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("plan: group %q: %w", g.Name, err)
 			}
-			history := []Pass{{Bound: bound, Measured: m}}
-			for p := 0; p < tgt.MaxPasses(); p++ {
-				next, done, err := gt.Solve(history)
-				if err != nil {
-					return nil, nil, nil, fmt.Errorf("plan: group %q: %w", g.Name, err)
-				}
-				if done {
-					break
-				}
-				if err := ctx.Err(); err != nil {
-					return nil, nil, nil, err
-				}
-				if err := s.recompress(ctx, tgt, subset, next, true); err != nil {
-					return nil, nil, nil, fmt.Errorf("plan: group %q: %w", g.Name, err)
-				}
-				bound = next
-				passes++
-				if m, err = s.measureGroup(ctx, gt, subset); err != nil {
-					return nil, nil, nil, fmt.Errorf("plan: group %q: %w", g.Name, err)
-				}
-				history = append(history, Pass{Bound: next, Measured: m})
-			}
+			bound = b
+			passes += n - 1
 		}
 		out.EbAbs = bound
 		out.Passes = passes
@@ -255,7 +231,7 @@ func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.O
 	for gi := range part.Specs {
 		work.Groups[gi] = codec.GroupInfo{
 			Name:        part.Specs[gi].Name,
-			Mode:        outcomes[gi].Mode.StreamMode(),
+			Mode:        outcomes[gi].Mode,
 			TargetPSNR:  outcomes[gi].TargetPSNR,
 			TargetRatio: outcomes[gi].TargetRatio,
 		}

@@ -90,7 +90,7 @@ func TestGroupMeasures(t *testing.T) {
 	h.Chunks[0].MSE, h.Chunks[0].Len = 1e-6, 100
 	h.Chunks[1].MSE, h.Chunks[1].Len = 4e-6, 300
 
-	pt := NewPSNRTarget(60, 2, Tuning{}).(GroupTarget)
+	pt := NewPSNRTarget(60, 2, Tuning{})
 	if got := pt.MeasureGroup(h, []int{0}); got != 1e-6 {
 		t.Fatalf("single-chunk MSE = %g", got)
 	}
@@ -99,7 +99,7 @@ func TestGroupMeasures(t *testing.T) {
 		t.Fatalf("weighted MSE = %g, want %g", got, want)
 	}
 
-	rt := NewRatioTarget(8, 64, Tuning{}).(GroupTarget)
+	rt := NewRatioTarget(8, 64, Tuning{})
 	// 16 rows × 4 inner × 8 bytes over 100 payload bytes.
 	if got, want := rt.MeasureGroup(h, []int{0}), float64(16*4*8)/100; got != want {
 		t.Fatalf("group ratio = %g, want %g", got, want)

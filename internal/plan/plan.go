@@ -2,19 +2,19 @@
 // converts every user-facing mode (absolute bound, value-range relative
 // bound, fixed PSNR, fixed compression ratio, pointwise relative bound)
 // into the absolute bound a registered codec runs with, and steers
-// multi-pass quality targets through the generic Drive loop.
+// multi-pass quality targets through one Measure/Solve loop.
 //
 // The layer is organized around the Target interface: a target measures
-// one quality statistic from a finished compression pass (exact MSE for
-// fixed PSNR, achieved ratio for fixed ratio) and solves for the next
-// bound from the pass history. Codecs never see the target — they are
-// handed an absolute bound and report statistics — so new targets
-// (fixed-SSIM, new group statistics) are plan-layer additions, not codec
-// changes. Region-group steering generalizes the same machinery: a
-// Partition maps the chunked container onto named groups and DriveGroups
-// runs one Measure/Solve loop per group over only that group's chunks
-// (GroupTarget supplies the chunk-subset statistic), so one stream can
-// hold a region of interest at high PSNR over a fixed-ratio background.
+// one quality statistic of a compression pass (exact MSE for fixed PSNR,
+// achieved ratio for fixed ratio), over the whole field or over one
+// chunk subset, and solves for the next bound from the pass history.
+// Codecs never see the target — they are handed an absolute bound and
+// report statistics — so new targets (fixed-SSIM, new group statistics)
+// are plan-layer additions, not codec changes. Drive steers a whole
+// field. DriveGroups maps the chunked container onto named region groups
+// (a Partition) and steers each group over only its own chunks, so one
+// stream can hold a region of interest at high PSNR over a fixed-ratio
+// background. Both run the same loop, solve.
 //
 // The math (Eqs. 6–8 of the paper, the log–log secant steps) lives in
 // internal/core; this package owns the mode dispatch, target
@@ -30,62 +30,26 @@ import (
 	"fixedpsnr/internal/core"
 )
 
-// Mode selects the error-control strategy.
-type Mode int
+// Mode selects the error-control strategy. It is the mode byte stream
+// headers record, so a request's mode annotates its stream as is.
+type Mode = codec.Mode
 
 // Modes.
 const (
 	// ModeAbs bounds the absolute pointwise error.
-	ModeAbs Mode = iota
+	ModeAbs = codec.ModeAbs
 	// ModeRel bounds the pointwise error relative to the value range.
-	ModeRel
+	ModeRel = codec.ModeRel
 	// ModePSNR fixes the overall PSNR of the reconstruction (the
 	// paper's fixed-PSNR mode).
-	ModePSNR
+	ModePSNR = codec.ModePSNR
 	// ModePWRel bounds the pointwise error relative to each value.
-	ModePWRel
+	ModePWRel = codec.ModePWRel
 	// ModeRatio fixes the overall compression ratio (FRaZ-style): the
 	// bound is steered until original/compressed bytes lands within the
 	// acceptance band of the target.
-	ModeRatio
+	ModeRatio = codec.ModeRatio
 )
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeAbs:
-		return "abs"
-	case ModeRel:
-		return "rel"
-	case ModePSNR:
-		return "psnr"
-	case ModePWRel:
-		return "pwrel"
-	case ModeRatio:
-		return "ratio"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
-
-// StreamMode maps the planning mode to the informational mode byte
-// recorded in stream headers.
-func (m Mode) StreamMode() codec.Mode {
-	switch m {
-	case ModeAbs:
-		return codec.ModeAbs
-	case ModeRel:
-		return codec.ModeRel
-	case ModePSNR:
-		return codec.ModePSNR
-	case ModePWRel:
-		return codec.ModePWRel
-	case ModeRatio:
-		return codec.ModeRatio
-	default:
-		return codec.ModeAbs
-	}
-}
 
 // Request is one error-control demand: a mode plus its bound parameter
 // and the steering knobs the multi-pass targets read.
@@ -127,18 +91,13 @@ type Resolution struct {
 	// EstimatedPSNR is the closed-form Eq. 7 prediction of the actual
 	// PSNR at EbAbs (+Inf for constant fields).
 	EstimatedPSNR float64
-	// StreamMode annotates the stream header.
-	StreamMode codec.Mode
-	// PWRel marks a pointwise-relative request, which bypasses the
-	// absolute-bound path entirely (log-domain compression).
-	PWRel bool
 }
 
 // Resolve derives the codec-facing bounds for a field of value range vr.
 // This is the entire planning overhead of every mode — a handful of
 // floating-point operations (Eq. 8 for ModePSNR).
 func (r Request) Resolve(vr float64) (Resolution, error) {
-	res := Resolution{TargetPSNR: math.NaN(), StreamMode: r.Mode.StreamMode()}
+	res := Resolution{TargetPSNR: math.NaN()}
 	switch r.Mode {
 	case ModeAbs:
 		if !(r.ErrorBound > 0) {
@@ -161,7 +120,6 @@ func (r Request) Resolve(vr float64) (Resolution, error) {
 		res.EbAbs = p.EbAbs
 		res.TargetPSNR = r.TargetPSNR
 	case ModePWRel:
-		res.PWRel = true
 		res.EstimatedPSNR = math.Inf(1)
 		return res, nil
 	case ModeRatio:

@@ -51,28 +51,30 @@ type Pass struct {
 // Target is one steerable quality goal: it owns the statistic the loop
 // measures, the acceptance test, and the solver that proposes the next
 // absolute bound. Codecs know nothing about targets — they compress at a
-// bound and report statistics — which is what lets one Drive loop serve
-// fixed PSNR, fixed ratio, and future targets without touching any
-// pipeline.
+// bound and report statistics — which is what lets one loop serve fixed
+// PSNR, fixed ratio, and future targets, field-wide and per region
+// group, without touching any pipeline.
 type Target interface {
-	// Describe names the target for error messages and logs.
-	Describe() string
 	// ReadsBytes reports whether the statistic is read from compressed
 	// bytes. A target that reads none steers on the quantization
 	// stage's chunk statistics, which Theorem 1 makes final, so the
 	// steering loops leave its passes' chunks quantized and
 	// entropy-code only the pass they return.
 	ReadsBytes() bool
-	// Measure extracts the steering statistic from one finished pass:
-	// the stream (whose chunk table carries per-chunk sizes and MSEs)
-	// and the codec's aggregate stats.
-	Measure(blob []byte, st *codec.Stats) float64
+	// Measure extracts the steering statistic from the aggregate stats
+	// of one finished whole-stream pass.
+	Measure(st *codec.Stats) float64
+	// MeasureGroup extracts the steering statistic from the chunks
+	// listed in subset of a (possibly mid-steering) chunk table. The
+	// header's chunk entries must carry current MSE values, and current
+	// Len values when the target reads bytes.
+	MeasureGroup(h *codec.Header, subset []int) float64
 	// Solve inspects the pass history (oldest first, most recent last)
 	// and either accepts the latest pass (done) or proposes the next
 	// absolute bound. An error aborts the compression loudly — silently
 	// shipping an off-target stream is the one forbidden outcome.
 	Solve(history []Pass) (next float64, done bool, err error)
-	// MaxPasses bounds the extra compressions Drive may take.
+	// MaxPasses bounds the extra compressions the loop may take.
 	MaxPasses() int
 	// PinExactChunks reports whether a chunk with zero recorded MSE is
 	// final under this target: exact chunks reconstruct identically at
@@ -80,21 +82,6 @@ type Target interface {
 	// verbatim across passes, while size-steered targets must
 	// recompress them (a coarser bound shrinks even an exact chunk).
 	PinExactChunks() bool
-}
-
-// GroupTarget is a Target that can measure its statistic over one chunk
-// subset of a stream — the capability region-group steering requires.
-// Both built-in targets implement it: the fixed-PSNR target aggregates
-// the group's point-weighted chunk MSEs, the fixed-ratio target measures
-// the group's payload bytes against its nominal storage footprint. A
-// custom Target without this interface still works field-wide but cannot
-// drive a region group.
-type GroupTarget interface {
-	Target
-	// MeasureGroup extracts the steering statistic from the chunks
-	// listed in subset of a (possibly mid-steering) chunk table. The
-	// header's chunk entries must carry current Len/MSE values.
-	MeasureGroup(h *codec.Header, subset []int) float64
 }
 
 // BuildTarget constructs the steering target for the request, or nil when
@@ -147,29 +134,16 @@ func NewPSNRTarget(targetPSNR, vr float64, tn Tuning) Target {
 	return t
 }
 
-func (t *psnrTarget) Describe() string {
-	return fmt.Sprintf("fixed-PSNR %.4g dB (±%g dB)", t.targetPSNR, t.tolDB)
-}
-
 func (t *psnrTarget) MaxPasses() int       { return t.maxPasses }
 func (t *psnrTarget) PinExactChunks() bool { return true }
 func (t *psnrTarget) ReadsBytes() bool     { return false }
 
-// Measure returns the field MSE the loop steers on: the
-// point-count-weighted aggregate of the per-chunk MSEs in the stream's
-// chunk table when every chunk is measured, the codec's Stats.MSE
-// otherwise.
-func (t *psnrTarget) Measure(blob []byte, st *codec.Stats) float64 {
-	if h, err := codec.ParseHeader(blob); err == nil {
-		if agg := h.AggregateMSE(); !math.IsNaN(agg) {
-			return agg
-		}
-	}
-	return st.MSE
-}
+// Measure returns the field MSE the codec measured. Chunked passes
+// never reach it: the loop reads their MSE off the chunk table through
+// MeasureGroup.
+func (t *psnrTarget) Measure(st *codec.Stats) float64 { return st.MSE }
 
-// MeasureGroup returns the point-weighted MSE of one chunk subset — the
-// same accounting as Measure, restricted to a region group's chunks.
+// MeasureGroup returns the point-weighted MSE of one chunk subset.
 func (t *psnrTarget) MeasureGroup(h *codec.Header, subset []int) float64 {
 	return h.GroupAggregateMSE(subset)
 }
@@ -248,10 +222,6 @@ func NewRatioTarget(targetRatio, bpp float64, tn Tuning) Target {
 	return t
 }
 
-func (t *ratioTarget) Describe() string {
-	return fmt.Sprintf("fixed-ratio %.4g:1 (±%g%%)", t.target, t.tol*100)
-}
-
 func (t *ratioTarget) MaxPasses() int       { return t.maxPasses }
 func (t *ratioTarget) PinExactChunks() bool { return false }
 func (t *ratioTarget) ReadsBytes() bool     { return true }
@@ -259,7 +229,7 @@ func (t *ratioTarget) ReadsBytes() bool     { return true }
 // Measure returns the achieved compression ratio of the pass. Every
 // pipeline measures it — size needs no Theorem 1 — which is why fixed
 // ratio works on codecs whose distortion is unmeasurable (otc).
-func (t *ratioTarget) Measure(blob []byte, st *codec.Stats) float64 {
+func (t *ratioTarget) Measure(st *codec.Stats) float64 {
 	if st.OriginalBytes <= 0 || st.CompressedBytes <= 0 {
 		return math.NaN()
 	}
