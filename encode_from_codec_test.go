@@ -2,6 +2,7 @@ package fixedpsnr_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"fixedpsnr"
@@ -69,5 +70,66 @@ func TestEncodeFromCustomChunkCodec(t *testing.T) {
 	}
 	if decodeDigest(got) != decodeDigest(want) {
 		t.Fatal("relabelled stream decodes differently from the sz stream")
+	}
+}
+
+// TestSteerCustomChunkCodec steers a field through a ChunkCodec that is
+// not a ChunkQuantizer: every pass, the first included, runs the codec's
+// CompressChunk on the container tiling, so the stream carries the
+// codec's own ID and takes the passes and decodes to the bits of the
+// same encode through sz.
+func TestSteerCustomChunkCodec(t *testing.T) {
+	f := hurricaneField("QCLOUD", fixedpsnr.Float32, 0)()
+	for _, opt := range []fixedpsnr.Options{
+		{Mode: fixedpsnr.ModePSNR, TargetPSNR: 30, Calibrated: true, Workers: 2},
+		{Mode: fixedpsnr.ModeRatio, TargetRatio: 16, Workers: 2},
+	} {
+		opt.Codec = "sz"
+		ref, want, err := fixedpsnr.Compress(f, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Codec = "relabel-sz"
+		blob, got, err := fixedpsnr.Compress(f, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", opt.Mode, err)
+		}
+		if want.Passes < 2 || got.Passes != want.Passes {
+			t.Fatalf("%v: %d passes, want sz's %d (at least 2)", opt.Mode, got.Passes, want.Passes)
+		}
+		h, err := fixedpsnr.Inspect(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Codec != relabelID {
+			t.Fatalf("%v: steered stream labelled %v, want %v", opt.Mode, h.Codec, relabelID)
+		}
+		dec, _, err := fixedpsnr.Decompress(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refDec, _, err := fixedpsnr.Decompress(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decodeDigest(dec) != decodeDigest(refDec) {
+			t.Fatalf("%v: relabelled stream decodes differently from the sz stream", opt.Mode)
+		}
+	}
+}
+
+// TestRegionTargetsNeedChunkCodec: region groups recompress chunk
+// subsets, so a codec without chunks is refused with ErrNotChunked.
+func TestRegionTargetsNeedChunkCodec(t *testing.T) {
+	f := hurricaneField("QCLOUD", fixedpsnr.Float32, 0)()
+	_, _, err := fixedpsnr.Compress(f, fixedpsnr.Options{
+		Mode: fixedpsnr.ModeRatio, TargetRatio: 4, Codec: "store",
+		RegionTargets: []fixedpsnr.RegionTarget{{
+			Region: fixedpsnr.Region{Off: []int{0, 0, 0}, Ext: []int{4, 64, 64}},
+			Mode:   fixedpsnr.ModeRatio, TargetRatio: 8,
+		}},
+	})
+	if !errors.Is(err, codec.ErrNotChunked) {
+		t.Fatalf("err = %v, want codec.ErrNotChunked", err)
 	}
 }
