@@ -19,11 +19,6 @@ type LSBWriter struct {
 	n   uint   // number of staged bits (< 8 between calls)
 }
 
-// NewLSBWriter returns an LSBWriter with a capacity hint of n bytes.
-func NewLSBWriter(n int) *LSBWriter {
-	return &LSBWriter{buf: make([]byte, 0, n)}
-}
-
 // Reset discards all written bits, retaining the underlying buffer.
 func (w *LSBWriter) Reset() {
 	w.buf = w.buf[:0]

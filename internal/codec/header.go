@@ -362,10 +362,6 @@ func (h *Header) NumGroups() int {
 	return len(h.Groups)
 }
 
-// GroupOf returns the group index of chunk ci (always 0 when the stream
-// has no group table).
-func (h *Header) GroupOf(ci int) int { return h.Chunks[ci].Group }
-
 // GroupChunks returns the indices of the chunks in group g, in chunk
 // order. With an empty group table, group 0 holds every chunk.
 func (h *Header) GroupChunks(g int) []int {

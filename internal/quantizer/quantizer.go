@@ -89,20 +89,6 @@ const RoundMagic = 3 << 51
 
 const roundMagic = RoundMagic
 
-// QuantizeFast is Quantize without the math.Round call and the explicit
-// NaN/Inf pre-checks: the range comparison is false for non-finite
-// quotients, so they reject naturally. It differs from Quantize only on
-// exact half-bin ties, which it rounds to the even index instead of away
-// from zero — both choices sit exactly on the error bound, so the
-// reconstruction guarantee is unchanged.
-func (q *Quantizer) QuantizeFast(diff float64) (code int, ok bool) {
-	idx := (diff/q.delta + roundMagic) - roundMagic
-	if !(idx < float64(q.radius) && idx > -float64(q.radius)) {
-		return 0, false
-	}
-	return int(idx) + q.radius, true
-}
-
 // QuantizeRecon is the compression-loop fast path: it quantizes diff and
 // also returns the reconstructed prediction error rec (what Reconstruct
 // of the code would produce), computed without leaving the float domain.

@@ -156,9 +156,6 @@ func (m *Moments) SampleVariance() float64 {
 	return m.m2 / float64(m.n-1)
 }
 
-// StdDev returns the population standard deviation.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
 // SampleStdDev returns the sample standard deviation, the STDEV column of
 // the paper's Table II.
 func (m *Moments) SampleStdDev() float64 { return math.Sqrt(m.SampleVariance()) }
