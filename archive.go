@@ -63,9 +63,10 @@ type archiveEntry struct {
 }
 
 // CompressFields compresses every field with the same options into one
-// archive, parallelizing across fields (each field is compressed
-// single-threaded so the speedup comes from field-level parallelism,
-// which matches the multi-field snapshot workload). In ModePSNR every
+// archive, parallelizing across fields: as in Encoder.EncodeBatch, the
+// Workers budget (non-positive: all CPUs) is divided evenly across the
+// fields, at least one worker each, so a 2-field batch on 16 cores runs
+// 8 workers per field. In ModePSNR every
 // field gets its own Eq. 8 bound from its own value range — the paper's
 // batch use case; in ModeRatio every field is steered to the shared
 // TargetRatio, so the whole snapshot lands on it too.
