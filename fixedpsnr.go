@@ -675,7 +675,7 @@ func compress(ctx context.Context, f *Field, opt Options, sc *codec.Scratch, wc 
 		}
 	}
 
-	// The plan layer's generic Drive loop runs every pass: the steered
+	// The plan layer's steering loop runs every pass: the steered
 	// quality targets — calibrated fixed-PSNR, fixed ratio — refine the
 	// first pass, and single-pass modes get a nil target and one pass.
 	blob, st, ebAbs, passes, err := plan.Drive(ctx, f, c, copt, tgt, sc)

@@ -40,9 +40,9 @@ type Tuning struct {
 	MaxPasses int
 }
 
-// Pass records one compression pass the Drive loop made: the absolute
+// Pass records one compression pass the steering loop made: the absolute
 // bound the codec ran with and the target statistic measured from the
-// resulting stream.
+// pass.
 type Pass struct {
 	Bound    float64
 	Measured float64
