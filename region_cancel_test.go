@@ -163,3 +163,32 @@ func TestArchiveReaderConcurrentExtract(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRegionEncodeCancellation cancels a region-target encode at every
+// ctx check in turn — the chunk loops, each group's pass checks and the
+// final assembly — and requires context.Canceled every time.
+func TestRegionEncodeCancellation(t *testing.T) {
+	f := hurricaneField("QCLOUD", fixedpsnr.Float32, 0)()
+	enc := mustEncoder(t, fixedpsnr.WithOptions(fixedpsnr.Options{
+		Mode: fixedpsnr.ModeRatio, TargetRatio: 12, Workers: 1, ChunkRows: 4,
+		RegionTargets: []fixedpsnr.RegionTarget{{
+			Region: fixedpsnr.Region{Off: []int{4, 0, 0}, Ext: []int{4, 64, 64}},
+			Mode:   fixedpsnr.ModePSNR, TargetPSNR: 60,
+		}},
+	}))
+	probe := &countingCtx{Context: context.Background()}
+	_, res, err := enc.Encode(probe, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Regions[0].Passes < 2 || res.Regions[1].Passes < 2 {
+		t.Fatalf("region passes %d and %d; the test needs both groups to steer", res.Regions[0].Passes, res.Regions[1].Passes)
+	}
+	checks := int(probe.n.Load())
+	for k := range checks {
+		ctx := &countdownCtx{Context: context.Background(), left: k}
+		if _, _, err := enc.Encode(ctx, f); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at check %d of %d: err = %v, want context.Canceled", k, checks, err)
+		}
+	}
+}
