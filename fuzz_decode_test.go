@@ -12,7 +12,8 @@ import (
 const maxFuzzStream = 128 << 10
 
 // addFixtureSeeds seeds f with every committed fixture stream, legacy
-// and four-lane, through add.
+// and four-lane, and with a pointwise-relative stream (no fixture is
+// one; it is 69 KB), through add.
 func addFixtureSeeds(f *testing.F, add func(blob []byte)) {
 	for _, path := range fixtureStreamPaths(f) {
 		blob, err := os.ReadFile(path)
@@ -21,13 +22,22 @@ func addFixtureSeeds(f *testing.F, add func(blob []byte)) {
 		}
 		add(blob)
 	}
+	pwrel, _, err := fixedpsnr.Compress(fixtureField("fixture", fixedpsnr.Float32, 64, 64, 16),
+		fixedpsnr.Options{Mode: fixedpsnr.ModePWRel, PWRelBound: 1e-2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(pwrel) > maxFuzzStream {
+		f.Fatalf("pointwise-relative seed is %d bytes, over maxFuzzStream", len(pwrel))
+	}
+	add(pwrel)
 }
 
 // FuzzDecompress feeds arbitrary bytes through Decompress end to end:
 // header, chunk table, payload dispatch, entropy decode and
 // reconstruction. Every input must return an error or a field, never
-// panic. The fixture seeds are 33–73 KB, so bound minimization when
-// fuzzing (-fuzzminimizetime 1s).
+// panic. The seeds are 33–73 KB, so bound minimization when fuzzing
+// (-fuzzminimizetime 1s).
 func FuzzDecompress(f *testing.F) {
 	addFixtureSeeds(f, func(blob []byte) { f.Add(blob) })
 	f.Fuzz(func(t *testing.T, data []byte) {
