@@ -23,17 +23,19 @@ import (
 // access. This is the single decode entry point for the public API, the
 // archive container, and the CLI.
 func Decompress(data []byte) (*field.Field, *Header, error) {
-	return DecompressScratch(data, nil)
+	return DecompressScratch(context.Background(), data, nil)
 }
 
 // DecompressScratch is Decompress drawing transient decode buffers from
-// a session's sc (nil allocates fresh).
-func DecompressScratch(data []byte, sc *Scratch) (*field.Field, *Header, error) {
+// a session's sc (nil allocates fresh), under a cancellable context: a
+// cancelled ctx aborts the decode within one chunk of work per worker
+// and returns ctx.Err().
+func DecompressScratch(ctx context.Context, data []byte, sc *Scratch) (*field.Field, *Header, error) {
 	h, err := ParseHeader(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	return decompressRegion(context.Background(), data, h, make([]int, len(h.Dims)), h.Dims, sc)
+	return decompressRegion(ctx, data, h, make([]int, len(h.Dims)), h.Dims, sc)
 }
 
 // DecompressRegion reconstructs the sub-block starting at off with

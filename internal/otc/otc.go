@@ -74,7 +74,7 @@ func (otcCodec) Decompress(data []byte) (*field.Field, *codec.Header, error) {
 	if h.Codec != codec.IDOTC && h.Codec != codec.IDConstant {
 		return nil, nil, fmt.Errorf("otc: stream has codec %v, not %v", h.Codec, codec.IDOTC)
 	}
-	return codec.DecompressScratch(data, nil)
+	return codec.Decompress(data)
 }
 
 func init() { codec.Register(otcCodec{}) }

@@ -98,7 +98,7 @@ func (szCodec) DecompressScratch(data []byte, sc *codec.Scratch) (*field.Field, 
 	if h.Codec == CodecLogLorenzo {
 		return DecompressPWRelScratch(data, sc)
 	}
-	return codec.DecompressScratch(data, sc)
+	return codec.DecompressScratch(context.Background(), data, sc)
 }
 
 // CompressPWRel implements codec.PWRelCodec: pointwise-relative

@@ -24,33 +24,45 @@ func chunkedStream(t *testing.T) ([]byte, *fixedpsnr.Field) {
 	return blob, f
 }
 
-// Cancelling mid-region-decode must surface ctx.Err() promptly, and the
-// session's pooled scratch must stay reusable: a follow-up decode on the
-// same Decoder returns the exact same bytes as a fresh one.
+// Cancelling mid-decode — a whole-field region or a whole Decode — must
+// surface ctx.Err() promptly, and the session's pooled scratch must stay
+// reusable: a follow-up decode on the same Decoder returns the exact same
+// bytes as a fresh one.
 func TestDecodeRegionCancellationMidDecode(t *testing.T) {
 	blob, _ := chunkedStream(t)
-	dec := fixedpsnr.NewDecoder()
 	off, ext := []int{0, 0, 0}, []int{64, 48, 8}
+	for _, c := range []struct {
+		name   string
+		decode func(*fixedpsnr.Decoder, context.Context) (*fixedpsnr.Field, *fixedpsnr.StreamInfo, error)
+	}{
+		{"DecodeRegion", func(d *fixedpsnr.Decoder, ctx context.Context) (*fixedpsnr.Field, *fixedpsnr.StreamInfo, error) {
+			return d.DecodeRegion(ctx, blob, off, ext)
+		}},
+		{"Decode", func(d *fixedpsnr.Decoder, ctx context.Context) (*fixedpsnr.Field, *fixedpsnr.StreamInfo, error) {
+			return d.Decode(ctx, blob)
+		}},
+	} {
+		dec := fixedpsnr.NewDecoder()
+		// The stream has 8 chunks; the countdown trips after a few Err
+		// checks, well inside the chunk loop.
+		ctx := &countdownCtx{Context: context.Background(), left: 3}
+		if _, _, err := c.decode(dec, ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled %s err = %v, want context.Canceled", c.name, err)
+		}
 
-	// The region spans 8 chunks; the countdown trips after a few Err
-	// checks, well inside the chunk loop.
-	ctx := &countdownCtx{Context: context.Background(), left: 3}
-	if _, _, err := dec.DecodeRegion(ctx, blob, off, ext); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled DecodeRegion err = %v, want context.Canceled", err)
-	}
-
-	// Same Decoder, fresh context: byte-identical to an untouched one.
-	got, _, err := dec.DecodeRegion(context.Background(), blob, off, ext)
-	if err != nil {
-		t.Fatalf("post-cancel DecodeRegion: %v", err)
-	}
-	want, _, err := fixedpsnr.NewDecoder().DecodeRegion(context.Background(), blob, off, ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("post-cancel decode diverges at %d: %v != %v (scratch corrupted?)", i, got.Data[i], want.Data[i])
+		// Same Decoder, fresh context: byte-identical to an untouched one.
+		got, _, err := c.decode(dec, context.Background())
+		if err != nil {
+			t.Fatalf("post-cancel %s: %v", c.name, err)
+		}
+		want, _, err := c.decode(fixedpsnr.NewDecoder(), context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("post-cancel %s diverges at %d: %v != %v (scratch corrupted?)", c.name, i, got.Data[i], want.Data[i])
+			}
 		}
 	}
 }

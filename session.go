@@ -289,12 +289,13 @@ type Decoder struct {
 func NewDecoder() *Decoder { return &Decoder{scratch: codec.NewScratch()} }
 
 // Decode reconstructs a field from any stream produced by an Encoder (or
-// Compress). A cancelled ctx returns ctx.Err() without touching data.
+// Compress). A cancelled ctx returns ctx.Err() without touching data, and
+// cancelling mid-decode stops it within one chunk of work per worker.
 func (d *Decoder) Decode(ctx context.Context, data []byte) (*Field, *StreamInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	return codec.DecompressScratch(data, d.scratch)
+	return codec.DecompressScratch(ctx, data, d.scratch)
 }
 
 // DecodeRegion reconstructs only the axis-aligned sub-block starting at
