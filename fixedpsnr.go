@@ -855,12 +855,11 @@ func Decompress(data []byte) (*Field, *StreamInfo, error) {
 
 // DecompressRegion reconstructs only the axis-aligned sub-block starting
 // at off with extents ext (one entry per dimension) from a compressed
-// stream. On chunked (version 3) streams only the chunks the region's
-// row window intersects are decoded, so the cost scales with the region,
-// not the field; the result is byte-identical to slicing a full
-// Decompress. Streams without chunk-granular access (legacy
-// single-payload, pointwise-relative, custom codecs) fall back to a full
-// decode plus crop.
+// stream. Only the chunks the region's row window intersects are
+// decoded, so the cost scales with the region, not the field; the result
+// is byte-identical to slicing a full Decompress. Streams of custom
+// codecs without chunk-granular access (not a codec.ChunkCodec) fall
+// back to a full decode plus crop.
 func DecompressRegion(data []byte, off, ext []int) (*Field, *StreamInfo, error) {
 	return codec.DecompressRegion(data, off, ext)
 }

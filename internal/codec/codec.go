@@ -89,19 +89,6 @@ type ChunkCodec interface {
 	DecompressChunk(payload []byte, h *Header, ci int, dst []float64, scratch *Scratch) error
 }
 
-// ScratchDecompressor is the optional interface of pipelines whose
-// whole-stream decode path can reuse session scratch buffers. The chunk
-// decoder's fallback for streams it cannot read chunk by chunk routes
-// through it when available, so a session Decoder holding one Scratch
-// stops paying the decode-side transient allocations (inflate windows,
-// Huffman tables, code slices) on every call.
-type ScratchDecompressor interface {
-	Codec
-	// DecompressScratch is Decompress drawing transient buffers from sc.
-	// A nil sc must behave exactly like Decompress.
-	DecompressScratch(data []byte, sc *Scratch) (*field.Field, *Header, error)
-}
-
 // PWRelCodec is the optional interface of pipelines that implement the
 // pointwise-relative error mode (|x̃ − x| ≤ rel·|x| for every point).
 // The built-in sz pipeline implements it via log-domain compression.
@@ -118,8 +105,8 @@ type PWRelCodec interface {
 
 // ErrNotChunked reports that a stream cannot be decoded chunk by chunk
 // (its codec is not a ChunkCodec, or the stream ID is one the pipeline
-// only decodes whole, like the log-domain pointwise-relative streams).
-// Region decoding falls back to a full decode plus crop when it sees it.
+// only decodes whole). Every built-in stream decodes chunk by chunk;
+// region decoding falls back to a full decode plus crop when it sees it.
 var ErrNotChunked = errors.New("codec: stream does not support chunk-granular access")
 
 var (

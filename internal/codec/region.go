@@ -19,9 +19,9 @@ import (
 
 // Decompress reconstructs a field from any registered stream: it parses
 // the header once and decodes through the chunk decoder, or through the
-// owning pipeline's whole-stream decoder for streams without chunk
-// access. This is the single decode entry point for the public API, the
-// archive container, and the CLI.
+// owning pipeline's whole-stream decoder for codecs without chunk access.
+// This is the single decode entry point for the public API, the archive
+// container, and the CLI.
 func Decompress(data []byte) (*field.Field, *Header, error) {
 	return DecompressScratch(context.Background(), data, nil)
 }
@@ -39,10 +39,10 @@ func DecompressScratch(ctx context.Context, data []byte, sc *Scratch) (*field.Fi
 }
 
 // DecompressRegion reconstructs the sub-block starting at off with
-// extents ext from a compressed stream. Chunk-capable streams decode only
-// the intersecting chunks; other streams (custom codecs,
-// pointwise-relative) fall back to a full decode plus crop, so the call
-// succeeds on every registered stream.
+// extents ext from a compressed stream. Every built-in stream decodes
+// only the intersecting chunks; streams of codecs without chunk access
+// fall back to a full decode plus crop, so the call succeeds on every
+// registered stream.
 func DecompressRegion(data []byte, off, ext []int) (*field.Field, *Header, error) {
 	return DecompressRegionScratch(context.Background(), data, off, ext, nil)
 }
@@ -117,7 +117,7 @@ func chunkCodec(h *Header) (ChunkCodec, error) {
 // fields, regions, and archive extraction. payload fetches one chunk's
 // bytes, so a caller that does not hold the whole stream — the archive
 // reader — reads only the ranges it needs; whole fetches the entire
-// stream, which the fallback for streams without chunk access hands to
+// stream, which the fallback for codecs without chunk access hands to
 // the owning pipeline's decoder before cropping. Chunks decode in
 // parallel, each worker from its own scratch shard; a chunk lying inside
 // a region that spans every inner dimension decodes straight into the
@@ -136,7 +136,7 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 	}
 	cc, err := chunkCodec(h)
 	if errors.Is(err, ErrNotChunked) {
-		return decompressWhole(ctx, h, whole, off, ext, sc)
+		return decompressWhole(ctx, h, whole, off, ext)
 	}
 	if err != nil {
 		return nil, err
@@ -182,7 +182,7 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 		return nil
 	})
 	if errors.Is(err, ErrNotChunked) {
-		return decompressWhole(ctx, h, whole, off, ext, sc)
+		return decompressWhole(ctx, h, whole, off, ext)
 	}
 	if err != nil {
 		return nil, err
@@ -190,10 +190,11 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 	return out, nil
 }
 
-// decompressWhole decodes a stream the chunk decoder cannot read —
-// log-domain pointwise-relative streams, codecs without chunk access —
-// through its pipeline's whole-stream decoder, then crops the region.
-func decompressWhole(ctx context.Context, h *Header, whole func() ([]byte, error), off, ext []int, sc *Scratch) (*field.Field, error) {
+// decompressWhole decodes a stream the chunk decoder cannot read — one
+// whose codec has no chunk access, like the store example, or answers
+// ErrNotChunked — through its pipeline's whole-stream decoder, then crops
+// the region.
+func decompressWhole(ctx context.Context, h *Header, whole func() ([]byte, error), off, ext []int) (*field.Field, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -202,12 +203,7 @@ func decompressWhole(ctx context.Context, h *Header, whole func() ([]byte, error
 		return nil, err
 	}
 	c, _ := Lookup(h.Codec)
-	var full *field.Field
-	if sd, ok := c.(ScratchDecompressor); ok {
-		full, _, err = sd.DecompressScratch(data, sc)
-	} else {
-		full, _, err = c.Decompress(data)
-	}
+	full, _, err := c.Decompress(data)
 	if err != nil {
 		return nil, err
 	}

@@ -83,22 +83,7 @@ func (szCodec) Compress(ctx context.Context, f *field.Field, opt codec.Options, 
 }
 
 func (szCodec) Decompress(data []byte) (*field.Field, *codec.Header, error) {
-	return Decompress(data)
-}
-
-// DecompressScratch implements codec.ScratchDecompressor: log-domain
-// pointwise-relative streams decode here, drawing the mask inflate
-// reader and the inner stream's decode buffers from sc (nil allocates
-// fresh); every other stream goes to the chunk decoder.
-func (szCodec) DecompressScratch(data []byte, sc *codec.Scratch) (*field.Field, *codec.Header, error) {
-	h, err := ParseHeader(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if h.Codec == CodecLogLorenzo {
-		return DecompressPWRelScratch(data, sc)
-	}
-	return codec.DecompressScratch(context.Background(), data, sc)
+	return codec.Decompress(data)
 }
 
 // CompressPWRel implements codec.PWRelCodec: pointwise-relative

@@ -19,13 +19,14 @@ import (
 // guarantees |x̃/x − 1| ≤ ebRel for every non-zero point. Signs and exact
 // zeros travel in bit masks alongside the inner stream.
 //
-// Stream layout (codec CodecLogLorenzo): the outer container header
-// records ebRel in its EbAbs slot, followed by one payload chunk:
+// Stream layout (codec.IDLogLorenzo): the outer container header
+// records ebRel in its EbAbs slot, followed by one payload chunk, which
+// the container's chunk decoder hands to DecompressChunk like any other:
 //
 //	ebRel               8 bytes IEEE-754 LE
 //	maskLen             uvarint (compressed byte count)
 //	flate(signMask || zeroMask)   each mask ⌈n/8⌉ bytes, MSB-first
-//	inner CodecLorenzo stream     (the log-domain field)
+//	inner codec.IDLorenzo stream  (the log-domain field)
 
 // CompressPWRel compresses the field under a pointwise relative error
 // bound: every reconstructed value satisfies |x̃ − x| ≤ ebRel·|x| (zeros
@@ -127,79 +128,70 @@ func CompressPWRelCtx(ctx context.Context, f *field.Field, ebRel float64, opt Op
 	return out, st, nil
 }
 
-// DecompressPWRel reconstructs a field from a CodecLogLorenzo stream.
-// Decompress routes here automatically; callers normally use it instead.
-func DecompressPWRel(data []byte) (*field.Field, *Header, error) {
-	return DecompressPWRelScratch(data, nil)
-}
-
-// DecompressPWRelScratch is DecompressPWRel drawing the mask inflate
-// reader and the inner stream's decode buffers from sc, so session
-// callers reuse the ~50 KB flate window across streams. A nil sc
-// allocates fresh.
-func DecompressPWRelScratch(data []byte, sc *codec.Scratch) (*field.Field, *Header, error) {
-	h, err := ParseHeader(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if h.Codec != CodecLogLorenzo {
-		return nil, nil, fmt.Errorf("sz: stream has codec %v, not %v", h.Codec, CodecLogLorenzo)
-	}
+// decompressPWRelChunk decodes a log-domain stream's one payload chunk
+// into dst: the sign and zero masks, then the inner Lorenzo stream, whose
+// declared point count must match dst before it is decoded, then exp and
+// the signs. Transient buffers come from sc (nil = fresh allocations).
+func decompressPWRelChunk(payload []byte, h *codec.Header, dst []float64, sc *codec.Scratch) error {
 	if len(h.Chunks) != 1 {
-		return nil, nil, fmt.Errorf("sz: pwrel stream should have one payload chunk")
+		return fmt.Errorf("sz: pwrel stream should have one payload chunk")
 	}
-	payload, err := codec.ChunkPayload(data, h, 0)
+	_, payload, err := codec.ReadFloat64(payload) // ebRel (informational)
 	if err != nil {
-		return nil, nil, fmt.Errorf("sz: pwrel payload: %w", err)
+		return err
 	}
-
-	_, payload, err = readFloat64(payload) // ebRel (informational)
+	maskLen, payload, err := codec.ReadUvarint(payload)
 	if err != nil {
-		return nil, nil, err
-	}
-	maskLen, payload, err := readUvarint(payload)
-	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if uint64(len(payload)) < maskLen {
-		return nil, nil, fmt.Errorf("sz: pwrel masks truncated")
+		return fmt.Errorf("sz: pwrel masks truncated")
 	}
+	n := len(dst)
+	maskBytes := (n + 7) / 8
+	// Inflating one byte past the masks' size is enough to reject an
+	// oversized mask section.
 	fr := sc.FlateReader(bytes.NewReader(payload[:maskLen]))
-	masks, err := io.ReadAll(fr)
+	masks, err := io.ReadAll(io.LimitReader(fr, 2*int64(maskBytes)+1))
 	if err != nil {
 		fr.Close()
 		sc.PutFlateReader(fr)
-		return nil, nil, fmt.Errorf("sz: pwrel masks: %w", err)
+		return fmt.Errorf("sz: pwrel masks: %w", err)
 	}
 	if err := fr.Close(); err != nil {
 		sc.PutFlateReader(fr)
-		return nil, nil, err
+		return err
 	}
 	sc.PutFlateReader(fr)
-	n := h.NPoints()
-	maskBytes := (n + 7) / 8
 	if len(masks) != 2*maskBytes {
-		return nil, nil, fmt.Errorf("sz: pwrel masks have %d bytes, want %d", len(masks), 2*maskBytes)
+		return fmt.Errorf("sz: pwrel masks have %d bytes, want %d", len(masks), 2*maskBytes)
 	}
 	signMask := masks[:maskBytes]
 	zeroMask := masks[maskBytes:]
 
 	inner := payload[maskLen:]
-	logField, _, err := codec.DecompressScratch(context.Background(), inner, sc)
+	ih, err := codec.ParseHeader(inner)
 	if err != nil {
-		return nil, nil, fmt.Errorf("sz: pwrel inner stream: %w", err)
+		return fmt.Errorf("sz: pwrel inner stream: %w", err)
 	}
-	if logField.Len() != n {
-		return nil, nil, fmt.Errorf("sz: pwrel inner field has %d points, want %d", logField.Len(), n)
+	if ih.NPoints() != n {
+		return fmt.Errorf("sz: pwrel inner field has %d points, want %d", ih.NPoints(), n)
+	}
+	logField, err := codec.DecompressRegionFrom(context.Background(), ih, func(ci int) ([]byte, error) {
+		return codec.ChunkPayload(inner, ih, ci)
+	}, func() ([]byte, error) {
+		return inner, nil
+	}, make([]int, len(ih.Dims)), ih.Dims, sc)
+	if err != nil {
+		return fmt.Errorf("sz: pwrel inner stream: %w", err)
 	}
 
-	out := field.New(h.Name, h.Precision, h.Dims...)
-	for i := 0; i < n; i++ {
+	for i := range dst {
 		if zeroMask[i/8]&(1<<(7-i%8)) != 0 {
 			if signMask[i/8]&(1<<(7-i%8)) != 0 {
-				out.Data[i] = math.Copysign(0, -1)
+				dst[i] = math.Copysign(0, -1)
 			} else {
-				out.Data[i] = 0
+				dst[i] = 0
 			}
 			continue
 		}
@@ -207,7 +199,7 @@ func DecompressPWRelScratch(data []byte, sc *codec.Scratch) (*field.Field, *Head
 		if signMask[i/8]&(1<<(7-i%8)) != 0 {
 			v = -v
 		}
-		out.Data[i] = v
+		dst[i] = v
 	}
-	return out, h, nil
+	return nil
 }

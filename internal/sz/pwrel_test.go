@@ -1,10 +1,15 @@
 package sz
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
 )
 
@@ -54,9 +59,14 @@ func TestPWRelRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ebRel=%g: %v", ebRel, err)
 		}
+		before := codec.HeaderParses()
 		g, h, err := Decompress(blob) // routed via codec dispatch
 		if err != nil {
 			t.Fatalf("ebRel=%g: %v", ebRel, err)
+		}
+		// The outer header, then the inner stream's, once each.
+		if parses := codec.HeaderParses() - before; parses != 2 {
+			t.Fatalf("ebRel=%g: Decompress parsed %d headers, want 2", ebRel, parses)
 		}
 		if h.Codec != CodecLogLorenzo || h.Mode != ModePWRel {
 			t.Fatalf("header: %+v", h)
@@ -75,7 +85,7 @@ func TestPWRel1D3D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := DecompressPWRel(blob)
+		g, _, err := Decompress(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,17 +153,6 @@ func TestPWRelTinyAndHugeMagnitudes(t *testing.T) {
 	assertPWRelBound(t, f, g, 1e-4)
 }
 
-func TestPWRelDecompressRejectsWrongCodec(t *testing.T) {
-	f := pwrelField(32)
-	blob, _, err := Compress(f, Options{ErrorBound: 1e-3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := DecompressPWRel(blob); err == nil {
-		t.Fatal("expected codec mismatch error")
-	}
-}
-
 func TestPWRelTruncatedStream(t *testing.T) {
 	f := pwrelField(64)
 	blob, _, err := CompressPWRel(f, 1e-3, Options{Workers: 1})
@@ -162,5 +161,68 @@ func TestPWRelTruncatedStream(t *testing.T) {
 	}
 	if _, _, err := Decompress(blob[:len(blob)-8]); err == nil {
 		t.Fatal("expected error for truncated stream")
+	}
+}
+
+// TestPWRelHostileSizes decodes two crafted streams of an 8×8 field: an
+// inner stream that is a constant header declaring 2^46 points, and a
+// mask section that inflates to 16 MiB. Both must fail with an error,
+// and neither may allocate what the outer header never declared.
+func TestPWRelHostileSizes(t *testing.T) {
+	blob, _, err := CompressPWRel(pwrelField(8, 8), 1e-2, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := codec.ParseHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := codec.ChunkPayload(blob, h, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maskLen, k := binary.Uvarint(payload[8:])
+	masks := payload[8+k : 8+k+int(maskLen)]
+	inner := payload[8+k+int(maskLen):]
+	probe := func(masks, inner []byte) []byte {
+		pl := codec.AppendFloat64(nil, 1e-2)
+		pl = binary.AppendUvarint(pl, uint64(len(masks)))
+		pl = append(append(pl, masks...), inner...)
+		out, err := codec.AssembleStream(h, [][]byte{pl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	huge, _ := codec.ConstantStream("pwrel", field.Float64, []int{1 << 23, 1 << 23}, codec.ModePWRel, 0)
+	var zeros bytes.Buffer
+	fw, _ := flate.NewWriter(&zeros, flate.BestCompression)
+	fw.Write(make([]byte, 16<<20))
+	fw.Close()
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"inner stream declaring 2^46 points", probe(masks, huge)},
+		{"masks inflating to 16 MiB", probe(zeros.Bytes(), inner)},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: Decompress panicked: %v", tc.name, r)
+				}
+			}()
+			if _, _, err := Decompress(tc.stream); err == nil {
+				t.Fatalf("%s: %d-byte stream accepted", tc.name, len(tc.stream))
+			}
+		}()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: Decompress allocated %d bytes before failing, limit %d", tc.name, got, 1<<20)
+		}
 	}
 }

@@ -98,22 +98,26 @@ func (szCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, pr
 }
 
 // Decompress reconstructs a field from a compressed stream.
-func Decompress(data []byte) (*field.Field, *Header, error) {
-	return szCodec{}.DecompressScratch(data, nil)
+func Decompress(data []byte) (*field.Field, *codec.Header, error) {
+	return codec.Decompress(data)
 }
 
-// DecompressChunk implements codec.ChunkCodec for Lorenzo streams,
-// reconstructing chunk c into dst (the chunk's points). Per-chunk bounds
-// written by selective recompression take precedence over the header
-// bound. Constant and log-domain (pointwise-relative) streams are only
-// decoded whole and report ErrNotChunked. Transient buffers come from sc
-// (nil = fresh allocations).
+// DecompressChunk implements codec.ChunkCodec, reconstructing chunk c
+// into dst (the chunk's points): Lorenzo chunks here, and the one chunk
+// of a log-domain (pointwise-relative) stream in decompressPWRelChunk.
+// Per-chunk bounds written by selective recompression take precedence
+// over the header bound. Constant streams, which the container decodes
+// itself, report ErrNotChunked. Transient buffers come from sc (nil =
+// fresh allocations).
 func (szCodec) DecompressChunk(payload []byte, h *codec.Header, c int, dst []float64, sc *codec.Scratch) error {
-	if h.Codec != codec.IDLorenzo {
+	if h.Codec != codec.IDLorenzo && h.Codec != codec.IDLogLorenzo {
 		return codec.ErrNotChunked
 	}
 	if len(dst) != h.ChunkPoints(c) {
 		return fmt.Errorf("sz: chunk %d dst has %d points, want %d", c, len(dst), h.ChunkPoints(c))
+	}
+	if h.Codec == codec.IDLogLorenzo {
+		return decompressPWRelChunk(payload, h, dst, sc)
 	}
 	q, err := quantizer.New(h.ChunkBound(c), h.Capacity)
 	if err != nil {
