@@ -34,6 +34,7 @@ import (
 	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
 	"fixedpsnr/internal/kernels"
+	"fixedpsnr/internal/predictor"
 	"fixedpsnr/internal/quantizer"
 )
 
@@ -668,61 +669,10 @@ func estimateCapacity(data []float64, dims []int, eb float64) int {
 	delta := 2 * eb
 	// Collect |q| for sampled points using the rank-matched predictor on
 	// original data.
+	p := predictor.ForDims(dims)
 	var absIdx []float64
-	switch len(dims) {
-	case 1:
-		for i := stride; i < n; i += stride {
-			absIdx = append(absIdx, math.Abs((data[i]-data[i-1])/delta))
-		}
-	case 2:
-		cols := dims[1]
-		for idx := stride; idx < n; idx += stride {
-			i, j := idx/cols, idx%cols
-			var a, b, d float64
-			if j > 0 {
-				a = data[idx-1]
-			}
-			if i > 0 {
-				b = data[idx-cols]
-				if j > 0 {
-					d = data[idx-cols-1]
-				}
-			}
-			absIdx = append(absIdx, math.Abs((data[idx]-(a+b-d))/delta))
-		}
-	case 3:
-		d1, d2 := dims[1], dims[2]
-		plane := d1 * d2
-		for idx := stride; idx < n; idx += stride {
-			i := idx / plane
-			rem := idx % plane
-			j := rem / d2
-			k := rem % d2
-			var x100, x010, x001, x110, x101, x011, x111 float64
-			if i > 0 {
-				x100 = data[idx-plane]
-			}
-			if j > 0 {
-				x010 = data[idx-d2]
-			}
-			if k > 0 {
-				x001 = data[idx-1]
-			}
-			if i > 0 && j > 0 {
-				x110 = data[idx-plane-d2]
-			}
-			if i > 0 && k > 0 {
-				x101 = data[idx-plane-1]
-			}
-			if j > 0 && k > 0 {
-				x011 = data[idx-d2-1]
-			}
-			if i > 0 && j > 0 && k > 0 {
-				x111 = data[idx-plane-d2-1]
-			}
-			pred := x100 + x010 + x001 - x110 - x101 - x011 + x111
-			absIdx = append(absIdx, math.Abs((data[idx]-pred)/delta))
-		}
+	for i := stride; i < n; i += stride {
+		absIdx = append(absIdx, math.Abs((data[i]-p.Predict(data, i))/delta))
 	}
 	if len(absIdx) == 0 {
 		return quantizer.DefaultCapacity
