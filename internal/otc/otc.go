@@ -227,60 +227,6 @@ func (b *blockBufs) release() {
 	}
 }
 
-// gatherBlock copies a block into buf (row-major within the block).
-func gatherBlock(data []float64, dims []int, br blockRange, buf []float64) {
-	switch len(dims) {
-	case 1:
-		copy(buf, data[br.off[0]:br.off[0]+br.size[0]])
-	case 2:
-		cols := dims[1]
-		idx := 0
-		for i := 0; i < br.size[0]; i++ {
-			src := (br.off[0]+i)*cols + br.off[1]
-			copy(buf[idx:idx+br.size[1]], data[src:src+br.size[1]])
-			idx += br.size[1]
-		}
-	case 3:
-		d1, d2 := dims[1], dims[2]
-		plane := d1 * d2
-		idx := 0
-		for i := 0; i < br.size[0]; i++ {
-			for j := 0; j < br.size[1]; j++ {
-				src := (br.off[0]+i)*plane + (br.off[1]+j)*d2 + br.off[2]
-				copy(buf[idx:idx+br.size[2]], data[src:src+br.size[2]])
-				idx += br.size[2]
-			}
-		}
-	}
-}
-
-// scatterBlock writes a block buffer back into the field array.
-func scatterBlock(data []float64, dims []int, br blockRange, buf []float64) {
-	switch len(dims) {
-	case 1:
-		copy(data[br.off[0]:br.off[0]+br.size[0]], buf)
-	case 2:
-		cols := dims[1]
-		idx := 0
-		for i := 0; i < br.size[0]; i++ {
-			dst := (br.off[0]+i)*cols + br.off[1]
-			copy(data[dst:dst+br.size[1]], buf[idx:idx+br.size[1]])
-			idx += br.size[1]
-		}
-	case 3:
-		d1, d2 := dims[1], dims[2]
-		plane := d1 * d2
-		idx := 0
-		for i := 0; i < br.size[0]; i++ {
-			for j := 0; j < br.size[1]; j++ {
-				dst := (br.off[0]+i)*plane + (br.off[1]+j)*d2 + br.off[2]
-				copy(data[dst:dst+br.size[2]], buf[idx:idx+br.size[2]])
-				idx += br.size[2]
-			}
-		}
-	}
-}
-
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // applyBlock applies the separable orthonormal block transform (or, with
@@ -385,8 +331,10 @@ func (otcCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, p
 	err = parallel.ForEachWorkerCtx(ctx, g.len(), opt.Workers, func(w, bi int) error {
 		br := g.block(bi)
 		cur, tmp := bufs.get(w, br.n)
-		gatherBlock(data, dims, br, cur)
-		coef, err := applyBlock(cur, tmp, br.size[:len(dims)], opt.Transform, false)
+		var zero [3]int
+		rank := len(dims)
+		field.CopyRegion(cur, br.size[:rank], zero[:rank], data, dims, br.off[:rank], br.size[:rank])
+		coef, err := applyBlock(cur, tmp, br.size[:rank], opt.Transform, false)
 		if err != nil {
 			return err
 		}
@@ -491,11 +439,13 @@ func (otcCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []f
 			}
 			cur[i] = q.Reconstruct(int(c))
 		}
-		vals, err := applyBlock(cur, tmp, br.size[:len(dims)], tr, true)
+		rank := len(dims)
+		vals, err := applyBlock(cur, tmp, br.size[:rank], tr, true)
 		if err != nil {
 			return err
 		}
-		scatterBlock(dst, dims, br, vals)
+		var zero [3]int
+		field.CopyRegion(dst, dims, br.off[:rank], vals, br.size[:rank], zero[:rank], br.size[:rank])
 		return nil
 	})
 }

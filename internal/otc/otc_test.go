@@ -98,11 +98,12 @@ func TestGatherScatterInverse(t *testing.T) {
 	}
 	dst := make([]float64, len(src))
 	g := newBlockGrid(dims, 4)
+	zero := []int{0, 0, 0}
 	for bi := range g.len() {
 		br := g.block(bi)
 		buf := make([]float64, br.n)
-		gatherBlock(src, dims, br, buf)
-		scatterBlock(dst, dims, br, buf)
+		field.CopyRegion(buf, br.size[:], zero, src, dims, br.off[:], br.size[:])
+		field.CopyRegion(dst, dims, br.off[:], buf, br.size[:], zero, br.size[:])
 	}
 	for i := range src {
 		if src[i] != dst[i] {
