@@ -154,6 +154,24 @@ func TestRegisterCollisionsPanic(t *testing.T) {
 	})
 }
 
+func TestModeStrings(t *testing.T) {
+	for m, want := range map[codec.Mode]string{
+		codec.ModeAbs: "abs", codec.ModeRel: "rel", codec.ModePSNR: "psnr", codec.ModePWRel: "pwrel", codec.Mode(9): "mode(9)",
+	} {
+		if m.String() != want {
+			t.Fatalf("Mode(%d).String() = %q, want %q", m, m.String(), want)
+		}
+	}
+	for c, want := range map[codec.ID]string{
+		codec.IDLorenzo: "sz-lorenzo", codec.IDConstant: "constant",
+		codec.IDLogLorenzo: "sz-log-lorenzo", codec.IDOTC: "otc-dct", codec.ID(9): "codec(9)",
+	} {
+		if c.String() != want {
+			t.Fatalf("ID.String() = %q, want %q", c.String(), want)
+		}
+	}
+}
+
 func TestHeaderMarshalParseRoundTrip(t *testing.T) {
 	h := &codec.Header{
 		Codec:      codec.IDLorenzo,

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/core"
 	"fixedpsnr/internal/field"
 	"fixedpsnr/internal/stats"
@@ -255,11 +256,11 @@ func TestHeaderCodecIsOTC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := sz.ParseHeader(blob)
+	h, err := codec.ParseHeader(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Codec != sz.CodecOTC {
+	if h.Codec != codec.IDOTC {
 		t.Fatalf("codec = %v", h.Codec)
 	}
 }

@@ -7,58 +7,6 @@ import (
 	"fixedpsnr/internal/field"
 )
 
-// The stream container (header layout, codec identifiers, parsing) lives
-// in internal/codec so every registered pipeline shares it; this file
-// keeps the historical sz names as aliases for the shared types.
-
-// Magic identifies a fixed-PSNR compressed stream.
-var Magic = codec.Magic
-
-// Version is the current stream format version.
-const Version = codec.Version
-
-// Codec identifies the compression pipeline used for the payload.
-type Codec = codec.ID
-
-// Codec values.
-const (
-	// CodecLorenzo is the SZ pipeline: Lorenzo prediction +
-	// error-controlled uniform quantization + Huffman + DEFLATE.
-	CodecLorenzo = codec.IDLorenzo
-	// CodecConstant stores a constant field as a single value.
-	CodecConstant = codec.IDConstant
-	// CodecLogLorenzo is the pointwise-relative pipeline: CodecLorenzo
-	// applied in the log domain with a sign/zero side channel.
-	CodecLogLorenzo = codec.IDLogLorenzo
-	// CodecOTC is the orthogonal-transform pipeline implemented by
-	// internal/otc. It shares this container format.
-	CodecOTC = codec.IDOTC
-)
-
-// Mode records how the error bound embedded in the stream was derived.
-type Mode = codec.Mode
-
-// Mode values.
-const (
-	ModeAbs   = codec.ModeAbs
-	ModeRel   = codec.ModeRel
-	ModePSNR  = codec.ModePSNR
-	ModePWRel = codec.ModePWRel
-)
-
-// Header describes a compressed stream.
-type Header = codec.Header
-
-// ParseHeader decodes the header of a compressed stream without touching
-// the chunk payloads.
-func ParseHeader(data []byte) (*Header, error) { return codec.ParseHeader(data) }
-
-func appendFloat64(b []byte, v float64) []byte { return codec.AppendFloat64(b, v) }
-
-func readFloat64(b []byte) (float64, []byte, error) { return codec.ReadFloat64(b) }
-
-func readUvarint(b []byte) (uint64, []byte, error) { return codec.ReadUvarint(b) }
-
 // szCodec publishes this pipeline in the codec registry: it owns the
 // Lorenzo, constant, and log-Lorenzo stream IDs and measures its exact
 // MSE during compression (Theorem 1).

@@ -72,7 +72,7 @@ func CompressPWRelCtx(ctx context.Context, f *field.Field, ebRel float64, opt Op
 	ebLog := math.Log1p(ebRel) * (1 - 1e-12) // tiny margin for exp/log rounding
 	innerOpt := opt
 	innerOpt.ErrorBound = ebLog
-	innerOpt.Mode = ModePWRel
+	innerOpt.Mode = codec.ModePWRel
 	innerOpt.TargetPSNR = math.NaN()
 	inner, innerStats, err := szCodec{}.Compress(ctx, logField, innerOpt, sc)
 	if err != nil {
@@ -82,16 +82,16 @@ func CompressPWRelCtx(ctx context.Context, f *field.Field, ebRel float64, opt Op
 	maskStream := sc.AppendDeflate(nil, masks)
 
 	payload := make([]byte, 0, 16+len(maskStream)+len(inner))
-	payload = appendFloat64(payload, ebRel)
+	payload = codec.AppendFloat64(payload, ebRel)
 	payload = binary.AppendUvarint(payload, uint64(len(maskStream)))
 	payload = append(payload, maskStream...)
 	payload = append(payload, inner...)
 
 	_, _, vr := f.ValueRange()
-	h := &Header{
-		Codec:      CodecLogLorenzo,
+	h := &codec.Header{
+		Codec:      codec.IDLogLorenzo,
 		Precision:  f.Precision,
-		Mode:       ModePWRel,
+		Mode:       codec.ModePWRel,
 		Name:       f.Name,
 		Dims:       f.Dims,
 		EbAbs:      ebRel, // the pointwise relative bound, by convention

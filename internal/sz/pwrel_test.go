@@ -68,7 +68,7 @@ func TestPWRelRoundTrip(t *testing.T) {
 		if parses := codec.HeaderParses() - before; parses != 2 {
 			t.Fatalf("ebRel=%g: Decompress parsed %d headers, want 2", ebRel, parses)
 		}
-		if h.Codec != CodecLogLorenzo || h.Mode != ModePWRel {
+		if h.Codec != codec.IDLogLorenzo || h.Mode != codec.ModePWRel {
 			t.Fatalf("header: %+v", h)
 		}
 		assertPWRelBound(t, f, g, ebRel)

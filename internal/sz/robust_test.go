@@ -30,7 +30,7 @@ func TestDecompressNeverPanicsOnMutation(t *testing.T) {
 				t.Fatalf("Decompress panicked on mutated stream: %v", r)
 			}
 		}()
-		h, err := ParseHeader(mut)
+		h, err := codec.ParseHeader(mut)
 		if err != nil {
 			return
 		}
@@ -75,8 +75,8 @@ func TestDecompressNeverPanicsOnTruncation(t *testing.T) {
 
 func TestParseHeaderRejectsOverflowDims(t *testing.T) {
 	// Construct a header whose dims multiply past the overflow guard.
-	h := &Header{
-		Codec:     CodecLorenzo,
+	h := &codec.Header{
+		Codec:     codec.IDLorenzo,
 		Precision: field.Float32,
 		Name:      "huge",
 		Dims:      []int{1 << 40, 1 << 40, 1 << 40},
@@ -85,7 +85,7 @@ func TestParseHeaderRejectsOverflowDims(t *testing.T) {
 		Chunks:    []codec.ChunkInfo{{Rows: 1 << 40, Len: 1}},
 	}
 	blob := h.Marshal()
-	if _, err := ParseHeader(blob); err == nil {
+	if _, err := codec.ParseHeader(blob); err == nil {
 		t.Fatal("expected overflow rejection")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
 	"fixedpsnr/internal/quantizer"
 	"fixedpsnr/internal/stats"
@@ -197,19 +198,19 @@ func TestDecompressRejectsTruncatedPayload(t *testing.T) {
 func TestHeaderRoundTrip(t *testing.T) {
 	f := randomField(t, "hdr-field", 0.05, 30, 30)
 	blob, _, err := Compress(f, Options{
-		ErrorBound: 1e-3, Workers: 1, Mode: ModePSNR, TargetPSNR: 84.5,
+		ErrorBound: 1e-3, Workers: 1, Mode: codec.ModePSNR, TargetPSNR: 84.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := ParseHeader(blob)
+	h, err := codec.ParseHeader(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Name != "hdr-field" || h.Mode != ModePSNR || h.TargetPSNR != 84.5 {
+	if h.Name != "hdr-field" || h.Mode != codec.ModePSNR || h.TargetPSNR != 84.5 {
 		t.Fatalf("header fields lost: %+v", h)
 	}
-	if h.EbAbs != 1e-3 || h.Codec != CodecLorenzo {
+	if h.EbAbs != 1e-3 || h.Codec != codec.IDLorenzo {
 		t.Fatalf("header bound/codec lost: %+v", h)
 	}
 	if h.NPoints() != 900 {
@@ -403,24 +404,6 @@ func TestNaNValuesSurviveAsLiterals(t *testing.T) {
 		}
 		if d := math.Abs(f.Data[i] - g.Data[i]); d > 1e-3 {
 			t.Fatalf("bound violated at %d: %g", i, d)
-		}
-	}
-}
-
-func TestModeStrings(t *testing.T) {
-	for m, want := range map[Mode]string{
-		ModeAbs: "abs", ModeRel: "rel", ModePSNR: "psnr", ModePWRel: "pwrel", Mode(9): "mode(9)",
-	} {
-		if m.String() != want {
-			t.Fatalf("Mode(%d).String() = %q, want %q", m, m.String(), want)
-		}
-	}
-	for c, want := range map[Codec]string{
-		CodecLorenzo: "sz-lorenzo", CodecConstant: "constant",
-		CodecLogLorenzo: "sz-log-lorenzo", CodecOTC: "otc-dct", Codec(9): "codec(9)",
-	} {
-		if c.String() != want {
-			t.Fatalf("Codec.String() = %q, want %q", c.String(), want)
 		}
 	}
 }
