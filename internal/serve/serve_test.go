@@ -117,34 +117,51 @@ func TestServeRoundTrip(t *testing.T) {
 		t.Fatalf("full GET PSNR = %.1f dB, want >= 69", d.PSNR)
 	}
 
-	// Region decode must be byte-identical to the reader's own region
-	// extraction of the on-disk archive.
-	off, ext := []int{10, 4, 8}, []int{20, 30, 16}
-	region := getField(t, ts,
-		fmt.Sprintf("/v1/archives/run1/fields/vx/region?off=%d,%d,%d&ext=%d,%d,%d",
-			off[0], off[1], off[2], ext[0], ext[1], ext[2]))
-	ar, err := fixedpsnr.OpenArchiveFile(s.cat.Path("run1"))
-	if err != nil {
-		t.Fatal(err)
+	// A pointwise-relative field: its stream is one sz-log-lorenzo chunk.
+	pw := synthField("pw", 48, 40, 32)
+	resp3 := doPut(t, ts, "/v1/archives/run2/fields/pw?mode=pwrel&eb=0.001", sdf1Bytes(t, pw))
+	resp3.Body.Close()
+	if resp3.StatusCode != http.StatusCreated {
+		t.Fatalf("pwrel PUT: %d", resp3.StatusCode)
 	}
-	defer ar.Close()
-	want, _, err := ar.ExtractRegion("vx", off, ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(region.Data) != len(want.Data) {
-		t.Fatalf("region size %d, want %d", len(region.Data), len(want.Data))
-	}
-	for i := range want.Data {
-		if region.Data[i] != want.Data[i] {
-			t.Fatalf("region[%d] = %v, want %v (not byte-identical)", i, region.Data[i], want.Data[i])
+	gotPW := getField(t, ts, "/v1/archives/run2/fields/pw")
+	for i, x := range pw.Data {
+		if d := math.Abs(gotPW.Data[i] - x); d > 1e-3*(1+1e-9)*math.Abs(x) {
+			t.Fatalf("pwrel full GET [%d] = %v, want within 1e-3 of %v", i, gotPW.Data[i], x)
 		}
 	}
 
-	// A repeated region read must be served from the chunk cache.
-	getField(t, ts, "/v1/archives/run1/fields/vx/region?off=10,4,8&ext=20,30,16")
-	if st := s.CacheStats(); st.Hits == 0 {
-		t.Fatalf("cache stats after repeat read: %+v, want hits > 0", st)
+	// Region decodes must be byte-identical to the reader's own region
+	// extraction of the on-disk archive, and a repeated region read must
+	// be served from the chunk cache.
+	off, ext := []int{10, 4, 8}, []int{20, 30, 16}
+	for _, in := range []struct{ archive, field string }{{"run1", "vx"}, {"run2", "pw"}} {
+		path := fmt.Sprintf("/v1/archives/%s/fields/%s/region?off=%d,%d,%d&ext=%d,%d,%d",
+			in.archive, in.field, off[0], off[1], off[2], ext[0], ext[1], ext[2])
+		region := getField(t, ts, path)
+		ar, err := fixedpsnr.OpenArchiveFile(s.cat.Path(in.archive))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := ar.ExtractRegion(in.field, off, ext)
+		ar.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(region.Data) != len(want.Data) {
+			t.Fatalf("%s: region size %d, want %d", in.field, len(region.Data), len(want.Data))
+		}
+		for i := range want.Data {
+			if region.Data[i] != want.Data[i] {
+				t.Fatalf("%s: region[%d] = %v, want %v (not byte-identical)", in.field, i, region.Data[i], want.Data[i])
+			}
+		}
+
+		hits := s.CacheStats().Hits
+		getField(t, ts, path)
+		if st := s.CacheStats(); st.Hits == hits {
+			t.Fatalf("%s: cache stats after repeat read: %+v, want a hit", in.field, st)
+		}
 	}
 
 	// Info exposes the chunk table.
