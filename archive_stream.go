@@ -467,8 +467,7 @@ func (ar *ArchiveReader) ChunkPayload(i, ci int) ([]byte, error) {
 // supplies the chunk table, and only the payload byte ranges of the
 // chunks the region intersects are read from the underlying ReaderAt —
 // on a file-backed archive a small region of a huge field costs a few
-// reads, not an entry scan. Streams without chunk-granular access fall
-// back to reading and decoding the whole entry, then cropping.
+// reads, not an entry scan.
 func (ar *ArchiveReader) ExtractRegion(name string, off, ext []int) (*Field, *StreamInfo, error) {
 	return ar.ExtractRegionContext(context.Background(), name, off, ext)
 }
@@ -497,8 +496,6 @@ func (ar *ArchiveReader) ExtractRegionAtContext(ctx context.Context, i int, off,
 	}
 	f, err := codec.DecompressRegionFrom(ctx, h, func(ci int) ([]byte, error) {
 		return ar.ChunkPayload(i, ci)
-	}, func() ([]byte, error) {
-		return ar.Stream(i)
 	}, off, ext, ar.scratch)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fixedpsnr: entry %d (%q): %w", i, ar.entries[i].name, err)

@@ -97,8 +97,8 @@ func TestArchiveCrossVersionStreams(t *testing.T) {
 }
 
 // Region extraction works across stream versions in one archive — the
-// chunked v3 entry through chunk-granular reads, legacy entries through
-// the fallback — and byte-matches the slice of a full extract. The
+// chunked v3 entry and the legacy entries alike through chunk-granular
+// reads — and byte-matches the slice of a full extract. The
 // file-backed path exercises the ReadAt-based chunk fetches.
 func TestArchiveExtractRegionCrossVersion(t *testing.T) {
 	streams, fields := mixedVersionStreams(t)

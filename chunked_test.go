@@ -111,9 +111,9 @@ func TestDecodeRegionMatchesFullDecode(t *testing.T) {
 	}
 }
 
-// Streams without chunk-granular access — pointwise-relative, constant,
-// and legacy single-chunk formats — must still answer region requests
-// via the fallback path.
+// Streams that are not ordinary multi-chunk containers —
+// pointwise-relative, constant, and legacy single-chunk formats — must
+// answer region requests like any other.
 func TestDecodeRegionFallbacks(t *testing.T) {
 	dims := []int{20, 24, 8}
 	f := noisyField("fb", 0.02, dims...)

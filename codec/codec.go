@@ -8,21 +8,25 @@
 //
 // The types here are aliases of the internal registry layer, so a codec
 // written against this package is exactly a codec written inside the
-// module:
+// module. A codec is a per-chunk pair: the container tiles every field
+// into row-slab chunks, hands each chunk's values to CompressChunk, and
+// hands each chunk's payload back to DecompressChunk:
 //
 //	type myCodec struct{}
 //
 //	func (myCodec) Name() string      { return "my" }
 //	func (myCodec) IDs() []codec.ID   { return []codec.ID{42} }
 //	func (myCodec) MeasuresMSE() bool { return false }
-//	func (myCodec) Compress(ctx context.Context, f *codec.Field, opt codec.Options, sc *codec.Scratch) ([]byte, *codec.Stats, error) { ... }
-//	func (myCodec) Decompress(data []byte) (*codec.Field, *codec.Header, error) { ... }
+//	func (myCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec codec.Precision, opt codec.Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) { ... }
+//	func (myCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc *codec.Scratch) error { ... }
 //
 //	func init() { codec.Register(myCodec{}) }
 //
-// Emit streams with codec.Header{Codec: 42, ...}.Marshal() followed by
-// your payload; pick a stream ID that no registered codec claims
-// (Register panics on collisions at init time, so clashes cannot ship).
+// The container writes the header and chunk table, stamped with the
+// codec's first stream ID, IDs()[0]; pick a stream ID that no registered
+// codec claims (Register panics on collisions at init time, so clashes
+// cannot ship). DecompressChunk receives payload bytes from the stream,
+// so it must reject a payload it cannot decode into dst.
 package codec
 
 import (
@@ -33,17 +37,13 @@ import (
 // Aliases of the shared container and registry types (see the internal
 // codec package for full documentation).
 type (
-	// Codec is one compression pipeline behind the registry.
+	// Codec is one compression pipeline behind the registry: a
+	// per-chunk compress and decompress pair. Streams the chunked
+	// container assembles carry the codec's first stream ID, IDs()[0].
 	Codec = icodec.Codec
-	// ChunkCodec is the optional interface of pipelines that compress
-	// and decompress one row-slab chunk at a time, unlocking streaming
-	// encodes, region decodes, and selective recompression. Streams the
-	// chunked container assembles carry the codec's first stream ID,
-	// IDs()[0].
-	ChunkCodec = icodec.ChunkCodec
 	// ChunkInfo is one entry of a chunked stream's per-chunk index.
 	ChunkInfo = icodec.ChunkInfo
-	// ChunkStats is the per-chunk outcome a ChunkCodec reports.
+	// ChunkStats is the per-chunk outcome a Codec reports.
 	ChunkStats = icodec.ChunkStats
 	// ID is the stream codec byte recorded in every header.
 	ID = icodec.ID
@@ -51,8 +51,6 @@ type (
 	Header = icodec.Header
 	// Options is the unified per-codec configuration.
 	Options = icodec.Options
-	// Stats is the unified compression outcome report.
-	Stats = icodec.Stats
 	// Scratch holds pooled scratch buffers threaded through session
 	// compressions; a nil *Scratch is always valid.
 	Scratch = icodec.Scratch
@@ -60,8 +58,8 @@ type (
 	Mode = icodec.Mode
 	// Transform selects the orthonormal block transform.
 	Transform = icodec.Transform
-	// Field is the N-dimensional data container codecs consume and
-	// produce (same type as fixedpsnr.Field).
+	// Field is the N-dimensional data container Decompress returns
+	// (same type as fixedpsnr.Field).
 	Field = field.Field
 	// Precision tags the storage precision of field values.
 	Precision = field.Precision
@@ -94,9 +92,3 @@ func Decompress(data []byte) (*Field, *Header, error) { return icodec.Decompress
 
 // ParseHeader decodes a stream header without touching the payload.
 func ParseHeader(data []byte) (*Header, error) { return icodec.ParseHeader(data) }
-
-// NewField allocates a zero-filled field, for Decompress implementations
-// building their output.
-func NewField(name string, prec Precision, dims ...int) *Field {
-	return field.New(name, prec, dims...)
-}

@@ -145,10 +145,6 @@ func (e *Encoder) EncodeFrom(ctx context.Context, fr FieldReader) ([]byte, *Resu
 	if !ok {
 		return nil, nil, fmt.Errorf("fixedpsnr: codec %q is not registered", name)
 	}
-	cc, ok := c.(codec.ChunkCodec)
-	if !ok {
-		return nil, nil, fmt.Errorf("fixedpsnr: codec %q cannot compress chunk-by-chunk: %w", name, codec.ErrNotChunked)
-	}
 
 	copt := opt.codecOptions(res, vr)
 	if copt.ChunkPoints == 0 && copt.ChunkRows == 0 {
@@ -164,7 +160,7 @@ func (e *Encoder) EncodeFrom(ctx context.Context, fr FieldReader) ([]byte, *Resu
 		}
 		return buf, func() { e.scratch.PutFloats(buf) }, nil
 	}
-	out, st, err := codec.EncodeRows(ctx, spec.Name, spec.Precision, spec.Dims, cc, copt, e.scratch, rows)
+	out, st, err := codec.EncodeRows(ctx, spec.Name, spec.Precision, spec.Dims, c, copt, e.scratch, rows)
 	if err != nil {
 		return nil, nil, err
 	}

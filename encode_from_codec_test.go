@@ -1,8 +1,8 @@
 package fixedpsnr_test
 
 import (
+	"bytes"
 	"context"
-	"errors"
 	"testing"
 
 	"fixedpsnr"
@@ -13,8 +13,8 @@ import (
 const relabelID codec.ID = 201
 
 // relabelCodec is the sz pipeline registered under its own name and
-// stream ID — to the chunked container, a third-party ChunkCodec.
-type relabelCodec struct{ codec.ChunkCodec }
+// stream ID — to the chunked container, a third-party codec.
+type relabelCodec struct{ codec.Codec }
 
 func (relabelCodec) Name() string    { return "relabel-sz" }
 func (relabelCodec) IDs() []codec.ID { return []codec.ID{relabelID} }
@@ -23,21 +23,23 @@ func (relabelCodec) IDs() []codec.ID { return []codec.ID{relabelID} }
 func (r relabelCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc *codec.Scratch) error {
 	lorenzo := *h
 	lorenzo.Codec = codec.IDLorenzo
-	return r.ChunkCodec.DecompressChunk(payload, &lorenzo, ci, dst, sc)
+	return r.Codec.DecompressChunk(payload, &lorenzo, ci, dst, sc)
 }
 
 func init() {
 	sz, _ := codec.ByName("sz")
-	codec.Register(relabelCodec{sz.(codec.ChunkCodec)})
+	codec.Register(relabelCodec{sz})
 }
 
-// TestEncodeFromCustomChunkCodec streams a field through a ChunkCodec
-// that is not a built-in pipeline: the container stamps the codec's
-// first stream ID, and the stream decodes through the registry to the
-// same bits as the sz stream it relabels.
+// TestEncodeFromCustomChunkCodec streams a field through a codec that
+// is not a built-in pipeline: the container stamps the codec's first
+// stream ID, and the stream decodes through the registry to the same
+// bits as the sz stream it relabels. The in-memory Encode of the same
+// field under the same options takes the same container path, so it
+// carries the same ID and equals the streamed bytes.
 func TestEncodeFromCustomChunkCodec(t *testing.T) {
 	f := fixtureField("custom", fixedpsnr.Float32, 64, 64, 16)
-	encode := func(name string) []byte {
+	encoder := func(name string) *fixedpsnr.Encoder {
 		t.Helper()
 		enc, err := fixedpsnr.NewEncoder(fixedpsnr.WithOptions(fixedpsnr.Options{
 			Mode: fixedpsnr.ModePSNR, TargetPSNR: 70, Codec: name,
@@ -46,19 +48,37 @@ func TestEncodeFromCustomChunkCodec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, _, err := enc.EncodeFrom(context.Background(), fixedpsnr.NewFieldReader(f))
+		return enc
+	}
+	encodeFrom := func(name string) []byte {
+		t.Helper()
+		blob, _, err := encoder(name).EncodeFrom(context.Background(), fixedpsnr.NewFieldReader(f))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		return blob
 	}
-	custom, ref := encode("relabel-sz"), encode("sz")
+	custom, ref := encodeFrom("relabel-sz"), encodeFrom("sz")
 	h, err := fixedpsnr.Inspect(custom)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Codec != relabelID || len(h.Chunks) != 4 {
 		t.Fatalf("stream codec %v with %d chunks, want %v with 4", h.Codec, len(h.Chunks), relabelID)
+	}
+	inMemory, _, err := encoder("relabel-sz").Encode(context.Background(), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mh, err := fixedpsnr.Inspect(inMemory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mh.Codec != relabelID {
+		t.Fatalf("Encode labelled the stream %v, want %v", mh.Codec, relabelID)
+	}
+	if !bytes.Equal(inMemory, custom) {
+		t.Fatalf("Encode wrote %d bytes that differ from EncodeFrom's %d", len(inMemory), len(custom))
 	}
 	got, _, err := fixedpsnr.Decompress(custom)
 	if err != nil {
@@ -115,21 +135,5 @@ func TestSteerCustomChunkCodec(t *testing.T) {
 		if decodeDigest(dec) != decodeDigest(refDec) {
 			t.Fatalf("%v: relabelled stream decodes differently from the sz stream", opt.Mode)
 		}
-	}
-}
-
-// TestRegionTargetsNeedChunkCodec: region groups recompress chunk
-// subsets, so a codec without chunks is refused with ErrNotChunked.
-func TestRegionTargetsNeedChunkCodec(t *testing.T) {
-	f := hurricaneField("QCLOUD", fixedpsnr.Float32, 0)()
-	_, _, err := fixedpsnr.Compress(f, fixedpsnr.Options{
-		Mode: fixedpsnr.ModeRatio, TargetRatio: 4, Codec: "store",
-		RegionTargets: []fixedpsnr.RegionTarget{{
-			Region: fixedpsnr.Region{Off: []int{0, 0, 0}, Ext: []int{4, 64, 64}},
-			Mode:   fixedpsnr.ModeRatio, TargetRatio: 8,
-		}},
-	})
-	if !errors.Is(err, codec.ErrNotChunked) {
-		t.Fatalf("err = %v, want codec.ErrNotChunked", err)
 	}
 }

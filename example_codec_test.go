@@ -3,16 +3,18 @@ package fixedpsnr_test
 // This file is a whole-file example: registering a third-party codec
 // through the public fixedpsnr/codec extension point. The "store" codec
 // below is deliberately trivial — it stores every value losslessly — but
-// it is a complete pipeline: it registers in init(), emits the shared
-// stream container, and from then on fixedpsnr.Decompress, Decoder
-// sessions, archives, and the fpsz CLI can all read its streams. An
-// Encoder selects it by registry name with WithCodecName.
+// it is a complete pipeline: it registers in init(), compresses and
+// decompresses one chunk at a time inside the shared stream container,
+// and from then on fixedpsnr.Decompress, Decoder sessions, archives, and
+// the fpsz CLI can all read its streams. An Encoder selects it by
+// registry name with WithCodecName.
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"fixedpsnr"
 	"fixedpsnr/codec"
@@ -23,60 +25,37 @@ import (
 // collisions, so a clash cannot ship silently.
 const storeID codec.ID = 200
 
-// storeCodec is a lossless "compressor": raw little-endian float64
-// values behind the standard stream header.
+// storeCodec is a lossless "compressor": each chunk's payload is its
+// values as raw little-endian float64s.
 type storeCodec struct{}
 
 func (storeCodec) Name() string      { return "store" }
 func (storeCodec) IDs() []codec.ID   { return []codec.ID{storeID} }
 func (storeCodec) MeasuresMSE() bool { return false }
 
-func (storeCodec) Compress(ctx context.Context, f *codec.Field, opt codec.Options, sc *codec.Scratch) ([]byte, *codec.Stats, error) {
+func (storeCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec codec.Precision, opt codec.Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, codec.ChunkStats{}, err
 	}
-	h := codec.Header{
-		Codec:      storeID,
-		Precision:  f.Precision,
-		Mode:       opt.Mode,
-		Name:       f.Name,
-		Dims:       f.Dims,
-		TargetPSNR: math.NaN(),
-		ValueRange: opt.ValueRange,
-		Capacity:   4, // container minimum; unused by this pipeline
-		Chunks: []codec.ChunkInfo{{
-			Rows: f.Dims[0],
-			Len:  8 * f.Len(),
-			MSE:  0, // lossless
-		}},
-	}
-	out := h.Marshal()
-	for _, v := range f.Data {
+	out := make([]byte, 0, 8*len(data))
+	for _, v := range data {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
-	st := &codec.Stats{
-		OriginalBytes:   f.SizeBytes(),
-		CompressedBytes: len(out),
-		NPoints:         f.Len(),
-		ValueRange:      opt.ValueRange,
-		MSE:             0, // lossless
-	}
-	st.Ratio = float64(st.OriginalBytes) / float64(len(out))
-	st.BitRate = 8 * float64(len(out)) / float64(f.Len())
+	st := codec.ChunkStats{MSE: 0} // lossless
+	st.Min, st.Max = slices.Min(data), slices.Max(data)
 	return out, st, nil
 }
 
-func (storeCodec) Decompress(data []byte) (*codec.Field, *codec.Header, error) {
-	h, err := codec.ParseHeader(data)
-	if err != nil {
-		return nil, nil, err
+// DecompressChunk checks the payload before reading it: the bytes come
+// from the stream, and a header can declare any chunk length.
+func (storeCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc *codec.Scratch) error {
+	if len(payload) != 8*len(dst) {
+		return fmt.Errorf("store: chunk %d payload is %d bytes, want %d", ci, len(payload), 8*len(dst))
 	}
-	out := codec.NewField(h.Name, h.Precision, h.Dims...)
-	payload := data[len(data)-8*out.Len():]
-	for i := range out.Data {
-		out.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 	}
-	return out, h, nil
+	return nil
 }
 
 func init() { codec.Register(storeCodec{}) }

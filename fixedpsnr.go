@@ -857,9 +857,7 @@ func Decompress(data []byte) (*Field, *StreamInfo, error) {
 // at off with extents ext (one entry per dimension) from a compressed
 // stream. Only the chunks the region's row window intersects are
 // decoded, so the cost scales with the region, not the field; the result
-// is byte-identical to slicing a full Decompress. Streams of custom
-// codecs without chunk-granular access (not a codec.ChunkCodec) fall
-// back to a full decode plus crop.
+// is byte-identical to slicing a full Decompress.
 func DecompressRegion(data []byte, off, ext []int) (*Field, *StreamInfo, error) {
 	return codec.DecompressRegion(data, off, ext)
 }

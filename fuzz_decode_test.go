@@ -1,10 +1,12 @@
 package fixedpsnr_test
 
 import (
+	"math"
 	"os"
 	"testing"
 
 	"fixedpsnr"
+	"fixedpsnr/codec"
 )
 
 // maxFuzzStream caps the whole-stream fuzzers' inputs: every fixture
@@ -12,8 +14,10 @@ import (
 const maxFuzzStream = 128 << 10
 
 // addFixtureSeeds seeds f with every committed fixture stream, legacy
-// and four-lane, and with a pointwise-relative stream (no fixture is
-// one; it is 69 KB), through add.
+// and four-lane, with a pointwise-relative stream (no fixture is one; it
+// is 69 KB), and with two streams of the store example codec, the one
+// registered codec that is neither sz nor otc: a 16 KiB four-chunk
+// stream and storeEmptyChunk, through add.
 func addFixtureSeeds(f *testing.F, add func(blob []byte)) {
 	for _, path := range fixtureStreamPaths(f) {
 		blob, err := os.ReadFile(path)
@@ -31,6 +35,38 @@ func addFixtureSeeds(f *testing.F, add func(blob []byte)) {
 		f.Fatalf("pointwise-relative seed is %d bytes, over maxFuzzStream", len(pwrel))
 	}
 	add(pwrel)
+	store, _, err := fixedpsnr.Compress(fixtureField("fixture", fixedpsnr.Float64, 16, 16, 8),
+		fixedpsnr.Options{Mode: fixedpsnr.ModeAbs, ErrorBound: 1e-3, Codec: "store", ChunkRows: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	add(store)
+	add(storeEmptyChunk())
+}
+
+// storeEmptyChunk is a 75-byte store stream whose one chunk declares an
+// empty payload for a 16×16 field — a header any writer can forge.
+func storeEmptyChunk() []byte {
+	h := codec.Header{
+		Codec: storeID, Precision: codec.Float64, Name: "x", Dims: []int{16, 16},
+		TargetPSNR: math.NaN(), Capacity: 4, Chunks: []codec.ChunkInfo{{Rows: 16, Len: 0}},
+	}
+	return h.Marshal()
+}
+
+// TestStoreEmptyChunkRejected: a chunk payload too short for its chunk
+// is an error from the full and the region decode, never a panic.
+func TestStoreEmptyChunkRejected(t *testing.T) {
+	blob := storeEmptyChunk()
+	if len(blob) != 75 {
+		t.Fatalf("stream is %d bytes, want 75", len(blob))
+	}
+	if _, _, err := fixedpsnr.Decompress(blob); err == nil {
+		t.Fatal("Decompress accepted an empty store chunk")
+	}
+	if _, _, err := fixedpsnr.DecompressRegion(blob, []int{2, 3}, []int{4, 5}); err == nil {
+		t.Fatal("DecompressRegion accepted an empty store chunk")
+	}
 }
 
 // FuzzDecompress feeds arbitrary bytes through Decompress end to end:

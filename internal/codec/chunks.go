@@ -73,7 +73,7 @@ func RowsForChunkPoints(dims []int, chunkPoints int) int {
 	return rows
 }
 
-// ChunkPlanner is the optional interface of a ChunkCodec whose tiling
+// ChunkPlanner is the optional interface of a Codec whose tiling
 // deviates from the generic ChunkSpans — otc rounds ChunkPoints-derived
 // chunk heights to its transform block edge so chunk boundaries do not
 // shear blocks. Container-assembling callers (the streaming encoder)
@@ -104,7 +104,7 @@ func ValueBounds(data []float64) (min, max float64) {
 	return min, max
 }
 
-// ChunkStats is the per-chunk outcome a ChunkCodec reports from
+// ChunkStats is the per-chunk outcome a Codec reports from
 // CompressChunk; AssembleStream records it in the chunk table.
 type ChunkStats struct {
 	// Unpredictable counts points (or coefficients) stored as literals.

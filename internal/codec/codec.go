@@ -17,13 +17,13 @@
 //
 // Decompression routes by registry lookup on the codec byte recorded in
 // the stream header, so adding a pipeline is a registration, not a
-// refactor: implement Codec, call Register in init(), and every caller of
-// Decompress (single streams, archives, the CLI) can read your streams.
+// refactor: implement Codec and call Register in init(); from then on
+// every encode path can write your streams and every caller of
+// Decompress (single streams, archives, the CLI) can read them.
 package codec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -31,63 +31,49 @@ import (
 	"fixedpsnr/internal/field"
 )
 
-// Codec is one compression pipeline behind the registry.
-//
-// Compress encodes a field under opt and returns the self-describing
-// stream plus statistics. Decompress reverses any stream whose header
-// codec byte is in IDs. Implementations must be safe for concurrent use.
-type Codec interface {
-	// Name is the stable registry key ("sz", "otc") used by callers
-	// that select a pipeline by name.
-	Name() string
-	// IDs lists the stream codec bytes this pipeline decodes.
-	IDs() []ID
-	// MeasuresMSE reports whether Stats.MSE holds the exact
-	// reconstruction MSE after Compress (Theorem 1 pipelines). The
-	// calibrated fixed-PSNR loop in internal/plan requires it.
-	MeasuresMSE() bool
-	// Compress encodes f under opt. Implementations must honor ctx
-	// cancellation between units of work (slabs, blocks, refinement
-	// passes) and return ctx.Err() promptly, and should draw transient
-	// buffers from scratch when it is non-nil so session callers reuse
-	// allocations across calls. Both ctx and scratch may be nil /
-	// context.Background() for one-shot use.
-	Compress(ctx context.Context, f *field.Field, opt Options, scratch *Scratch) ([]byte, *Stats, error)
-	Decompress(data []byte) (*field.Field, *Header, error)
-}
-
-// ChunkCodec is the optional interface of pipelines that operate one
-// row-slab chunk at a time. The chunked container is built on it: Encode
-// and EncodeRows tile a field and compress its chunks through
+// Codec is one compression pipeline behind the registry: a per-chunk
+// compress and decompress pair inside the chunked container. Encode and
+// EncodeRows tile a field into row-slab chunks and compress them through
 // CompressChunk (the streaming encoder as chunks arrive, the steering
 // passes only the chunks whose error contribution is stale, or only
 // their quantize step when the pipeline is a ChunkQuantizer), and
 // DecompressRegionFrom decodes only the chunks a request intersects.
 // Streams the container assembles carry the codec's first stream ID,
 // IDs()[0], so that ID must be the one DecompressChunk decodes.
-//
-// Both built-in pipelines implement it. A registered Codec that does not
-// is still fully usable through Compress/Decompress; the chunk-granular
-// entry points fall back to whole-field operation (region decodes crop a
-// full reconstruction) or report ErrNotChunked (streaming encode).
-type ChunkCodec interface {
-	Codec
+// Implementations must be safe for concurrent use.
+type Codec interface {
+	// Name is the stable registry key ("sz", "otc") used by callers
+	// that select a pipeline by name.
+	Name() string
+	// IDs lists the stream codec bytes this pipeline decodes.
+	IDs() []ID
+	// MeasuresMSE reports whether ChunkStats.MSE holds the exact
+	// reconstruction MSE of the chunk (Theorem 1 pipelines). The
+	// calibrated fixed-PSNR loop in internal/plan requires it.
+	MeasuresMSE() bool
 	// CompressChunk compresses one chunk: data holds the chunk's values
 	// in row-major order and dims are the chunk's dimensions (dims[0] is
 	// the chunk's row extent; the rest match the field). opt carries the
 	// resolved configuration — in particular ErrorBound and Capacity are
 	// final (no AutoCapacity resolution happens at chunk level). The
 	// returned payload must be decodable by DecompressChunk.
+	// Implementations must honor ctx cancellation and should draw
+	// transient buffers from scratch when it is non-nil (nil is valid and
+	// means one-shot use).
 	CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, scratch *Scratch) ([]byte, ChunkStats, error)
 	// DecompressChunk reverses CompressChunk: payload is chunk ci's
 	// payload bytes (exactly h.Chunks[ci].Len of them), h the parsed
 	// stream header, and dst the chunk's destination values
 	// (h.ChunkPoints(ci) of them). Implementations should draw transient
 	// decode buffers from scratch when it is non-nil (nil is valid and
-	// means one-shot use). It returns ErrNotChunked for stream IDs the
-	// pipeline cannot decode chunk-by-chunk.
+	// means one-shot use). The payload comes from the stream, so it must
+	// be checked, never trusted.
 	DecompressChunk(payload []byte, h *Header, ci int, dst []float64, scratch *Scratch) error
 }
+
+// ChunkCodec is Codec, kept as an alias for callers written when chunk
+// access was optional: every codec is a chunk codec.
+type ChunkCodec = Codec
 
 // PWRelCodec is the optional interface of pipelines that implement the
 // pointwise-relative error mode (|x̃ − x| ≤ rel·|x| for every point).
@@ -102,12 +88,6 @@ type PWRelCodec interface {
 	// is ignored (the pipeline derives its own inner bound from pwRel).
 	CompressPWRel(ctx context.Context, f *field.Field, pwRel float64, opt Options, scratch *Scratch) ([]byte, *Stats, error)
 }
-
-// ErrNotChunked reports that a stream cannot be decoded chunk by chunk
-// (its codec is not a ChunkCodec, or the stream ID is one the pipeline
-// only decodes whole). Every built-in stream decodes chunk by chunk;
-// region decoding falls back to a full decode plus crop when it sees it.
-var ErrNotChunked = errors.New("codec: stream does not support chunk-granular access")
 
 var (
 	regMu  sync.RWMutex

@@ -8,8 +8,8 @@ import (
 
 	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
-	"fixedpsnr/internal/otc"
-	"fixedpsnr/internal/sz"
+	_ "fixedpsnr/internal/otc"
+	_ "fixedpsnr/internal/sz"
 )
 
 func TestRegistryRoutesBothPipelines(t *testing.T) {
@@ -64,7 +64,7 @@ func TestDecompressRoutesByRegistry(t *testing.T) {
 	opt := codec.Options{ErrorBound: 1e-3, Workers: 1}
 	for _, name := range codec.Names() {
 		c, _ := codec.ByName(name)
-		blob, _, err := c.Compress(context.Background(), f, opt, nil)
+		blob, _, err := codec.Encode(context.Background(), f, c, opt, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -81,9 +81,19 @@ func TestDecompressRoutesByRegistry(t *testing.T) {
 	}
 }
 
+// encode compresses f through the named registered pipeline.
+func encode(t *testing.T, name string, f *field.Field, opt codec.Options) ([]byte, *codec.Stats, error) {
+	t.Helper()
+	c, ok := codec.ByName(name)
+	if !ok {
+		t.Fatalf("codec %q is not registered", name)
+	}
+	return codec.Encode(context.Background(), f, c, opt, nil)
+}
+
 func TestDecompressUnknownStreamID(t *testing.T) {
 	f := testField(t)
-	blob, _, err := sz.Compress(f, codec.Options{ErrorBound: 1e-3, Workers: 1})
+	blob, _, err := encode(t, "sz", f, codec.Options{ErrorBound: 1e-3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +107,14 @@ func TestDecompressUnknownStreamID(t *testing.T) {
 func TestUnifiedStatsRecordValueRange(t *testing.T) {
 	f := testField(t)
 	_, _, vr := f.ValueRange()
-	_, st, err := sz.Compress(f, codec.Options{ErrorBound: 1e-3, Workers: 1})
+	_, st, err := encode(t, "sz", f, codec.Options{ErrorBound: 1e-3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.ValueRange != vr {
 		t.Fatalf("sz stats vr = %g, want %g", st.ValueRange, vr)
 	}
-	_, ost, err := otc.Compress(f, codec.Options{ErrorBound: 1e-3, Workers: 1})
+	_, ost, err := encode(t, "otc", f, codec.Options{ErrorBound: 1e-3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +134,12 @@ type fakeCodec struct {
 func (f fakeCodec) Name() string      { return f.name }
 func (f fakeCodec) IDs() []codec.ID   { return f.ids }
 func (f fakeCodec) MeasuresMSE() bool { return false }
-func (f fakeCodec) Compress(context.Context, *field.Field, codec.Options, *codec.Scratch) ([]byte, *codec.Stats, error) {
-	return nil, nil, nil
+func (f fakeCodec) CompressChunk(context.Context, []float64, []int, field.Precision, codec.Options, *codec.Scratch) ([]byte, codec.ChunkStats, error) {
+	return nil, codec.ChunkStats{}, nil
 }
-func (f fakeCodec) Decompress([]byte) (*field.Field, *codec.Header, error) { return nil, nil, nil }
+func (f fakeCodec) DecompressChunk([]byte, *codec.Header, int, []float64, *codec.Scratch) error {
+	return nil
+}
 
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()

@@ -13,11 +13,11 @@ import (
 )
 
 // The chunked container's encode side: tile a field into row-slab
-// chunks, run a subset of them through a ChunkCodec, and assemble the
-// stream. Every encode path — a pipeline's whole-field Compress, the
-// streaming EncodeFrom, and the plan layer's steering passes — holds its
-// chunks in a Draft and runs them through the one chunk loop, forChunks,
-// which schedules both the quantize work and the entropy work.
+// chunks, run a subset of them through a Codec, and assemble the
+// stream. Every encode path — Encode, the streaming EncodeFrom, and the
+// plan layer's steering passes — holds its chunks in a Draft and runs
+// them through the one chunk loop, forChunks, which schedules both the
+// quantize work and the entropy work.
 
 // Rows supplies the values of chunk ci of the stream h describes:
 // h.ChunkPoints(ci) of them, row-major, starting at row
@@ -38,8 +38,8 @@ func FieldRows(data []float64) Rows {
 
 // Encode compresses an in-memory field through cc: TileField, every
 // chunk compressed in full, and the stream assembled. A zero value range
-// yields a ConstantStream.
-func Encode(ctx context.Context, f *field.Field, cc ChunkCodec, opt Options, sc *Scratch) ([]byte, *Stats, error) {
+// yields a ConstantStream. It is the one unsteered encode entry.
+func Encode(ctx context.Context, f *field.Field, cc Codec, opt Options, sc *Scratch) ([]byte, *Stats, error) {
 	d, err := TileField(f, cc, opt)
 	if err != nil {
 		return nil, nil, err
@@ -61,7 +61,7 @@ func Encode(ctx context.Context, f *field.Field, cc ChunkCodec, opt Options, sc 
 
 // EncodeRows tiles a field of the given dims (NewDraft), compresses
 // every chunk from rows, and assembles the stream.
-func EncodeRows(ctx context.Context, name string, prec field.Precision, dims []int, cc ChunkCodec, opt Options, sc *Scratch, rows Rows) ([]byte, *Stats, error) {
+func EncodeRows(ctx context.Context, name string, prec field.Precision, dims []int, cc Codec, opt Options, sc *Scratch, rows Rows) ([]byte, *Stats, error) {
 	d := NewDraft(name, prec, dims, cc, opt)
 	if err := d.Run(ctx, cc, d.All(), opt, sc, rows, false); err != nil {
 		return nil, nil, err
@@ -73,7 +73,7 @@ func EncodeRows(ctx context.Context, name string, prec field.Precision, dims []i
 // header records opt's bound, capacity (quantizer.DefaultCapacity when
 // zero) and annotations under cc's first stream ID; no chunk holds data
 // yet.
-func NewDraft(name string, prec field.Precision, dims []int, cc ChunkCodec, opt Options) *Draft {
+func NewDraft(name string, prec field.Precision, dims []int, cc Codec, opt Options) *Draft {
 	if opt.Capacity == 0 {
 		opt.Capacity = quantizer.DefaultCapacity
 	}
@@ -105,7 +105,7 @@ func NewDraft(name string, prec field.Precision, dims []int, cc ChunkCodec, opt 
 // through cc's CapacityEstimator, and returns the field's Draft. A
 // constant field has no chunks: the Draft is nil and the field's stream
 // is a ConstantStream.
-func TileField(f *field.Field, cc ChunkCodec, opt Options) (*Draft, error) {
+func TileField(f *field.Field, cc Codec, opt Options) (*Draft, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
@@ -199,14 +199,14 @@ type Quantized struct {
 	sc *Scratch // where Codes goes back once the payload is written
 }
 
-// ChunkQuantizer is the optional interface of a ChunkCodec whose
+// ChunkQuantizer is the optional interface of a Codec whose
 // CompressChunk is CompressQuantized: QuantizeChunk, then the
 // container's entropy step. By Theorem 1 a chunk's quantization-stage
 // MSE is final, so steering passes measured on distortion stop at
-// QuantizeChunk and only the accepted pass is entropy-coded; a
-// ChunkCodec without it is compressed in full on every pass.
+// QuantizeChunk and only the accepted pass is entropy-coded; a Codec
+// without it is compressed in full on every pass.
 type ChunkQuantizer interface {
-	ChunkCodec
+	Codec
 	// QuantizeChunk runs the chunk pipeline up to the entropy stage,
 	// under CompressChunk's contract for data, dims, prec and opt. The
 	// returned Codes must come from sc.Int32s; the caller owns them.
@@ -243,7 +243,7 @@ var entropySteps atomic.Int64
 // step has coded so far, process-wide.
 func EntropySteps() int64 { return entropySteps.Load() }
 
-// CapacityEstimator is the optional interface of a ChunkCodec that
+// CapacityEstimator is the optional interface of a Codec that
 // resolves Options.AutoCapacity. TileField calls it over the whole field
 // before tiling, so every chunk shares one quantizer geometry; codecs
 // without it ignore AutoCapacity.
@@ -280,7 +280,7 @@ func (d *Draft) All() []int {
 // their quantized form until EntropyCode or Assemble writes their
 // payloads. Any earlier state of those chunks is dropped; other chunks
 // are untouched.
-func (d *Draft) Run(ctx context.Context, cc ChunkCodec, subset []int, opt Options, sc *Scratch, rows Rows, quantize bool) error {
+func (d *Draft) Run(ctx context.Context, cc Codec, subset []int, opt Options, sc *Scratch, rows Rows, quantize bool) error {
 	cq, ok := cc.(ChunkQuantizer)
 	quantize = quantize && ok
 	opt.Capacity = d.Header.Capacity // every chunk shares the container's quantizer geometry

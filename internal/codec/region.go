@@ -2,9 +2,7 @@ package codec
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"slices"
 
 	"fixedpsnr/internal/field"
 	"fixedpsnr/internal/parallel"
@@ -18,10 +16,9 @@ import (
 // with the intersected rows, not the field.
 
 // Decompress reconstructs a field from any registered stream: it parses
-// the header once and decodes through the chunk decoder, or through the
-// owning pipeline's whole-stream decoder for codecs without chunk access.
-// This is the single decode entry point for the public API, the archive
-// container, and the CLI.
+// the header once and decodes through the chunk decoder. This is the
+// single decode entry point for the public API, the archive container,
+// and the CLI.
 func Decompress(data []byte) (*field.Field, *Header, error) {
 	return DecompressScratch(context.Background(), data, nil)
 }
@@ -39,10 +36,8 @@ func DecompressScratch(ctx context.Context, data []byte, sc *Scratch) (*field.Fi
 }
 
 // DecompressRegion reconstructs the sub-block starting at off with
-// extents ext from a compressed stream. Every built-in stream decodes
-// only the intersecting chunks; streams of codecs without chunk access
-// fall back to a full decode plus crop, so the call succeeds on every
-// registered stream.
+// extents ext from a compressed stream, decoding only the intersecting
+// chunks.
 func DecompressRegion(data []byte, off, ext []int) (*field.Field, *Header, error) {
 	return DecompressRegionScratch(context.Background(), data, off, ext, nil)
 }
@@ -64,8 +59,6 @@ func DecompressRegionScratch(ctx context.Context, data []byte, off, ext []int, s
 func decompressRegion(ctx context.Context, data []byte, h *Header, off, ext []int, sc *Scratch) (*field.Field, *Header, error) {
 	out, err := DecompressRegionFrom(ctx, h, func(ci int) ([]byte, error) {
 		return ChunkPayload(data, h, ci)
-	}, func() ([]byte, error) {
-		return data, nil
 	}, off, ext, sc)
 	if err != nil {
 		return nil, nil, err
@@ -73,12 +66,11 @@ func decompressRegion(ctx context.Context, data []byte, h *Header, off, ext []in
 	return out, h, nil
 }
 
-// DecompressChunkInto decodes chunk ci of a chunk-capable stream into
-// dst, which must hold exactly ChunkPoints(ci) values — the chunk's full
-// row slab. It returns ErrNotChunked for streams without chunk-granular
-// access so callers can fall back to a whole-stream decode. This is the
-// unit a decoded-chunk cache stores: one slab, reusable across every
-// region that intersects it.
+// DecompressChunkInto decodes chunk ci of a stream into dst, which must
+// hold exactly ChunkPoints(ci) values — the chunk's full row slab. This
+// is the unit a decoded-chunk cache stores: one slab, reusable across
+// every region that intersects it. A constant stream has no chunks, so
+// every index is out of range.
 func DecompressChunkInto(dst []float64, h *Header, ci int, payload []byte, sc *Scratch) error {
 	if ci < 0 || ci >= len(h.Chunks) {
 		return fmt.Errorf("codec: chunk %d out of range [0,%d)", ci, len(h.Chunks))
@@ -86,44 +78,31 @@ func DecompressChunkInto(dst []float64, h *Header, ci int, payload []byte, sc *S
 	if want := h.ChunkPoints(ci); len(dst) != want {
 		return fmt.Errorf("codec: chunk %d slab is %d values, want %d", ci, len(dst), want)
 	}
-	if h.Codec == IDConstant {
-		for i := range dst {
-			dst[i] = h.ConstValue
-		}
-		return nil
-	}
-	cc, err := chunkCodec(h)
+	c, err := chunkCodec(h)
 	if err != nil {
 		return err
 	}
-	return cc.DecompressChunk(payload, h, ci, dst, sc)
+	return c.DecompressChunk(payload, h, ci, dst, sc)
 }
 
-// chunkCodec looks up the pipeline that decodes h's chunks: ErrNotChunked
-// when it has no chunk decoder.
-func chunkCodec(h *Header) (ChunkCodec, error) {
+// chunkCodec looks up the pipeline that decodes h's chunks.
+func chunkCodec(h *Header) (Codec, error) {
 	c, ok := Lookup(h.Codec)
 	if !ok {
 		return nil, fmt.Errorf("codec: no registered codec for stream ID %v", h.Codec)
 	}
-	cc, ok := c.(ChunkCodec)
-	if !ok {
-		return nil, ErrNotChunked
-	}
-	return cc, nil
+	return c, nil
 }
 
 // DecompressRegionFrom is the chunk decoder behind every decode: whole
 // fields, regions, and archive extraction. payload fetches one chunk's
 // bytes, so a caller that does not hold the whole stream — the archive
-// reader — reads only the ranges it needs; whole fetches the entire
-// stream, which the fallback for codecs without chunk access hands to
-// the owning pipeline's decoder before cropping. Chunks decode in
-// parallel, each worker from its own scratch shard; a chunk lying inside
-// a region that spans every inner dimension decodes straight into the
-// output, so a whole-field decode copies nothing. A cancelled ctx stops
-// the decode within one chunk per worker and surfaces ctx.Err().
-func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) ([]byte, error), whole func() ([]byte, error), off, ext []int, sc *Scratch) (*field.Field, error) {
+// reader — reads only the ranges it needs. Chunks decode in parallel,
+// each worker from its own scratch shard; a chunk lying inside a region
+// that spans every inner dimension decodes straight into the output, so
+// a whole-field decode copies nothing. A cancelled ctx stops the decode
+// within one chunk per worker and surfaces ctx.Err().
+func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) ([]byte, error), off, ext []int, sc *Scratch) (*field.Field, error) {
 	if err := field.ValidateRegion(h.Dims, off, ext); err != nil {
 		return nil, err
 	}
@@ -134,10 +113,7 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 		}
 		return out, nil
 	}
-	cc, err := chunkCodec(h)
-	if errors.Is(err, ErrNotChunked) {
-		return decompressWhole(ctx, h, whole, off, ext)
-	}
+	c, err := chunkCodec(h)
 	if err != nil {
 		return nil, err
 	}
@@ -171,46 +147,20 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 		wsc := sc.Shard(w)
 		if direct && ck.RowStart >= rowLo && ck.RowStart+ck.Rows <= rowHi {
 			lo := (ck.RowStart - rowLo) * inner
-			return cc.DecompressChunk(pl, h, ci, out.Data[lo:lo+ck.Rows*inner], wsc)
+			return c.DecompressChunk(pl, h, ci, out.Data[lo:lo+ck.Rows*inner], wsc)
 		}
 		slab := wsc.Floats(ck.Rows * inner)
 		defer wsc.PutFloats(slab)
-		if err := cc.DecompressChunk(pl, h, ci, slab, wsc); err != nil {
+		if err := c.DecompressChunk(pl, h, ci, slab, wsc); err != nil {
 			return err
 		}
 		copyChunkRegion(out.Data, ext, dstOff, slab, h, ci, off, rowLo, rowHi)
 		return nil
 	})
-	if errors.Is(err, ErrNotChunked) {
-		return decompressWhole(ctx, h, whole, off, ext)
-	}
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// decompressWhole decodes a stream the chunk decoder cannot read — one
-// whose codec has no chunk access, like the store example, or answers
-// ErrNotChunked — through its pipeline's whole-stream decoder, then crops
-// the region.
-func decompressWhole(ctx context.Context, h *Header, whole func() ([]byte, error), off, ext []int) (*field.Field, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	data, err := whole()
-	if err != nil {
-		return nil, err
-	}
-	c, _ := Lookup(h.Codec)
-	full, _, err := c.Decompress(data)
-	if err != nil {
-		return nil, err
-	}
-	if slices.Equal(ext, full.Dims) {
-		return full, nil
-	}
-	return full.Slice(off, ext)
 }
 
 // copyChunkRegion copies the intersection of chunk ci's decoded slab with

@@ -93,7 +93,7 @@ func probePSNR(f *field.Field, ebAbs float64, workers int) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("experiment: sz codec not registered")
 	}
-	blob, _, err := c.Compress(context.Background(), f, codec.Options{ErrorBound: ebAbs, Workers: workers}, nil)
+	blob, _, err := codec.Encode(context.Background(), f, c, codec.Options{ErrorBound: ebAbs, Workers: workers}, nil)
 	if err != nil {
 		return 0, err
 	}

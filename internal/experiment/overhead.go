@@ -56,7 +56,7 @@ func Overhead(cfg Config) ([]OverheadRow, error) {
 			return nil, fmt.Errorf("experiment: sz codec not registered")
 		}
 		start = time.Now()
-		if _, _, err := c.Compress(context.Background(), f, codec.Options{ErrorBound: plan.EbAbs, Workers: cfg.Workers}, nil); err != nil {
+		if _, _, err := codec.Encode(context.Background(), f, c, codec.Options{ErrorBound: plan.EbAbs, Workers: cfg.Workers}, nil); err != nil {
 			return nil, err
 		}
 		compressNS := time.Since(start).Nanoseconds()

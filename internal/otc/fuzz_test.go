@@ -62,7 +62,7 @@ func TestDecompressRejectsOversizedBlockPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decompress(blob); err == nil {
+	if _, _, err := codec.Decompress(blob); err == nil {
 		t.Fatal("Decompress accepted a payload declaring block size 2048")
 	}
 }
@@ -72,7 +72,7 @@ func TestDecompressRejectsOversizedBlockPrefix(t *testing.T) {
 func TestBlockSizeAboveMaxRejected(t *testing.T) {
 	f := smoothField("big", 0.01, 3, 100)
 	opt := Options{ErrorBound: 1e-3, BlockSize: codec.MaxBlockSize + 1, Workers: 1}
-	if _, _, err := Compress(f, opt); err == nil {
+	if _, _, err := compress(f, opt); err == nil {
 		t.Fatalf("Compress accepted block size %d", opt.BlockSize)
 	}
 	if _, _, err := (otcCodec{}).CompressChunk(context.Background(), f.Data, f.Dims, f.Precision, opt, nil); err == nil {

@@ -52,31 +52,6 @@ func (otcCodec) IDs() []codec.ID { return []codec.ID{codec.IDOTC} }
 // the pipeline does not track the data-domain distortion exactly.
 func (otcCodec) MeasuresMSE() bool { return false }
 
-// Compress encodes f through the chunked container (codec.Encode):
-// chunks compress in parallel, each worker from its own shard of sc, and
-// the block loop inside each chunk is parallel too. Blocks are cut at
-// chunk boundaries, preserving orthonormality; the default tiling is one
-// whole-field chunk (see ChunkSpans).
-func (otcCodec) Compress(ctx context.Context, f *field.Field, opt codec.Options, sc *codec.Scratch) ([]byte, *codec.Stats, error) {
-	if err := checkBlockSize(opt); err != nil {
-		return nil, nil, err
-	}
-	return codec.Encode(ctx, f, otcCodec{}, opt, sc)
-}
-
-// Decompress decodes OTC and constant streams through the chunk decoder
-// and rejects every other stream ID.
-func (otcCodec) Decompress(data []byte) (*field.Field, *codec.Header, error) {
-	h, err := codec.ParseHeader(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if h.Codec != codec.IDOTC && h.Codec != codec.IDConstant {
-		return nil, nil, fmt.Errorf("otc: stream has codec %v, not %v", h.Codec, codec.IDOTC)
-	}
-	return codec.Decompress(data)
-}
-
 func init() { codec.Register(otcCodec{}) }
 
 // Transform selects the orthonormal block transform (shared type; see
@@ -118,10 +93,6 @@ func checkBlockSize(o Options) error {
 	}
 	return nil
 }
-
-// Stats is the unified compression outcome report (see codec.Stats).
-// This pipeline does not measure its exact MSE, so Stats.MSE is NaN.
-type Stats = codec.Stats
 
 // dctCache shares DCT bases across blocks and calls, one per edge.
 var dctCache [codec.MaxBlockSize + 1]atomic.Pointer[transform.DCT]
@@ -268,17 +239,6 @@ func applyBlock(cur, tmp []float64, sizes []int, tr Transform, inverse bool) ([]
 	return cur, nil
 }
 
-// Compress compresses the field by blockwise orthonormal DCT and uniform
-// coefficient quantization with bin width 2·opt.ErrorBound.
-func Compress(f *field.Field, opt Options) ([]byte, *Stats, error) {
-	return otcCodec{}.Compress(context.Background(), f, opt, nil)
-}
-
-// Decompress reconstructs a field from an OTC (or constant) stream.
-func Decompress(data []byte) (*field.Field, *codec.Header, error) {
-	return otcCodec{}.Decompress(data)
-}
-
 // ChunkSpans implements codec.ChunkPlanner, so every container
 // assembler tiles identically for the same options: a single
 // whole-field chunk by default, explicit ChunkRows verbatim, and
@@ -376,7 +336,7 @@ func (otcCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, p
 // buffers come from sc (nil = fresh allocations).
 func (otcCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc *codec.Scratch) error {
 	if h.Codec != codec.IDOTC {
-		return codec.ErrNotChunked
+		return fmt.Errorf("otc: cannot decode chunks of stream ID %v", h.Codec)
 	}
 	if len(dst) != h.ChunkPoints(ci) {
 		return fmt.Errorf("otc: chunk %d dst has %d points, want %d", ci, len(dst), h.ChunkPoints(ci))

@@ -43,7 +43,7 @@ func BenchmarkDecompressChunk(b *testing.B) {
 			data, dims, opt := benchChunk(b, tc.tr)
 			f := field.New("bench", field.Float64, dims...)
 			copy(f.Data, data)
-			blob, _, err := Compress(f, opt)
+			blob, _, err := compress(f, opt)
 			if err != nil {
 				b.Fatal(err)
 			}

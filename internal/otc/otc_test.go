@@ -9,7 +9,6 @@ import (
 	"fixedpsnr/internal/core"
 	"fixedpsnr/internal/field"
 	"fixedpsnr/internal/stats"
-	"fixedpsnr/internal/sz"
 )
 
 func smoothField(name string, noise float64, dims ...int) *field.Field {
@@ -156,13 +155,13 @@ func TestForwardInverseBlockRoundTrip(t *testing.T) {
 	}
 }
 
-func roundTrip(t *testing.T, f *field.Field, opt Options) (*field.Field, *Stats) {
+func roundTrip(t *testing.T, f *field.Field, opt Options) (*field.Field, *codec.Stats) {
 	t.Helper()
-	blob, st, err := Compress(f, opt)
+	blob, st, err := compress(f, opt)
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
-	g, h, err := Decompress(blob)
+	g, h, err := codec.Decompress(blob)
 	if err != nil {
 		t.Fatalf("Decompress: %v", err)
 	}
@@ -233,26 +232,15 @@ func TestConstantField(t *testing.T) {
 func TestInvalidDelta(t *testing.T) {
 	f := smoothField("bad", 0.01, 16, 16)
 	for _, delta := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, _, err := Compress(f, Options{ErrorBound: delta}); err == nil {
+		if _, _, err := compress(f, Options{ErrorBound: delta}); err == nil {
 			t.Fatalf("expected error for delta %g", delta)
 		}
 	}
 }
 
-func TestDecompressRejectsWrongCodec(t *testing.T) {
-	f := smoothField("szstream", 0.01, 16, 16)
-	blob, _, err := sz.Compress(f, sz.Options{ErrorBound: 1e-3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Decompress(blob); err == nil {
-		t.Fatal("expected error decoding an SZ stream with otc")
-	}
-}
-
 func TestHeaderCodecIsOTC(t *testing.T) {
 	f := smoothField("hdr", 0.01, 16, 16)
-	blob, _, err := Compress(f, Options{ErrorBound: 5e-4, Workers: 1})
+	blob, _, err := compress(f, Options{ErrorBound: 5e-4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

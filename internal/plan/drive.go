@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 
@@ -20,23 +21,23 @@ import (
 // (Theorem 1: the quantization-stage MSE equals the end-to-end MSE, so
 // each pass measures its exact distortion for free); for the fixed-ratio
 // target the same loop steers on the stream's bytes, header included.
-// Chunk codecs run every pass on a codec.Draft (see steer): a
-// distortion-steered target keeps exact (MSE == 0) chunks verbatim
-// across passes, and because it reads no bytes its passes stop at
-// quantization — only the returned pass is entropy-coded, once. A
-// size-steered target redoes every chunk at the new bound and
-// entropy-codes every pass it measures.
+// Every pass runs on a codec.Draft (see steer): a distortion-steered
+// target keeps exact (MSE == 0) chunks verbatim across passes, and
+// because it reads no bytes its passes stop at quantization — only the
+// returned pass is entropy-coded, once. A size-steered target redoes
+// every chunk at the new bound and entropy-codes every pass it
+// measures. A constant field has no chunks to steer and is rejected.
 //
 // Drive returns the final stream, stats, the absolute bound it settled
 // on, and the number of compression passes consumed (1 = the first pass
 // was accepted as-is). A nil target — single-pass modes — runs the one
-// pass through the codec's Compress. ctx is checked before every extra
-// pass and inside the chunk loops; sc supplies reusable scratch buffers
-// to each pass (nil = allocate fresh), and every buffer a pass retains
-// goes back to it, also when the encode fails or is cancelled.
+// pass through codec.Encode. ctx is checked before every extra pass and
+// inside the chunk loops; sc supplies reusable scratch buffers to each
+// pass (nil = allocate fresh), and every buffer a pass retains goes back
+// to it, also when the encode fails or is cancelled.
 func Drive(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options, tgt Target, sc *codec.Scratch) ([]byte, *codec.Stats, float64, int, error) {
 	if tgt == nil {
-		blob, st, err := c.Compress(ctx, f, opt, sc)
+		blob, st, err := codec.Encode(ctx, f, c, opt, sc)
 		return blob, st, opt.ErrorBound, 1, err
 	}
 	s, err := steer(ctx, f, c, opt, tgt, sc)
@@ -91,52 +92,42 @@ func solve(ctx context.Context, tgt Target, bound float64, measure func() (float
 	return bound, len(history), nil
 }
 
-// steering is the state Drive and DriveGroups rewrite pass by pass.
-// Chunk codecs keep the stream's chunks in a codec.Draft, each either
-// quantized or entropy-coded: a pass redoes only the chunks it must, and
-// the chunks of passes nothing reads bytes from stay quantized until the
-// final assembly. Codecs that are not chunk codecs recompress the whole
-// field every pass instead.
+// steering is the state Drive and DriveGroups rewrite pass by pass: the
+// stream's chunks in a codec.Draft, each either quantized or
+// entropy-coded. A pass redoes only the chunks it must, and the chunks
+// of passes nothing reads bytes from stay quantized until the final
+// assembly.
 type steering struct {
 	f   *field.Field
 	c   codec.Codec
-	cc  codec.ChunkCodec
 	opt codec.Options
 	sc  *codec.Scratch
 
-	d *codec.Draft // nil: whole-field passes
-	// blob and st are the latest pass as a stream: every whole-field
-	// pass's own, or the Draft as last assembled (nil once a pass
+	d *codec.Draft
+	// blob and st are the Draft as last assembled (nil once a pass
 	// rewrites it).
 	blob []byte
 	st   *codec.Stats
 }
 
-// steer runs the first pass at opt.ErrorBound. A ChunkCodec's first pass
-// tiles the field through codec.TileField — the entry unsteered encodes
-// take, AutoCapacity included — and runs on the Draft: it stops at
+// steer runs the first pass at opt.ErrorBound. It tiles the field
+// through codec.TileField — the entry unsteered encodes take,
+// AutoCapacity included — and runs on the Draft: it stops at
 // quantization when the codec is a ChunkQuantizer and tgt reads no bytes
 // (a nil tgt, the region groups' shared pass, reads none), and runs
-// CompressChunk otherwise. Any other codec, and a constant field, which
-// has no chunks, takes whole-field passes through the codec's Compress.
+// CompressChunk otherwise. A constant field has no chunks to steer and
+// is an error.
 func steer(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options, tgt Target, sc *codec.Scratch) (*steering, error) {
-	s := &steering{f: f, c: c, opt: opt, sc: sc}
-	if cc, ok := c.(codec.ChunkCodec); ok {
-		d, err := codec.TileField(f, cc, opt)
-		if err != nil {
-			return nil, err
-		}
-		if d != nil {
-			s.cc, s.d = cc, d
-			if err := s.run(ctx, tgt, d.All()); err != nil {
-				d.Release()
-				return nil, err
-			}
-			return s, nil
-		}
+	d, err := codec.TileField(f, c, opt)
+	if err != nil {
+		return nil, err
 	}
-	var err error
-	if s.blob, s.st, err = c.Compress(ctx, f, opt, sc); err != nil {
+	if d == nil {
+		return nil, fmt.Errorf("plan: steering needs a chunked stream (a constant field has no chunks)")
+	}
+	s := &steering{f: f, c: c, opt: opt, sc: sc, d: d}
+	if err := s.run(ctx, tgt, d.All()); err != nil {
+		d.Release()
 		return nil, err
 	}
 	return s, nil
@@ -145,17 +136,11 @@ func steer(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options
 // run redoes the chunks of subset at s.opt.ErrorBound: quantized only
 // when tgt reads no bytes, entropy-coded too otherwise.
 func (s *steering) run(ctx context.Context, tgt Target, subset []int) error {
-	return s.d.Run(ctx, s.cc, subset, s.opt, s.sc, codec.FieldRows(s.f.Data), tgt == nil || !tgt.ReadsBytes())
+	return s.d.Run(ctx, s.c, subset, s.opt, s.sc, codec.FieldRows(s.f.Data), tgt == nil || !tgt.ReadsBytes())
 }
 
 // pass recompresses the field at bound for Drive.
 func (s *steering) pass(ctx context.Context, tgt Target, bound float64) error {
-	if s.d == nil {
-		s.opt.ErrorBound = bound
-		var err error
-		s.blob, s.st, err = s.c.Compress(ctx, s.f, s.opt, s.sc)
-		return err
-	}
 	s.rebase()
 	s.d.Header.EbAbs = bound
 	return s.recompress(ctx, tgt, s.d.All(), bound, false)
@@ -174,8 +159,8 @@ func (s *steering) rebase() {
 
 // recompress redoes one chunk subset at a new bound, leaving every other
 // chunk untouched; the redone chunks stop at quantization unless tgt
-// reads bytes. Under a target that pins exact chunks, chunks whose
-// recorded MSE is zero — exact at their current bound, so their error
+// reads bytes. Under a target that reads no bytes, chunks whose recorded
+// MSE is zero — exact at their current bound, so their error
 // contribution is final — keep their state and entries verbatim;
 // pinning is skipped entirely when any chunk in the subset lacks a
 // measured MSE, because the pinning decision needs one.
@@ -187,7 +172,7 @@ func (s *steering) rebase() {
 // byte for byte.
 func (s *steering) recompress(ctx context.Context, tgt Target, subset []int, bound float64, explicit bool) error {
 	h := s.d.Header
-	if tgt != nil && tgt.PinExactChunks() && !slices.ContainsFunc(subset, func(ci int) bool { return math.IsNaN(h.Chunks[ci].MSE) }) {
+	if tgt != nil && !tgt.ReadsBytes() && !slices.ContainsFunc(subset, func(ci int) bool { return math.IsNaN(h.Chunks[ci].MSE) }) {
 		subset = slices.DeleteFunc(slices.Clone(subset), func(ci int) bool { return h.Chunks[ci].MSE == 0 })
 	}
 	s.opt.ErrorBound = bound
@@ -207,7 +192,7 @@ func (s *steering) recompress(ctx context.Context, tgt Target, subset []int, bou
 // Draft's chunk table when tgt reads no bytes, else from the stats of
 // the assembled stream.
 func (s *steering) measure(ctx context.Context, tgt Target) (float64, error) {
-	if s.d != nil && !tgt.ReadsBytes() {
+	if !tgt.ReadsBytes() {
 		return tgt.MeasureGroup(s.d.Header, s.d.All()), nil
 	}
 	if s.blob == nil {

@@ -22,13 +22,24 @@ func (c *flatCodec) Name() string      { return "flat" }
 func (c *flatCodec) IDs() []codec.ID   { return []codec.ID{250} }
 func (c *flatCodec) MeasuresMSE() bool { return true }
 
-func (c *flatCodec) Compress(ctx context.Context, f *field.Field, opt codec.Options, sc *codec.Scratch) ([]byte, *codec.Stats, error) {
+func (c *flatCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt codec.Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
 	c.compressions++
-	return []byte{0xFA}, &codec.Stats{MSE: c.mse, ValueRange: 1}, nil
+	return []byte{0xFA}, codec.ChunkStats{MSE: c.mse}, nil
 }
 
-func (c *flatCodec) Decompress([]byte) (*field.Field, *codec.Header, error) {
-	return nil, nil, nil
+func (c *flatCodec) DecompressChunk([]byte, *codec.Header, int, []float64, *codec.Scratch) error {
+	return nil
+}
+
+// rampField is a field of the given dims whose values rise evenly from
+// 0 to 1 (value range 1). Under Workers 1 it tiles into one chunk, so a
+// fake codec is called once per pass.
+func rampField(prec field.Precision, dims ...int) *field.Field {
+	f := field.New("f", prec, dims...)
+	for i := range f.Data {
+		f.Data[i] = float64(i) / float64(len(f.Data)-1)
+	}
+	return f
 }
 
 // psnrDrive runs the calibrated fixed-PSNR target through the generic
@@ -36,7 +47,7 @@ func (c *flatCodec) Decompress([]byte) (*field.Field, *codec.Header, error) {
 func psnrDrive(t *testing.T, c codec.Codec, opt codec.Options, target, vr float64) ([]byte, *codec.Stats, float64, int, error) {
 	t.Helper()
 	tgt := NewPSNRTarget(target, vr, Tuning{})
-	return Drive(context.Background(), field.New("f", field.Float64, 4, 4), c, opt, tgt, nil)
+	return Drive(context.Background(), rampField(field.Float64, 4, 4), c, opt, tgt, nil)
 }
 
 // TestDriveStallIsAnError: when two equal passes make the secant step
@@ -44,7 +55,7 @@ func psnrDrive(t *testing.T, c codec.Codec, opt codec.Options, target, vr float6
 // loudly rather than silently accept an off-target stream.
 func TestDriveStallIsAnError(t *testing.T) {
 	c := &flatCodec{mse: 1e-2} // 20 dB at vr=1, far from the 40 dB target
-	opt := codec.Options{ErrorBound: 0.01}
+	opt := codec.Options{ErrorBound: 0.01, Workers: 1}
 	_, _, _, _, err := psnrDrive(t, c, opt, 40, 1)
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
 		t.Fatalf("err = %v, want refinement-stalled error", err)
@@ -63,12 +74,12 @@ func TestDriveWithinToleranceExitsClean(t *testing.T) {
 	target := 40.0
 	mse := math.Pow(10, -target/10) // exactly on target at vr=1
 	c := &flatCodec{mse: mse}
-	opt := codec.Options{ErrorBound: 0.01}
+	opt := codec.Options{ErrorBound: 0.01, Workers: 1}
 	nb, nst, eb, passes, err := psnrDrive(t, c, opt, target, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.compressions != 1 || eb != opt.ErrorBound || nb[0] != 0xFA || nst.MSE != mse || passes != 1 {
+	if c.compressions != 1 || eb != opt.ErrorBound || nb[len(nb)-1] != 0xFA || nst.MSE != mse || passes != 1 {
 		t.Fatalf("within-tolerance pass must be a no-op (compressions=%d passes=%d)", c.compressions, passes)
 	}
 }
@@ -77,21 +88,20 @@ func TestDriveWithinToleranceExitsClean(t *testing.T) {
 // target and must get the codec's one pass back untouched.
 func TestDriveNilTargetPassesThrough(t *testing.T) {
 	c := &flatCodec{mse: 1}
-	opt := codec.Options{ErrorBound: 0.25}
-	nb, nst, eb, passes, err := Drive(context.Background(), nil, c, opt, nil, nil)
+	opt := codec.Options{ErrorBound: 0.25, Workers: 1}
+	nb, nst, eb, passes, err := Drive(context.Background(), rampField(field.Float64, 4, 4), c, opt, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.compressions != 1 || nb[0] != 0xFA || nst.MSE != 1 || eb != opt.ErrorBound || passes != 1 {
+	if c.compressions != 1 || nb[len(nb)-1] != 0xFA || nst.MSE != 1 || eb != opt.ErrorBound || passes != 1 {
 		t.Fatal("nil target must pass the one pass through unchanged")
 	}
 }
 
-// sizeCodec reports a compressed size that follows an exact power law of
+// sizeCodec writes a payload whose size follows an exact power law of
 // the bound, size = base / bound^a, so the fixed-ratio secant should
 // converge in a handful of passes.
 type sizeCodec struct {
-	origBytes    int
 	base         float64
 	a            float64
 	compressions int
@@ -109,28 +119,26 @@ func (c *sizeCodec) compressedBytes(bound float64) int {
 	return n
 }
 
-func (c *sizeCodec) Compress(ctx context.Context, f *field.Field, opt codec.Options, sc *codec.Scratch) ([]byte, *codec.Stats, error) {
+func (c *sizeCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt codec.Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
 	c.compressions++
-	n := c.compressedBytes(opt.ErrorBound)
-	return make([]byte, n), &codec.Stats{
-		OriginalBytes:   c.origBytes,
-		CompressedBytes: n,
-		MSE:             math.NaN(),
-	}, nil
+	return make([]byte, c.compressedBytes(opt.ErrorBound)), codec.ChunkStats{MSE: math.NaN()}, nil
 }
 
-func (c *sizeCodec) Decompress([]byte) (*field.Field, *codec.Header, error) {
-	return nil, nil, nil
+func (c *sizeCodec) DecompressChunk([]byte, *codec.Header, int, []float64, *codec.Scratch) error {
+	return nil
 }
+
+// sizeField is the 1 MiB float32 field the ratio tests steer.
+func sizeField() *field.Field { return rampField(field.Float32, 512, 512) }
 
 // TestDriveRatioConvergesOnPowerLawCodec: the fixed-ratio target steers a
 // synthetic power-law rate curve into the acceptance band.
 func TestDriveRatioConvergesOnPowerLawCodec(t *testing.T) {
 	for _, target := range []float64{5, 20, 80} {
-		c := &sizeCodec{origBytes: 1 << 20, base: 100, a: 0.7}
-		opt := codec.Options{ErrorBound: 1e-4}
+		c := &sizeCodec{base: 100, a: 0.7}
+		opt := codec.Options{ErrorBound: 1e-4, Workers: 1}
 		tgt := NewRatioTarget(target, 32, Tuning{})
-		_, nst, eb, passes, err := Drive(context.Background(), nil, c, opt, tgt, nil)
+		_, nst, eb, passes, err := Drive(context.Background(), sizeField(), c, opt, tgt, nil)
 		if err != nil {
 			t.Fatalf("target %g: %v", target, err)
 		}
@@ -147,10 +155,10 @@ func TestDriveRatioConvergesOnPowerLawCodec(t *testing.T) {
 // TestDriveRespectsMaxPasses: a tight pass budget stops the loop and
 // returns the closest stream without error.
 func TestDriveRespectsMaxPasses(t *testing.T) {
-	c := &sizeCodec{origBytes: 1 << 20, base: 100, a: 0.7}
-	opt := codec.Options{ErrorBound: 1e-4}
+	c := &sizeCodec{base: 100, a: 0.7}
+	opt := codec.Options{ErrorBound: 1e-4, Workers: 1}
 	tgt := NewRatioTarget(80, 32, Tuning{MaxPasses: 1})
-	_, _, _, passes, err := Drive(context.Background(), nil, c, opt, tgt, nil)
+	_, _, _, passes, err := Drive(context.Background(), sizeField(), c, opt, tgt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,17 +143,11 @@ type GroupOutcome struct {
 // Header.AggregateMSE accounting intact. Outcomes are reported in spec
 // order.
 func DriveGroups(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options, specs []GroupSpec, vr float64, sc *codec.Scratch) ([]byte, *codec.Stats, []GroupOutcome, error) {
-	if _, ok := c.(codec.ChunkCodec); !ok {
-		return nil, nil, nil, fmt.Errorf("plan: region groups need chunk-granular recompression: %w", codec.ErrNotChunked)
-	}
 	s, err := steer(ctx, f, c, opt, nil, sc)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	defer s.d.Release()
-	if s.d == nil {
-		return nil, nil, nil, fmt.Errorf("plan: region groups need a chunked stream (a constant field has no chunks)")
-	}
 	part, err := BuildPartition(s.d.Header, specs)
 	if err != nil {
 		return nil, nil, nil, err

@@ -56,13 +56,18 @@ type Pass struct {
 // group, without touching any pipeline.
 type Target interface {
 	// ReadsBytes reports whether the statistic is read from compressed
-	// bytes. A target that reads none steers on the quantization
-	// stage's chunk statistics, which Theorem 1 makes final, so the
-	// steering loops leave its passes' chunks quantized and
-	// entropy-code only the pass they return.
+	// bytes. A target that reads none steers on distortion, measured
+	// from the quantization stage's chunk statistics, which Theorem 1
+	// makes final: the steering loops leave its passes' chunks
+	// quantized and entropy-code only the pass they return, and a
+	// chunk with zero recorded MSE is final under it — exact chunks
+	// reconstruct identically at any bound, so their state is kept
+	// verbatim across passes. A target that reads bytes must
+	// recompress them (a coarser bound shrinks even an exact chunk).
 	ReadsBytes() bool
 	// Measure extracts the steering statistic from the aggregate stats
-	// of one finished whole-stream pass.
+	// of one assembled stream; Drive measures a target that reads bytes
+	// through it.
 	Measure(st *codec.Stats) float64
 	// MeasureGroup extracts the steering statistic from the chunks
 	// listed in subset of a (possibly mid-steering) chunk table. The
@@ -76,12 +81,6 @@ type Target interface {
 	Solve(history []Pass) (next float64, done bool, err error)
 	// MaxPasses bounds the extra compressions the loop may take.
 	MaxPasses() int
-	// PinExactChunks reports whether a chunk with zero recorded MSE is
-	// final under this target: exact chunks reconstruct identically at
-	// any bound, so distortion-steered targets keep their payloads
-	// verbatim across passes, while size-steered targets must
-	// recompress them (a coarser bound shrinks even an exact chunk).
-	PinExactChunks() bool
 }
 
 // BuildTarget constructs the steering target for the request, or nil when
@@ -134,13 +133,12 @@ func NewPSNRTarget(targetPSNR, vr float64, tn Tuning) Target {
 	return t
 }
 
-func (t *psnrTarget) MaxPasses() int       { return t.maxPasses }
-func (t *psnrTarget) PinExactChunks() bool { return true }
-func (t *psnrTarget) ReadsBytes() bool     { return false }
+func (t *psnrTarget) MaxPasses() int   { return t.maxPasses }
+func (t *psnrTarget) ReadsBytes() bool { return false }
 
-// Measure returns the field MSE the codec measured. Chunked passes
-// never reach it: the loop reads their MSE off the chunk table through
-// MeasureGroup.
+// Measure returns the field MSE of an assembled stream. The steering
+// loops never call it: a target that reads no bytes is measured off the
+// chunk table through MeasureGroup.
 func (t *psnrTarget) Measure(st *codec.Stats) float64 { return st.MSE }
 
 // MeasureGroup returns the point-weighted MSE of one chunk subset.
@@ -222,9 +220,8 @@ func NewRatioTarget(targetRatio, bpp float64, tn Tuning) Target {
 	return t
 }
 
-func (t *ratioTarget) MaxPasses() int       { return t.maxPasses }
-func (t *ratioTarget) PinExactChunks() bool { return false }
-func (t *ratioTarget) ReadsBytes() bool     { return true }
+func (t *ratioTarget) MaxPasses() int   { return t.maxPasses }
+func (t *ratioTarget) ReadsBytes() bool { return true }
 
 // Measure returns the achieved compression ratio of the pass. Every
 // pipeline measures it — size needs no Theorem 1 — which is why fixed

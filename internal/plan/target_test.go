@@ -53,11 +53,11 @@ func TestTargetDefaultsAndTuning(t *testing.T) {
 	if r.tol != 0.2 || r.MaxPasses() != 2 || r.bpp != 32 {
 		t.Fatalf("ratio tuning not honored: tol=%g passes=%d bpp=%g", r.tol, r.MaxPasses(), r.bpp)
 	}
-	if !NewPSNRTarget(60, 1, Tuning{}).PinExactChunks() {
-		t.Fatal("fixed-PSNR steering must pin exact chunks")
+	if NewPSNRTarget(60, 1, Tuning{}).ReadsBytes() {
+		t.Fatal("fixed-PSNR steering must read no bytes (and so pin exact chunks)")
 	}
-	if NewRatioTarget(16, 32, Tuning{}).PinExactChunks() {
-		t.Fatal("fixed-ratio steering must recompress exact chunks")
+	if !NewRatioTarget(16, 32, Tuning{}).ReadsBytes() {
+		t.Fatal("fixed-ratio steering must read bytes (and so recompress exact chunks)")
 	}
 }
 

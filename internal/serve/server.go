@@ -38,7 +38,7 @@ import (
 //
 // PUT query parameters select the compression configuration: mode
 // (psnr|ratio|abs|rel|pwrel), psnr, ratio, eb, compressor, chunkpoints,
-// level, and repeatable roi specs ("off:ext,...=psnr:80"). Region reads
+// and repeatable roi specs ("off:ext,...=psnr:80"). Region reads
 // take off=o1,o2,... and ext=e1,e2,... vectors.
 //
 // Region reads are served from a size-bounded LRU of decoded chunk
@@ -331,8 +331,8 @@ func (s *Server) handleGetRegion(w http.ResponseWriter, r *http.Request) {
 }
 
 // regionRead assembles a region from cached decoded chunks, decoding
-// misses through the singleflight cache. Non-chunked entries (constant
-// fields, custom codecs) fall back to the reader's own region extraction.
+// misses through the singleflight cache. Constant entries, which have no
+// chunks, go through the reader's own region extraction.
 func (s *Server) regionRead(r *http.Request, ar *fixedpsnr.ArchiveReader, gen uint64, entry int, off, ext []int) (*fixedpsnr.Field, error) {
 	ctx := r.Context()
 	h, err := ar.Info(entry)
@@ -368,10 +368,6 @@ func (s *Server) regionRead(r *http.Request, ar *fixedpsnr.ArchiveReader, gen ui
 			return slab, nil
 		})
 		if err != nil {
-			if errors.Is(err, codec.ErrNotChunked) {
-				f, _, err := ar.ExtractRegionAtContext(ctx, entry, off, ext)
-				return f, err
-			}
 			return nil, err
 		}
 		codec.CopyChunkRegion(out.Data, h, ci, slab, off, ext)

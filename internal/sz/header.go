@@ -20,20 +20,6 @@ func (szCodec) IDs() []codec.ID {
 
 func (szCodec) MeasuresMSE() bool { return true }
 
-// Compress encodes f through the chunked container (codec.Encode): it
-// tiles the field into independent row-slab chunks, each restarting the
-// predictor, and compresses them in parallel through CompressChunk, each
-// worker drawing its transients from its own shard of sc. A cancelled
-// context aborts within one chunk of work per worker and surfaces
-// ctx.Err().
-func (szCodec) Compress(ctx context.Context, f *field.Field, opt codec.Options, sc *codec.Scratch) ([]byte, *codec.Stats, error) {
-	return codec.Encode(ctx, f, szCodec{}, opt, sc)
-}
-
-func (szCodec) Decompress(data []byte) (*field.Field, *codec.Header, error) {
-	return codec.Decompress(data)
-}
-
 // CompressPWRel implements codec.PWRelCodec: pointwise-relative
 // compression in the log domain (see pwrel.go). The public API routes
 // ModePWRel to any registered codec with this capability.

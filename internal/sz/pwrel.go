@@ -74,7 +74,7 @@ func CompressPWRelCtx(ctx context.Context, f *field.Field, ebRel float64, opt Op
 	innerOpt.ErrorBound = ebLog
 	innerOpt.Mode = codec.ModePWRel
 	innerOpt.TargetPSNR = math.NaN()
-	inner, innerStats, err := szCodec{}.Compress(ctx, logField, innerOpt, sc)
+	inner, innerStats, err := codec.Encode(ctx, logField, szCodec{}, innerOpt, sc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sz: pwrel inner compression: %w", err)
 	}
@@ -179,8 +179,6 @@ func decompressPWRelChunk(payload []byte, h *codec.Header, dst []float64, sc *co
 	}
 	logField, err := codec.DecompressRegionFrom(context.Background(), ih, func(ci int) ([]byte, error) {
 		return codec.ChunkPayload(inner, ih, ci)
-	}, func() ([]byte, error) {
-		return inner, nil
 	}, make([]int, len(ih.Dims)), ih.Dims, sc)
 	if err != nil {
 		return fmt.Errorf("sz: pwrel inner stream: %w", err)

@@ -60,7 +60,7 @@ func TestPWRelRoundTrip(t *testing.T) {
 			t.Fatalf("ebRel=%g: %v", ebRel, err)
 		}
 		before := codec.HeaderParses()
-		g, h, err := Decompress(blob) // routed via codec dispatch
+		g, h, err := codec.Decompress(blob) // routed via codec dispatch
 		if err != nil {
 			t.Fatalf("ebRel=%g: %v", ebRel, err)
 		}
@@ -85,7 +85,7 @@ func TestPWRel1D3D(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := Decompress(blob)
+		g, _, err := codec.Decompress(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestPWRelAllZeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := Decompress(blob)
+	g, _, err := codec.Decompress(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestPWRelNegativeZeroPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := Decompress(blob)
+	g, _, err := codec.Decompress(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPWRelTinyAndHugeMagnitudes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := Decompress(blob)
+	g, _, err := codec.Decompress(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestPWRelTruncatedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decompress(blob[:len(blob)-8]); err == nil {
+	if _, _, err := codec.Decompress(blob[:len(blob)-8]); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}
 }
@@ -216,7 +216,7 @@ func TestPWRelHostileSizes(t *testing.T) {
 					t.Fatalf("%s: Decompress panicked: %v", tc.name, r)
 				}
 			}()
-			if _, _, err := Decompress(tc.stream); err == nil {
+			if _, _, err := codec.Decompress(tc.stream); err == nil {
 				t.Fatalf("%s: %d-byte stream accepted", tc.name, len(tc.stream))
 			}
 		}()

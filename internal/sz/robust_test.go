@@ -17,7 +17,7 @@ import (
 // caller would perform.
 func TestDecompressNeverPanicsOnMutation(t *testing.T) {
 	f := randomField(t, "mutate", 0.05, 40, 40)
-	blob, _, err := Compress(f, Options{ErrorBound: 1e-3, Workers: 1})
+	blob, _, err := compress(f, Options{ErrorBound: 1e-3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestDecompressNeverPanicsOnMutation(t *testing.T) {
 		if h.NPoints() > maxPoints {
 			return
 		}
-		_, _, _ = Decompress(mut)
+		_, _, _ = codec.Decompress(mut)
 	}
 
 	// Every header byte, plus random payload positions.
@@ -57,7 +57,7 @@ func TestDecompressNeverPanicsOnMutation(t *testing.T) {
 // length.
 func TestDecompressNeverPanicsOnTruncation(t *testing.T) {
 	f := randomField(t, "cut", 0.05, 30, 30)
-	blob, _, err := Compress(f, Options{ErrorBound: 1e-3, Workers: 1})
+	blob, _, err := compress(f, Options{ErrorBound: 1e-3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDecompressNeverPanicsOnTruncation(t *testing.T) {
 					t.Fatalf("panic at cut %d: %v", cut, r)
 				}
 			}()
-			_, _, _ = Decompress(blob[:cut])
+			_, _, _ = codec.Decompress(blob[:cut])
 		}()
 	}
 }
@@ -107,11 +107,11 @@ func TestRoundTripOnSyntheticDatasetFields(t *testing.T) {
 				continue
 			}
 			eb := 1e-4 * vr
-			blob, _, err := Compress(f, Options{ErrorBound: eb, Workers: 2})
+			blob, _, err := compress(f, Options{ErrorBound: eb, Workers: 2})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", ds.Name, f.Name, err)
 			}
-			g, _, err := Decompress(blob)
+			g, _, err := codec.Decompress(blob)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", ds.Name, f.Name, err)
 			}
@@ -126,11 +126,11 @@ func TestRoundTripOnSyntheticDatasetFields(t *testing.T) {
 // byte-identical stream (required for reproducible archives).
 func TestStreamDeterministic(t *testing.T) {
 	f := randomField(t, "det", 0.05, 40, 50)
-	a, _, err := Compress(f, Options{ErrorBound: 1e-3, Workers: 1})
+	a, _, err := compress(f, Options{ErrorBound: 1e-3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Compress(f, Options{ErrorBound: 1e-3, Workers: 1})
+	b, _, err := compress(f, Options{ErrorBound: 1e-3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +149,11 @@ func TestStreamDeterministic(t *testing.T) {
 // obey the bound and the stream sizes stay within a few percent.
 func TestChunkingCostIsBounded(t *testing.T) {
 	f := randomField(t, "chunkcost", 0.02, 128, 64)
-	one, _, err := Compress(f, Options{ErrorBound: 1e-3, Workers: 1})
+	one, _, err := compress(f, Options{ErrorBound: 1e-3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, _, err := Compress(f, Options{ErrorBound: 1e-3, ChunkRows: 32, Workers: 2})
+	four, _, err := compress(f, Options{ErrorBound: 1e-3, ChunkRows: 32, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,12 +47,6 @@ type Options = codec.Options
 // Stats is the unified compression outcome report (see codec.Stats).
 type Stats = codec.Stats
 
-// Compress compresses the field under the given absolute error bound and
-// returns the encoded stream plus statistics.
-func Compress(f *field.Field, opt Options) ([]byte, *Stats, error) {
-	return szCodec{}.Compress(context.Background(), f, opt, nil)
-}
-
 // EstimateCapacity implements codec.CapacityEstimator: the container
 // resolves AutoCapacity through it over the whole field, before tiling,
 // so every chunk shares one quantizer geometry.
@@ -98,21 +92,16 @@ func (szCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, pr
 	return out, nil
 }
 
-// Decompress reconstructs a field from a compressed stream.
-func Decompress(data []byte) (*field.Field, *codec.Header, error) {
-	return codec.Decompress(data)
-}
-
 // DecompressChunk implements codec.ChunkCodec, reconstructing chunk c
 // into dst (the chunk's points): Lorenzo chunks here, and the one chunk
 // of a log-domain (pointwise-relative) stream in decompressPWRelChunk.
 // Per-chunk bounds written by selective recompression take precedence
 // over the header bound. Constant streams, which the container decodes
-// itself, report ErrNotChunked. Transient buffers come from sc (nil =
-// fresh allocations).
+// itself, have no chunks. Transient buffers come from sc (nil = fresh
+// allocations).
 func (szCodec) DecompressChunk(payload []byte, h *codec.Header, c int, dst []float64, sc *codec.Scratch) error {
 	if h.Codec != codec.IDLorenzo && h.Codec != codec.IDLogLorenzo {
-		return codec.ErrNotChunked
+		return fmt.Errorf("sz: cannot decode chunks of stream ID %v", h.Codec)
 	}
 	if len(dst) != h.ChunkPoints(c) {
 		return fmt.Errorf("sz: chunk %d dst has %d points, want %d", c, len(dst), h.ChunkPoints(c))

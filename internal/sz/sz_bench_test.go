@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fixedpsnr/internal/codec"
 	"fixedpsnr/internal/field"
 	"fixedpsnr/internal/quantizer"
 )
@@ -62,7 +63,7 @@ func BenchmarkFullCompress3D(b *testing.B) {
 	b.SetBytes(int64(f.Len() * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Compress(f, Options{ErrorBound: 1e-4, Workers: 1}); err != nil {
+		if _, _, err := compress(f, Options{ErrorBound: 1e-4, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,14 +71,14 @@ func BenchmarkFullCompress3D(b *testing.B) {
 
 func BenchmarkFullDecompress3D(b *testing.B) {
 	f := benchField3D(b)
-	blob, _, err := Compress(f, Options{ErrorBound: 1e-4, Workers: 1})
+	blob, _, err := compress(f, Options{ErrorBound: 1e-4, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(f.Len() * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Decompress(blob); err != nil {
+		if _, _, err := codec.Decompress(blob); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -42,11 +42,11 @@ func randomField(t *testing.T, name string, noise float64, dims ...int) *field.F
 
 func roundTrip(t *testing.T, f *field.Field, opt Options) (*field.Field, *Stats) {
 	t.Helper()
-	blob, st, err := Compress(f, opt)
+	blob, st, err := compress(f, opt)
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
-	g, h, err := Decompress(blob)
+	g, h, err := codec.Decompress(blob)
 	if err != nil {
 		t.Fatalf("Decompress: %v", err)
 	}
@@ -162,7 +162,7 @@ func TestConstantField(t *testing.T) {
 func TestInvalidErrorBound(t *testing.T) {
 	f := randomField(t, "bad", 0.1, 32)
 	for _, eb := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, _, err := Compress(f, Options{ErrorBound: eb}); err == nil {
+		if _, _, err := compress(f, Options{ErrorBound: eb}); err == nil {
 			t.Fatalf("expected error for bound %g", eb)
 		}
 	}
@@ -170,34 +170,34 @@ func TestInvalidErrorBound(t *testing.T) {
 
 func TestInvalidField(t *testing.T) {
 	f := &field.Field{Name: "broken", Dims: []int{2, 2}, Data: make([]float64, 3)}
-	if _, _, err := Compress(f, Options{ErrorBound: 1e-3}); err == nil {
+	if _, _, err := compress(f, Options{ErrorBound: 1e-3}); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
 
 func TestDecompressRejectsGarbage(t *testing.T) {
-	if _, _, err := Decompress([]byte("not a stream")); err == nil {
+	if _, _, err := codec.Decompress([]byte("not a stream")); err == nil {
 		t.Fatal("expected error for garbage input")
 	}
-	if _, _, err := Decompress(nil); err == nil {
+	if _, _, err := codec.Decompress(nil); err == nil {
 		t.Fatal("expected error for nil input")
 	}
 }
 
 func TestDecompressRejectsTruncatedPayload(t *testing.T) {
 	f := randomField(t, "trunc", 0.05, 40, 40)
-	blob, _, err := Compress(f, Options{ErrorBound: 1e-3, Workers: 1})
+	blob, _, err := compress(f, Options{ErrorBound: 1e-3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decompress(blob[:len(blob)-10]); err == nil {
+	if _, _, err := codec.Decompress(blob[:len(blob)-10]); err == nil {
 		t.Fatal("expected error for truncated payload")
 	}
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
 	f := randomField(t, "hdr-field", 0.05, 30, 30)
-	blob, _, err := Compress(f, Options{
+	blob, _, err := compress(f, Options{
 		ErrorBound: 1e-3, Workers: 1, Mode: codec.ModePSNR, TargetPSNR: 84.5,
 	})
 	if err != nil {
@@ -327,14 +327,14 @@ func TestTheoremOneMSEEquality(t *testing.T) {
 
 func TestAutoCapacity(t *testing.T) {
 	f := randomField(t, "auto", 0.01, 60, 60)
-	blob, st, err := Compress(f, Options{ErrorBound: 1e-3, AutoCapacity: true, Workers: 1})
+	blob, st, err := compress(f, Options{ErrorBound: 1e-3, AutoCapacity: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Capacity > quantizer.DefaultCapacity {
 		t.Fatalf("auto capacity %d exceeds default", st.Capacity)
 	}
-	g, _, err := Decompress(blob)
+	g, _, err := codec.Decompress(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestAutoCapacity(t *testing.T) {
 
 func TestCompressionRatioReported(t *testing.T) {
 	f := randomField(t, "ratio", 0.02, 100, 100)
-	_, st, err := Compress(f, Options{ErrorBound: 1e-3, Workers: 1})
+	_, st, err := compress(f, Options{ErrorBound: 1e-3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,11 +360,11 @@ func TestCompressionRatioReported(t *testing.T) {
 
 func TestSmallerBoundLowerRatio(t *testing.T) {
 	f := randomField(t, "mono", 0.02, 80, 80)
-	_, loose, err := Compress(f, Options{ErrorBound: 1e-2, Workers: 1})
+	_, loose, err := compress(f, Options{ErrorBound: 1e-2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tight, err := Compress(f, Options{ErrorBound: 1e-6, Workers: 1})
+	_, tight, err := compress(f, Options{ErrorBound: 1e-6, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,8 +303,7 @@ func (d *Decoder) Decode(ctx context.Context, data []byte) (*Field, *StreamInfo,
 // stream — random access over the chunked container. Only the chunks the
 // region's row window intersects are decoded, so latency and memory
 // scale with the region, not the field, and the output is byte-identical
-// to the matching slice of a full Decode. Streams without chunk-granular
-// access fall back to a full decode plus crop.
+// to the matching slice of a full Decode.
 func (d *Decoder) DecodeRegion(ctx context.Context, data []byte, off, ext []int) (*Field, *StreamInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
