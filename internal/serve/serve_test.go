@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,6 +91,71 @@ func getField(t *testing.T, ts *httptest.Server, path string) *fixedpsnr.Field {
 	return f
 }
 
+// putOK uploads f to path and fails the test unless the PUT installs it.
+func putOK(t *testing.T, ts *httptest.Server, path string, f *fixedpsnr.Field) {
+	t.Helper()
+	resp := doPut(t, ts, path, sdf1Bytes(t, f))
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("PUT %s: %d: %s", path, resp.StatusCode, b)
+	}
+}
+
+func regionPath(archive, fieldName string, off, ext []int) string {
+	list := func(v []int) string {
+		return strings.Trim(strings.Join(strings.Fields(fmt.Sprint(v)), ","), "[]")
+	}
+	return fmt.Sprintf("/v1/archives/%s/fields/%s/region?off=%s&ext=%s", archive, fieldName, list(off), list(ext))
+}
+
+// openArchive opens the on-disk archive behind a catalog name, outside
+// the server, so tests compare against the reader's own decodes.
+func openArchive(t *testing.T, s *Server, archive string) *fixedpsnr.ArchiveReader {
+	t.Helper()
+	ar, err := fixedpsnr.OpenArchiveFile(s.cat.Path(archive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ar.Close() })
+	return ar
+}
+
+func extractRegion(t *testing.T, s *Server, archive, fieldName string, off, ext []int) *fixedpsnr.Field {
+	t.Helper()
+	want, _, err := openArchive(t, s, archive).ExtractRegion(fieldName, off, ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+func chunkCount(t *testing.T, s *Server, archive, fieldName string) int {
+	t.Helper()
+	ar := openArchive(t, s, archive)
+	i, ok := ar.Index(fieldName)
+	if !ok {
+		t.Fatalf("%s has no field %q", archive, fieldName)
+	}
+	h, err := ar.Info(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(h.Chunks)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestServeRoundTrip(t *testing.T) {
 	s, ts := newTestServer(t)
 	f := synthField("vx", 48, 40, 32)
@@ -162,6 +228,48 @@ func TestServeRoundTrip(t *testing.T) {
 		if st := s.CacheStats(); st.Hits == hits {
 			t.Fatalf("%s: cache stats after repeat read: %+v, want a hit", in.field, st)
 		}
+	}
+
+	// A constant field is stored without chunks: its region read matches
+	// the reader's extraction and never touches the chunk cache.
+	cf := fixedpsnr.NewField("c", fixedpsnr.Float64, 16, 8, 8)
+	for i := range cf.Data {
+		cf.Data[i] = 3.5
+	}
+	putOK(t, ts, "/v1/archives/run3/fields/c?psnr=70", cf)
+	if n := chunkCount(t, s, "run3", "c"); n != 0 {
+		t.Fatalf("constant field stored with %d chunks, want 0", n)
+	}
+	before := s.CacheStats()
+	cOff, cExt := []int{2, 1, 0}, []int{5, 6, 8}
+	region := getField(t, ts, regionPath("run3", "c", cOff, cExt))
+	if want := extractRegion(t, s, "run3", "c", cOff, cExt); !sameBits(region.Data, want.Data) {
+		t.Fatalf("constant region = %v, want %v", region.Data, want.Data)
+	}
+	if st := s.CacheStats(); st != before {
+		t.Fatalf("constant region read moved the cache: %+v, was %+v", st, before)
+	}
+
+	// A cold region read over k chunks misses each chunk exactly once, and
+	// its repeat hits each exactly once.
+	putOK(t, ts, "/v1/archives/run4/fields/vx?psnr=70&chunkpoints=16384", f)
+	kOff, kExt := []int{0, 4, 8}, []int{48, 30, 16}
+	k := uint64(chunkCount(t, s, "run4", "vx"))
+	if k < 3 {
+		t.Fatalf("run4/vx has %d chunks, want >= 3", k)
+	}
+	st0 := s.CacheStats()
+	region = getField(t, ts, regionPath("run4", "vx", kOff, kExt))
+	if want := extractRegion(t, s, "run4", "vx", kOff, kExt); !sameBits(region.Data, want.Data) {
+		t.Fatal("cold region read is not byte-identical to the reader's extraction")
+	}
+	st1 := s.CacheStats()
+	if st1.Misses-st0.Misses != k || st1.Coalesced != st0.Coalesced || st1.Hits != st0.Hits {
+		t.Fatalf("cold read over %d chunks: cache %+v, was %+v; want %d misses, no hits or coalesced", k, st1, st0, k)
+	}
+	getField(t, ts, regionPath("run4", "vx", kOff, kExt))
+	if st2 := s.CacheStats(); st2.Hits-st1.Hits != k || st2.Misses != st1.Misses || st2.Coalesced != st1.Coalesced {
+		t.Fatalf("repeat read over %d chunks: cache %+v, was %+v; want %d hits", k, st2, st1, k)
 	}
 
 	// Info exposes the chunk table.
