@@ -496,7 +496,7 @@ func (ar *ArchiveReader) ExtractRegionAtContext(ctx context.Context, i int, off,
 	}
 	f, err := codec.DecompressRegionFrom(ctx, h, func(ci int) ([]byte, error) {
 		return ar.ChunkPayload(i, ci)
-	}, off, ext, ar.scratch)
+	}, off, ext, ar.scratch, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fixedpsnr: entry %d (%q): %w", i, ar.entries[i].name, err)
 	}

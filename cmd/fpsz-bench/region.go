@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
 	"fixedpsnr"
+	"fixedpsnr/internal/core"
 )
 
 // RegionRecord is one mixed-target benchmark datapoint: a middle-rows
@@ -143,10 +143,7 @@ func regionRecords(dimsArg string, roiPSNR float64, ratiosArg string, workers in
 			sumSq += e * e
 		}
 		_, _, vr := f.ValueRange()
-		decodedROIPSNR := math.Inf(1)
-		if mse := sumSq / float64(len(sub.Data)); mse > 0 {
-			decodedROIPSNR = -10*math.Log10(mse) + 20*math.Log10(vr)
-		}
+		decodedROIPSNR := core.PSNR(sumSq/float64(len(sub.Data)), vr)
 
 		rec := RegionRecord{
 			Name:            "region_" + dimsArg + "_bg" + strings.ReplaceAll(fmt.Sprintf("%g", target), ".", "_"),

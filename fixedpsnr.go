@@ -782,20 +782,13 @@ func finishRegions(ctx context.Context, f *Field, opt Options, c codec.Codec, re
 		if specs[i].Default && o.Chunks > 0 {
 			ebAbs = o.EbAbs
 		}
-		achievedPSNR := math.NaN()
-		switch {
-		case o.MSE == 0:
-			achievedPSNR = math.Inf(1)
-		case o.MSE > 0 && vr > 0:
-			achievedPSNR = -10*math.Log10(o.MSE) + 20*math.Log10(vr)
-		}
 		regions[i] = RegionResult{
 			Name:          o.Name,
 			Mode:          o.Mode,
 			TargetPSNR:    o.TargetPSNR,
 			TargetRatio:   o.TargetRatio,
 			EbAbs:         o.EbAbs,
-			AchievedPSNR:  achievedPSNR,
+			AchievedPSNR:  core.PSNR(o.MSE, vr),
 			AchievedRatio: o.Ratio,
 			Passes:        o.Passes,
 			Chunks:        o.Chunks,
@@ -809,7 +802,8 @@ func finishRegions(ctx context.Context, f *Field, opt Options, c codec.Codec, re
 // resultFromStats lifts a codec stats report into the public Result. The
 // measured PSNR comes from the exact MSE and the value range recorded in
 // the stats, so it is correct in every mode — including ModeAbs, where no
-// relative bound exists to recover the range from.
+// relative bound exists to recover the range from — and NaN when the
+// pipeline does not measure MSE.
 func resultFromStats(st *codec.Stats, ebAbs, ebRel, target, estimate float64) *Result {
 	r := &Result{
 		OriginalBytes:   st.OriginalBytes,
@@ -823,18 +817,8 @@ func resultFromStats(st *codec.Stats, ebAbs, ebRel, target, estimate float64) *R
 		TargetPSNR:      target,
 		EstimatedPSNR:   estimate,
 		MSE:             st.MSE,
-		MeasuredPSNR:    math.Inf(1),
+		MeasuredPSNR:    core.PSNR(st.MSE, st.ValueRange),
 		Passes:          1, // steered callers overwrite with the loop's count
-	}
-	switch {
-	case math.IsNaN(st.MSE):
-		r.MeasuredPSNR = math.NaN() // pipeline does not measure MSE
-	case st.MSE > 0:
-		if st.ValueRange > 0 {
-			r.MeasuredPSNR = -10*math.Log10(st.MSE) + 20*math.Log10(st.ValueRange)
-		} else {
-			r.MeasuredPSNR = math.NaN()
-		}
 	}
 	return r
 }

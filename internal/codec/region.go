@@ -59,7 +59,7 @@ func DecompressRegionScratch(ctx context.Context, data []byte, off, ext []int, s
 func decompressRegion(ctx context.Context, data []byte, h *Header, off, ext []int, sc *Scratch) (*field.Field, *Header, error) {
 	out, err := DecompressRegionFrom(ctx, h, func(ci int) ([]byte, error) {
 		return ChunkPayload(data, h, ci)
-	}, off, ext, sc)
+	}, off, ext, sc, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -67,10 +67,11 @@ func decompressRegion(ctx context.Context, data []byte, h *Header, off, ext []in
 }
 
 // DecompressChunkInto decodes chunk ci of a stream into dst, which must
-// hold exactly ChunkPoints(ci) values — the chunk's full row slab. This
-// is the unit a decoded-chunk cache stores: one slab, reusable across
-// every region that intersects it. A constant stream has no chunks, so
-// every index is out of range.
+// hold exactly ChunkPoints(ci) values — the chunk's full row slab. It
+// decodes one chunk outside DecompressRegionFrom, for callers that time
+// or fuzz the chunk decode alone: the benchmark harness's decode replay
+// and the payload fuzz test. A constant stream has no chunks, so every
+// index is out of range.
 func DecompressChunkInto(dst []float64, h *Header, ci int, payload []byte, sc *Scratch) error {
 	if ci < 0 || ci >= len(h.Chunks) {
 		return fmt.Errorf("codec: chunk %d out of range [0,%d)", ci, len(h.Chunks))
@@ -94,15 +95,25 @@ func chunkCodec(h *Header) (Codec, error) {
 	return c, nil
 }
 
+// SlabSource hands DecompressRegionFrom chunk ci's full decoded slab
+// (ChunkPoints(ci) values): one it already holds, or the result of
+// calling decode, which reads the chunk's payload and decodes it into a
+// fresh slab the source may keep. The decoder only reads the slabs a
+// source returns. The serving layer's decoded-chunk cache is one.
+type SlabSource func(ci int, decode func() ([]float64, error)) ([]float64, error)
+
 // DecompressRegionFrom is the chunk decoder behind every decode: whole
-// fields, regions, and archive extraction. payload fetches one chunk's
-// bytes, so a caller that does not hold the whole stream — the archive
-// reader — reads only the ranges it needs. Chunks decode in parallel,
-// each worker from its own scratch shard; a chunk lying inside a region
-// that spans every inner dimension decodes straight into the output, so
-// a whole-field decode copies nothing. A cancelled ctx stops the decode
-// within one chunk per worker and surfaces ctx.Err().
-func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) ([]byte, error), off, ext []int, sc *Scratch) (*field.Field, error) {
+// fields, regions, archive extraction, and the serving layer's cached
+// region reads. payload fetches one chunk's bytes, so a caller that does
+// not hold the whole stream — the archive reader — reads only the ranges
+// it needs. Chunks decode in parallel, each worker from its own scratch
+// shard. With a nil slabs, a chunk lying inside a region that spans every
+// inner dimension decodes straight into the output, so a whole-field
+// decode copies nothing; with a source, every intersected chunk's slab
+// comes from it, and payload is read only when the source calls decode.
+// A cancelled ctx stops the decode within one chunk per worker and
+// surfaces ctx.Err().
+func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) ([]byte, error), off, ext []int, sc *Scratch, slabs SlabSource) (*field.Field, error) {
 	if err := field.ValidateRegion(h.Dims, off, ext); err != nil {
 		return nil, err
 	}
@@ -137,21 +148,38 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 	out := field.New(h.Name, h.Precision, ext...)
 	inner := h.InnerPoints()
 	dstOff := make([]int, len(ext))
-	err = parallel.ForEachWorkerCtx(ctx, len(hit), 0, func(w, i int) error {
-		ci := hit[i]
-		ck := h.Chunks[ci]
+	decode := func(ci int, dst []float64, wsc *Scratch) error {
 		pl, err := payload(ci)
 		if err != nil {
 			return fmt.Errorf("codec: chunk %d: %w", ci, err)
 		}
+		return c.DecompressChunk(pl, h, ci, dst, wsc)
+	}
+	err = parallel.ForEachWorkerCtx(ctx, len(hit), 0, func(w, i int) error {
+		ci := hit[i]
+		ck := h.Chunks[ci]
 		wsc := sc.Shard(w)
+		if slabs != nil {
+			slab, err := slabs(ci, func() ([]float64, error) {
+				slab := make([]float64, ck.Rows*inner) // the source keeps it: never pooled
+				if err := decode(ci, slab, wsc); err != nil {
+					return nil, err
+				}
+				return slab, nil
+			})
+			if err != nil {
+				return err
+			}
+			copyChunkRegion(out.Data, ext, dstOff, slab, h, ci, off, rowLo, rowHi)
+			return nil
+		}
 		if direct && ck.RowStart >= rowLo && ck.RowStart+ck.Rows <= rowHi {
 			lo := (ck.RowStart - rowLo) * inner
-			return c.DecompressChunk(pl, h, ci, out.Data[lo:lo+ck.Rows*inner], wsc)
+			return decode(ci, out.Data[lo:lo+ck.Rows*inner], wsc)
 		}
 		slab := wsc.Floats(ck.Rows * inner)
 		defer wsc.PutFloats(slab)
-		if err := c.DecompressChunk(pl, h, ci, slab, wsc); err != nil {
+		if err := decode(ci, slab, wsc); err != nil {
 			return err
 		}
 		copyChunkRegion(out.Data, ext, dstOff, slab, h, ci, off, rowLo, rowHi)
@@ -166,8 +194,8 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 // copyChunkRegion copies the intersection of chunk ci's decoded slab with
 // the requested region into the output block: the chunk's rows are
 // clipped to the region's row window, then the inner dimensions are
-// cropped while copying. Shared by the chunk decoder above and cache-fed
-// region assembly in the serving layer.
+// cropped while copying. The chunk decoder above crops both pooled and
+// source-supplied slabs with it; CopyChunkRegion exports it.
 func copyChunkRegion(dst []float64, ext, dstOff []int, slab []float64, h *Header, ci int, off []int, rowLo, rowHi int) {
 	ck := h.Chunks[ci]
 	lo, hi := ck.RowStart, ck.RowStart+ck.Rows
@@ -183,10 +211,12 @@ func copyChunkRegion(dst []float64, ext, dstOff []int, slab []float64, h *Header
 	field.CopyRegion(dst, ext, dOff, slab, h.ChunkDims(ci), srcOff, cext)
 }
 
-// CopyChunkRegion is copyChunkRegion for external assemblers (the serving
-// layer's decoded-chunk cache): copy the part of chunk ci's full decoded
-// slab that falls inside the region (off, ext) into out, a region-shaped
-// block. The chunk must intersect the region's row window.
+// CopyChunkRegion is copyChunkRegion for a caller that assembles a
+// region from slabs it decoded itself — the benchmark harness's serve
+// replay: copy the part of chunk ci's full decoded slab that falls inside
+// the region (off, ext) into out, a region-shaped block. The chunk must
+// intersect the region's row window. The serving layer does not call it;
+// its cached reads go through DecompressRegionFrom with a SlabSource.
 func CopyChunkRegion(out []float64, h *Header, ci int, slab []float64, off, ext []int) {
 	copyChunkRegion(out, ext, make([]int, len(ext)), slab, h, ci, off, off[0], off[0]+ext[0])
 }

@@ -71,6 +71,5 @@ func WithinTolerance(mse, targetPSNR, vr, tolDB float64) bool {
 	if mse <= 0 {
 		return false // lossless: infinitely above target — refine
 	}
-	actual := -10*math.Log10(mse) + 20*math.Log10(vr)
-	return math.Abs(actual-targetPSNR) <= tolDB
+	return math.Abs(PSNR(mse, vr)-targetPSNR) <= tolDB
 }

@@ -28,6 +28,20 @@ import (
 	"math"
 )
 
+// PSNR is the peak signal-to-noise ratio, in dB, of a reconstruction
+// with mean squared error mse over data of value range vr:
+// −10·log10(mse) + 20·log10(vr). A lossless reconstruction (mse 0) is
+// +Inf; an mse or vr that is not positive, NaN included, gives NaN.
+func PSNR(mse, vr float64) float64 {
+	switch {
+	case mse == 0:
+		return math.Inf(1)
+	case !(mse > 0 && vr > 0):
+		return math.NaN()
+	}
+	return -10*math.Log10(mse) + 20*math.Log10(vr)
+}
+
 // EstimatePSNRUniform predicts the PSNR of midpoint uniform quantization
 // with bin width delta over data of value range vr (Eq. 6). The estimate
 // assumes the quantized quantity is approximately uniform within each bin.
@@ -107,10 +121,7 @@ func EstimatePSNRFromLayout(widths, density []float64, vr float64) (float64, err
 	if vr <= 0 {
 		return math.Inf(1), nil
 	}
-	if mse == 0 {
-		return math.Inf(1), nil
-	}
-	return -10*math.Log10(mse) + 20*math.Log10(vr), nil
+	return PSNR(mse, vr), nil
 }
 
 // UniformAssumptionMSE returns δ²/12, the per-point MSE of midpoint

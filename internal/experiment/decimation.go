@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"fixedpsnr"
+	"fixedpsnr/internal/core"
 	"fixedpsnr/internal/datagen"
 	"fixedpsnr/internal/field"
 )
@@ -73,11 +74,7 @@ func Decimation(cfg Config) (*DecimationResult, error) {
 				sumSq += d * d
 			}
 		}
-		mse := sumSq / float64(steps*n)
-		if mse == 0 {
-			return math.Inf(1)
-		}
-		return -10*math.Log10(mse) + 20*math.Log10(vr)
+		return core.PSNR(sumSq/float64(steps*n), vr)
 	}
 
 	// --- HACC-style decimation ----------------------------------------

@@ -123,10 +123,7 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 			}
 			delta := 2 * plan.EbAbs
 			exactMSE, _ := core.QuantizationMSE(errs, delta, 32768)
-			refined := math.Inf(1)
-			if exactMSE > 0 {
-				refined = -10*math.Log10(exactMSE) + 20*math.Log10(vr)
-			}
+			refined := core.PSNR(exactMSE, vr)
 			center := 0
 			for _, e := range errs {
 				if math.Abs(e) <= delta/2 {

@@ -116,10 +116,11 @@ func Read(r io.Reader) (*field.Field, error) {
 			return nil, fmt.Errorf("fieldio: bad dimension %d", d)
 		}
 		dims[i] = int(d)
-		total *= int(d)
-		if total > 1<<31 {
+		// Test before multiplying: a product past the cap may overflow.
+		if dims[i] > (1<<31)/total {
 			return nil, fmt.Errorf("fieldio: field too large (%v)", dims)
 		}
+		total *= dims[i]
 	}
 	// A declared size is only a claim: never allocate more than the body
 	// can hold. When the reader knows how many bytes remain (a

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"fixedpsnr/internal/field"
@@ -146,39 +147,54 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadOversizedDeclaration pins the allocation of a 14-byte body that
-// declares a 512^3 float64 field (1 GiB of values) and holds none. With
-// the remaining length known (a bytes.Reader, as a server holds a request
-// body) Read rejects it before allocating any value storage; over a
+// TestReadOversizedDeclaration pins the allocation of two bodies whose
+// declared size the bytes cannot back. The 14-byte body declares a 512^3
+// float64 field (1 GiB of values) and holds none; the 17-byte body
+// declares dims {2^31, 2^32}, whose product overflows an int. With the
+// remaining length known (a bytes.Reader, as a server holds a request
+// body) Read rejects each before allocating any value storage; over a
 // reader of unknown length the values grow as they arrive, so the failed
 // read costs at most its first window.
 func TestReadOversizedDeclaration(t *testing.T) {
-	body := append([]byte(nil), Magic[:]...)
-	body = append(body, byte(field.Float64), 1, 'p', 3)
+	oversized := append([]byte(nil), Magic[:]...)
+	oversized = append(oversized, byte(field.Float64), 1, 'p', 3)
 	for range 3 {
-		body = binary.AppendUvarint(body, 512)
+		oversized = binary.AppendUvarint(oversized, 512)
 	}
-	if len(body) != 14 {
-		t.Fatalf("probe body is %d bytes, want 14", len(body))
-	}
-	for _, tc := range []struct {
-		name  string
-		r     io.Reader
-		limit uint64
+	overflow := append([]byte(nil), Magic[:]...)
+	overflow = append(overflow, byte(field.Float32), 0, 2)
+	overflow = binary.AppendUvarint(overflow, 1<<31)
+	overflow = binary.AppendUvarint(overflow, 1<<32)
+	for _, probe := range []struct {
+		name string
+		body []byte
+		size int
 	}{
-		{"known length", bytes.NewReader(body), 256 << 10},
-		{"unknown length", io.MultiReader(bytes.NewReader(body)), 1 << 20},
+		{"oversized", oversized, 14},
+		{"overflow", overflow, 17},
 	} {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		_, err := Read(tc.r)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("%s: 14-byte body declaring 2^27 values accepted", tc.name)
+		if len(probe.body) != probe.size {
+			t.Fatalf("%s probe body is %d bytes, want %d", probe.name, len(probe.body), probe.size)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > tc.limit {
-			t.Errorf("%s: Read allocated %d bytes before failing, limit %d", tc.name, got, tc.limit)
+		for _, tc := range []struct {
+			name  string
+			r     io.Reader
+			limit uint64
+		}{
+			{"known length", bytes.NewReader(probe.body), 256 << 10},
+			{"unknown length", io.MultiReader(bytes.NewReader(probe.body)), 1 << 20},
+		} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			_, err := Read(tc.r)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s, %s: %d-byte body accepted", probe.name, tc.name, probe.size)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > tc.limit {
+				t.Errorf("%s, %s: Read allocated %d bytes before failing, limit %d", probe.name, tc.name, got, tc.limit)
+			}
 		}
 	}
 }
@@ -205,4 +221,62 @@ func TestReadGrowsUnknownLength(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzRead feeds arbitrary bodies to Read, over a reader of known length
+// (as a server holds a request body) and one of unknown length. Read must
+// never panic, both readers must agree, and an accepted field must
+// round-trip: Write emits bytes that Read maps back to the same field and
+// that Write reproduces exactly.
+func FuzzRead(f *testing.F) {
+	var valid bytes.Buffer
+	if err := Write(&valid, testField(field.Float32, 3, 4, 5)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(append([]byte("SDF1\x01\x01p\x03"), 0x80, 0x04, 0x80, 0x04, 0x80, 0x04))                        // 512^3 float64 values, none present
+	f.Add(append([]byte("SDF1\x00\x00\x02"), 0x80, 0x80, 0x80, 0x80, 0x08, 0x80, 0x80, 0x80, 0x80, 0x10)) // dims {2^31, 2^32}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, err := Read(bytes.NewReader(body))
+		got2, err2 := Read(io.MultiReader(bytes.NewReader(body)))
+		if (err == nil) != (err2 == nil) {
+			t.Fatalf("known-length reader err %v, unknown-length reader err %v", err, err2)
+		}
+		if err != nil {
+			return
+		}
+		if !sameField(got, got2) {
+			t.Fatal("known- and unknown-length readers decoded different fields")
+		}
+		var w1 bytes.Buffer
+		if err := Write(&w1, got); err != nil {
+			t.Fatalf("accepted field does not write: %v", err)
+		}
+		back, err := Read(bytes.NewReader(w1.Bytes()))
+		if err != nil {
+			t.Fatalf("written field does not read back: %v", err)
+		}
+		if !sameField(got, back) {
+			t.Fatal("field changed across Write and Read")
+		}
+		var w2 bytes.Buffer
+		if err := Write(&w2, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
+			t.Fatal("Write of the read-back field gave different bytes")
+		}
+	})
+}
+
+func sameField(a, b *field.Field) bool {
+	if a.Name != b.Name || a.Precision != b.Precision || !slices.Equal(a.Dims, b.Dims) || len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -182,10 +182,9 @@ func (t *psnrTarget) Solve(history []Pass) (float64, bool, error) {
 	if next == cur {
 		// The secant step proposes the bin width it just measured (a
 		// distortion curve that does not respond to the bound).
-		actual := -10*math.Log10(mse) + 20*math.Log10(t.vr)
 		return 0, false, fmt.Errorf(
 			"plan: calibrated refinement stalled: secant step repeats δ=%g (measured %.2f dB vs target %.2f dB)",
-			next, actual, t.targetPSNR)
+			next, core.PSNR(mse, t.vr), t.targetPSNR)
 	}
 	return next / 2, false, nil
 }

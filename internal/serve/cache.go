@@ -72,8 +72,10 @@ func NewChunkCache(capBytes int64) *ChunkCache {
 
 // GetOrDecode returns the decoded slab for key, filling a miss by calling
 // decode exactly once no matter how many goroutines miss concurrently.
-// The returned slab is shared: callers must only read it (copy out with
-// codec.CopyChunkRegion), never write or retain past the request.
+// The returned slab is shared: callers must only read it, never write or
+// retain it past the request. The server hands GetOrDecode to
+// codec.DecompressRegionFrom as its slab source, which copies the
+// region's part of each slab into the response field.
 func (c *ChunkCache) GetOrDecode(key chunkKey, decode func() ([]float64, error)) ([]float64, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {

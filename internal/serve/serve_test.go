@@ -293,6 +293,34 @@ func TestServeRoundTrip(t *testing.T) {
 		t.Fatalf("info = %+v, want name vx and >= 2 chunks", info)
 	}
 
+	// Streams without a PSNR target (pwrel) or a measured chunk MSE (otc)
+	// still answer /info, with those numbers as JSON null.
+	putOK(t, ts, "/v1/archives/run2/fields/tx?compressor=transform&psnr=60", synthField("tx", 16, 24, 24))
+	for _, name := range []string{"pw", "tx"} {
+		iresp, err := ts.Client().Get(ts.URL + "/v1/archives/run2/fields/" + name + "/info")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info struct {
+			Name       string   `json:"name"`
+			TargetPSNR *float64 `json:"target_psnr"`
+			Chunks     []struct {
+				MSE *float64 `json:"mse"`
+			} `json:"chunks"`
+		}
+		err = json.NewDecoder(iresp.Body).Decode(&info)
+		iresp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s /info (status %d): %v", name, iresp.StatusCode, err)
+		}
+		if info.Name != name || len(info.Chunks) == 0 || info.Chunks[0].MSE != nil {
+			t.Fatalf("%s /info = %+v, want its chunks with a null mse", name, info)
+		}
+		if name == "pw" && info.TargetPSNR != nil {
+			t.Fatalf("pw /info target_psnr = %v, want null", *info.TargetPSNR)
+		}
+	}
+
 	// Second field in the same archive; listing shows both.
 	resp2 := doPut(t, ts, "/v1/archives/run1/fields/vy?psnr=60", sdf1Bytes(t, synthField("vy", 32, 24, 16)))
 	resp2.Body.Close()
@@ -364,6 +392,8 @@ func TestServeErrors(t *testing.T) {
 		// 14 bytes declaring a 512^3 float64 field: rejected before the
 		// reader allocates the 1 GiB it claims.
 		{"PUT", "/v1/archives/e/fields/y", append([]byte("SDF1\x01\x01p\x03"), 0x80, 0x04, 0x80, 0x04, 0x80, 0x04), 400},
+		// 17 bytes declaring dims {2^31, 2^32}, whose product overflows.
+		{"PUT", "/v1/archives/e/fields/y", append([]byte("SDF1\x00\x00\x02"), 0x80, 0x80, 0x80, 0x80, 0x08, 0x80, 0x80, 0x80, 0x80, 0x10), 400},
 		{"PUT", "/v1/archives/..%2Fevil/fields/y", sdf1Bytes(t, synthField("y", 8, 8)), 400},
 	}
 	for _, tc := range cases {
@@ -380,6 +410,21 @@ func TestServeErrors(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// writeJSON writes non-finite jsonNum values as null, and answers 500
+// rather than an empty success when a value does not encode.
+func TestWriteJSON(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, map[string]any{"x": jsonNum(math.NaN()), "y": jsonNum(math.Inf(-1)), "z": jsonNum(0.25)})
+	if got := strings.Join(strings.Fields(rec.Body.String()), ""); rec.Code != http.StatusCreated || got != `{"x":null,"y":null,"z":0.25}` {
+		t.Fatalf("jsonNum response: %d %s", rec.Code, got)
+	}
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"x": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("unencodable response: status %d, want 500", rec.Code)
 	}
 }
 

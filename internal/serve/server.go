@@ -16,6 +16,7 @@ import (
 
 	"fixedpsnr"
 	"fixedpsnr/internal/codec"
+	"fixedpsnr/internal/core"
 	"fixedpsnr/internal/field"
 	"fixedpsnr/internal/fieldio"
 )
@@ -41,8 +42,10 @@ import (
 // and repeatable roi specs ("off:ext,...=psnr:80"). Region reads
 // take off=o1,o2,... and ext=e1,e2,... vectors.
 //
-// Region reads are served from a size-bounded LRU of decoded chunk
-// slabs with singleflight miss dedup; every data-plane request passes
+// Region reads run through the library's chunk decoder
+// (codec.DecompressRegionFrom) with a size-bounded LRU of decoded chunk
+// slabs as its slab source: misses decode in parallel, with singleflight
+// dedup across concurrent requests. Every data-plane request passes
 // the bounded-concurrency admission layer and carries its request
 // context through the decode, so a dropped client aborts the work.
 type Server struct {
@@ -188,15 +191,37 @@ func isBadRequest(err error) bool {
 	return errors.As(err, &t) && t.code == http.StatusBadRequest
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+// writeJSON answers code with v as indented JSON. The body is encoded
+// before anything is written, so a value that does not encode answers 500
+// instead of an empty success.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		httpErr(w, fmt.Errorf("encoding response: %w", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(buf.Bytes())
+}
+
+// jsonNum is a float64 that encodes as JSON null when it is NaN or
+// infinite, which encoding/json rejects. Streams leave statistics they do
+// not carry as NaN: the target PSNR of abs, ratio and pwrel streams, the
+// chunk MSE of pipelines that do not measure it.
+type jsonNum float64
+
+func (x jsonNum) MarshalJSON() ([]byte, error) {
+	if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(x))
 }
 
 func (s *Server) handleListArchives(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"archives": s.cat.Names()})
+	writeJSON(w, http.StatusOK, map[string]any{"archives": s.cat.Names()})
 }
 
 func (s *Server) handleGetArchive(w http.ResponseWriter, r *http.Request) {
@@ -243,7 +268,7 @@ func (s *Server) handleListFields(w http.ResponseWriter, r *http.Request) {
 			Mode: h.Mode.String(), Chunks: len(h.Chunks),
 		})
 	}
-	writeJSON(w, map[string]any{"archive": name, "fields": out})
+	writeJSON(w, http.StatusOK, map[string]any{"archive": name, "fields": out})
 }
 
 // acquire validates the archive name and pins its current generation.
@@ -322,7 +347,7 @@ func (s *Server) handleGetRegion(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, badRequest(err))
 		return
 	}
-	f, err := s.regionRead(r, ar, gen, i, off, ext)
+	f, err := s.regionRead(r.Context(), ar, gen, i, off, ext)
 	if err != nil {
 		httpErr(w, err)
 		return
@@ -330,11 +355,12 @@ func (s *Server) handleGetRegion(w http.ResponseWriter, r *http.Request) {
 	writeField(w, f)
 }
 
-// regionRead assembles a region from cached decoded chunks, decoding
-// misses through the singleflight cache. Constant entries, which have no
-// chunks, go through the reader's own region extraction.
-func (s *Server) regionRead(r *http.Request, ar *fixedpsnr.ArchiveReader, gen uint64, entry int, off, ext []int) (*fixedpsnr.Field, error) {
-	ctx := r.Context()
+// regionRead decodes a region through the library's chunk decoder with
+// the chunk cache as its slab source: cached chunks are cropped straight
+// from their slabs, and misses decode in parallel, each through the
+// singleflight cache. A constant entry has no chunks and never reaches
+// the cache.
+func (s *Server) regionRead(ctx context.Context, ar *fixedpsnr.ArchiveReader, gen uint64, entry int, off, ext []int) (*fixedpsnr.Field, error) {
 	h, err := ar.Info(entry)
 	if err != nil {
 		return nil, err
@@ -342,37 +368,11 @@ func (s *Server) regionRead(r *http.Request, ar *fixedpsnr.ArchiveReader, gen ui
 	if err := field.ValidateRegion(h.Dims, off, ext); err != nil {
 		return nil, badRequest(err)
 	}
-	if len(h.Chunks) == 0 {
-		f, _, err := ar.ExtractRegionAtContext(ctx, entry, off, ext)
-		return f, err
-	}
-	out := field.New(h.Name, h.Precision, ext...)
-	rowLo, rowHi := off[0], off[0]+ext[0]
-	for ci := range h.Chunks {
-		ck := &h.Chunks[ci]
-		if ck.RowStart >= rowHi || ck.RowStart+ck.Rows <= rowLo {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		slab, err := s.cache.GetOrDecode(chunkKey{gen: gen, entry: entry, chunk: ci}, func() ([]float64, error) {
-			pl, err := ar.ChunkPayload(entry, ci)
-			if err != nil {
-				return nil, err
-			}
-			slab := make([]float64, h.ChunkPoints(ci))
-			if err := codec.DecompressChunkInto(slab, h, ci, pl, s.scratch); err != nil {
-				return nil, err
-			}
-			return slab, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		codec.CopyChunkRegion(out.Data, h, ci, slab, off, ext)
-	}
-	return out, nil
+	return codec.DecompressRegionFrom(ctx, h, func(ci int) ([]byte, error) {
+		return ar.ChunkPayload(entry, ci)
+	}, off, ext, s.scratch, func(ci int, decode func() ([]float64, error)) ([]float64, error) {
+		return s.cache.GetOrDecode(chunkKey{gen: gen, entry: entry, chunk: ci}, decode)
+	})
 }
 
 // writeField serializes a field as SDF1 onto the response.
@@ -394,10 +394,10 @@ type infoChunk struct {
 	Rows     int     `json:"rows"`
 	Offset   int     `json:"offset"`
 	Bytes    int     `json:"bytes"`
-	EbAbs    float64 `json:"eb_abs"`
-	MSE      float64 `json:"mse"`
-	Min      float64 `json:"min"`
-	Max      float64 `json:"max"`
+	EbAbs    jsonNum `json:"eb_abs"`
+	MSE      jsonNum `json:"mse"`
+	Min      jsonNum `json:"min"`
+	Max      jsonNum `json:"max"`
 	Group    int     `json:"group,omitempty"`
 }
 
@@ -406,10 +406,10 @@ type infoGroup struct {
 	Index       int     `json:"index"`
 	Name        string  `json:"name"`
 	Mode        string  `json:"mode"`
-	TargetPSNR  float64 `json:"target_psnr_db,omitempty"`
-	TargetRatio float64 `json:"target_ratio,omitempty"`
+	TargetPSNR  jsonNum `json:"target_psnr_db,omitempty"`
+	TargetRatio jsonNum `json:"target_ratio,omitempty"`
 	Chunks      int     `json:"chunks"`
-	PSNR        float64 `json:"psnr_db,omitempty"`
+	PSNR        jsonNum `json:"psnr_db,omitempty"`
 }
 
 func (s *Server) handleGetInfo(w http.ResponseWriter, r *http.Request) {
@@ -437,7 +437,7 @@ func (s *Server) handleGetInfo(w http.ResponseWriter, r *http.Request) {
 		}
 		chunks[ci] = infoChunk{
 			Index: ci, RowStart: c.RowStart, Rows: c.Rows, Offset: c.Off,
-			Bytes: c.Len, EbAbs: eb, MSE: c.MSE, Min: c.Min, Max: c.Max, Group: c.Group,
+			Bytes: c.Len, EbAbs: jsonNum(eb), MSE: jsonNum(c.MSE), Min: jsonNum(c.Min), Max: jsonNum(c.Max), Group: c.Group,
 		}
 	}
 	var groups []infoGroup
@@ -445,10 +445,10 @@ func (s *Server) handleGetInfo(w http.ResponseWriter, r *http.Request) {
 		gc := h.GroupChunks(gi)
 		ig := infoGroup{
 			Index: gi, Name: g.Name, Mode: g.Mode.String(),
-			TargetPSNR: g.TargetPSNR, TargetRatio: g.TargetRatio, Chunks: len(gc),
+			TargetPSNR: jsonNum(g.TargetPSNR), TargetRatio: jsonNum(g.TargetRatio), Chunks: len(gc),
 		}
-		if mse := h.GroupAggregateMSE(gc); mse > 0 && h.ValueRange > 0 {
-			ig.PSNR = 10 * math.Log10(h.ValueRange*h.ValueRange/mse)
+		if mse := h.GroupAggregateMSE(gc); mse > 0 {
+			ig.PSNR = jsonNum(core.PSNR(mse, h.ValueRange))
 		}
 		groups = append(groups, ig)
 	}
@@ -460,20 +460,20 @@ func (s *Server) handleGetInfo(w http.ResponseWriter, r *http.Request) {
 		"codec":       h.Codec.String(),
 		"mode":        h.Mode.String(),
 		"version":     h.Version,
-		"eb_abs":      h.EbAbs,
-		"target_psnr": h.TargetPSNR,
-		"value_range": h.ValueRange,
+		"eb_abs":      jsonNum(h.EbAbs),
+		"target_psnr": jsonNum(h.TargetPSNR),
+		"value_range": jsonNum(h.ValueRange),
 		"capacity":    h.Capacity,
 		"chunks":      chunks,
 	}
-	if mse := h.AggregateMSE(); mse > 0 && h.ValueRange > 0 {
-		resp["aggregate_mse"] = mse
-		resp["aggregate_psnr_db"] = 10 * math.Log10(h.ValueRange*h.ValueRange/mse)
+	if mse := h.AggregateMSE(); mse > 0 {
+		resp["aggregate_mse"] = jsonNum(mse)
+		resp["aggregate_psnr_db"] = jsonNum(core.PSNR(mse, h.ValueRange))
 	}
 	if groups != nil {
 		resp["groups"] = groups
 	}
-	writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handlePutField(w http.ResponseWriter, r *http.Request) {
@@ -517,16 +517,15 @@ func (s *Server) handlePutField(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, err)
 		return
 	}
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusCreated, map[string]any{
 		"archive":          name,
 		"field":            fieldName,
 		"original_bytes":   res.OriginalBytes,
 		"compressed_bytes": res.CompressedBytes,
-		"ratio":            res.Ratio,
-		"bitrate":          res.BitRate,
-		"eb_abs":           res.EbAbs,
-		"estimated_psnr":   res.EstimatedPSNR,
+		"ratio":            jsonNum(res.Ratio),
+		"bitrate":          jsonNum(res.BitRate),
+		"eb_abs":           jsonNum(res.EbAbs),
+		"estimated_psnr":   jsonNum(res.EstimatedPSNR),
 		"passes":           res.Passes,
 		"regions":          len(res.Regions),
 	})

@@ -179,7 +179,7 @@ func decompressPWRelChunk(payload []byte, h *codec.Header, dst []float64, sc *co
 	}
 	logField, err := codec.DecompressRegionFrom(context.Background(), ih, func(ci int) ([]byte, error) {
 		return codec.ChunkPayload(inner, ih, ci)
-	}, make([]int, len(ih.Dims)), ih.Dims, sc)
+	}, make([]int, len(ih.Dims)), ih.Dims, sc, nil)
 	if err != nil {
 		return fmt.Errorf("sz: pwrel inner stream: %w", err)
 	}
