@@ -148,21 +148,17 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 	out := field.New(h.Name, h.Precision, ext...)
 	inner := h.InnerPoints()
 	dstOff := make([]int, len(ext))
-	decode := func(ci int, dst []float64, wsc *Scratch) error {
-		pl, err := payload(ci)
-		if err != nil {
-			return fmt.Errorf("codec: chunk %d: %w", ci, err)
-		}
-		return c.DecompressChunk(pl, h, ci, dst, wsc)
-	}
 	err = parallel.ForEachWorkerCtx(ctx, len(hit), 0, func(w, i int) error {
 		ci := hit[i]
 		ck := h.Chunks[ci]
-		wsc := sc.Shard(w)
 		if slabs != nil {
 			slab, err := slabs(ci, func() ([]float64, error) {
+				pl, err := payload(ci)
+				if err != nil {
+					return nil, fmt.Errorf("codec: chunk %d: %w", ci, err)
+				}
 				slab := make([]float64, ck.Rows*inner) // the source keeps it: never pooled
-				if err := decode(ci, slab, wsc); err != nil {
+				if err := c.DecompressChunk(pl, h, ci, slab, sc.Shard(w)); err != nil {
 					return nil, err
 				}
 				return slab, nil
@@ -173,13 +169,18 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 			copyChunkRegion(out.Data, ext, dstOff, slab, h, ci, off, rowLo, rowHi)
 			return nil
 		}
+		pl, err := payload(ci)
+		if err != nil {
+			return fmt.Errorf("codec: chunk %d: %w", ci, err)
+		}
+		wsc := sc.Shard(w)
 		if direct && ck.RowStart >= rowLo && ck.RowStart+ck.Rows <= rowHi {
 			lo := (ck.RowStart - rowLo) * inner
-			return decode(ci, out.Data[lo:lo+ck.Rows*inner], wsc)
+			return c.DecompressChunk(pl, h, ci, out.Data[lo:lo+ck.Rows*inner], wsc)
 		}
 		slab := wsc.Floats(ck.Rows * inner)
 		defer wsc.PutFloats(slab)
-		if err := decode(ci, slab, wsc); err != nil {
+		if err := c.DecompressChunk(pl, h, ci, slab, wsc); err != nil {
 			return err
 		}
 		copyChunkRegion(out.Data, ext, dstOff, slab, h, ci, off, rowLo, rowHi)

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,7 +105,11 @@ func putOK(t *testing.T, ts *httptest.Server, path string, f *fixedpsnr.Field) {
 
 func regionPath(archive, fieldName string, off, ext []int) string {
 	list := func(v []int) string {
-		return strings.Trim(strings.Join(strings.Fields(fmt.Sprint(v)), ","), "[]")
+		s := make([]string, len(v))
+		for i, x := range v {
+			s[i] = strconv.Itoa(x)
+		}
+		return strings.Join(s, ",")
 	}
 	return fmt.Sprintf("/v1/archives/%s/fields/%s/region?off=%s&ext=%s", archive, fieldName, list(off), list(ext))
 }
