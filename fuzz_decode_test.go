@@ -3,10 +3,12 @@ package fixedpsnr_test
 import (
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"fixedpsnr"
 	"fixedpsnr/codec"
+	icodec "fixedpsnr/internal/codec"
 )
 
 // maxFuzzStream caps the whole-stream fuzzers' inputs: every fixture
@@ -69,13 +71,47 @@ func TestStoreEmptyChunkRejected(t *testing.T) {
 	}
 }
 
+// constantOverCap is a 26-byte constant stream declaring 2^46 points.
+// A constant stream has no payload to bound its declared size against.
+func constantOverCap() []byte {
+	h := icodec.Header{
+		Codec: icodec.IDConstant, Precision: codec.Float32, Dims: []int{1 << 23, 1 << 23},
+		TargetPSNR: math.NaN(), ConstValue: 1,
+	}
+	return h.Marshal()
+}
+
+// TestConstantStreamOverCapRejected: a constant stream declaring more
+// than the decode cap's points is an error from the full and the region
+// decode, never a panic or an allocation of its declared size.
+func TestConstantStreamOverCapRejected(t *testing.T) {
+	blob := constantOverCap()
+	if len(blob) != 26 {
+		t.Fatalf("stream is %d bytes, want 26", len(blob))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := fixedpsnr.Decompress(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Decompress accepted a 2^46-point constant stream")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("Decompress allocated %d bytes before failing, want under 1 MiB", got)
+	}
+	if _, _, err := fixedpsnr.DecompressRegion(blob, []int{0, 0}, []int{1 << 23, 1 << 9}); err == nil {
+		t.Fatal("DecompressRegion accepted a 2^32-point region")
+	}
+}
+
 // FuzzDecompress feeds arbitrary bytes through Decompress end to end:
 // header, chunk table, payload dispatch, entropy decode and
 // reconstruction. Every input must return an error or a field, never
-// panic. The seeds are 33–73 KB, so bound minimization when fuzzing
-// (-fuzzminimizetime 1s).
+// panic. The fixture seeds are 33–73 KB, so bound minimization when
+// fuzzing (-fuzzminimizetime 1s); the last seed is constantOverCap.
 func FuzzDecompress(f *testing.F) {
 	addFixtureSeeds(f, func(blob []byte) { f.Add(blob) })
+	f.Add(constantOverCap())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > maxFuzzStream {
 			data = data[:maxFuzzStream]

@@ -122,50 +122,54 @@ func TileField(f *field.Field, cc Codec, opt Options) (*Draft, error) {
 }
 
 // forChunks is the container's one chunk loop. At most workers
-// (non-positive: all CPUs) long-lived parallel.Group tasks take the
-// chunks of subset in order and call work with their worker slot, which
-// keys the scratch shard the work draws from. A non-nil rows supplies
-// each chunk's values; it is called serially, in subset order, so a
+// (non-positive: all CPUs) long-lived worker loops take the chunks of
+// subset in order and call work with their worker slot, which keys the
+// scratch shard the work draws from. A non-nil rows supplies each
+// chunk's values; it is called serially, in subset order, so a
 // streaming source holds at most workers chunks at once. A cancelled ctx
 // stops the loop within one chunk per worker.
 func forChunks(ctx context.Context, h *Header, subset []int, workers int, rows Rows, work func(slot, ci int, data []float64) error) error {
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
-	g := parallel.NewGroup(workers)
-	var mu sync.Mutex // guards next and serializes rows
-	next := 0
-	for range min(workers, len(subset)) {
-		g.Go(func(slot int) error {
-			for {
-				mu.Lock()
-				if next == len(subset) || g.Err() != nil {
-					mu.Unlock()
-					return nil
-				}
-				ci := subset[next]
-				next++
-				err := ctx.Err()
-				var data []float64
-				var done func()
-				if err == nil && rows != nil {
-					data, done, err = rows(h, ci)
-				}
+	var mu sync.Mutex // guards next and failed, and serializes rows
+	next, failed := 0, false
+	loops := min(workers, len(subset))
+	// Each loop checks ctx before every chunk it takes, so the loops
+	// themselves start unconditionally: a chunk stays the one
+	// cancellation point.
+	return parallel.ForEachWorkerCtx(context.Background(), loops, loops, func(slot, _ int) error {
+		for {
+			mu.Lock()
+			if next == len(subset) || failed {
 				mu.Unlock()
-				if err != nil {
-					return err
-				}
-				err = work(slot, ci, data)
-				if done != nil {
-					done()
-				}
-				if err != nil {
-					return fmt.Errorf("codec: chunk %d: %w", ci, err)
-				}
+				return nil
 			}
-		})
-	}
-	return g.Wait()
+			ci := subset[next]
+			next++
+			err := ctx.Err()
+			var data []float64
+			var done func()
+			if err == nil && rows != nil {
+				data, done, err = rows(h, ci)
+			}
+			failed = err != nil
+			mu.Unlock()
+			if err != nil {
+				return err
+			}
+			err = work(slot, ci, data)
+			if done != nil {
+				done()
+			}
+			if err != nil {
+				mu.Lock()
+				failed = true
+				mu.Unlock()
+				return fmt.Errorf("codec: chunk %d: %w", ci, err)
+			}
+		}
+	})
 }
 
 // ConstantStream encodes a field whose every value is v: the header

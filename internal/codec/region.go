@@ -112,10 +112,18 @@ type SlabSource func(ci int, decode func() ([]float64, error)) ([]float64, error
 // decode copies nothing; with a source, every intersected chunk's slab
 // comes from it, and payload is read only when the source calls decode.
 // A cancelled ctx stops the decode within one chunk per worker and
-// surfaces ctx.Err().
+// surfaces ctx.Err(). A region or an intersected chunk of more than
+// field.MaxPoints points is an error, before anything is allocated.
 func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) ([]byte, error), off, ext []int, sc *Scratch, slabs SlabSource) (*field.Field, error) {
 	if err := field.ValidateRegion(h.Dims, off, ext); err != nil {
 		return nil, err
+	}
+	n := 1
+	for _, e := range ext {
+		n *= e
+	}
+	if n > field.MaxPoints {
+		return nil, fmt.Errorf("codec: region of %d points exceeds the %d-point decode cap", n, field.MaxPoints)
 	}
 	if h.Codec == IDConstant {
 		out := field.New(h.Name, h.Precision, ext...)
@@ -134,6 +142,9 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 	for ci := range h.Chunks {
 		ck := &h.Chunks[ci]
 		if ck.RowStart < rowHi && ck.RowStart+ck.Rows > rowLo {
+			if n := h.ChunkPoints(ci); n > field.MaxPoints {
+				return nil, fmt.Errorf("codec: chunk %d of %d points exceeds the %d-point decode cap", ci, n, field.MaxPoints)
+			}
 			hit = append(hit, ci)
 		}
 	}

@@ -239,3 +239,53 @@ func TestDecompressRegionFromSlabSourceParallelMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A region or chunk over field.MaxPoints is an error before anything
+// that size is allocated: here a one-chunk sz stream declaring 2^33
+// points (64 GiB of output) behind a 4-byte payload, decoded whole, as
+// a one-point region, and through a slab source.
+func TestDecompressRegionFromPointsCap(t *testing.T) {
+	h := &codec.Header{
+		Codec:      codec.IDLorenzo,
+		Precision:  field.Float32,
+		Mode:       codec.ModeAbs,
+		Name:       "big",
+		Dims:       []int{1 << 11, 1 << 11, 1 << 11},
+		EbAbs:      1e-3,
+		TargetPSNR: math.NaN(),
+		Capacity:   256,
+		Chunks:     []codec.ChunkInfo{{Rows: 1 << 11, Len: 4, MSE: math.NaN(), Min: math.NaN(), Max: math.NaN()}},
+	}
+	blob := append(h.Marshal(), 1, 2, 3, 4)
+	parsed, err := codec.ParseHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := parsed.NPoints(); n != 1<<33 {
+		t.Fatalf("stream declares %d points, want 2^33", n)
+	}
+	origin, one := []int{0, 0, 0}, []int{1, 1, 1}
+	decodes := map[string]func() error{
+		"whole": func() error { _, _, err := codec.Decompress(blob); return err },
+		"region": func() error {
+			_, _, err := codec.DecompressRegion(blob, origin, one)
+			return err
+		},
+		"source": func() error {
+			_, err := codec.DecompressRegionFrom(context.Background(), parsed, payloadOf(blob, parsed), origin, one, nil, newSlabMap().source)
+			return err
+		},
+	}
+	for name, decode := range decodes {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a 2^33-point stream decoded without error", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes before failing, want under 1 MiB", name, got)
+		}
+	}
+}

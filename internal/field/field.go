@@ -46,6 +46,12 @@ func (p Precision) Bytes() int {
 	return 8
 }
 
+// MaxPoints caps the points of a field built from untrusted bytes: an
+// SDF1 body (fieldio.Read), and a decoded region and each chunk it
+// intersects (codec.DecompressRegionFrom). A few-byte declaration past
+// it is an error, never an allocation.
+const MaxPoints = 1 << 31
+
 // Field is a dense N-dimensional array of scalar values in row-major order
 // (the last dimension varies fastest, matching C array layout and the SZ
 // data model).

@@ -69,7 +69,8 @@ func Write(w io.Writer, f *field.Field) error {
 	return bw.Flush()
 }
 
-// Read deserializes a field written by Write.
+// Read deserializes a field written by Write. The body must end with
+// the declared values.
 func Read(r io.Reader) (*field.Field, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var magic [4]byte
@@ -117,7 +118,7 @@ func Read(r io.Reader) (*field.Field, error) {
 		}
 		dims[i] = int(d)
 		// Test before multiplying: a product past the cap may overflow.
-		if dims[i] > (1<<31)/total {
+		if dims[i] > field.MaxPoints/total {
 			return nil, fmt.Errorf("fieldio: field too large (%v)", dims)
 		}
 		total *= dims[i]
@@ -153,6 +154,13 @@ func Read(r io.Reader) (*field.Field, error) {
 				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 			}
 		}
+	}
+	// The body ends with its values: a byte after them means the header
+	// under-declares the field.
+	if _, err := br.ReadByte(); err == nil {
+		return nil, fmt.Errorf("fieldio: bytes after the %v field's values", dims)
+	} else if err != io.EOF {
+		return nil, err
 	}
 	return &field.Field{Name: string(nameBuf), Precision: prec, Dims: dims, Data: data}, nil
 }

@@ -248,6 +248,9 @@ func FuzzRead(f *testing.F) {
 		if !sameField(got, got2) {
 			t.Fatal("known- and unknown-length readers decoded different fields")
 		}
+		if _, err := Read(bytes.NewReader(append(body[:len(body):len(body)], 0))); err == nil {
+			t.Fatal("accepted the body with a byte appended")
+		}
 		var w1 bytes.Buffer
 		if err := Write(&w1, got); err != nil {
 			t.Fatalf("accepted field does not write: %v", err)

@@ -223,18 +223,6 @@ type DecodeScratch struct {
 	firstSym  [maxCodeLen + 2]int32
 	countAt   [maxCodeLen + 2]int32
 
-	// Table cache: the canonical (symbol, length) vectors the lookup
-	// tables above were last built from, plus a hash for fast rejection.
-	// Chunks of one field frequently share histograms (smooth regions
-	// quantize to near-identical code distributions), so a pooled scratch
-	// sees the same table back to back and skips the 8 KB table clear and
-	// populate. The full vector comparison after the hash match makes a
-	// collision harmless.
-	tblSyms  []int32
-	tblLens  []uint8
-	tblKey   uint64
-	tblValid bool
-
 	r     bitstream.Reader
 	lanes [4]bitstream.Reader // four-lane round-robin readers (DecodeLanes4Into)
 }
@@ -596,39 +584,10 @@ func parseTable(buf []byte, ds *DecodeScratch) (n uint64, csyms []int32, clens [
 	return n, csyms, clens, consumed, nil
 }
 
-// tableKey hashes the canonical (symbol, length) vectors — FNV-1a over
-// both, length-prefixed — for the prepareTables cache's fast reject.
-func tableKey(syms []int32, lens []uint8) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	h ^= uint64(len(syms))
-	h *= prime
-	for _, s := range syms {
-		h ^= uint64(uint32(s))
-		h *= prime
-	}
-	for _, l := range lens {
-		h ^= uint64(l)
-		h *= prime
-	}
-	return h
-}
-
 // prepareTables builds the decoding tables for the canonical code
 // csyms/clens describe: the per-length first-code/first-symbol tables and
-// the one-level lookup table. When the scratch last built the same
-// canonical vectors — hash fast-reject, then full comparison — the
-// existing tables are reused, skipping the 8 KB table clear and populate;
-// chunks of one field frequently share histograms, so pooled scratches
-// hit this cache back to back.
+// the one-level lookup table.
 func (ds *DecodeScratch) prepareTables(csyms []int32, clens []uint8) {
-	key := tableKey(csyms, clens)
-	if ds.tblValid && ds.tblKey == key &&
-		slices.Equal(ds.tblSyms, csyms) && slices.Equal(ds.tblLens, clens) {
-		return
-	}
-	ds.tblValid = false
-
 	// Canonical decoding tables: for each length, the first code word and
 	// the index of its first symbol in the canonical order.
 	firstCode := &ds.firstCode
@@ -688,11 +647,6 @@ func (ds *DecodeScratch) prepareTables(csyms []int32, clens []uint8) {
 		}
 		code++
 	}
-
-	ds.tblKey = key
-	ds.tblSyms = append(ds.tblSyms[:0], csyms...)
-	ds.tblLens = append(ds.tblLens[:0], clens...)
-	ds.tblValid = true
 }
 
 // errCodeTooLong reports window bits that match no canonical code of at

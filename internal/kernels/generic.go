@@ -142,7 +142,7 @@ func pqRows4Generic(q *Quant, a, b, c, d *PQRow) {
 	pqRowGeneric(q, d)
 }
 
-// reconRowGeneric is the reference interior-row reconstruction loop;
+// reconRowGeneric is the reference row reconstruction loop;
 // operation order matches the historical internal/sz decode fast path
 // (and therefore the encoder's recon updates) exactly.
 func reconRowGeneric(q *Quant, a *RRRow) {

@@ -42,8 +42,9 @@ type Quant struct {
 	Radius   int64   // interval radius R = capacity/2
 }
 
-// PQRow is one interior row's worth of inputs, outputs, and
-// accumulators for the fused Lorenzo predict + quantize kernel. All
+// PQRow is one row's worth of inputs, outputs, and accumulators for the
+// fused Lorenzo predict + quantize kernel. A neighbour row outside the
+// slab arrives as a row of zeros, so its stencil terms drop out. All
 // row slices must have the same length (the row extent); Lits must
 // have length 0 and capacity at least that extent, so the kernel's
 // appends never grow it. SumSq is a read-modify-write accumulator:
@@ -63,10 +64,11 @@ type PQRow struct {
 	SumSq float64 // Σ e² over quantized points
 }
 
-// RRRow is one interior row's worth of inputs and outputs for the
-// reconstruction (decode) kernel. Out/Codes/Up/Pl/Pu must share one
-// length; Lits must hold exactly the row's literal values (one per
-// zero code, pre-counted by the caller), in row order.
+// RRRow is one row's worth of inputs and outputs for the reconstruction
+// (decode) kernel; as in PQRow, a neighbour row outside the slab arrives
+// as a row of zeros. Out/Codes/Up/Pl/Pu must share one length; Lits
+// must hold exactly the row's literal values (one per zero code,
+// pre-counted by the caller), in row order.
 type RRRow struct {
 	Out   []float64 // reconstructed values (output)
 	Codes []int32   // quantization codes (input; 0 = literal)
@@ -141,7 +143,7 @@ func CountLanes4(l0, l1, l2, l3 []int64, syms []int32) {
 }
 
 // PredictQuantizeRows4 runs the fused Lorenzo-3D predict + quantize
-// loop over four independent interior rows (same anti-diagonal). The
+// loop over four independent rows (same anti-diagonal). The
 // rows do not interact, so the outputs equal four PredictQuantizeRow
 // calls bit-for-bit; the assembly form interleaves the four serial
 // recon dependency chains in one loop so they hide each other's
@@ -154,7 +156,7 @@ func PredictQuantizeRows4(q *Quant, a, b, c, d *PQRow) { pqRows4Fn(q, a, b, c, d
 func PredictQuantizeRows2(q *Quant, a, b *PQRow) { pqRows2Fn(q, a, b) }
 
 // PredictQuantizeRow runs the fused Lorenzo-3D predict + quantize loop
-// over one interior row: the seven-point stencil prediction from the
+// over one row: the seven-point stencil prediction from the
 // already-reconstructed Up/Pl/Pu rows and the in-row left neighbor,
 // reciprocal-multiply binning (math.FMA with the round-to-nearest
 // magic constant), reconstruction-verified bound check, and fused
@@ -163,13 +165,13 @@ func PredictQuantizeRows2(q *Quant, a, b *PQRow) { pqRows2Fn(q, a, b) }
 func PredictQuantizeRow(q *Quant, a *PQRow) { pqRowFn(q, a) }
 
 // ReconstructRows4 is the decode-side inverse of PredictQuantizeRows4:
-// four independent interior rows reconstructed in one call.
+// four independent rows reconstructed in one call.
 func ReconstructRows4(q *Quant, a, b, c, d *RRRow) { reconRows4Fn(q, a, b, c, d) }
 
 // ReconstructRows2 is the decode-side inverse of PredictQuantizeRows2:
-// two independent interior rows reconstructed in one interleaved loop.
+// two independent rows reconstructed in one interleaved loop.
 func ReconstructRows2(q *Quant, a, b *RRRow) { reconRows2Fn(q, a, b) }
 
-// ReconstructRow reconstructs one interior row from its codes and
-// literals; the reference semantics for the pair form.
+// ReconstructRow reconstructs one row from its codes and literals; the
+// reference semantics for the pair form.
 func ReconstructRow(q *Quant, a *RRRow) { reconRowFn(q, a) }

@@ -1,8 +1,7 @@
 // Package parallel provides the small set of concurrency utilities the
-// module needs: a bounded parallel-for over index ranges, a first-error
-// worker group, and chunk partitioning helpers. Everything is built from
-// goroutines and channels in the style of Effective Go; there are no
-// external dependencies.
+// module needs: a bounded parallel-for over index ranges, with stable
+// worker slots, and chunk partitioning helpers. Everything is built from
+// goroutines and the sync package; there are no external dependencies.
 package parallel
 
 import (
@@ -119,69 +118,6 @@ func Partition(n, workers, w int) (lo, hi int) {
 		hi = lo + base
 	}
 	return lo, hi
-}
-
-// Group runs tasks concurrently with at most `workers` in flight and
-// returns the first error. It is the channel-semaphore pattern from
-// Effective Go, with the semaphore's tokens being worker slots: each
-// task receives a slot in [0, workers) that no other in-flight task
-// holds, so callers can key per-worker state (scratch shards) on it.
-type Group struct {
-	slots    chan int
-	wg       sync.WaitGroup
-	mu       sync.Mutex
-	firstErr error
-}
-
-// NewGroup creates a Group allowing up to `workers` concurrent tasks
-// (non-positive means DefaultWorkers).
-func NewGroup(workers int) *Group {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	g := &Group{slots: make(chan int, workers)}
-	for w := 0; w < workers; w++ {
-		g.slots <- w
-	}
-	return g
-}
-
-// Go schedules fn on a free worker slot, blocking while every slot is
-// taken. The slot returns to the Group when fn does.
-func (g *Group) Go(fn func(slot int) error) {
-	slot := <-g.slots
-	g.wg.Add(1)
-	go func() {
-		defer func() {
-			g.slots <- slot
-			g.wg.Done()
-		}()
-		if err := fn(slot); err != nil {
-			g.mu.Lock()
-			if g.firstErr == nil {
-				g.firstErr = err
-			}
-			g.mu.Unlock()
-		}
-	}()
-}
-
-// Wait blocks until every scheduled task has finished and returns the
-// first error observed (nil if none).
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.firstErr
-}
-
-// Err returns the first error observed so far without waiting. Producers
-// feeding a Group through Go use it to stop scheduling work that a
-// failed task has already doomed.
-func (g *Group) Err() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.firstErr
 }
 
 // Chunks splits n items into chunks of at most chunkSize and returns the

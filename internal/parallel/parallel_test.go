@@ -1,10 +1,10 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -110,81 +110,25 @@ func TestPartitionBalance(t *testing.T) {
 	}
 }
 
-func TestGroupRunsAll(t *testing.T) {
-	g := NewGroup(3)
-	var n int64
-	for i := 0; i < 40; i++ {
-		g.Go(func(int) error {
-			atomic.AddInt64(&n, 1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 40 {
-		t.Fatalf("ran %d tasks, want 40", n)
-	}
-}
-
-func TestGroupLimitsConcurrency(t *testing.T) {
-	const limit = 2
-	g := NewGroup(limit)
-	var cur, peak int64
-	var mu sync.Mutex
-	for i := 0; i < 20; i++ {
-		g.Go(func(int) error {
-			c := atomic.AddInt64(&cur, 1)
-			mu.Lock()
-			if c > peak {
-				peak = c
-			}
-			mu.Unlock()
-			atomic.AddInt64(&cur, -1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if peak > limit {
-		t.Fatalf("peak concurrency %d exceeds limit %d", peak, limit)
-	}
-}
-
-// TestGroupSlotsExclusive checks that no two in-flight tasks hold the
-// same worker slot and that every slot lies in [0, workers).
-func TestGroupSlotsExclusive(t *testing.T) {
+// TestForEachWorkerCtxSlotsExclusive checks that no two in-flight
+// iterations hold the same worker slot and that every slot lies in
+// [0, workers): scratch shards are keyed on the slot without locking.
+func TestForEachWorkerCtxSlotsExclusive(t *testing.T) {
 	const workers = 3
-	g := NewGroup(workers)
 	var held [workers]atomic.Int32
-	for i := 0; i < 200; i++ {
-		g.Go(func(slot int) error {
-			if slot < 0 || slot >= workers {
-				return fmt.Errorf("slot %d outside [0,%d)", slot, workers)
-			}
-			if held[slot].Add(1) != 1 {
-				return fmt.Errorf("slot %d held by two tasks", slot)
-			}
-			runtime.Gosched()
-			held[slot].Add(-1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	err := ForEachWorkerCtx(context.Background(), 200, workers, func(slot, _ int) error {
+		if slot < 0 || slot >= workers {
+			return fmt.Errorf("slot %d outside [0,%d)", slot, workers)
+		}
+		if held[slot].Add(1) != 1 {
+			return fmt.Errorf("slot %d held by two iterations", slot)
+		}
+		runtime.Gosched()
+		held[slot].Add(-1)
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGroupFirstError(t *testing.T) {
-	g := NewGroup(4)
-	boom := errors.New("boom")
-	for i := 0; i < 10; i++ {
-		g.Go(func(int) error { return nil })
-	}
-	g.Go(func(int) error { return boom })
-	if err := g.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
 	}
 }
 

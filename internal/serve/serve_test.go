@@ -400,6 +400,8 @@ func TestServeErrors(t *testing.T) {
 		// 17 bytes declaring dims {2^31, 2^32}, whose product overflows.
 		{"PUT", "/v1/archives/e/fields/y", append([]byte("SDF1\x00\x00\x02"), 0x80, 0x80, 0x80, 0x80, 0x08, 0x80, 0x80, 0x80, 0x80, 0x10), 400},
 		{"PUT", "/v1/archives/..%2Fevil/fields/y", sdf1Bytes(t, synthField("y", 8, 8)), 400},
+		// A valid 16×24×24 field with 22 bytes after its values.
+		{"PUT", "/v1/archives/e/fields/y", append(sdf1Bytes(t, synthField("y", 16, 24, 24)), "junk after the values!"...), 400},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(tc.body))

@@ -210,8 +210,9 @@ func compress2D(data []float64, dims []int, codes []int32, recon []float64, st *
 
 // wfScratch pools the wavefront scheduler's bookkeeping — the per-row
 // literal segment table and arena on the encode side, the per-row
-// literal offsets on the decode side, and the kernels' per-row literal
-// spill buffers. It is deliberately separate from codec.Scratch: these
+// literal offsets on the decode side, the kernels' per-row literal
+// spill buffers, and the zero row that stands in for a neighbour row
+// outside the slab. It is deliberately separate from codec.Scratch: these
 // buffers are orders of magnitude smaller than the codes/recon slabs
 // sharing those pools, and mixing sizes in one sync.Pool evicts the
 // big buffers (a small buffer landing in the per-P private slot misses
@@ -221,9 +222,19 @@ type wfScratch struct {
 	offs  []int
 	arena []float64
 	lit   [4][]float64
+	zero  []float64
 }
 
 var wfPool = sync.Pool{New: func() any { return new(wfScratch) }}
+
+// zeroRow returns n zeros. Nothing writes the row, so it stays zero
+// while it sits in the pool.
+func (wf *wfScratch) zeroRow(n int) []float64 {
+	if cap(wf.zero) < n {
+		wf.zero = make([]float64, n)
+	}
+	return wf.zero[:n:n]
+}
 
 // kernelQuant mirrors q's constants for the internal/kernels fused row
 // kernels.
@@ -237,15 +248,41 @@ func kernelQuant(q *quantizer.Quantizer) kernels.Quant {
 	}
 }
 
-// wavefront3D iterates the interior rows (i > 0 and j > 0) of a d0×d1
-// row grid in anti-diagonal order: all rows with i+j == d are mutually
-// independent under the Lorenzo dependency (row (i,j) reads only rows
-// (i,j−1), (i−1,j), (i−1,j−1), all on earlier diagonals), so the
-// schedule hands them out in the widest groups available — quads,
-// then a pair, then a leftover single — and each callback may process
-// its rows concurrently-in-one-loop. Border rows (i == 0 or j == 0)
-// are not visited; they must be processed before this runs.
-func wavefront3D(d0, d1 int, quad func(i1, j1, i2, j2, i3, j3, i4, j4 int), pair func(i1, j1, i2, j2 int), single func(i, j int)) {
+// neighbourRows returns the rows (i, j−1, ·), (i−1, j, ·) and
+// (i−1, j−1, ·) of buf that the row kernels predict row (i, j) from,
+// with zero standing in for each one outside the slab: its stencil terms
+// then drop out, as a missing neighbour's do.
+func neighbourRows(buf, zero []float64, i, j, d2, plane int) (up, pl, pu []float64) {
+	base := i*plane + j*d2
+	up, pl, pu = zero, zero, zero
+	if j > 0 {
+		up = buf[base-d2 : base : base]
+	}
+	if i > 0 {
+		pl = buf[base-plane : base-plane+d2]
+	}
+	if i > 0 && j > 0 {
+		pu = buf[base-plane-d2 : base-plane : base-plane]
+	}
+	return up, pl, pu
+}
+
+// wavefront3D visits every row of a d0×d1 row grid in an order that
+// respects the Lorenzo dependency. Border rows (i == 0 or j == 0) depend
+// on each other, so they go to border one at a time: plane i = 0 by j,
+// then column j = 0 by i. Interior rows follow in anti-diagonal order:
+// all rows with i+j == d are mutually independent (row (i,j) reads only
+// rows (i,j−1), (i−1,j), (i−1,j−1), all on earlier diagonals), so the
+// schedule hands them out in the widest groups available — quads, then a
+// pair, then a leftover single — and each callback may process its rows
+// concurrently-in-one-loop.
+func wavefront3D(d0, d1 int, border func(i, j int), quad func(i1, j1, i2, j2, i3, j3, i4, j4 int), pair func(i1, j1, i2, j2 int), single func(i, j int)) {
+	for j := 0; j < d1; j++ {
+		border(0, j)
+	}
+	for i := 1; i < d0; i++ {
+		border(i, 0)
+	}
 	for d := 2; d <= (d0-1)+(d1-1); d++ {
 		iLo := 1
 		if lo := d - (d1 - 1); lo > 1 {
@@ -269,65 +306,20 @@ func wavefront3D(d0, d1 int, quad func(i1, j1, i2, j2, i3, j3, i4, j4 int), pair
 	}
 }
 
-// borderRow3D compresses one border row (i == 0 or j == 0) with the
-// generic guarded seven-point stencil, appending its literals to arena
-// and threading the Σe² accumulator through by value so it stays in a
-// register across the row.
-func borderRow3D(data, recon []float64, codes []int32, i, j, d2, plane int, q *quantizer.Quantizer, arena []float64, ssum float64) ([]float64, float64) {
-	base := i*plane + j*d2
-	for k := 0; k < d2; k++ {
-		idx := base + k
-		var x100, x010, x001, x110, x101, x011, x111 float64
-		if i > 0 {
-			x100 = recon[idx-plane]
-		}
-		if j > 0 {
-			x010 = recon[idx-d2]
-		}
-		if k > 0 {
-			x001 = recon[idx-1]
-		}
-		if i > 0 && j > 0 {
-			x110 = recon[idx-plane-d2]
-		}
-		if i > 0 && k > 0 {
-			x101 = recon[idx-plane-1]
-		}
-		if j > 0 && k > 0 {
-			x011 = recon[idx-d2-1]
-		}
-		if i > 0 && j > 0 && k > 0 {
-			x111 = recon[idx-plane-d2-1]
-		}
-		pred := x100 + x010 + x001 - x110 - x101 - x011 + x111
-		v := data[idx]
-		code, rec, e, ok := q.QuantizeRecon(v - pred)
-		if ok {
-			codes[idx] = int32(code)
-			recon[idx] = pred + rec
-			ssum += e * e
-		} else {
-			arena = append(arena, v)
-			codes[idx] = 0
-			recon[idx] = v
-		}
-	}
-	return arena, ssum
-}
-
-// compress3D runs the 3-D Lorenzo predictor in wavefront order. Border
-// rows (plane i = 0, then column j = 0) depend only on each other and
-// are processed first with the generic guarded stencil; every interior
-// row depends only on rows from earlier anti-diagonals, so rows sharing
-// a diagonal are mutually independent and go to the fused
-// predict+quantize kernels in groups — up to four serial recon
-// dependency chains interleaved in one loop
-// (kernels.PredictQuantizeRows4), which is what lifts the throughput
-// of this latency-bound loop. The per-point arithmetic is exactly the
-// historical scan-order loop's (see kernels.PredictQuantizeRow), so
-// codes, reconstructions, and literals are unchanged; only the
-// accumulation order of Σe² differs (per-row partial sums merged in
-// schedule order), which can move the recorded chunk MSE by ulps.
+// compress3D runs the 3-D Lorenzo predictor through the fused
+// predict+quantize row kernels in wavefront order. Border rows go to
+// kernels.PredictQuantizeRow one at a time, each seeded with the running
+// Σe², so the border accumulates point by point in scan order. Interior
+// rows sharing an anti-diagonal go to the kernels in groups — up to four
+// serial recon dependency chains interleaved in one loop
+// (kernels.PredictQuantizeRows4), which is what lifts the throughput of
+// this latency-bound loop. The per-point arithmetic is the historical
+// scan-order loop's (see kernels.PredictQuantizeRow) up to the sign of a
+// zero prediction at a row's first point, which moves no code or
+// reconstruction, so codes, reconstructions, and literals are unchanged;
+// only the accumulation order of the interior's Σe² differs (per-row
+// partial sums merged in schedule order), which can move the recorded
+// chunk MSE by ulps.
 //
 // Literals are collected into a processing-order arena with per-row
 // segments and re-concatenated in scan (row-major) order at the end,
@@ -351,33 +343,20 @@ func compress3D(data []float64, dims []int, codes []int32, recon []float64, st *
 	arena := wf.arena[:0]
 	ssum := st.sumSq
 
-	for j := 0; j < d1; j++ {
-		start := len(arena)
-		arena, ssum = borderRow3D(data, recon, codes, 0, j, d2, plane, q, arena, ssum)
-		seg[2*j], seg[2*j+1] = start, len(arena)-start
-	}
-	for i := 1; i < d0; i++ {
-		start := len(arena)
-		arena, ssum = borderRow3D(data, recon, codes, i, 0, d2, plane, q, arena, ssum)
-		r := i * d1
-		seg[2*r], seg[2*r+1] = start, len(arena)-start
-	}
-
 	qk := kernelQuant(q)
 	for l := range wf.lit {
 		if cap(wf.lit[l]) < d2 {
 			wf.lit[l] = make([]float64, d2)
 		}
 	}
+	zero := wf.zeroRow(d2)
 	var rows [4]kernels.PQRow
 	setRow := func(row *kernels.PQRow, i, j int, lit []float64) {
 		base := i*plane + j*d2
 		row.Data = data[base : base+d2 : base+d2]
 		row.Recon = recon[base : base+d2 : base+d2]
 		row.Codes = codes[base : base+d2 : base+d2]
-		row.Up = recon[base-d2 : base : base]                   // (i, j-1, ·)
-		row.Pl = recon[base-plane : base-plane+d2]              // (i-1, j, ·)
-		row.Pu = recon[base-plane-d2 : base-plane : base-plane] // (i-1, j-1, ·)
+		row.Up, row.Pl, row.Pu = neighbourRows(recon, zero, i, j, d2, plane)
 		row.Lits = lit[:0]
 		row.SumSq = 0
 	}
@@ -389,6 +368,14 @@ func compress3D(data []float64, dims []int, codes []int32, recon []float64, st *
 		ssum += row.SumSq
 	}
 	wavefront3D(d0, d1,
+		func(i, j int) {
+			// The row carries the running Σe² and flush adds it back to
+			// a zeroed total, which is exact.
+			setRow(&rows[0], i, j, wf.lit[0])
+			rows[0].SumSq, ssum = ssum, 0
+			kernels.PredictQuantizeRow(&qk, &rows[0])
+			flush(&rows[0], i, j)
+		},
 		func(i1, j1, i2, j2, i3, j3, i4, j4 int) {
 			setRow(&rows[0], i1, j1, wf.lit[0])
 			setRow(&rows[1], i2, j2, wf.lit[1])
@@ -499,11 +486,8 @@ func decompressCore(out []float64, codes []int32, literals []float64, dims []int
 			}
 		}
 	case 3:
-		// The 3-D path reconstructs in the same wavefront order as
-		// compress3D, pairing independent anti-diagonal rows into the
-		// interleaved reconstruction kernels; literal positions are
-		// recovered by a per-row zero-count pre-pass, since the literal
-		// stream is stored in scan (row-major) order.
+		// The 3-D path reconstructs every row through the
+		// reconstruction kernels, in compress3D's wavefront order.
 		return decompress3D(out, codes, literals, dims, q)
 	default:
 		return fmt.Errorf("sz: unsupported rank %d", len(dims))
@@ -514,12 +498,13 @@ func decompressCore(out []float64, codes []int32, literals []float64, dims []int
 	return nil
 }
 
-// decompress3D reconstructs a 3-D slab in wavefront order: border rows
-// (plane i = 0, then column j = 0) with the generic guarded stencil,
-// then interior anti-diagonals through the grouped reconstruction
-// kernels (kernels.ReconstructRows4/Rows2), whose interleaved loops
-// overlap the rows' serial prediction chains. The literal stream is
-// stored in scan order, so a counting pre-pass over the codes gives
+// decompress3D reconstructs a 3-D slab in compress3D's wavefront order
+// through the reconstruction row kernels: border rows one at a time
+// through kernels.ReconstructRow, with the zero row standing in for
+// neighbours outside the slab, then interior anti-diagonals through the
+// grouped kernels (kernels.ReconstructRows4/Rows2), whose interleaved
+// loops overlap the rows' serial prediction chains. The literal stream
+// is stored in scan order, so a counting pre-pass over the codes gives
 // every row its exact literal segment and rows can then run in any
 // dependency-respecting order.
 func decompress3D(out []float64, codes []int32, literals []float64, dims []int, q *quantizer.Quantizer) error {
@@ -558,68 +543,23 @@ func decompress3D(out []float64, codes []int32, literals []float64, dims []int, 
 		wfPool.Put(wf)
 		return fmt.Errorf("sz: %d literals left over", len(literals)-total)
 	}
-	rowLits := func(i, j int) []float64 {
-		r := i*d1 + j
-		return literals[offs[r]:offs[r+1]:offs[r+1]]
-	}
-
-	border := func(i, j int) {
-		lits := rowLits(i, j)
-		li := 0
-		base := i*plane + j*d2
-		for k := 0; k < d2; k++ {
-			idx := base + k
-			c := codes[idx]
-			if c == 0 {
-				out[idx] = lits[li]
-				li++
-				continue
-			}
-			var x100, x010, x001, x110, x101, x011, x111 float64
-			if i > 0 {
-				x100 = out[idx-plane]
-			}
-			if j > 0 {
-				x010 = out[idx-d2]
-			}
-			if k > 0 {
-				x001 = out[idx-1]
-			}
-			if i > 0 && j > 0 {
-				x110 = out[idx-plane-d2]
-			}
-			if i > 0 && k > 0 {
-				x101 = out[idx-plane-1]
-			}
-			if j > 0 && k > 0 {
-				x011 = out[idx-d2-1]
-			}
-			if i > 0 && j > 0 && k > 0 {
-				x111 = out[idx-plane-d2-1]
-			}
-			pred := x100 + x010 + x001 - x110 - x101 - x011 + x111
-			out[idx] = pred + q.Reconstruct(int(c))
-		}
-	}
-	for j := 0; j < d1; j++ {
-		border(0, j)
-	}
-	for i := 1; i < d0; i++ {
-		border(i, 0)
-	}
 
 	qk := kernelQuant(q)
+	zero := wf.zeroRow(d2)
 	var rows [4]kernels.RRRow
 	setRow := func(row *kernels.RRRow, i, j int) {
 		base := i*plane + j*d2
+		r := i*d1 + j
 		row.Out = out[base : base+d2 : base+d2]
 		row.Codes = codes[base : base+d2 : base+d2]
-		row.Up = out[base-d2 : base : base]                   // (i, j-1, ·)
-		row.Pl = out[base-plane : base-plane+d2]              // (i-1, j, ·)
-		row.Pu = out[base-plane-d2 : base-plane : base-plane] // (i-1, j-1, ·)
-		row.Lits = rowLits(i, j)
+		row.Up, row.Pl, row.Pu = neighbourRows(out, zero, i, j, d2, plane)
+		row.Lits = literals[offs[r]:offs[r+1]:offs[r+1]]
 	}
-	wavefront3D(d0, d1,
+	single := func(i, j int) {
+		setRow(&rows[0], i, j)
+		kernels.ReconstructRow(&qk, &rows[0])
+	}
+	wavefront3D(d0, d1, single,
 		func(i1, j1, i2, j2, i3, j3, i4, j4 int) {
 			setRow(&rows[0], i1, j1)
 			setRow(&rows[1], i2, j2)
@@ -632,10 +572,7 @@ func decompress3D(out []float64, codes []int32, literals []float64, dims []int, 
 			setRow(&rows[1], i2, j2)
 			kernels.ReconstructRows2(&qk, &rows[0], &rows[1])
 		},
-		func(i, j int) {
-			setRow(&rows[0], i, j)
-			kernels.ReconstructRow(&qk, &rows[0])
-		})
+		single)
 	wfPool.Put(wf)
 	return nil
 }
