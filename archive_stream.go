@@ -185,7 +185,7 @@ type ArchiveReader struct {
 	// per request. Cached headers are shared across callers and must be
 	// treated as read-only.
 	hdrs []atomic.Pointer[codec.Header]
-	// scratch feeds region extraction's per-chunk decode transients;
+	// scratch feeds the per-chunk decode transients of every extraction;
 	// sync.Pool-backed, so concurrent extracts share it safely.
 	scratch *codec.Scratch
 }
@@ -409,13 +409,14 @@ func (ar *ArchiveReader) parseInfo(i int) (*StreamInfo, error) {
 	return h, nil
 }
 
-// ExtractAt decompresses entry i.
+// ExtractAt decompresses entry i, drawing decode transients from the
+// reader's scratch.
 func (ar *ArchiveReader) ExtractAt(i int) (*Field, *StreamInfo, error) {
 	blob, err := ar.Stream(i)
 	if err != nil {
 		return nil, nil, err
 	}
-	return codec.Decompress(blob)
+	return codec.DecompressScratch(context.Background(), blob, ar.scratch)
 }
 
 // Extract decompresses the named entry. On a v2 archive only the index

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -535,5 +537,50 @@ func TestArchiveWriterWriteFieldEncoder(t *testing.T) {
 	}
 	if !bytes.Equal(oneShot.Bytes(), session.Bytes()) {
 		t.Fatal("session-built archive differs from one-shot archive")
+	}
+}
+
+// TestExtractAtDecodesFromScratch pins ExtractAt to the reader's pooled
+// decode scratch: a warm extract of a 32×64×64 entry in eight chunks
+// allocates little beyond the entry's bytes and the decoded field.
+// Decoding each chunk with fresh buffers allocated about twice the field.
+func TestExtractAtDecodesFromScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation measurements")
+	}
+	f := waveField("T", 32, 64, 64)
+	blob, _, err := fixedpsnr.CompressFields([]*fixedpsnr.Field{f}, fixedpsnr.Options{
+		Mode: fixedpsnr.ModePSNR, TargetPSNR: 60, ChunkPoints: fixedpsnr.MinChunkPoints, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar, err := fixedpsnr.OpenArchive(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The scratch pools are sync.Pools, which cache per P and are emptied
+	// by GC: on one P with GC paused, the measured calls reuse what the
+	// warm-up call pooled.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if _, _, err := ar.ExtractAt(0); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	gcPercent := debug.SetGCPercent(-1)
+	for range runs {
+		if _, _, err := ar.ExtractAt(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	debug.SetGCPercent(gcPercent)
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	fieldBytes := uint64(8 * f.Len())
+	t.Logf("warm ExtractAt: %d bytes/call for a %d-byte field and a %d-byte archive", perCall, fieldBytes, len(blob))
+	if perCall > fieldBytes*3/2 {
+		t.Fatalf("warm ExtractAt allocates %d bytes per call, want <= %d (1.5x the decoded field)", perCall, fieldBytes*3/2)
 	}
 }

@@ -17,6 +17,7 @@
 package huffman
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -35,163 +36,34 @@ import (
 // in one block.
 const maxCodeLen = 57
 
-// enode is a Huffman tree node in the arena-allocated encoder tree:
-// children are arena indices, so the whole tree lives in one slice.
-type enode struct {
-	weight      int64
-	symbol      int32 // leaf symbol; min subtree symbol on internal nodes
-	left, right int32 // arena indices, -1 for leaves
-}
-
 // Scratch holds the Huffman encoder's construction state — frequency
-// table, node arena, heap, and the canonical symbol/length/code tables —
-// sized by the symbol alphabet, so sessions that encode many chunks
-// reuse one set instead of rebuilding maps and trees from the heap every
-// call. A nil *Scratch is valid and falls back to fresh allocation.
-// Scratch is not safe for concurrent use; pool instances and hand one to
-// each in-flight encode.
+// table, present-symbol list, the merge's node weights and parent links,
+// and the symbol→length/code tables — sized by the symbol alphabet, so
+// sessions that encode many chunks reuse one set instead of reallocating
+// them every call. A nil *Scratch is valid and falls back to fresh
+// allocation. Scratch is not safe for concurrent use; pool instances and
+// hand one to each in-flight encode.
 type Scratch struct {
 	freq    []int64
 	present []int32
+	weight  []int64
+	minSym  []int32
+	parent  []int32
 	lenOf   []uint8
 	codes   []uint64
-	nodes   []enode
-	heap    []int32
-	stack   []int64
 }
 
 // NewScratch returns an empty Huffman scratch.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// freqBuf returns a zeroed dense frequency table of length n.
-func (s *Scratch) freqBuf(n int) []int64 {
-	if s == nil || cap(s.freq) < n {
-		buf := make([]int64, n)
-		if s != nil {
-			s.freq = buf
-		}
-		return buf
+// grow reslices *buf to n elements, reallocating it when its capacity is
+// short, and returns it. The contents are unspecified.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	buf := s.freq[:n]
-	clear(buf)
-	return buf
-}
-
-// lenOfBuf returns a zeroed dense symbol→length table of length n.
-func (s *Scratch) lenOfBuf(n int) []uint8 {
-	if s == nil || cap(s.lenOf) < n {
-		buf := make([]uint8, n)
-		if s != nil {
-			s.lenOf = buf
-		}
-		return buf
-	}
-	buf := s.lenOf[:n]
-	clear(buf)
-	return buf
-}
-
-// codesBuf returns a dense symbol→code table of length n (contents
-// unspecified; only present symbols are written and read).
-func (s *Scratch) codesBuf(n int) []uint64 {
-	if s == nil || cap(s.codes) < n {
-		buf := make([]uint64, n)
-		if s != nil {
-			s.codes = buf
-		}
-		return buf
-	}
-	return s.codes[:n]
-}
-
-// presentBuf returns an empty present-symbol list with capacity hint n.
-func (s *Scratch) presentBuf(n int) []int32 {
-	if s == nil || cap(s.present) < n {
-		return make([]int32, 0, n)
-	}
-	return s.present[:0]
-}
-
-// nodesBuf returns an empty node arena with capacity hint n.
-func (s *Scratch) nodesBuf(n int) []enode {
-	if s == nil || cap(s.nodes) < n {
-		return make([]enode, 0, n)
-	}
-	return s.nodes[:0]
-}
-
-// heapBuf returns an empty index heap with capacity hint n.
-func (s *Scratch) heapBuf(n int) []int32 {
-	if s == nil || cap(s.heap) < n {
-		return make([]int32, 0, n)
-	}
-	return s.heap[:0]
-}
-
-// stackBuf returns an empty traversal stack with capacity hint n.
-func (s *Scratch) stackBuf(n int) []int64 {
-	if s == nil || cap(s.stack) < n {
-		return make([]int64, 0, n)
-	}
-	return s.stack[:0]
-}
-
-// keep stores the final slices back so grown buffers survive to the next
-// encode with this scratch.
-func (s *Scratch) keep(present []int32, nodes []enode, heap []int32, stack []int64) {
-	if s == nil {
-		return
-	}
-	s.present, s.nodes, s.heap, s.stack = present, nodes, heap, stack
-}
-
-// nodeLess orders the build heap: by weight, tie-broken on the minimum
-// subtree symbol so construction is deterministic.
-func nodeLess(nodes []enode, a, b int32) bool {
-	if nodes[a].weight != nodes[b].weight {
-		return nodes[a].weight < nodes[b].weight
-	}
-	return nodes[a].symbol < nodes[b].symbol
-}
-
-// heapPush adds arena index v to the index min-heap h.
-func heapPush(h []int32, nodes []enode, v int32) []int32 {
-	h = append(h, v)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !nodeLess(nodes, h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	return h
-}
-
-// heapPop removes and returns the minimum arena index from h.
-func heapPop(h []int32, nodes []enode) ([]int32, int32) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && nodeLess(nodes, h[l], h[small]) {
-			small = l
-		}
-		if r < len(h) && nodeLess(nodes, h[r], h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return h, top
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // tableBits is the width of the one-level decode lookup table: the next
@@ -230,30 +102,6 @@ type DecodeScratch struct {
 // NewDecodeScratch returns an empty Huffman decode scratch.
 func NewDecodeScratch() *DecodeScratch { return &DecodeScratch{} }
 
-// symsBuf returns empty canonical symbol/length slices with capacity hint n.
-func (ds *DecodeScratch) symsBuf(n int) ([]int32, []uint8) {
-	if ds == nil || cap(ds.syms) < n || cap(ds.lens) < n {
-		return make([]int32, 0, n), make([]uint8, 0, n)
-	}
-	return ds.syms[:0], ds.lens[:0]
-}
-
-// dupBuf returns an empty duplicate-check slice with capacity hint n.
-func (ds *DecodeScratch) dupBuf(n int) []int32 {
-	if ds == nil || cap(ds.dup) < n {
-		return make([]int32, 0, n)
-	}
-	return ds.dup[:0]
-}
-
-// keep stores grown slices back so they survive to the next decode.
-func (ds *DecodeScratch) keep(syms []int32, lens []uint8, dup []int32) {
-	if ds == nil {
-		return
-	}
-	ds.syms, ds.lens, ds.dup = syms, lens, dup
-}
-
 // canonicalSorter orders parallel (symbol, length) slices by (length,
 // symbol) — the canonical code order. Only corrupt or foreign streams
 // need it: this package's encoder already emits the table sorted.
@@ -279,8 +127,11 @@ func (c *canonicalSorter) Swap(i, j int) {
 // the (symbol, length) pairs in canonical order — to dst. It returns the
 // dense symbol→length and symbol→code tables the emit loops index, both
 // scratch-owned (valid until the next build with the same sc), and the
-// exact bit size of each four-lane body.
+// exact bit size of each four-lane body. A nil sc allocates fresh.
 func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, lenOf []uint8, codes []uint64, laneBits [4]int64, err error) {
+	if sc == nil {
+		sc = &Scratch{}
+	}
 	// Count into four interleaved lanes (kernels.CountLanes4): runs of
 	// one dominant symbol (the common case for quantization codes)
 	// otherwise serialize on store-to-load forwarding of a single
@@ -288,15 +139,16 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 	// same assignment EncodeLanes4 splits the payload by, so lane i's
 	// counts are exactly lane i's symbol frequencies; only the summed
 	// totals feed the shared table, which is what keeps one canonical
-	// code valid for all four lane bitstreams. The merge pass also
-	// rebuilds the present list, replacing the per-symbol branch.
+	// code valid for all four lane bitstreams. The lane-summing pass
+	// also rebuilds the present list, replacing the per-symbol branch.
 	m := maxSym + 1
-	lanes := sc.freqBuf(4 * m)
+	lanes := grow(&sc.freq, 4*m)
+	clear(lanes)
 	lane0, lane1 := lanes[:m], lanes[m:2*m]
 	lane2, lane3 := lanes[2*m:3*m], lanes[3*m:]
 	kernels.CountLanes4(lane0, lane1, lane2, lane3, syms)
 	freq := lane0
-	present := sc.presentBuf(256)
+	present := sc.present[:0]
 	for s, f := range lane0 {
 		f += lane1[s] + lane2[s] + lane3[s]
 		if f != 0 {
@@ -304,54 +156,71 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 			present = append(present, int32(s))
 		}
 	}
+	sc.present = present
 	nsym := len(present)
 
 	// Code lengths per symbol (dense table; zero = absent).
-	lenOf = sc.lenOfBuf(maxSym + 1)
-	nodes := sc.nodesBuf(2 * nsym)
-	heap := sc.heapBuf(nsym)
-	stack := sc.stackBuf(2 * nsym)
+	lenOf = grow(&sc.lenOf, m)
+	clear(lenOf)
 	switch nsym {
 	case 0:
 		// Empty input: emit the trivial header below.
 	case 1:
 		lenOf[present[0]] = 1
 	default:
-		for _, s := range present {
-			nodes = append(nodes, enode{weight: freq[s], symbol: s, left: -1, right: -1})
-		}
-		for i := range nodes {
-			heap = heapPush(heap, nodes, int32(i))
-		}
-		for len(heap) > 1 {
-			var a, b int32
-			heap, a = heapPop(heap, nodes)
-			heap, b = heapPop(heap, nodes)
-			nodes = append(nodes, enode{
-				weight: nodes[a].weight + nodes[b].weight,
-				symbol: min(nodes[a].symbol, nodes[b].symbol),
-				left:   a, right: b,
-			})
-			heap = heapPush(heap, nodes, int32(len(nodes)-1))
-		}
-		// Iterative depth-first walk assigning leaf depths; entries pack
-		// (arena index << 8 | depth), depth ≤ maxCodeLen < 256.
-		stack = append(stack, int64(heap[0])<<8)
-		for len(stack) > 0 {
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			idx, depth := int32(top>>8), int(top&0xff)
-			n := nodes[idx]
-			if n.left < 0 {
-				if depth > maxCodeLen {
-					sc.keep(present, nodes, heap, stack)
-					return nil, nil, nil, laneBits, fmt.Errorf("huffman: code length %d exceeds maximum %d", depth, maxCodeLen)
-				}
-				lenOf[n.symbol] = uint8(depth)
-				continue
+		// Two-queue merge: nodes 0..nsym-1 are the leaves sorted by
+		// (count, symbol), nodes nsym.. the internal nodes in creation
+		// order, and each step joins two nodes, taking each time the
+		// smaller queue front under (weight, minimum subtree symbol).
+		// Both queues ascend in that order: an internal node outweighs
+		// each child, as every count is ≥ 1, and internal nodes of
+		// equal weight come from equal-weight pairs taken in symbol
+		// order. So each step takes the nodes a min-heap on that order
+		// would pop, and the code lengths are the heap build's.
+		// deflate's buildLens breaks ties leaf-first instead, which
+		// would move these lengths.
+		slices.SortFunc(present, func(a, b int32) int {
+			if freq[a] != freq[b] {
+				return cmp.Compare(freq[a], freq[b])
 			}
-			stack = append(stack, int64(n.left)<<8|int64(depth+1))
-			stack = append(stack, int64(n.right)<<8|int64(depth+1))
+			return int(a - b)
+		})
+		nodes := 2*nsym - 1
+		weight := grow(&sc.weight, nodes)
+		minSym := grow(&sc.minSym, nodes)
+		parent := grow(&sc.parent, nodes)
+		for i, s := range present {
+			weight[i], minSym[i] = freq[s], s
+		}
+		leaf, inner := 0, nsym
+		for next := nsym; next < nodes; next++ {
+			var pick [2]int
+			for k := range pick {
+				if leaf < nsym && (inner == next || weight[leaf] < weight[inner] ||
+					weight[leaf] == weight[inner] && minSym[leaf] < minSym[inner]) {
+					pick[k], leaf = leaf, leaf+1
+				} else {
+					pick[k], inner = inner, inner+1
+				}
+			}
+			a, b := pick[0], pick[1]
+			weight[next] = weight[a] + weight[b]
+			minSym[next] = min(minSym[a], minSym[b])
+			parent[a], parent[b] = int32(next), int32(next)
+		}
+		// Depths flow root-down, each overwriting its node's parent link:
+		// a parent is created after its children, so depth[p] is already
+		// set when node i reads it.
+		depth := parent
+		depth[nodes-1] = 0
+		for i := nodes - 2; i >= 0; i-- {
+			depth[i] = depth[parent[i]] + 1
+		}
+		for i, s := range present {
+			if depth[i] > maxCodeLen {
+				return nil, nil, nil, laneBits, fmt.Errorf("huffman: code length %d exceeds maximum %d", depth[i], maxCodeLen)
+			}
+			lenOf[s] = uint8(depth[i])
 		}
 	}
 
@@ -362,7 +231,7 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 		}
 		return int(a - b)
 	})
-	codes = sc.codesBuf(maxSym + 1)
+	codes = grow(&sc.codes, m)
 	var code uint64
 	prevLen := uint8(0)
 	for _, s := range present {
@@ -373,8 +242,8 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 		prevLen = l
 	}
 
-	// Lane bits are Σ count·length over each lane's own counts. The merge
-	// above overwrote lane 0 with the totals, so lane 0 is the total
+	// Lane bits are Σ count·length over each lane's own counts. The lane
+	// sum above overwrote lane 0 with the totals, so lane 0 is the total
 	// minus lanes 1–3.
 	var total int64
 	for _, s := range present {
@@ -392,7 +261,6 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 		dst = binary.AppendUvarint(dst, uint64(s))
 		dst = binary.AppendUvarint(dst, uint64(lenOf[s]))
 	}
-	sc.keep(present, nodes, heap, stack)
 	return dst, lenOf, codes, laneBits, nil
 }
 
@@ -474,9 +342,6 @@ func emitLane(out []byte, syms []int32, lenOf []uint8, codes []uint64) {
 // stream bytes. A nil sc allocates fresh; the encoded bytes are identical
 // whatever sc is.
 func EncodeLanes4(dst []byte, syms []int32, maxSym int, sc *Scratch) ([]byte, error) {
-	if sc == nil {
-		sc = NewScratch()
-	}
 	dst, lenOf, codes, laneBits, err := buildTable(dst, syms, maxSym, sc)
 	if err != nil {
 		return nil, err
@@ -503,12 +368,11 @@ func EncodeLanes4(dst []byte, syms []int32, maxSym int, sc *Scratch) ([]byte, er
 
 // parseTable reads the leading symbol count and canonical (symbol,
 // length) table shared by the single-stream and four-lane formats,
-// returning the scratch-owned canonical slices and the bytes consumed.
-// On return csyms/clens are kept in ds for reuse by the next parse. A
-// declared code length above maxCodeLen = 57 bits is an error, so the
-// decoders resolve every code from one refilled window. The cap rejects
-// nothing a real encoder can write: a Huffman code deeper than 57 bits
-// needs more than 10^12 symbols in one block.
+// returning the canonical slices, owned by ds until its next parse, and
+// the bytes consumed. A declared code length above maxCodeLen = 57 bits
+// is an error, so the decoders resolve every code from one refilled
+// window. The cap rejects nothing a real encoder can write: a Huffman
+// code deeper than 57 bits needs more than 10^12 symbols in one block.
 func parseTable(buf []byte, ds *DecodeScratch) (n uint64, csyms []int32, clens []uint8, consumed int, err error) {
 	rd := buf
 	n, k := binary.Uvarint(rd)
@@ -529,38 +393,33 @@ func parseTable(buf []byte, ds *DecodeScratch) (n uint64, csyms []int32, clens [
 		return 0, nil, nil, 0, fmt.Errorf("huffman: table size %d exceeds buffer", nsym)
 	}
 
-	csyms, clens = ds.symsBuf(int(nsym))
+	csyms, clens = grow(&ds.syms, int(nsym)), grow(&ds.lens, int(nsym))
 	sorted := true
 	prevLen, prevSym := uint8(0), -1
-	for i := uint64(0); i < nsym; i++ {
+	for i := range csyms {
 		s, k1 := binary.Uvarint(rd)
 		if k1 <= 0 {
-			ds.keep(csyms, clens, ds.dupBuf(0))
 			return 0, nil, nil, 0, fmt.Errorf("huffman: truncated table entry")
 		}
 		rd = rd[k1:]
 		consumed += k1
 		l, k2 := binary.Uvarint(rd)
 		if k2 <= 0 {
-			ds.keep(csyms, clens, ds.dupBuf(0))
 			return 0, nil, nil, 0, fmt.Errorf("huffman: truncated table entry length")
 		}
 		rd = rd[k2:]
 		consumed += k2
 		if l == 0 || l > maxCodeLen {
-			ds.keep(csyms, clens, ds.dupBuf(0))
 			return 0, nil, nil, 0, fmt.Errorf("huffman: invalid code length %d", l)
 		}
 		if s > 1<<31-1 {
-			ds.keep(csyms, clens, ds.dupBuf(0))
 			return 0, nil, nil, 0, fmt.Errorf("huffman: symbol %d out of range", s)
 		}
 		if uint8(l) < prevLen || (uint8(l) == prevLen && int(s) <= prevSym) {
 			sorted = false
 		}
 		prevLen, prevSym = uint8(l), int(s)
-		csyms = append(csyms, int32(s))
-		clens = append(clens, uint8(l))
+		csyms[i], clens[i] = int32(s), uint8(l)
 	}
 	// This package's encoder emits the table in canonical (length, symbol)
 	// order, so the sort below never runs on its own streams; foreign or
@@ -571,16 +430,14 @@ func parseTable(buf []byte, ds *DecodeScratch) (n uint64, csyms []int32, clens [
 	// Duplicate symbols would make the code ambiguous; the canonical sort
 	// does not make equal symbols with different lengths adjacent, so the
 	// check sorts a scratch copy by symbol value.
-	dup := ds.dupBuf(len(csyms))
-	dup = append(dup, csyms...)
+	dup := grow(&ds.dup, len(csyms))
+	copy(dup, csyms)
 	slices.Sort(dup)
 	for i := 1; i < len(dup); i++ {
 		if dup[i] == dup[i-1] {
-			ds.keep(csyms, clens, dup)
 			return 0, nil, nil, 0, fmt.Errorf("huffman: duplicate symbols in table")
 		}
 	}
-	ds.keep(csyms, clens, dup)
 	return n, csyms, clens, consumed, nil
 }
 

@@ -3,6 +3,8 @@ package huffman
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -42,6 +44,223 @@ func encodeSingle(syms []int32) ([]byte, error) {
 	body := w.Bytes()
 	dst = binary.AppendUvarint(dst, uint64(len(body)))
 	return append(dst, body...), nil
+}
+
+// enode is a Huffman tree node in the arena-allocated encoder tree:
+// children are arena indices, so the whole tree lives in one slice.
+type enode struct {
+	weight      int64
+	symbol      int32 // leaf symbol; min subtree symbol on internal nodes
+	left, right int32 // arena indices, -1 for leaves
+}
+
+// nodeLess orders the build heap: by weight, tie-broken on the minimum
+// subtree symbol so construction is deterministic.
+func nodeLess(nodes []enode, a, b int32) bool {
+	if nodes[a].weight != nodes[b].weight {
+		return nodes[a].weight < nodes[b].weight
+	}
+	return nodes[a].symbol < nodes[b].symbol
+}
+
+// heapPush adds arena index v to the index min-heap h.
+func heapPush(h []int32, nodes []enode, v int32) []int32 {
+	h = append(h, v)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !nodeLess(nodes, h[i], h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	return h
+}
+
+// heapPop removes and returns the minimum arena index from h.
+func heapPop(h []int32, nodes []enode) ([]int32, int32) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < len(h) && nodeLess(nodes, h[l], h[small]) {
+			small = l
+		}
+		if r < len(h) && nodeLess(nodes, h[r], h[small]) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+	return h, top
+}
+
+// heapBuildTable is the min-heap code build that buildTable's two-queue
+// merge replaced, kept as FuzzBuildTableDifferential's reference: it
+// counts syms, builds the tree on an index min-heap over a node arena,
+// assigns leaf depths by an iterative depth-first walk, and appends the
+// table header buildTable emits. It returns the header and the dense
+// symbol→length table.
+func heapBuildTable(dst []byte, syms []int32, maxSym int) ([]byte, []uint8, error) {
+	freq := make([]int64, maxSym+1)
+	for _, s := range syms {
+		freq[s]++
+	}
+	var present []int32
+	for s, f := range freq {
+		if f != 0 {
+			present = append(present, int32(s))
+		}
+	}
+	nsym := len(present)
+
+	lenOf := make([]uint8, maxSym+1)
+	nodes := make([]enode, 0, 2*nsym)
+	heap := make([]int32, 0, nsym)
+	stack := make([]int64, 0, 2*nsym)
+	switch nsym {
+	case 0:
+	case 1:
+		lenOf[present[0]] = 1
+	default:
+		for _, s := range present {
+			nodes = append(nodes, enode{weight: freq[s], symbol: s, left: -1, right: -1})
+		}
+		for i := range nodes {
+			heap = heapPush(heap, nodes, int32(i))
+		}
+		for len(heap) > 1 {
+			var a, b int32
+			heap, a = heapPop(heap, nodes)
+			heap, b = heapPop(heap, nodes)
+			nodes = append(nodes, enode{
+				weight: nodes[a].weight + nodes[b].weight,
+				symbol: min(nodes[a].symbol, nodes[b].symbol),
+				left:   a, right: b,
+			})
+			heap = heapPush(heap, nodes, int32(len(nodes)-1))
+		}
+		// Iterative depth-first walk assigning leaf depths; entries pack
+		// (arena index << 8 | depth), depth ≤ maxCodeLen < 256.
+		stack = append(stack, int64(heap[0])<<8)
+		for len(stack) > 0 {
+			top := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			idx, depth := int32(top>>8), int(top&0xff)
+			n := nodes[idx]
+			if n.left < 0 {
+				if depth > maxCodeLen {
+					return nil, nil, fmt.Errorf("huffman: code length %d exceeds maximum %d", depth, maxCodeLen)
+				}
+				lenOf[n.symbol] = uint8(depth)
+				continue
+			}
+			stack = append(stack, int64(n.left)<<8|int64(depth+1))
+			stack = append(stack, int64(n.right)<<8|int64(depth+1))
+		}
+	}
+
+	// Canonical order: by (length, symbol).
+	slices.SortFunc(present, func(a, b int32) int {
+		if lenOf[a] != lenOf[b] {
+			return int(lenOf[a]) - int(lenOf[b])
+		}
+		return int(a - b)
+	})
+	dst = binary.AppendUvarint(dst, uint64(len(syms)))
+	dst = binary.AppendUvarint(dst, uint64(nsym))
+	for _, s := range present {
+		dst = binary.AppendUvarint(dst, uint64(s))
+		dst = binary.AppendUvarint(dst, uint64(lenOf[s]))
+	}
+	return dst, lenOf, nil
+}
+
+// countedSyms turns fuzz input into a symbol stream with a chosen count
+// table. From base mod 2^20 (2^20 is the quantizer's capacity ceiling),
+// each 3-byte entry of data (step, then a little-endian uint16 c)
+// advances the symbol by step and appends c+1 copies of it; a step of 0
+// adds to the same symbol's count. Symbols stay below 2^20 and the
+// stream at or below 2^16 symbols, which still holds a 22-symbol
+// Fibonacci chain (codes up to 21 bits).
+func countedSyms(base uint32, data []byte) []int32 {
+	var syms []int32
+	s := int(base % (1 << 20))
+	for ; len(data) >= 3; data = data[3:] {
+		s += int(data[0])
+		n := int(binary.LittleEndian.Uint16(data[1:])) + 1
+		if s >= 1<<20 || len(syms)+n > 1<<16 {
+			break
+		}
+		for range n {
+			syms = append(syms, int32(s))
+		}
+	}
+	return syms
+}
+
+// countEntries encodes counts as countedSyms entries of the given
+// symbol step.
+func countEntries(step byte, counts ...int) []byte {
+	var data []byte
+	for _, c := range counts {
+		data = append(data, step, byte(c-1), byte((c-1)>>8))
+	}
+	return data
+}
+
+// FuzzBuildTableDifferential holds buildTable's two-queue merge to the
+// heap build it replaced: for every count table, the dense code-length
+// table and the emitted table header must be identical. One scratch
+// serves every input, so tables of every size also reuse each other's
+// buffers.
+func FuzzBuildTableDifferential(f *testing.F) {
+	equal := make([]int, 37)
+	for i := range equal {
+		equal[i] = 5
+	}
+	fib := []int{1, 1}
+	for len(fib) < 22 { // F(1)..F(22) sum to 46367, within the stream cap
+		fib = append(fib, fib[len(fib)-1]+fib[len(fib)-2])
+	}
+	f.Add(uint32(0), []byte{})
+	f.Add(uint32(0), countEntries(1, equal...))            // all-equal counts
+	f.Add(uint32(3), countEntries(2, equal[:32]...))       // a full tree of equal leaves
+	f.Add(uint32(0), countEntries(1, 1, 1, 2, 2))          // an internal node ties a leaf and goes first
+	f.Add(uint32(0), countEntries(1, 2, 1, 1))             // a leaf ties an internal node and goes first
+	f.Add(uint32(0), countEntries(1, 3, 1, 1, 1, 1, 2, 2)) // ties between internal nodes and leaves
+	f.Add(uint32(0), countEntries(1, fib...))              // Fibonacci chain, deepest codes first
+	slices.Reverse(fib)
+	f.Add(uint32(100), countEntries(7, fib...)) // the chain, counts falling as symbols rise
+	f.Add(uint32(42), countEntries(0, 9))       // one symbol
+	f.Add(uint32(42), countEntries(5, 9, 9))    // two symbols
+	f.Add(uint32(1<<20-40), countEntries(3, 4, 4, 1, 2, 7, 4, 1, 1, 3, 2))
+	sc := NewScratch()
+	f.Fuzz(func(t *testing.T, base uint32, data []byte) {
+		syms := countedSyms(base, data)
+		maxSym := maxSymOf(syms)
+		want, wantLens, wantErr := heapBuildTable(nil, syms, maxSym)
+		got, gotLens, _, _, err := buildTable(nil, syms, maxSym, sc)
+		if err != nil || wantErr != nil {
+			t.Fatalf("build errors: two-queue %v, heap %v", err, wantErr)
+		}
+		for s := range wantLens {
+			if gotLens[s] != wantLens[s] {
+				t.Fatalf("symbol %d: two-queue length %d, heap length %d", s, gotLens[s], wantLens[s])
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("table header differs:\n got %x\nwant %x", got, want)
+		}
+	})
 }
 
 // msbWriter accumulates bits most-significant-first into a byte buffer:

@@ -377,6 +377,28 @@ func TestServePutInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestServeEncoderMapBounded PUTs more distinct configurations than
+// maxEncoders: every PUT must still install its field, and the server
+// must keep at most maxEncoders encoders.
+func TestServeEncoderMapBounded(t *testing.T) {
+	s, ts := newTestServer(t)
+	body := sdf1Bytes(t, synthField("t", 4, 8, 8))
+	for i := range maxEncoders + 6 {
+		path := fmt.Sprintf("/v1/archives/a/fields/t?psnr=%d", 40+i)
+		resp := doPut(t, ts, path, body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("PUT %s: %d", path, resp.StatusCode)
+		}
+	}
+	s.encMu.Lock()
+	n := len(s.encs)
+	s.encMu.Unlock()
+	if n > maxEncoders {
+		t.Fatalf("%d encoders kept after %d configurations, cap %d", n, maxEncoders+6, maxEncoders)
+	}
+}
+
 func TestServeErrors(t *testing.T) {
 	_, ts := newTestServer(t)
 	put := doPut(t, ts, "/v1/archives/e/fields/x?psnr=70", sdf1Bytes(t, synthField("x", 16, 16)))

@@ -606,10 +606,17 @@ func optionsFromQuery(r *http.Request) (fixedpsnr.Options, error) {
 	return opt, nil
 }
 
+// maxEncoders caps the per-configuration encoder map: every distinct PUT
+// query string makes a configuration, so without a cap a client varying
+// one parameter would grow the daemon without limit.
+const maxEncoders = 64
+
 // encoder returns the session encoder for one compression configuration,
 // creating it on first use. Sharing encoders across requests shares
 // their scratch pools and per-field solver warm starts, so repeated
-// snapshot uploads of the same variable converge in 1–2 passes.
+// snapshot uploads of the same variable converge in 1–2 passes. A new
+// configuration arriving at a full map evicts an arbitrary one; a PUT
+// still holding the evicted encoder finishes with it.
 func (s *Server) encoder(opt fixedpsnr.Options) (*fixedpsnr.Encoder, error) {
 	key := fmt.Sprintf("%+v", opt)
 	s.encMu.Lock()
@@ -620,6 +627,12 @@ func (s *Server) encoder(opt fixedpsnr.Options) (*fixedpsnr.Encoder, error) {
 	enc, err := fixedpsnr.NewEncoder(fixedpsnr.WithOptions(opt))
 	if err != nil {
 		return nil, err
+	}
+	if len(s.encs) >= maxEncoders {
+		for k := range s.encs {
+			delete(s.encs, k)
+			break
+		}
 	}
 	s.encs[key] = enc
 	return enc, nil

@@ -139,9 +139,10 @@ func (szCodec) DecompressChunk(payload []byte, h *codec.Header, c int, dst []flo
 // serial loop.
 func compressCore(data []float64, dims []int, q *quantizer.Quantizer, codes []int32, recon []float64) (literals []float64, sumSq float64) {
 	var st coreState
+	if len(dims) == 1 {
+		dims = []int{1, dims[0]} // a 1-D slab is one row of a 2-D slab
+	}
 	switch len(dims) {
-	case 1:
-		compress1D(data, codes, recon, &st, q)
 	case 2:
 		compress2D(data, dims, codes, recon, &st, q)
 	case 3:
@@ -170,14 +171,6 @@ func quantizeStep(v, pred float64, q *quantizer.Quantizer, st *coreState) (code 
 	}
 	st.sumSq += err * err
 	return int32(c), pred + rec
-}
-
-func compress1D(data []float64, codes []int32, recon []float64, st *coreState, q *quantizer.Quantizer) {
-	prev := 0.0
-	for i, v := range data {
-		codes[i], recon[i] = quantizeStep(v, prev, q, st)
-		prev = recon[i]
-	}
 }
 
 // compress2D runs the 2-D Lorenzo predictor row by row. The first row
@@ -424,21 +417,10 @@ func decompressCore(out []float64, codes []int32, literals []float64, dims []int
 		li++
 		return v, nil
 	}
+	if len(dims) == 1 {
+		dims = []int{1, dims[0]} // a 1-D slab is one row of a 2-D slab
+	}
 	switch len(dims) {
-	case 1:
-		prev := 0.0
-		for i, c := range codes {
-			if c == 0 {
-				v, err := nextLiteral()
-				if err != nil {
-					return err
-				}
-				out[i] = v
-			} else {
-				out[i] = prev + q.Reconstruct(int(c))
-			}
-			prev = out[i]
-		}
 	case 2:
 		// First row, then interior rows: the same interior/border split
 		// as compress2D, with the stencil read from re-sliced rows so the
