@@ -409,14 +409,15 @@ func (ar *ArchiveReader) parseInfo(i int) (*StreamInfo, error) {
 	return h, nil
 }
 
-// ExtractAt decompresses entry i, drawing decode transients from the
-// reader's scratch.
+// ExtractAt decompresses entry i: ExtractRegionAt over the whole field,
+// so it reads only the cached header and the chunk payloads. The header
+// it returns is the one Info caches: treat it as read-only.
 func (ar *ArchiveReader) ExtractAt(i int) (*Field, *StreamInfo, error) {
-	blob, err := ar.Stream(i)
+	h, err := ar.Info(i)
 	if err != nil {
 		return nil, nil, err
 	}
-	return codec.DecompressScratch(context.Background(), blob, ar.scratch)
+	return ar.ExtractRegionAt(i, make([]int, len(h.Dims)), h.Dims)
 }
 
 // Extract decompresses the named entry. On a v2 archive only the index

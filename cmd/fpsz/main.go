@@ -149,33 +149,15 @@ func compress(ctx context.Context, args []string) error {
 		ChunkPoints:   *chunkPts,
 		RegionTargets: rois,
 	}
-	switch *compressor {
-	case "sz":
-		opt.Compressor = fixedpsnr.CompressorSZ
-	case "transform":
-		opt.Compressor = fixedpsnr.CompressorTransform
-	case "wavelet":
-		opt.Compressor = fixedpsnr.CompressorWavelet
-	default:
-		return fmt.Errorf("compress: unknown compressor %q", *compressor)
+	if opt.Compressor, err = serve.ParseCompressor(*compressor); err != nil {
+		return fmt.Errorf("compress: %w", err)
 	}
 	if *ratio > 0 {
 		// -ratio is a shorthand that selects the fixed-ratio target.
-		*mode = "ratio"
+		*mode = fixedpsnr.ModeRatio.String()
 	}
-	switch *mode {
-	case "abs":
-		opt.Mode, opt.ErrorBound = fixedpsnr.ModeAbs, *eb
-	case "rel":
-		opt.Mode, opt.RelBound = fixedpsnr.ModeRel, *eb
-	case "psnr":
-		opt.Mode, opt.TargetPSNR = fixedpsnr.ModePSNR, *psnr
-	case "ratio":
-		opt.Mode, opt.TargetRatio = fixedpsnr.ModeRatio, *ratio
-	case "pwrel":
-		opt.Mode, opt.PWRelBound = fixedpsnr.ModePWRel, *eb
-	default:
-		return fmt.Errorf("compress: unknown mode %q", *mode)
+	if err := serve.SetMode(&opt, *mode, *eb, *psnr, *ratio); err != nil {
+		return fmt.Errorf("compress: %w", err)
 	}
 
 	enc, err := fixedpsnr.NewEncoder(fixedpsnr.WithOptions(opt))
@@ -190,13 +172,13 @@ func compress(ctx context.Context, args []string) error {
 		return err
 	}
 	fmt.Printf("%s: %v %s\n", f.Name, f.Dims, f.Precision)
-	fmt.Printf("  mode=%s compressor=%s ebAbs=%.6g ebRel=%.6g\n", *mode, *compressor, res.EbAbs, res.EbRel)
+	fmt.Printf("  mode=%v compressor=%v ebAbs=%.6g ebRel=%.6g\n", opt.Mode, opt.Compressor, res.EbAbs, res.EbRel)
 	fmt.Printf("  %d -> %d bytes  ratio=%.2f  bitrate=%.3f bits/value  unpredictable=%d\n",
 		res.OriginalBytes, res.CompressedBytes, res.Ratio, res.BitRate, res.Unpredictable)
-	if *mode == "psnr" {
+	if opt.Mode == fixedpsnr.ModePSNR {
 		fmt.Printf("  target PSNR=%.2f dB (estimated actual: %.2f dB)\n", *psnr, res.EstimatedPSNR)
 	}
-	if *mode == "ratio" {
+	if opt.Mode == fixedpsnr.ModeRatio {
 		fmt.Printf("  target ratio=%.2f achieved=%.2f (%+.1f%%) in %d pass(es)\n",
 			res.TargetRatio, res.Ratio, 100*(res.Ratio-res.TargetRatio)/res.TargetRatio, res.Passes)
 	}

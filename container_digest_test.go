@@ -12,7 +12,8 @@ import (
 
 // containerDigests pins the stream bytes and decoded float64 bits of the
 // encode configurations the committed fixtures do not cover: the default
-// Workers-derived tiling (one sz chunk per worker, one otc chunk), rank-1
+// Workers-derived tiling (one chunk per worker, otc's rounded to its
+// block edge), otc under an explicit one-chunk ChunkRows, rank-1
 // and rank-2 fields, float64 fields, AutoCapacity, the pointwise-relative
 // log-domain container, a grouped (version-4) RegionTargets stream,
 // streaming EncodeFrom, and constant fields. The calibrated_* entries
@@ -40,6 +41,8 @@ var containerDigests = map[string][2]string{
 	"f64_rank3_psnr_w2":              {"e22f1e1922202268c11bc562b85c6a36e647da9a35447eab96255cb71333a656", "0b1308f9a20abdd292700dc08c836d53a5923ec1ef41bb1baab86faf32a09678"},
 	"otc_default_ratio_w2":           {"c8f8b4b5c9082e8ab5cd901d742b6b1162fa86570957770334a7df879f58dabd", "f4968405d76cf8e5cd3afaa2a97190c5bcf222545e31a85c3e20a9e207ce4bd4"},
 	"otc_default_psnr_w4":            {"4b6d38d5ef61944444f29a098a82ac0c412080365e67ef9ede4fb1541f51d36e", "09a4a0cf523fefe817b78bd865f2220e05962f09468e327780cea5d85f4e5a17"},
+	"otc_tiled_ratio_w2":             {"0746649d1c399c6cee9203e24102548212fce40f6fb6d05accea58f695bc587d", "641dcb56f2a55c4ed707c285da5ee1938f1a9bdba9ec4447fe68b02c7278bf92"},
+	"otc_tiled_psnr_w4":              {"c020f431000c2d130593c61a22012046bc64c1408827ceccd1cc2b144909dcd5", "09a4a0cf523fefe817b78bd865f2220e05962f09468e327780cea5d85f4e5a17"},
 	"pwrel_w2":                       {"ab9be5d052337367e15301206a7e1efa0af5eec4f6ef3cac5f16d4061ab704a2", "22202c514caeef16f6c19613efa2ed384f16e593841d09c7356cbaf491beaf36"},
 	"rank1_abs_w4":                   {"89b878a4cf9bd718356db487b5a2ff3619ef7c32cfada03e1ce6d8c644660e75", "fd3eb6519743bc729f7a2f7b1a84a9a68fadfec741d9c9a71663c987195e56b8"},
 	"rank2_otc_chunked_w2":           {"470a6e18994f4d94fa9e79135e7b97607c3cc3cd4ade56d7fd3c6c9fd429e9cf", "ea82cb8a4c76880f1d0ee94306b2f41fd78b0929d72e780df3a0c1df7fcfcb6f"},
@@ -122,6 +125,10 @@ func containerCases() map[string]containerCase {
 	}
 	otcPSNR := psnr(70, false, 4)
 	otcPSNR.Compressor = fixedpsnr.CompressorTransform
+	// The field's 64 rows as one chunk: the tiling otc's default gave
+	// before it followed Workers.
+	otcRatio1, otcPSNR1 := ratio(8, fixedpsnr.CompressorTransform, 2), otcPSNR
+	otcRatio1.ChunkRows, otcPSNR1.ChunkRows = 64, 64
 	auto := psnr(75, false, 2)
 	auto.AutoCapacity = true
 	rank2otc := fixedpsnr.Options{
@@ -156,8 +163,10 @@ func containerCases() map[string]containerCase {
 		"sz_default_calibrated_w1": {field: rank3, opt: psnr(60, true, 1), chunks: 1, version: 3},
 		"sz_default_calibrated_w2": {field: rank3, opt: psnr(90, true, 2), chunks: 2, version: 3},
 		"sz_default_ratio_w4":      {field: rank3, opt: ratio(16, fixedpsnr.CompressorSZ, 4), chunks: 4, version: 3, passes: 3},
-		"otc_default_ratio_w2":     {field: rank3, opt: ratio(8, fixedpsnr.CompressorTransform, 2), chunks: 1, version: 3, passes: 3},
-		"otc_default_psnr_w4":      {field: rank3, opt: otcPSNR, chunks: 1, version: 3},
+		"otc_default_ratio_w2":     {field: rank3, opt: otcRatio1, chunks: 1, version: 3, passes: 3},
+		"otc_default_psnr_w4":      {field: rank3, opt: otcPSNR1, chunks: 1, version: 3},
+		"otc_tiled_ratio_w2":       {field: rank3, opt: ratio(8, fixedpsnr.CompressorTransform, 2), chunks: 2, version: 3, passes: 4},
+		"otc_tiled_psnr_w4":        {field: rank3, opt: otcPSNR, chunks: 4, version: 3},
 		"f64_rank3_psnr_w2":        {field: rank3f64, opt: psnr(70, true, 2), chunks: 2, version: 3},
 		"auto_capacity_w2":         {field: rank3, opt: auto, chunks: 2, version: 3},
 		"rank1_abs_w4":             {field: rank1, opt: fixedpsnr.Options{Mode: fixedpsnr.ModeAbs, ErrorBound: 1e-4, Workers: 4}, chunks: 4, version: 3},

@@ -598,7 +598,7 @@ type RegionResult struct {
 // Encoder instead, which adds context cancellation, io.Writer streaming,
 // batch compression, and scratch-buffer reuse over the same pipeline.
 func Compress(f *Field, opt Options) ([]byte, *Result, error) {
-	return compress(context.Background(), f, opt, nil, nil)
+	return compress(context.Background(), f, opt, nil, nil, nil)
 }
 
 // compress is the shared compression core behind Compress and
@@ -606,8 +606,10 @@ func Compress(f *Field, opt Options) ([]byte, *Result, error) {
 // layer, and the stream is produced by the selected registered codec with
 // ctx cancellation honored between slabs/blocks/refinement passes and
 // transient buffers drawn from sc (both may be Background/nil). wc is the
-// session's solver warm-start cache (nil for one-shot callers).
-func compress(ctx context.Context, f *Field, opt Options, sc *codec.Scratch, wc *warmCache) ([]byte, *Result, error) {
+// session's solver warm-start cache the first pass looks up (nil for
+// one-shot callers); a non-nil settled receives the bound a steered
+// encode settled on, for the caller to store.
+func compress(ctx context.Context, f *Field, opt Options, sc *codec.Scratch, wc *warmCache, settled *float64) ([]byte, *Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -682,8 +684,8 @@ func compress(ctx context.Context, f *Field, opt Options, sc *codec.Scratch, wc 
 	if err != nil {
 		return nil, nil, err
 	}
-	if tgt != nil && !opt.NoWarmStart {
-		wc.store(f.Name, opt, ebAbs)
+	if tgt != nil && !opt.NoWarmStart && settled != nil {
+		*settled = ebAbs
 	}
 	return blob, steeredResult(st, opt, res, vr, ebAbs, passes), nil
 }

@@ -74,11 +74,12 @@ func RowsForChunkPoints(dims []int, chunkPoints int) int {
 }
 
 // ChunkPlanner is the optional interface of a Codec whose tiling
-// deviates from the generic ChunkSpans — otc rounds ChunkPoints-derived
-// chunk heights to its transform block edge so chunk boundaries do not
-// shear blocks. Container-assembling callers (the streaming encoder)
-// must use the codec's planner when it has one, so the same options
-// produce the same tiling on every encode path.
+// deviates from the generic ChunkSpans — otc rounds the chunk heights of
+// ChunkPoints and of the Workers-derived default up to its transform
+// block edge so chunk boundaries do not shear blocks. Container-assembling
+// callers (the streaming encoder) must use the codec's planner when it
+// has one, so the same options produce the same tiling on every encode
+// path.
 type ChunkPlanner interface {
 	ChunkSpans(dims []int, opt Options) [][2]int
 }

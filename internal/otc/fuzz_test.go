@@ -1,6 +1,7 @@
 package otc
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"math"
@@ -64,6 +65,59 @@ func TestDecompressRejectsOversizedBlockPrefix(t *testing.T) {
 	}
 	if _, _, err := codec.Decompress(blob); err == nil {
 		t.Fatal("Decompress accepted a payload declaring block size 2048")
+	}
+}
+
+// A payload holding one literal fewer, or one more, than its zero codes
+// claim is an error from DecompressChunk, never a panic: the block loop
+// checks the count as it consumes literals, and once more at the end.
+func TestDecompressChunkLiteralCountMismatch(t *testing.T) {
+	// Huge DC coefficients with a tiny capacity force literals.
+	f := smoothField("lit", 0.01, 32, 32)
+	for i := range f.Data {
+		f.Data[i] += 1e6
+	}
+	opt := Options{ErrorBound: 5e-5, Capacity: 4, Workers: 1}
+	blob, _, err := compress(f, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := codec.ParseHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := codec.ChunkPayload(blob, h, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := (otcCodec{}).QuantizeChunk(context.Background(), f.Data, f.Dims, f.Precision, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(q.Literals)
+	if len(h.Chunks) != 1 || n < 2 {
+		t.Fatalf("%d chunks with %d literals; the test needs one chunk with literals", len(h.Chunks), n)
+	}
+	for _, tc := range []struct {
+		name string
+		lits []float64
+	}{
+		{"exact", q.Literals},
+		{"one fewer", q.Literals[:n-1]},
+		{"one more", append(q.Literals[:n:n], q.Literals[0])},
+	} {
+		var sc *codec.Scratch
+		payload, err := sc.AppendPayload(nil, q.Prefix, q.Codes, q.MaxSym, tc.lits, q.Prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.name == "exact" && !bytes.Equal(payload, want) {
+			t.Fatal("the rebuilt payload differs from the encoded chunk's")
+		}
+		err = (otcCodec{}).DecompressChunk(payload, h, 0, make([]float64, h.ChunkPoints(0)), codec.NewScratch())
+		if (err == nil) != (tc.name == "exact") {
+			t.Fatalf("%s: DecompressChunk returned %v", tc.name, err)
+		}
 	}
 }
 

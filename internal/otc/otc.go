@@ -71,8 +71,8 @@ const (
 
 // Options is the unified codec configuration (see codec.Options). The
 // transform pipeline reads ErrorBound (half the coefficient bin width:
-// δ = 2·ErrorBound), Transform, BlockSize, Capacity, Workers, and the
-// header annotations, and tiles by ChunkRows or ChunkPoints (see
+// δ = 2·ErrorBound), Transform, BlockSize, Capacity and the header
+// annotations, and tiles by ChunkRows, ChunkPoints or Workers (see
 // ChunkSpans); AutoCapacity is ignored.
 type Options = codec.Options
 
@@ -162,42 +162,6 @@ func (g blockGrid) block(bi int) blockRange {
 	return br
 }
 
-// blockBufs hands each worker slot of a parallel block loop one buffer,
-// drawn from the slot's scratch shard on first use: room for the grid's
-// largest block twice over, since the DCT axis kernel writes out of
-// place.
-type blockBufs struct {
-	sc   *codec.Scratch
-	n    int // points in the largest block
-	bufs [][]float64
-}
-
-// newBlockBufs sizes the slot table for parallel.ForEachWorkerCtx over
-// g's blocks with the given worker bound.
-func newBlockBufs(sc *codec.Scratch, g blockGrid, workers int) *blockBufs {
-	if workers <= 0 {
-		workers = parallel.DefaultWorkers()
-	}
-	return &blockBufs{sc: sc, n: g.maxPoints(), bufs: make([][]float64, min(workers, g.len()))}
-}
-
-// get returns worker slot w's two n-point halves.
-func (b *blockBufs) get(w, n int) (cur, tmp []float64) {
-	buf := b.bufs[w]
-	if buf == nil {
-		buf = b.sc.Shard(w).Floats(2 * b.n)
-		b.bufs[w] = buf
-	}
-	return buf[:n], buf[b.n : b.n+n]
-}
-
-// release returns every slot's buffer to its shard.
-func (b *blockBufs) release() {
-	for w, buf := range b.bufs {
-		b.sc.Shard(w).PutFloats(buf)
-	}
-}
-
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // applyBlock applies the separable orthonormal block transform (or, with
@@ -240,18 +204,26 @@ func applyBlock(cur, tmp []float64, sizes []int, tr Transform, inverse bool) ([]
 }
 
 // ChunkSpans implements codec.ChunkPlanner, so every container
-// assembler tiles identically for the same options: a single
-// whole-field chunk by default, explicit ChunkRows verbatim, and
-// ChunkPoints rounded up to a multiple of the block edge so chunk
-// boundaries do not shear transform blocks.
+// assembler tiles identically for the same options: explicit ChunkRows
+// verbatim; otherwise chunks ChunkPoints tall or, when that is unset
+// too, ⌈dims[0]/Workers⌉ rows tall (Workers ≤ 0: GOMAXPROCS), the
+// container's one chunk per worker. Either height is rounded up to a
+// multiple of the block edge so chunk boundaries do not shear transform
+// blocks.
 func (otcCodec) ChunkSpans(dims []int, opt codec.Options) [][2]int {
 	if opt.ChunkRows > 0 {
 		return parallel.Chunks(dims[0], opt.ChunkRows)
 	}
-	if opt.ChunkPoints <= 0 {
-		return [][2]int{{0, dims[0]}}
+	var rows int
+	if opt.ChunkPoints > 0 {
+		rows = codec.RowsForChunkPoints(dims, opt.ChunkPoints)
+	} else {
+		workers := opt.Workers
+		if workers <= 0 {
+			workers = parallel.DefaultWorkers()
+		}
+		rows = (dims[0] + workers - 1) / workers
 	}
-	rows := codec.RowsForChunkPoints(dims, opt.ChunkPoints)
 	b := blockEdge(opt)
 	if rem := rows % b; rem != 0 && rows+b-rem <= dims[0] {
 		rows += b - rem
@@ -267,10 +239,12 @@ func (c otcCodec) CompressChunk(ctx context.Context, data []float64, dims []int,
 
 // QuantizeChunk implements codec.ChunkQuantizer: it transforms and
 // quantizes one row slab. Blocks are cut to the chunk boundary, so every
-// chunk is independently decodable. Blocks within the chunk run in
-// parallel under opt.Workers; each writes its codes into one chunk-wide
-// slice at its own offset.
+// chunk is independently decodable. The blocks run in grid order through
+// one buffer from sc; the container's chunk loop is the only parallelism.
 func (otcCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) (codec.Quantized, error) {
+	if err := ctx.Err(); err != nil {
+		return codec.Quantized{}, err
+	}
 	if opt.Capacity == 0 {
 		opt.Capacity = quantizer.DefaultCapacity
 	}
@@ -285,40 +259,35 @@ func (otcCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, p
 	}
 	g := newBlockGrid(dims, blockEdge(opt))
 	codes := sc.Int32s(len(data))
-	lits := make([][]float64, g.len()) // per-block literals, nil for most
-	bufs := newBlockBufs(sc, g, opt.Workers)
-	defer bufs.release()
-	err = parallel.ForEachWorkerCtx(ctx, g.len(), opt.Workers, func(w, bi int) error {
+	// Room for the largest block twice over: the DCT axis kernel writes
+	// out of place.
+	m := g.maxPoints()
+	buf := sc.Floats(2 * m)
+	defer sc.PutFloats(buf)
+	var literals []float64
+	var zero [3]int
+	rank := len(dims)
+	for bi := range g.len() {
 		br := g.block(bi)
-		cur, tmp := bufs.get(w, br.n)
-		var zero [3]int
-		rank := len(dims)
+		cur, tmp := buf[:br.n], buf[m:m+br.n]
 		field.CopyRegion(cur, br.size[:rank], zero[:rank], data, dims, br.off[:rank], br.size[:rank])
 		coef, err := applyBlock(cur, tmp, br.size[:rank], opt.Transform, false)
 		if err != nil {
-			return err
+			sc.PutInt32s(codes)
+			return codec.Quantized{}, err
 		}
 		cs := codes[br.pos : br.pos+br.n]
 		for i, c := range coef {
 			code, ok := q.Quantize(c)
 			if !ok {
-				lits[bi] = append(lits[bi], c)
+				literals = append(literals, c)
 				cs[i] = 0
 				continue
 			}
 			cs[i] = int32(code)
 		}
-		return nil
-	})
-	if err != nil {
-		sc.PutInt32s(codes)
-		return codec.Quantized{}, err
 	}
 
-	var literals []float64
-	for _, l := range lits {
-		literals = append(literals, l...)
-	}
 	// The payload prefix records the transform and block size; the
 	// coefficient literals are stored as float64 whatever the field's
 	// precision.
@@ -332,8 +301,9 @@ func (otcCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, p
 
 // DecompressChunk implements codec.ChunkCodec for OTC streams: it
 // reverses CompressChunk for chunk ci, reconstructing into dst (the
-// chunk's points). Blocks within the chunk run in parallel. Transient
-// buffers come from sc (nil = fresh allocations).
+// chunk's points). The blocks run in grid order through one buffer from
+// sc (nil = fresh allocations), each consuming its literals as its zero
+// codes claim them.
 func (otcCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []float64, sc *codec.Scratch) error {
 	if h.Codec != codec.IDOTC {
 		return fmt.Errorf("otc: cannot decode chunks of stream ID %v", h.Codec)
@@ -362,52 +332,39 @@ func (otcCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []f
 		return err
 	}
 	g := newBlockGrid(dims, blockSize)
-
-	// Each block's literals start after those of every earlier block,
-	// which depends on the codes before it, so this pass is serial; the
-	// inverse transforms then run in parallel.
-	litOff := make([]int, g.len())
-	lit := 0
-	for bi := range litOff {
-		litOff[bi] = lit
+	m := g.maxPoints()
+	buf := sc.Floats(2 * m)
+	defer sc.PutFloats(buf)
+	var zero [3]int
+	rank := len(dims)
+	li := 0
+	for bi := range g.len() {
 		br := g.block(bi)
-		for _, c := range codes[br.pos : br.pos+br.n] {
-			if c == 0 {
-				lit++
-			}
-		}
-	}
-	if lit != len(literals) {
-		return fmt.Errorf("otc: literal count mismatch (%d vs %d)", lit, len(literals))
-	}
-
-	bufs := newBlockBufs(sc, g, 0)
-	defer bufs.release()
-	return parallel.ForEachWorkerCtx(context.Background(), g.len(), 0, func(w, bi int) error {
-		br := g.block(bi)
-		cur, tmp := bufs.get(w, br.n)
-		li := litOff[bi]
 		// Range over the block's code window with cur pinned to the same
 		// length so the compiler drops both bounds checks in the hot loop.
 		cs := codes[br.pos : br.pos+br.n]
-		cur = cur[:len(cs)]
+		cur, tmp := buf[:len(cs)], buf[m:m+len(cs)]
 		for i, c := range cs {
 			if c == 0 {
+				if li == len(literals) {
+					return fmt.Errorf("otc: chunk %d: more zero codes than its %d literals", ci, len(literals))
+				}
 				cur[i] = literals[li]
 				li++
 				continue
 			}
 			cur[i] = q.Reconstruct(int(c))
 		}
-		rank := len(dims)
 		vals, err := applyBlock(cur, tmp, br.size[:rank], tr, true)
 		if err != nil {
 			return err
 		}
-		var zero [3]int
 		field.CopyRegion(dst, dims, br.off[:rank], vals, br.size[:rank], zero[:rank], br.size[:rank])
-		return nil
-	})
+	}
+	if li != len(literals) {
+		return fmt.Errorf("otc: chunk %d: literal count mismatch (%d vs %d)", ci, li, len(literals))
+	}
+	return nil
 }
 
 // parsePrefix reads the transform byte and block size that lead every

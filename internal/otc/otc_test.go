@@ -90,6 +90,33 @@ func TestBlockGridCoversField(t *testing.T) {
 	}
 }
 
+// With ChunkRows and ChunkPoints unset, otc tiles like the container's
+// default, ⌈rows/Workers⌉ rows per chunk rounded up to the block edge: a
+// field of at least Workers·edge rows gets more than one chunk, each
+// starting on a block edge, and Workers 1 gets one chunk.
+func TestChunkSpansDefaultFollowsWorkers(t *testing.T) {
+	for _, b := range []int{3, 8} {
+		for w := 1; w <= 6; w++ {
+			for rows := w * b; rows <= (w+2)*b; rows++ {
+				spans := otcCodec{}.ChunkSpans([]int{rows, 5}, Options{Workers: w, BlockSize: b})
+				if (len(spans) > 1) != (w > 1) {
+					t.Fatalf("edge %d, %d workers, %d rows: %d chunks", b, w, rows, len(spans))
+				}
+				lo := 0
+				for _, s := range spans {
+					if s[0] != lo || s[0]%b != 0 || s[1] <= s[0] {
+						t.Fatalf("edge %d, %d workers, %d rows: spans %v", b, w, rows, spans)
+					}
+					lo = s[1]
+				}
+				if lo != rows {
+					t.Fatalf("edge %d, %d workers, %d rows: spans %v end at %d", b, w, rows, spans, lo)
+				}
+			}
+		}
+	}
+}
+
 func TestGatherScatterInverse(t *testing.T) {
 	dims := []int{6, 7, 8}
 	src := make([]float64, 6*7*8)

@@ -415,6 +415,7 @@ func TestServeErrors(t *testing.T) {
 		{"GET", "/v1/archives/e/fields/x/region?off=0,0&ext=99,99", nil, 400}, // out of bounds
 		{"GET", "/v1/archives/e/fields/x/region?off=a,b&ext=1,1", nil, 400},   // not integers
 		{"PUT", "/v1/archives/e/fields/y?mode=bogus", sdf1Bytes(t, synthField("y", 8, 8)), 400},
+		{"PUT", "/v1/archives/e/fields/y?compressor=bogus", sdf1Bytes(t, synthField("y", 8, 8)), 400},
 		{"PUT", "/v1/archives/e/fields/y", []byte("not a field"), 400},
 		// 14 bytes declaring a 512^3 float64 field: rejected before the
 		// reader allocates the 1 GiB it claims.
@@ -679,6 +680,32 @@ func TestParseSpecs(t *testing.T) {
 		if _, err := ParseROISpec(bad); err == nil {
 			t.Errorf("ParseROISpec(%q): want error", bad)
 		}
+	}
+
+	// Every mode takes its name from Mode.String and its bound from the
+	// one argument it reads.
+	for _, want := range []fixedpsnr.Options{
+		{Mode: fixedpsnr.ModeAbs, ErrorBound: 1},
+		{Mode: fixedpsnr.ModeRel, RelBound: 1},
+		{Mode: fixedpsnr.ModePSNR, TargetPSNR: 2},
+		{Mode: fixedpsnr.ModeRatio, TargetRatio: 3},
+		{Mode: fixedpsnr.ModePWRel, PWRelBound: 1},
+	} {
+		var got fixedpsnr.Options
+		if err := SetMode(&got, want.Mode.String(), 1, 2, 3); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("SetMode(%v): %+v, %v", want.Mode, got, err)
+		}
+	}
+	for _, want := range []fixedpsnr.Compressor{fixedpsnr.CompressorSZ, fixedpsnr.CompressorTransform, fixedpsnr.CompressorWavelet} {
+		if got, err := ParseCompressor(want.String()); err != nil || got != want {
+			t.Errorf("ParseCompressor(%v): %v, %v", want, got, err)
+		}
+	}
+	if err := SetMode(new(fixedpsnr.Options), "bogus", 1, 2, 3); err == nil {
+		t.Error("SetMode(bogus): want error")
+	}
+	if _, err := ParseCompressor(""); err == nil {
+		t.Error("ParseCompressor(\"\"): want error")
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -52,7 +53,6 @@ type Server struct {
 	cfg     Config
 	cat     *Catalog
 	cache   *ChunkCache
-	dec     *fixedpsnr.Decoder
 	met     *Metrics
 	lim     *Limiter
 	scratch *codec.Scratch
@@ -75,7 +75,6 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		cat:     cat,
 		cache:   NewChunkCache(cfg.CacheBytes),
-		dec:     fixedpsnr.NewDecoder(),
 		met:     NewMetrics(),
 		lim:     NewLimiter(cfg.MaxInFlight, cfg.QueueDepth, cfg.QueueTimeout, nil),
 		scratch: codec.NewScratch(),
@@ -307,12 +306,12 @@ func (s *Server) handleGetField(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, err)
 		return
 	}
-	blob, err := ar.Stream(i)
+	h, err := ar.Info(i)
 	if err != nil {
 		httpErr(w, err)
 		return
 	}
-	f, _, err := s.dec.Decode(r.Context(), blob)
+	f, _, err := ar.ExtractRegionAtContext(r.Context(), i, make([]int, len(h.Dims)), h.Dims)
 	if err != nil {
 		httpErr(w, err)
 		return
@@ -564,34 +563,16 @@ func optionsFromQuery(r *http.Request) (fixedpsnr.Options, error) {
 	mode := q.Get("mode")
 	if mode == "" {
 		if ratio > 0 {
-			mode = "ratio"
+			mode = fixedpsnr.ModeRatio.String()
 		} else {
-			mode = "psnr"
+			mode = fixedpsnr.ModePSNR.String()
 		}
 	}
-	switch mode {
-	case "psnr":
-		opt.Mode, opt.TargetPSNR = fixedpsnr.ModePSNR, psnr
-	case "ratio":
-		opt.Mode, opt.TargetRatio = fixedpsnr.ModeRatio, ratio
-	case "abs":
-		opt.Mode, opt.ErrorBound = fixedpsnr.ModeAbs, eb
-	case "rel":
-		opt.Mode, opt.RelBound = fixedpsnr.ModeRel, eb
-	case "pwrel":
-		opt.Mode, opt.PWRelBound = fixedpsnr.ModePWRel, eb
-	default:
-		return opt, fmt.Errorf("unknown mode %q (want psnr, ratio, abs, rel, or pwrel)", mode)
+	if err := SetMode(&opt, mode, eb, psnr, ratio); err != nil {
+		return opt, err
 	}
-	switch comp := q.Get("compressor"); comp {
-	case "", "sz":
-		opt.Compressor = fixedpsnr.CompressorSZ
-	case "transform":
-		opt.Compressor = fixedpsnr.CompressorTransform
-	case "wavelet":
-		opt.Compressor = fixedpsnr.CompressorWavelet
-	default:
-		return opt, fmt.Errorf("unknown compressor %q", comp)
+	if opt.Compressor, err = ParseCompressor(cmp.Or(q.Get("compressor"), fixedpsnr.CompressorSZ.String())); err != nil {
+		return opt, err
 	}
 	if opt.ChunkPoints, err = intQ("chunkpoints"); err != nil {
 		return opt, fmt.Errorf("chunkpoints: %w", err)

@@ -8,12 +8,55 @@ import (
 	"fixedpsnr"
 )
 
-// Region and ROI spec parsing, shared by the fpsz CLI flags and the
-// server's query parameters so both surfaces speak one syntax:
+// Mode, compressor, region and ROI spec parsing, shared by the fpsz CLI
+// flags and the server's query parameters so both surfaces speak one
+// syntax:
 //
-//	region: "off:ext[,off:ext...]"        one off:ext pair per dimension
-//	roi:    "<region>=psnr:<dB>"          region steered to a fixed PSNR
-//	        "<region>=ratio:<R>"          region steered to a fixed ratio
+//	mode:       Mode.String's names       abs, rel, psnr, ratio, pwrel
+//	compressor: Compressor.String's names sz, transform, wavelet
+//	region:     "off:ext[,off:ext...]"    one off:ext pair per dimension
+//	roi:        "<region>=psnr:<dB>"      region steered to a fixed PSNR
+//	            "<region>=ratio:<R>"      region steered to a fixed ratio
+
+// byName returns the value among all whose String is name.
+func byName[T fmt.Stringer](kind, name string, all ...T) (T, error) {
+	for _, v := range all {
+		if v.String() == name {
+			return v, nil
+		}
+	}
+	var zero T
+	return zero, fmt.Errorf("unknown %s %q (want one of %v)", kind, name, all)
+}
+
+// ParseCompressor returns the compressor Compressor.String names name.
+func ParseCompressor(name string) (fixedpsnr.Compressor, error) {
+	return byName("compressor", name, fixedpsnr.CompressorSZ, fixedpsnr.CompressorTransform, fixedpsnr.CompressorWavelet)
+}
+
+// SetMode sets opt.Mode to the mode Mode.String names name, and stores
+// the bound that mode reads: eb for abs, rel and pwrel, psnr for psnr,
+// ratio for ratio.
+func SetMode(opt *fixedpsnr.Options, name string, eb, psnr, ratio float64) error {
+	m, err := byName("mode", name, fixedpsnr.ModeAbs, fixedpsnr.ModeRel, fixedpsnr.ModePSNR, fixedpsnr.ModeRatio, fixedpsnr.ModePWRel)
+	if err != nil {
+		return err
+	}
+	opt.Mode = m
+	switch m {
+	case fixedpsnr.ModeAbs:
+		opt.ErrorBound = eb
+	case fixedpsnr.ModeRel:
+		opt.RelBound = eb
+	case fixedpsnr.ModePSNR:
+		opt.TargetPSNR = psnr
+	case fixedpsnr.ModeRatio:
+		opt.TargetRatio = ratio
+	case fixedpsnr.ModePWRel:
+		opt.PWRelBound = eb
+	}
+	return nil
+}
 
 // ParseRegionSpec parses "off:ext,off:ext,..." into offset and extent
 // vectors, one pair per dimension.

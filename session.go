@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sync"
 
@@ -85,7 +86,16 @@ func (wc *warmCache) lookup(name string, opt Options) (bound float64, ok bool) {
 	return wp.bound, true
 }
 
-// store records the settled bound of a steered encode.
+// clone copies the cache as it stands: the warm starts every field of a
+// batch looks up, whatever order the batch's encodes finish in.
+func (wc *warmCache) clone() *warmCache {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	return &warmCache{m: maps.Clone(wc.m)}
+}
+
+// store records the settled bound of a steered encode; a bound of zero
+// (no steered encode settled) records nothing.
 func (wc *warmCache) store(name string, opt Options, bound float64) {
 	if wc == nil || name == "" || !(bound > 0) || math.IsInf(bound, 0) {
 		return
@@ -211,7 +221,10 @@ func (e *Encoder) Options() Options { return e.opt }
 // plus a result summary. Cancelling ctx aborts the compression within
 // one slab/block of work per worker and returns ctx.Err().
 func (e *Encoder) Encode(ctx context.Context, f *Field) ([]byte, *Result, error) {
-	return compress(ctx, f, e.opt, e.scratch, e.warm)
+	var settled float64
+	blob, res, err := compress(ctx, f, e.opt, e.scratch, e.warm, &settled)
+	e.warm.store(f.Name, e.opt, settled)
+	return blob, res, err
 }
 
 // EncodeTo compresses one field and writes the stream to w, for callers
@@ -234,18 +247,24 @@ func (e *Encoder) EncodeTo(ctx context.Context, w io.Writer, f *Field) (*Result,
 // fields (at least one worker each), and all fields share the session's
 // scratch pools. A single-field "batch" therefore compresses with the
 // session's full parallelism rather than one core. Results are returned
-// per field, in order. The first error (or ctx.Err() on cancellation)
-// aborts the batch; in-flight fields finish, unstarted ones never run.
+// per field, in order. Every field starts from the session's warm starts
+// as they stood when the batch began, and the bounds the batch settles on
+// are stored after it, in field order, so a batch's bytes do not depend
+// on which encode finishes first. The first error (or ctx.Err() on
+// cancellation) aborts the batch; in-flight fields finish, unstarted ones
+// never run.
 func (e *Encoder) EncodeBatch(ctx context.Context, fields []*Field) ([][]byte, []*Result, error) {
 	if len(fields) == 0 {
 		return nil, nil, fmt.Errorf("fixedpsnr: no fields to encode")
 	}
 	perField := e.opt
 	perField.Workers = batchWorkers(e.opt.Workers, len(fields))
+	warm := e.warm.clone()
 	streams := make([][]byte, len(fields))
 	results := make([]*Result, len(fields))
+	settled := make([]float64, len(fields))
 	err := parallel.ForEachCtx(ctx, len(fields), e.opt.Workers, func(i int) error {
-		blob, res, err := compress(ctx, fields[i], perField, e.scratch, e.warm)
+		blob, res, err := compress(ctx, fields[i], perField, e.scratch, warm, &settled[i])
 		if err != nil {
 			return fmt.Errorf("fixedpsnr: field %q: %w", fields[i].Name, err)
 		}
@@ -255,6 +274,9 @@ func (e *Encoder) EncodeBatch(ctx context.Context, fields []*Field) ([][]byte, [
 	})
 	if err != nil {
 		return nil, nil, err
+	}
+	for i, f := range fields {
+		e.warm.store(f.Name, e.opt, settled[i])
 	}
 	return streams, results, nil
 }

@@ -1,6 +1,7 @@
 package fixedpsnr_test
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -135,6 +136,43 @@ func TestWarmStartOptOut(t *testing.T) {
 	for i := range blob0 {
 		if blob0[i] != blob1[i] {
 			t.Fatalf("opt-out re-encode differs at byte %d", i)
+		}
+	}
+}
+
+// TestEncodeBatchWarmStartDeterministic: concurrent encodes in a batch
+// must not see each other's warm starts. Six snapshots of one variable
+// go through one EncodeBatch of a fresh Encoder, 30 times over; every
+// run must give the same streams. Before every field looked up the
+// cache as it stood when the batch began, the outcome followed the
+// order the encodes finished in (2 distinct outputs in 30 runs).
+func TestEncodeBatchWarmStartDeterministic(t *testing.T) {
+	fields := make([]*fixedpsnr.Field, 6)
+	for s := range fields {
+		fields[s] = snapshotField("T", 3*s, 48, 64, 64)
+	}
+	var first [][]byte
+	for run := range 30 {
+		enc, err := fixedpsnr.NewEncoder(
+			fixedpsnr.WithMode(fixedpsnr.ModeRatio),
+			fixedpsnr.WithTargetRatio(12),
+			fixedpsnr.WithWorkers(2),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams, _, err := enc.EncodeBatch(context.Background(), fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = streams
+			continue
+		}
+		for i, s := range streams {
+			if !bytes.Equal(s, first[i]) {
+				t.Fatalf("run %d: field %d stream differs from run 0's", run, i)
+			}
 		}
 	}
 }
