@@ -366,8 +366,9 @@ func archive(ctx context.Context, args []string) error {
 	}
 	sort.Strings(paths)
 
-	// Stream into a temp file and rename on success, so a failed run
-	// never leaves a truncated archive at the destination.
+	// Stream into a temp file, sync it and rename it on success, so
+	// neither a failed run nor a crash after the rename leaves a
+	// truncated archive at the destination.
 	tmp := *out + ".tmp"
 	outFile, err := os.Create(tmp)
 	if err != nil {
@@ -430,6 +431,9 @@ func archive(ctx context.Context, args []string) error {
 	}
 	st, err := outFile.Stat()
 	if err != nil {
+		return err
+	}
+	if err := outFile.Sync(); err != nil {
 		return err
 	}
 	if err := outFile.Close(); err != nil {

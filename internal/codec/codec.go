@@ -67,7 +67,8 @@ type Codec interface {
 	// (h.ChunkPoints(ci) of them). Implementations should draw transient
 	// decode buffers from scratch when it is non-nil (nil is valid and
 	// means one-shot use). The payload comes from the stream, so it must
-	// be checked, never trusted.
+	// be checked, never trusted. Its errors need not name the chunk: the
+	// container's chunk loop does.
 	DecompressChunk(payload []byte, h *Header, ci int, dst []float64, scratch *Scratch) error
 }
 

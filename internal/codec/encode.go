@@ -16,8 +16,9 @@ import (
 // chunks, run a subset of them through a Codec, and assemble the
 // stream. Every encode path — Encode, the streaming EncodeFrom, and the
 // plan layer's steering passes — holds its chunks in a Draft and runs
-// them through the one chunk loop, forChunks, which schedules both the
-// quantize work and the entropy work.
+// them through the one chunk loop, forChunks, which schedules the
+// quantize work and the entropy work here and the decode work of
+// DecompressRegionFrom.
 
 // Rows supplies the values of chunk ci of the stream h describes:
 // h.ChunkPoints(ci) of them, row-major, starting at row
@@ -121,14 +122,15 @@ func TileField(f *field.Field, cc Codec, opt Options) (*Draft, error) {
 	return NewDraft(f.Name, f.Precision, f.Dims, cc, opt), nil
 }
 
-// forChunks is the container's one chunk loop. At most workers
-// (non-positive: all CPUs) long-lived worker loops take the chunks of
-// subset in order and call work with their worker slot, which keys the
-// scratch shard the work draws from. A non-nil rows supplies each
-// chunk's values; it is called serially, in subset order, so a
-// streaming source holds at most workers chunks at once. A cancelled ctx
-// stops the loop within one chunk per worker.
-func forChunks(ctx context.Context, h *Header, subset []int, workers int, rows Rows, work func(slot, ci int, data []float64) error) error {
+// forChunks is the container's one chunk loop, for encode and decode.
+// At most workers (non-positive: all CPUs) long-lived worker loops take
+// the chunks of subset in order and call work on each. A non-nil rows
+// supplies each chunk's values; it is called serially, in subset order,
+// so a streaming source holds at most workers chunks at once. After the
+// first failure no loop takes another chunk; a work error comes back
+// naming its chunk. A cancelled ctx stops the loop within one chunk per
+// worker and surfaces ctx.Err().
+func forChunks(ctx context.Context, h *Header, subset []int, workers int, rows Rows, work func(ci int, data []float64) error) error {
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
@@ -138,7 +140,7 @@ func forChunks(ctx context.Context, h *Header, subset []int, workers int, rows R
 	// Each loop checks ctx before every chunk it takes, so the loops
 	// themselves start unconditionally: a chunk stays the one
 	// cancellation point.
-	return parallel.ForEachWorkerCtx(context.Background(), loops, loops, func(slot, _ int) error {
+	return parallel.ForEach(loops, loops, func(int) error {
 		for {
 			mu.Lock()
 			if next == len(subset) || failed {
@@ -158,7 +160,7 @@ func forChunks(ctx context.Context, h *Header, subset []int, workers int, rows R
 			if err != nil {
 				return err
 			}
-			err = work(slot, ci, data)
+			err = work(ci, data)
 			if done != nil {
 				done()
 			}
@@ -288,20 +290,19 @@ func (d *Draft) Run(ctx context.Context, cc Codec, subset []int, opt Options, sc
 	cq, ok := cc.(ChunkQuantizer)
 	quantize = quantize && ok
 	opt.Capacity = d.Header.Capacity // every chunk shares the container's quantizer geometry
-	return forChunks(ctx, d.Header, subset, opt.Workers, rows, func(slot, ci int, data []float64) error {
+	return forChunks(ctx, d.Header, subset, opt.Workers, rows, func(ci int, data []float64) error {
 		d.drop(ci)
-		shard := sc.Shard(slot)
 		var cst ChunkStats
 		if quantize {
-			q, err := cq.QuantizeChunk(ctx, data, d.Header.ChunkDims(ci), d.Header.Precision, opt, shard)
+			q, err := cq.QuantizeChunk(ctx, data, d.Header.ChunkDims(ci), d.Header.Precision, opt, sc)
 			if err != nil {
 				return err
 			}
-			q.sc = shard
+			q.sc = sc
 			d.quant[ci] = &q
 			cst = q.Stats
 		} else {
-			payload, st, err := cc.CompressChunk(ctx, data, d.Header.ChunkDims(ci), d.Header.Precision, opt, shard)
+			payload, st, err := cc.CompressChunk(ctx, data, d.Header.ChunkDims(ci), d.Header.Precision, opt, sc)
 			if err != nil {
 				return err
 			}
@@ -330,10 +331,10 @@ func (d *Draft) EntropyCode(ctx context.Context, subset []int, workers int, sc *
 	if len(pending) == 0 {
 		return nil
 	}
-	return forChunks(ctx, d.Header, pending, workers, nil, func(slot, ci int, _ []float64) error {
+	return forChunks(ctx, d.Header, pending, workers, nil, func(ci int, _ []float64) error {
 		q := d.quant[ci]
 		d.quant[ci] = nil
-		payload, err := q.encode(sc.Shard(slot))
+		payload, err := q.encode(sc)
 		if err != nil {
 			return err
 		}

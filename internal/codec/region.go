@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"fixedpsnr/internal/field"
-	"fixedpsnr/internal/parallel"
 )
 
 // The chunked container's decode side: reconstruct an axis-aligned
@@ -106,8 +105,10 @@ type SlabSource func(ci int, decode func() ([]float64, error)) ([]float64, error
 // fields, regions, archive extraction, and the serving layer's cached
 // region reads. payload fetches one chunk's bytes, so a caller that does
 // not hold the whole stream — the archive reader — reads only the ranges
-// it needs. Chunks decode in parallel, each worker from its own scratch
-// shard. With a nil slabs, a chunk lying inside a region that spans every
+// it needs. The intersected chunks decode through forChunks, the
+// container's one chunk loop, every worker drawing from sc; after the
+// first failure no worker takes another chunk, and the error names its
+// chunk. With a nil slabs, a chunk lying inside a region that spans every
 // inner dimension decodes straight into the output, so a whole-field
 // decode copies nothing; with a source, every intersected chunk's slab
 // comes from it, and payload is read only when the source calls decode.
@@ -159,17 +160,16 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 	out := field.New(h.Name, h.Precision, ext...)
 	inner := h.InnerPoints()
 	dstOff := make([]int, len(ext))
-	err = parallel.ForEachWorkerCtx(ctx, len(hit), 0, func(w, i int) error {
-		ci := hit[i]
+	err = forChunks(ctx, h, hit, 0, nil, func(ci int, _ []float64) error {
 		ck := h.Chunks[ci]
 		if slabs != nil {
 			slab, err := slabs(ci, func() ([]float64, error) {
 				pl, err := payload(ci)
 				if err != nil {
-					return nil, fmt.Errorf("codec: chunk %d: %w", ci, err)
+					return nil, err
 				}
 				slab := make([]float64, ck.Rows*inner) // the source keeps it: never pooled
-				if err := c.DecompressChunk(pl, h, ci, slab, sc.Shard(w)); err != nil {
+				if err := c.DecompressChunk(pl, h, ci, slab, sc); err != nil {
 					return nil, err
 				}
 				return slab, nil
@@ -182,16 +182,15 @@ func DecompressRegionFrom(ctx context.Context, h *Header, payload func(ci int) (
 		}
 		pl, err := payload(ci)
 		if err != nil {
-			return fmt.Errorf("codec: chunk %d: %w", ci, err)
+			return err
 		}
-		wsc := sc.Shard(w)
 		if direct && ck.RowStart >= rowLo && ck.RowStart+ck.Rows <= rowHi {
 			lo := (ck.RowStart - rowLo) * inner
-			return c.DecompressChunk(pl, h, ci, out.Data[lo:lo+ck.Rows*inner], wsc)
+			return c.DecompressChunk(pl, h, ci, out.Data[lo:lo+ck.Rows*inner], sc)
 		}
-		slab := wsc.Floats(ck.Rows * inner)
-		defer wsc.PutFloats(slab)
-		if err := c.DecompressChunk(pl, h, ci, slab, wsc); err != nil {
+		slab := sc.Floats(ck.Rows * inner)
+		defer sc.PutFloats(slab)
+		if err := c.DecompressChunk(pl, h, ci, slab, sc); err != nil {
 			return err
 		}
 		copyChunkRegion(out.Data, ext, dstOff, slab, h, ci, off, rowLo, rowHi)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -237,6 +238,46 @@ func TestDecompressRegionFromSlabSourceParallelMisses(t *testing.T) {
 	}
 	if _, err := codec.DecompressRegionFrom(context.Background(), h, payload, []int{0, 0, 0}, h.Dims, codec.NewScratch(), newSlabMap().source); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A failing chunk stops the decode: once chunk 0's payload read fails,
+// no worker takes another chunk, so of 64 one-row chunks at most three
+// are read (the failure, and one each worker may already hold), and the
+// error names its chunk once.
+func TestDecompressRegionFromStopsAfterFailure(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	szc, _ := codec.ByName("sz")
+	blob, _, err := codec.Encode(context.Background(), regionField(64, 6, 5), szc, codec.Options{ErrorBound: 1e-3, ChunkRows: 1, Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := codec.ParseHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Chunks) != 64 {
+		t.Fatalf("%d chunks, want 64", len(h.Chunks))
+	}
+	boom := errors.New("boom")
+	var reads atomic.Int32
+	payload := func(ci int) ([]byte, error) {
+		reads.Add(1)
+		if ci == 0 {
+			return nil, boom
+		}
+		time.Sleep(2 * time.Millisecond)
+		return codec.ChunkPayload(blob, h, ci)
+	}
+	_, err = codec.DecompressRegionFrom(context.Background(), h, payload, []int{0, 0, 0}, h.Dims, nil, nil)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if n := strings.Count(err.Error(), "chunk 0"); n != 1 {
+		t.Errorf("error %q names chunk 0 %d times, want once", err, n)
+	}
+	if n := reads.Load(); n > 3 {
+		t.Errorf("%d payload reads, want <= 3", n)
 	}
 }
 

@@ -17,9 +17,11 @@ import (
 // buffers, pre-DEFLATE staging bytes, output buffers, Huffman tables,
 // DEFLATE encoders, and inflate readers.
 //
-// All pools are backed by sync.Pool, so one Scratch is safe for
-// concurrent use by any number of goroutines — a single Encoder shared
-// across request handlers feeds every worker from the same Scratch.
+// Every worker shares the pools: each chunk loop's workers, and every
+// request handler of a session, draw from the one Scratch they were
+// handed. The pools are sync.Pools, which keep a per-P cache and are
+// safe for concurrent use, so a single Encoder shared across goroutines
+// needs no per-worker copy.
 //
 // A nil *Scratch is valid everywhere: getters fall back to plain
 // allocation and puts become no-ops, which is exactly the behavior of the
@@ -33,34 +35,10 @@ type Scratch struct {
 	huffDecs sync.Pool // *huffman.DecodeScratch
 	flateRs  sync.Pool // io.ReadCloser + flate.Resetter
 	deflates sync.Pool // *deflate.Encoder
-
-	mu     sync.Mutex // guards shards
-	shards []*Scratch // per-worker children, created lazily by Shard
 }
 
 // NewScratch returns an empty scratch pool set.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// Shard returns the per-worker child scratch for worker slot w,
-// creating it on first use. Shards live as long as their parent, so a
-// session's buffers stay warm across encodes, but each shard is only
-// ever handed to one worker slot of a parallel section at a time —
-// buffers recycled by a worker are reused by the same worker, never
-// migrated through a pool another core is hammering. Negative w (or a
-// nil receiver) returns the receiver itself, preserving the nil-safe
-// one-shot behavior.
-func (s *Scratch) Shard(w int) *Scratch {
-	if s == nil || w < 0 {
-		return s
-	}
-	s.mu.Lock()
-	for len(s.shards) <= w {
-		s.shards = append(s.shards, &Scratch{})
-	}
-	sh := s.shards[w]
-	s.mu.Unlock()
-	return sh
-}
 
 // Int32s returns an int32 slice of length n — the element type of the
 // quantization-code buffers, which at tens of millions of points per

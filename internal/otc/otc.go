@@ -309,7 +309,7 @@ func (otcCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []f
 		return fmt.Errorf("otc: cannot decode chunks of stream ID %v", h.Codec)
 	}
 	if len(dst) != h.ChunkPoints(ci) {
-		return fmt.Errorf("otc: chunk %d dst has %d points, want %d", ci, len(dst), h.ChunkPoints(ci))
+		return fmt.Errorf("otc: dst has %d points, want %d", len(dst), h.ChunkPoints(ci))
 	}
 	var tr Transform
 	var blockSize int
@@ -319,13 +319,13 @@ func (otcCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []f
 		return b, err
 	})
 	if err != nil {
-		return fmt.Errorf("otc: chunk %d: %w", ci, err)
+		return fmt.Errorf("otc: %w", err)
 	}
 	defer sc.PutInt32s(codes)
 	defer sc.PutFloats(literals)
 	dims := h.ChunkDims(ci)
 	if len(codes) != len(dst) {
-		return fmt.Errorf("otc: chunk %d has %d codes for %d points", ci, len(codes), len(dst))
+		return fmt.Errorf("otc: %d codes for %d points", len(codes), len(dst))
 	}
 	q, err := quantizer.New(h.ChunkBound(ci), h.Capacity)
 	if err != nil {
@@ -347,7 +347,7 @@ func (otcCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []f
 		for i, c := range cs {
 			if c == 0 {
 				if li == len(literals) {
-					return fmt.Errorf("otc: chunk %d: more zero codes than its %d literals", ci, len(literals))
+					return fmt.Errorf("otc: more zero codes than the chunk's %d literals", len(literals))
 				}
 				cur[i] = literals[li]
 				li++
@@ -362,7 +362,7 @@ func (otcCodec) DecompressChunk(payload []byte, h *codec.Header, ci int, dst []f
 		field.CopyRegion(dst, dims, br.off[:rank], vals, br.size[:rank], zero[:rank], br.size[:rank])
 	}
 	if li != len(literals) {
-		return fmt.Errorf("otc: chunk %d: literal count mismatch (%d vs %d)", ci, li, len(literals))
+		return fmt.Errorf("otc: literal count mismatch (%d vs %d)", li, len(literals))
 	}
 	return nil
 }

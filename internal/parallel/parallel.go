@@ -1,13 +1,14 @@
 // Package parallel provides the small set of concurrency utilities the
-// module needs: a bounded parallel-for over index ranges, with stable
-// worker slots, and chunk partitioning helpers. Everything is built from
-// goroutines and the sync package; there are no external dependencies.
+// module needs: a bounded parallel-for over index ranges and chunk
+// partitioning helpers. Everything is built from goroutines and the sync
+// package; there are no external dependencies.
 package parallel
 
 import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultWorkers returns the worker count used when a caller passes a
@@ -17,9 +18,8 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // ForEach invokes fn(i) for every i in [0, n) using up to `workers`
 // goroutines (non-positive means DefaultWorkers). Iterations are handed
 // out in contiguous blocks to preserve cache locality. ForEach returns the
-// first non-nil error reported by fn; other iterations still run to
-// completion (fn implementations should be cheap to cancel via their own
-// state if that matters).
+// first non-nil error reported by fn; once any iteration has failed, no
+// worker starts another, and iterations already running finish.
 func ForEach(n, workers int, fn func(i int) error) error {
 	return ForEachCtx(context.Background(), n, workers, fn)
 }
@@ -29,15 +29,6 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // of work per worker and ForEachCtx returns ctx.Err(). Iterations already
 // in flight run to completion; none are abandoned half-done.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
-	return ForEachWorkerCtx(ctx, n, workers, func(_, i int) error { return fn(i) })
-}
-
-// ForEachWorkerCtx is ForEachCtx with the worker slot exposed: fn
-// receives (worker, i) where worker is the index of the goroutine
-// running the iteration, in [0, min(workers, n)). Worker slots are
-// stable for the duration of the call, so callers can key per-worker
-// state (scratch shards, accumulators) on the slot without locking.
-func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -58,7 +49,7 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(0, i); err != nil {
+			if err := fn(i); err != nil {
 				return err
 			}
 		}
@@ -67,13 +58,12 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int
 
 	var (
 		wg       sync.WaitGroup
+		failed   atomic.Bool
 		mu       sync.Mutex
 		firstErr error
 	)
 	record := func(err error) {
-		if err == nil {
-			return
-		}
+		failed.Store(true)
 		mu.Lock()
 		if firstErr == nil {
 			firstErr = err
@@ -86,19 +76,19 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int
 			continue
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
+			for i := lo; i < hi && !failed.Load(); i++ {
 				if err := ctx.Err(); err != nil {
 					record(err)
 					return
 				}
-				if err := fn(w, i); err != nil {
+				if err := fn(i); err != nil {
 					record(err)
 					return
 				}
 			}
-		}(w, lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
 	return firstErr

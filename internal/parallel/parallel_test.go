@@ -1,12 +1,10 @@
 package parallel
 
 import (
-	"context"
 	"errors"
-	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -69,6 +67,29 @@ func TestForEachSequentialErrorStopsEarly(t *testing.T) {
 	}
 }
 
+// After one iteration fails, no worker starts another: each worker
+// finishes at most the iteration it is in, so at most workers+1 calls
+// run in all. Static blocks used to run the other worker's whole block.
+func TestForEachStopsAfterFailure(t *testing.T) {
+	const workers = 2
+	boom := errors.New("boom")
+	var calls atomic.Int32
+	err := ForEach(100, workers, func(i int) error {
+		calls.Add(1)
+		if i == 0 {
+			return boom
+		}
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if n := calls.Load(); n > workers+1 {
+		t.Fatalf("%d iterations ran, want <= %d", n, workers+1)
+	}
+}
+
 func TestPartitionCoversExactly(t *testing.T) {
 	for _, tc := range []struct{ n, workers int }{
 		{10, 3}, {3, 10}, {1, 1}, {100, 7}, {7, 7}, {0, 4},
@@ -107,28 +128,6 @@ func TestPartitionBalance(t *testing.T) {
 	}
 	if max-min > 1 {
 		t.Fatalf("imbalance: min=%d max=%d", min, max)
-	}
-}
-
-// TestForEachWorkerCtxSlotsExclusive checks that no two in-flight
-// iterations hold the same worker slot and that every slot lies in
-// [0, workers): scratch shards are keyed on the slot without locking.
-func TestForEachWorkerCtxSlotsExclusive(t *testing.T) {
-	const workers = 3
-	var held [workers]atomic.Int32
-	err := ForEachWorkerCtx(context.Background(), 200, workers, func(slot, _ int) error {
-		if slot < 0 || slot >= workers {
-			return fmt.Errorf("slot %d outside [0,%d)", slot, workers)
-		}
-		if held[slot].Add(1) != 1 {
-			return fmt.Errorf("slot %d held by two iterations", slot)
-		}
-		runtime.Gosched()
-		held[slot].Add(-1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -28,19 +28,15 @@ import (
 //	flate(signMask || zeroMask)   each mask ⌈n/8⌉ bytes, MSB-first
 //	inner codec.IDLorenzo stream  (the log-domain field)
 
-// CompressPWRel compresses the field under a pointwise relative error
-// bound: every reconstructed value satisfies |x̃ − x| ≤ ebRel·|x| (zeros
-// are reconstructed exactly). Values whose magnitude underflows the log
-// domain (denormals) are handled like any other: ln|x| is finite for all
-// non-zero floats.
-func CompressPWRel(f *field.Field, ebRel float64, opt Options) ([]byte, *Stats, error) {
-	return CompressPWRelCtx(context.Background(), f, ebRel, opt, nil)
-}
-
-// CompressPWRelCtx is CompressPWRel with cancellation and buffer reuse:
-// ctx and sc are threaded into the inner log-domain Lorenzo compression,
-// and the mask DEFLATE encoder comes from the scratch pool.
-func CompressPWRelCtx(ctx context.Context, f *field.Field, ebRel float64, opt Options, sc *codec.Scratch) ([]byte, *Stats, error) {
+// CompressPWRel implements codec.PWRelCodec: it compresses the field
+// under a pointwise relative error bound, so every reconstructed value
+// satisfies |x̃ − x| ≤ ebRel·|x| (zeros are reconstructed exactly).
+// Values whose magnitude underflows the log domain (denormals) are
+// handled like any other: ln|x| is finite for all non-zero floats. ctx
+// and sc are threaded into the inner log-domain Lorenzo compression, and
+// the mask DEFLATE encoder comes from the scratch pool. The public API
+// routes ModePWRel to any registered codec with this capability.
+func (szCodec) CompressPWRel(ctx context.Context, f *field.Field, ebRel float64, opt codec.Options, sc *codec.Scratch) ([]byte, *codec.Stats, error) {
 	if err := f.Validate(); err != nil {
 		return nil, nil, err
 	}

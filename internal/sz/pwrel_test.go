@@ -3,6 +3,7 @@ package sz
 import (
 	"bytes"
 	"compress/flate"
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -55,7 +56,7 @@ func assertPWRelBound(t *testing.T, orig, recon *field.Field, ebRel float64) {
 func TestPWRelRoundTrip(t *testing.T) {
 	f := pwrelField(60, 50)
 	for _, ebRel := range []float64{1e-1, 1e-2, 1e-3, 1e-5} {
-		blob, st, err := CompressPWRel(f, ebRel, Options{Workers: 1})
+		blob, st, err := szCodec{}.CompressPWRel(context.Background(), f, ebRel, Options{Workers: 1}, nil)
 		if err != nil {
 			t.Fatalf("ebRel=%g: %v", ebRel, err)
 		}
@@ -81,7 +82,7 @@ func TestPWRelRoundTrip(t *testing.T) {
 func TestPWRel1D3D(t *testing.T) {
 	for _, dims := range [][]int{{500}, {10, 15, 20}} {
 		f := pwrelField(dims...)
-		blob, _, err := CompressPWRel(f, 1e-3, Options{Workers: 2})
+		blob, _, err := szCodec{}.CompressPWRel(context.Background(), f, 1e-3, Options{Workers: 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func TestPWRel1D3D(t *testing.T) {
 func TestPWRelValidatesBound(t *testing.T) {
 	f := pwrelField(32)
 	for _, eb := range []float64{0, -0.1, 1, 2, math.NaN()} {
-		if _, _, err := CompressPWRel(f, eb, Options{}); err == nil {
+		if _, _, err := (szCodec{}).CompressPWRel(context.Background(), f, eb, Options{}, nil); err == nil {
 			t.Fatalf("expected error for ebRel=%g", eb)
 		}
 	}
@@ -104,7 +105,7 @@ func TestPWRelValidatesBound(t *testing.T) {
 
 func TestPWRelAllZeros(t *testing.T) {
 	f := field.New("zeros", field.Float64, 40)
-	blob, _, err := CompressPWRel(f, 1e-3, Options{Workers: 1})
+	blob, _, err := szCodec{}.CompressPWRel(context.Background(), f, 1e-3, Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestPWRelNegativeZeroPreserved(t *testing.T) {
 	f := field.New("negz", field.Float64, 8)
 	f.Data[3] = math.Copysign(0, -1)
 	f.Data[5] = 1.5
-	blob, _, err := CompressPWRel(f, 1e-2, Options{Workers: 1})
+	blob, _, err := szCodec{}.CompressPWRel(context.Background(), f, 1e-2, Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestPWRelNegativeZeroPreserved(t *testing.T) {
 func TestPWRelTinyAndHugeMagnitudes(t *testing.T) {
 	f := field.New("range", field.Float64, 6)
 	copy(f.Data, []float64{1e-300, -1e-300, 1e300, -1e300, 1e-10, 1e10})
-	blob, _, err := CompressPWRel(f, 1e-4, Options{Workers: 1})
+	blob, _, err := szCodec{}.CompressPWRel(context.Background(), f, 1e-4, Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestPWRelTinyAndHugeMagnitudes(t *testing.T) {
 
 func TestPWRelTruncatedStream(t *testing.T) {
 	f := pwrelField(64)
-	blob, _, err := CompressPWRel(f, 1e-3, Options{Workers: 1})
+	blob, _, err := szCodec{}.CompressPWRel(context.Background(), f, 1e-3, Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestPWRelTruncatedStream(t *testing.T) {
 // mask section that inflates to 16 MiB. Both must fail with an error,
 // and neither may allocate what the outer header never declared.
 func TestPWRelHostileSizes(t *testing.T) {
-	blob, _, err := CompressPWRel(pwrelField(8, 8), 1e-2, Options{Workers: 1})
+	blob, _, err := szCodec{}.CompressPWRel(context.Background(), pwrelField(8, 8), 1e-2, Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

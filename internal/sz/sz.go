@@ -104,7 +104,7 @@ func (szCodec) DecompressChunk(payload []byte, h *codec.Header, c int, dst []flo
 		return fmt.Errorf("sz: cannot decode chunks of stream ID %v", h.Codec)
 	}
 	if len(dst) != h.ChunkPoints(c) {
-		return fmt.Errorf("sz: chunk %d dst has %d points, want %d", c, len(dst), h.ChunkPoints(c))
+		return fmt.Errorf("sz: dst has %d points, want %d", len(dst), h.ChunkPoints(c))
 	}
 	if h.Codec == codec.IDLogLorenzo {
 		return decompressPWRelChunk(payload, h, dst, sc)
@@ -115,12 +115,12 @@ func (szCodec) DecompressChunk(payload []byte, h *codec.Header, c int, dst []flo
 	}
 	codes, literals, err := sc.ParsePayload(payload, h.Precision, nil)
 	if err != nil {
-		return fmt.Errorf("sz: chunk %d: %w", c, err)
+		return fmt.Errorf("sz: %w", err)
 	}
 	if len(codes) != len(dst) {
 		sc.PutInt32s(codes)
 		sc.PutFloats(literals)
-		return fmt.Errorf("sz: chunk %d has %d codes, want %d", c, len(codes), len(dst))
+		return fmt.Errorf("sz: %d codes, want %d", len(codes), len(dst))
 	}
 	err = decompressCore(dst, codes, literals, h.ChunkDims(c), q)
 	sc.PutInt32s(codes)

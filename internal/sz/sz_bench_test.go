@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -100,7 +101,7 @@ func BenchmarkCompressPWRel(b *testing.B) {
 	b.SetBytes(int64(f.Len() * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := CompressPWRel(f, 1e-3, Options{Workers: 1}); err != nil {
+		if _, _, err := (szCodec{}).CompressPWRel(context.Background(), f, 1e-3, Options{Workers: 1}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

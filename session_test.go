@@ -260,7 +260,8 @@ func TestEncoderWarmAllocsPinned(t *testing.T) {
 
 // The transform pipeline's warm encode and decode allocate a small fixed
 // number of times however many blocks a field has: codes go into one
-// pooled chunk-wide slice and each worker slot reuses one block buffer.
+// pooled chunk-wide slice and each chunk walks its blocks through one
+// pooled buffer.
 // The field is 32×64×64, 512 blocks of 8³.
 func TestTransformWarmAllocsPinned(t *testing.T) {
 	if raceEnabled {
