@@ -506,16 +506,14 @@ func (ar *ArchiveReader) ExtractRegionAtContext(ctx context.Context, i int, off,
 }
 
 // DecompressAll reconstructs every entry, in order, parallelizing across
-// entries.
+// entries. An entry's error comes back as ExtractAt returns it, which
+// already names the entry.
 func (ar *ArchiveReader) DecompressAll() ([]*Field, error) {
 	fields := make([]*Field, len(ar.entries))
 	err := parallel.ForEach(len(ar.entries), 0, func(i int) error {
 		f, _, err := ar.ExtractAt(i)
-		if err != nil {
-			return fmt.Errorf("fixedpsnr: entry %d: %w", i, err)
-		}
 		fields[i] = f
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

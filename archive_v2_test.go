@@ -186,6 +186,54 @@ func TestExtractIgnoresCorruptSiblings(t *testing.T) {
 	}
 }
 
+// TestDecompressAllNamesEntryOnce corrupts the middle of one entry's
+// first chunk payload: DecompressAll's error must name that entry, by
+// index and name, exactly once.
+func TestDecompressAllNamesEntryOnce(t *testing.T) {
+	fields := archiveFields(t)[:3]
+	streams := compressSeparately(t, fields, fixedpsnr.Options{Mode: fixedpsnr.ModeAbs, ErrorBound: 1e-3, Workers: 1})
+	var buf bytes.Buffer
+	aw, err := fixedpsnr.NewArchiveWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 1
+	off := 5 // the archive's magic and version byte
+	for i, s := range streams {
+		if i == bad {
+			h, err := fixedpsnr.Inspect(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off += h.PayloadOffset() + h.Chunks[0].Off + h.Chunks[0].Len/2
+		} else if i < bad {
+			off += len(s)
+		}
+		if err := aw.WriteStream(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	for j := range 64 {
+		blob[off+j] ^= 0xFF
+	}
+	ar, err := fixedpsnr.OpenArchive(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ar.DecompressAll()
+	if err == nil {
+		t.Fatal("a corrupted entry decoded without error")
+	}
+	msg := err.Error()
+	if n := strings.Count(msg, "entry "); n != 1 || !strings.Contains(msg, fmt.Sprintf("entry %d (%q)", bad, fields[bad].Name)) {
+		t.Fatalf("error names an entry %d times, want entry %d (%q) once: %v", n, bad, fields[bad].Name, err)
+	}
+}
+
 // TestArchiveV1ReadCompat: v1 blobs (length-prefixed, no index) written
 // by the previous format stay readable through every blob API.
 func TestArchiveV1ReadCompat(t *testing.T) {

@@ -104,10 +104,34 @@ func BenchmarkChunkedDecodeAllCores(b *testing.B) { benchmarkChunkedDecode(b, ru
 // calibrated 30 dB encode of each of the 13 fields of the 16×64×64
 // Hurricane snapshot the container digests pin, with the warm start off
 // so every iteration steers from the Eq. 8 bound. Its sparse fields take
-// up to 4 passes; the mean passes per field is reported, and the
-// benchmark fails if it drops below 2, where it would stop timing
-// multi-pass steering.
+// up to 4 passes.
 func BenchmarkCalibratedEncode1Core(b *testing.B) {
+	benchmarkSteeredEncode1Core(b,
+		fixedpsnr.WithMode(fixedpsnr.ModePSNR),
+		fixedpsnr.WithTargetPSNR(30),
+		fixedpsnr.WithCalibrated(true),
+	)
+}
+
+// BenchmarkRatioSteerEncode1Core times fixed-ratio steering of the
+// transform pipeline on one core: R = 16 on otc (DCT) over the same 13
+// fields, with the warm start off. Each chunk is transformed on its
+// first pass only and re-quantized on the others, so this is where the
+// cost of a later pass shows; BenchmarkCompressChunk runs one pass per
+// chunk and cannot.
+func BenchmarkRatioSteerEncode1Core(b *testing.B) {
+	benchmarkSteeredEncode1Core(b,
+		fixedpsnr.WithMode(fixedpsnr.ModeRatio),
+		fixedpsnr.WithTargetRatio(16),
+		fixedpsnr.WithCompressor(fixedpsnr.CompressorTransform),
+	)
+}
+
+// benchmarkSteeredEncode1Core encodes every field of the 16×64×64
+// Hurricane snapshot per iteration through one single-worker Encoder
+// with the warm start off, reports the mean passes per field, and fails
+// below 2, where it would stop timing multi-pass steering.
+func benchmarkSteeredEncode1Core(b *testing.B, opts ...fixedpsnr.Option) {
 	specs := datagen.Hurricane(nil).Specs
 	fields := make([]*fixedpsnr.Field, len(specs))
 	size := 0
@@ -116,13 +140,7 @@ func BenchmarkCalibratedEncode1Core(b *testing.B) {
 		size += fields[i].SizeBytes()
 	}
 	withCores(b, 1)
-	enc, err := fixedpsnr.NewEncoder(
-		fixedpsnr.WithMode(fixedpsnr.ModePSNR),
-		fixedpsnr.WithTargetPSNR(30),
-		fixedpsnr.WithCalibrated(true),
-		fixedpsnr.WithWarmStart(false),
-		fixedpsnr.WithWorkers(1),
-	)
+	enc, err := fixedpsnr.NewEncoder(append(opts, fixedpsnr.WithWarmStart(false), fixedpsnr.WithWorkers(1))...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"fixedpsnr"
@@ -349,9 +350,11 @@ func (r *synthReader) ReadValues(dst []float64) (int, error) {
 	return n, nil
 }
 
-// EncodeFrom's peak allocation must be sublinear in the field: the input
-// is never materialized, and the bounded window caps live chunk buffers
-// at O(chunk × workers).
+// EncodeFrom's peak allocation must be sublinear in the field, on both
+// pipelines: the input is never materialized, the bounded window caps
+// live chunk buffers at O(chunk × workers), and otc holds no chunk's
+// coefficients past the chunk that made them (holding all of them would
+// add the field's size again).
 func TestEncodeFromBoundedAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation measurements")
@@ -359,48 +362,69 @@ func TestEncodeFromBoundedAllocation(t *testing.T) {
 	dims := []int{96, 64, 64} // 393216 points ≈ 3 MiB at float64
 	n := dims[0] * dims[1] * dims[2]
 	fieldBytes := uint64(n * 8)
-	enc := mustEncoder(t,
-		fixedpsnr.WithMode(fixedpsnr.ModeAbs),
-		fixedpsnr.WithErrorBound(1e-3),
-		fixedpsnr.WithChunkPoints(fixedpsnr.MinChunkPoints),
-		fixedpsnr.WithCapacity(4096),
-		fixedpsnr.WithWorkers(1),
-	)
 	// The scratch pools are sync.Pools, which cache per P and are
 	// emptied by GC: on one P with GC paused, the measured call reuses
 	// what the warm-up call pooled, so the figure is the streaming
 	// window's, not the scheduler's or the collector's.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// Warm the scratch pools so the measurement reflects steady state.
-	if _, _, err := enc.EncodeFrom(context.Background(), &synthReader{dims: dims, n: n}); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []fixedpsnr.Compressor{fixedpsnr.CompressorSZ, fixedpsnr.CompressorTransform} {
+		t.Run(c.String(), func(t *testing.T) {
+			enc := mustEncoder(t,
+				fixedpsnr.WithMode(fixedpsnr.ModeAbs),
+				fixedpsnr.WithErrorBound(1e-3),
+				fixedpsnr.WithCompressor(c),
+				fixedpsnr.WithChunkPoints(fixedpsnr.MinChunkPoints),
+				fixedpsnr.WithCapacity(4096),
+				fixedpsnr.WithWorkers(1),
+			)
+			// Warm the scratch pools so the measurement reflects steady state.
+			if _, _, err := enc.EncodeFrom(context.Background(), &synthReader{dims: dims, n: n}); err != nil {
+				t.Fatal(err)
+			}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	gcPercent := debug.SetGCPercent(-1)
-	blob, _, err := enc.EncodeFrom(context.Background(), &synthReader{dims: dims, n: n})
-	debug.SetGCPercent(gcPercent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	allocated := after.TotalAlloc - before.TotalAlloc
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			gcPercent := debug.SetGCPercent(-1)
+			blob, _, err := enc.EncodeFrom(context.Background(), &synthReader{dims: dims, n: n})
+			debug.SetGCPercent(gcPercent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			allocated := after.TotalAlloc - before.TotalAlloc
 
-	if allocated >= fieldBytes/2 {
-		t.Fatalf("EncodeFrom allocated %d bytes for a %d-byte field; the streaming window should be far sublinear",
-			allocated, fieldBytes)
-	}
-	// The stream is real: it decodes back to the synthetic values within
-	// the bound.
-	g, _, err := fixedpsnr.Decompress(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i += 7919 {
-		if math.Abs(g.Data[i]-synthValue(i)) > 1e-3+1e-12 {
-			t.Fatalf("value %d off by %g", i, math.Abs(g.Data[i]-synthValue(i)))
-		}
+			if allocated >= fieldBytes/2 {
+				t.Fatalf("EncodeFrom allocated %d bytes for a %d-byte field; the streaming window should be far sublinear",
+					allocated, fieldBytes)
+			}
+			// The stream is real: it decodes back to the synthetic values,
+			// within the bound on sz. otc promises no pointwise bound, so
+			// its decode must have the field's dims and the PSNR Eq. 7
+			// estimates for the bound.
+			g, _, err := fixedpsnr.Decompress(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c == fixedpsnr.CompressorTransform {
+				orig := fixedpsnr.NewField("synth", fixedpsnr.Float64, dims...)
+				for i := range orig.Data {
+					orig.Data[i] = synthValue(i)
+				}
+				if !slices.Equal(g.Dims, dims) {
+					t.Fatalf("decoded dims %v, want %v", g.Dims, dims)
+				}
+				d := fixedpsnr.CompareFields(orig, g)
+				if want := fixedpsnr.EstimatePSNR(d.ValueRng, 1e-3); !(d.PSNR >= want-1) {
+					t.Fatalf("decoded PSNR %.2f dB, want at least %.2f (Eq. 7 estimate %.2f − 1)", d.PSNR, want-1, want)
+				}
+				return
+			}
+			for i := 0; i < n; i += 7919 {
+				if math.Abs(g.Data[i]-synthValue(i)) > 1e-3+1e-12 {
+					t.Fatalf("value %d off by %g", i, math.Abs(g.Data[i]-synthValue(i)))
+				}
+			}
+		})
 	}
 }
 

@@ -20,7 +20,10 @@ import (
 // pin the multi-pass steering path on sparse Hurricane fields: extra
 // passes, pinned exact chunks with their explicit bounds, the last pass
 // returned when the pass budget runs out, AutoCapacity, float64, a
-// warm-started second Encode and PSNR region groups. Every config sets
+// warm-started second Encode and PSNR region groups. haar_ratio_w2 and
+// otc_regions_psnr70_ratio8 pin the transform pipeline's steered passes:
+// fixed ratio on Haar, and a PSNR region over a fixed-ratio background.
+// Every config sets
 // Workers, so the tiling is machine-independent. Each entry is {SHA-256
 // of the stream, decodeDigest of its reconstruction}; neither may change
 // without an intentional format change.
@@ -39,9 +42,11 @@ var containerDigests = map[string][2]string{
 	"encodefrom_otc_bs6":             {"70067f2026d764c469ff71c6be2e5fe9974ec26af5e27e6dc570cf203a29339e", "0689aa33a6795d90761c77853a351226c02ed12eaed4942976c0db094f43fa61"},
 	"encodefrom_sz_default_w4":       {"773e9f95daf9e6b0f5cf4b368e998f4dbf21964f7ef86ae7a3fbfd29123cbe65", "da6162eee88e32b3944db401d2fbfd5bbb5158b9730ac0c04f7a41481fa463c6"},
 	"f64_rank3_psnr_w2":              {"e22f1e1922202268c11bc562b85c6a36e647da9a35447eab96255cb71333a656", "0b1308f9a20abdd292700dc08c836d53a5923ec1ef41bb1baab86faf32a09678"},
+	"haar_ratio_w2":                  {"5865d7e1781b18b45e146260baa51773a249ab697c0ce163896671e402e50c9d", "cdac16777b3d56e7ee4acf7962f1a3132120ea207e88ad4e557ac5846068a604"},
 	"otc_default_ratio_w2":           {"c8f8b4b5c9082e8ab5cd901d742b6b1162fa86570957770334a7df879f58dabd", "f4968405d76cf8e5cd3afaa2a97190c5bcf222545e31a85c3e20a9e207ce4bd4"},
 	"otc_default_psnr_w4":            {"4b6d38d5ef61944444f29a098a82ac0c412080365e67ef9ede4fb1541f51d36e", "09a4a0cf523fefe817b78bd865f2220e05962f09468e327780cea5d85f4e5a17"},
 	"otc_tiled_ratio_w2":             {"0746649d1c399c6cee9203e24102548212fce40f6fb6d05accea58f695bc587d", "641dcb56f2a55c4ed707c285da5ee1938f1a9bdba9ec4447fe68b02c7278bf92"},
+	"otc_regions_psnr70_ratio8":      {"23a8df84ad2bad102e28eeeb3fcfaee28bdccfc04907fdf6ad0f2725a2a45162", "dcc3bc1230eea24e2ccd98c5ac39ca8f7a8bed761ef4a86c1242b2dec31c3a9b"},
 	"otc_tiled_psnr_w4":              {"c020f431000c2d130593c61a22012046bc64c1408827ceccd1cc2b144909dcd5", "09a4a0cf523fefe817b78bd865f2220e05962f09468e327780cea5d85f4e5a17"},
 	"pwrel_w2":                       {"ab9be5d052337367e15301206a7e1efa0af5eec4f6ef3cac5f16d4061ab704a2", "22202c514caeef16f6c19613efa2ed384f16e593841d09c7356cbaf491beaf36"},
 	"rank1_abs_w4":                   {"89b878a4cf9bd718356db487b5a2ff3619ef7c32cfada03e1ce6d8c644660e75", "fd3eb6519743bc729f7a2f7b1a84a9a68fadfec741d9c9a71663c987195e56b8"},
@@ -153,6 +158,14 @@ func containerCases() map[string]containerCase {
 	pinned.ChunkRows = 4
 	autoCal := psnr(45, true, 2)
 	autoCal.AutoCapacity = true
+	// A PSNR region over a ratio background on otc: the region takes its
+	// own first pass, the background is steered on its payload bytes.
+	otcRegions := ratio(8, fixedpsnr.CompressorTransform, 2)
+	otcRegions.ChunkRows = 4
+	otcRegions.RegionTargets = []fixedpsnr.RegionTarget{{
+		Region: fixedpsnr.Region{Off: []int{4, 0, 0}, Ext: []int{4, 64, 64}},
+		Mode:   fixedpsnr.ModePSNR, TargetPSNR: 70,
+	}}
 	regionsPSNR := psnr(30, true, 2)
 	regionsPSNR.ChunkRows = 4
 	regionsPSNR.RegionTargets = []fixedpsnr.RegionTarget{{
@@ -167,6 +180,7 @@ func containerCases() map[string]containerCase {
 		"otc_default_psnr_w4":      {field: rank3, opt: otcPSNR1, chunks: 1, version: 3},
 		"otc_tiled_ratio_w2":       {field: rank3, opt: ratio(8, fixedpsnr.CompressorTransform, 2), chunks: 2, version: 3, passes: 4},
 		"otc_tiled_psnr_w4":        {field: rank3, opt: otcPSNR, chunks: 4, version: 3},
+		"haar_ratio_w2":            {field: rank3, opt: ratio(8, fixedpsnr.CompressorWavelet, 2), chunks: 2, version: 3, passes: 2},
 		"f64_rank3_psnr_w2":        {field: rank3f64, opt: psnr(70, true, 2), chunks: 2, version: 3},
 		"auto_capacity_w2":         {field: rank3, opt: auto, chunks: 2, version: 3},
 		"rank1_abs_w4":             {field: rank1, opt: fixedpsnr.Options{Mode: fixedpsnr.ModeAbs, ErrorBound: 1e-4, Workers: 4}, chunks: 4, version: 3},
@@ -187,6 +201,7 @@ func containerCases() map[string]containerCase {
 		"calibrated_f64_qrain45":         {field: hurricaneField("QRAIN", fixedpsnr.Float64, 0), opt: psnr(45, true, 2), chunks: 2, version: 3, passes: 3},
 		"calibrated_warm_qsnow30":        {field: hurricaneField("QSNOW", fixedpsnr.Float32, 0), opt: psnr(30, true, 2), warm: true, chunks: 2, version: 3, passes: 4},
 		"calibrated_regions_psnr":        {field: hurricaneField("PRECIP", fixedpsnr.Float32, 0), opt: regionsPSNR, chunks: 4, version: 4, passes: 5, explicit: 4},
+		"otc_regions_psnr70_ratio8":      {field: hurricaneField("PRECIP", fixedpsnr.Float32, 0), opt: otcRegions, chunks: 4, version: 4, passes: 3, explicit: 4},
 	}
 }
 

@@ -36,7 +36,8 @@ import (
 // EncodeRows tile a field into row-slab chunks and compress them through
 // CompressChunk (the streaming encoder as chunks arrive, the steering
 // passes only the chunks whose error contribution is stale, or only
-// their quantize step when the pipeline is a ChunkQuantizer), and
+// their quantize step when the pipeline is a ChunkQuantizer, and only its
+// loop over the held stage output when it is a StagedQuantizer), and
 // DecompressRegionFrom decodes only the chunks a request intersects.
 // Streams the container assembles carry the codec's first stream ID,
 // IDs()[0], so that ID must be the one DecompressChunk decodes.

@@ -219,6 +219,37 @@ type ChunkQuantizer interface {
 	QuantizeChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *Scratch) (Quantized, error)
 }
 
+// StagedQuantizer is the optional interface of a ChunkQuantizer whose
+// QuantizeChunk is a stage that does not depend on the bound followed by
+// a quantize loop over the stage's output. A Draft that holds stages
+// (HoldStages, as every steering loop's does) runs the stage once per
+// chunk and keeps its output across passes, so each later pass runs only
+// the loop. CompressChunk still runs stage, loop and entropy step, so
+// Encode, EncodeRows and the streaming encoder hold no stage output past
+// the chunk that made it.
+type StagedQuantizer interface {
+	ChunkQuantizer
+	// StageChunk runs the bound-independent part of QuantizeChunk, under
+	// its contract for data, dims, prec and opt (whose ErrorBound it must
+	// not read). The returned Values must come from sc.Floats; the caller
+	// owns them.
+	StageChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *Scratch) (Staged, error)
+	// QuantizeStaged runs the quantize loop over st at opt.ErrorBound.
+	// Its result must equal QuantizeChunk's on the chunk st was staged
+	// from, and it must leave st as it found it.
+	QuantizeStaged(st Staged, opt Options, sc *Scratch) (Quantized, error)
+}
+
+// Staged is one chunk's stage output: 8 bytes per point the quantize
+// loop reads, and the chunk's value bounds, which the loop's statistics
+// report.
+type Staged struct {
+	Values   []float64
+	Min, Max float64
+
+	sc *Scratch // where Values goes back once the Draft lets it go
+}
+
 // CompressQuantized is CompressChunk for a ChunkQuantizer: its quantize
 // step, then the entropy step, both from sc.
 func CompressQuantized(ctx context.Context, cq ChunkQuantizer, data []float64, dims []int, prec field.Precision, opt Options, sc *Scratch) ([]byte, ChunkStats, error) {
@@ -259,15 +290,18 @@ type CapacityEstimator interface {
 
 // Draft is a chunked stream under construction: its header and chunk
 // table plus, per chunk, either the finished payload or the quantized
-// form still awaiting the entropy step. Steering loops keep one Draft
+// form still awaiting the entropy step, and, once HoldStages is called,
+// the stage output of a StagedQuantizer. Steering loops keep one Draft
 // across passes and rewrite chunks in place; Assemble entropy-codes what
-// is still quantized, once, and writes the stream. A Draft that is not
-// assembled must be released, or its codes never return to their
-// scratch.
+// is still quantized, once, and writes the stream. A Draft that holds
+// quantized chunks or stage output must be released, or they never
+// return to their scratch.
 type Draft struct {
 	Header   *Header
 	payloads [][]byte
 	quant    []*Quantized // non-nil: the chunk awaits the entropy step
+	hold     bool         // HoldStages was called
+	stages   []Staged     // each chunk's held stage output, made by the first Run that holds one
 }
 
 // All lists every chunk index of the draft, in order.
@@ -279,35 +313,56 @@ func (d *Draft) All() []int {
 	return all
 }
 
+// HoldStages makes every later Run through a StagedQuantizer keep each
+// chunk's stage output until Release, so a chunk's stage runs on its
+// first pass only. That costs 8 bytes per point of the field, so only
+// steering loops, which run several passes over one field, hold stages.
+func (d *Draft) HoldStages() { d.hold = true }
+
 // Run runs the chunks listed in subset through cc at opt.ErrorBound and
 // the header's capacity, reading their values from rows, and records
 // each one's statistics and payload. With quantize set and cc a
 // ChunkQuantizer, the chunks stop at quantization instead: they keep
 // their quantized form until EntropyCode or Assemble writes their
-// payloads. Any earlier state of those chunks is dropped; other chunks
-// are untouched.
+// payloads. When the Draft holds stages and cc is a StagedQuantizer, a
+// chunk's quantize step is its held stage output's quantize loop, the
+// stage running only on the chunk's first Run. Any earlier quantized
+// form or payload of those chunks is dropped; other chunks are
+// untouched.
 func (d *Draft) Run(ctx context.Context, cc Codec, subset []int, opt Options, sc *Scratch, rows Rows, quantize bool) error {
 	cq, ok := cc.(ChunkQuantizer)
 	quantize = quantize && ok
+	_, staged := cc.(StagedQuantizer)
+	if staged = staged && d.hold; staged && d.stages == nil {
+		d.stages = make([]Staged, len(d.Header.Chunks))
+	}
 	opt.Capacity = d.Header.Capacity // every chunk shares the container's quantizer geometry
 	return forChunks(ctx, d.Header, subset, opt.Workers, rows, func(ci int, data []float64) error {
 		d.drop(ci)
 		var cst ChunkStats
-		if quantize {
-			q, err := cq.QuantizeChunk(ctx, data, d.Header.ChunkDims(ci), d.Header.Precision, opt, sc)
+		if quantize || staged {
+			q, err := d.quantize(ctx, cq, staged, ci, data, opt, sc)
 			if err != nil {
 				return err
 			}
 			q.sc = sc
-			d.quant[ci] = &q
 			cst = q.Stats
+			if quantize {
+				held := q // a copy, so q stays on the stack when it is entropy-coded here
+				d.quant[ci] = &held
+			} else {
+				payload, err := q.encode(sc)
+				if err != nil {
+					return err
+				}
+				d.setPayload(ci, payload)
+			}
 		} else {
 			payload, st, err := cc.CompressChunk(ctx, data, d.Header.ChunkDims(ci), d.Header.Precision, opt, sc)
 			if err != nil {
 				return err
 			}
-			d.payloads[ci] = payload
-			d.Header.Chunks[ci].Len = len(payload)
+			d.setPayload(ci, payload)
 			cst = st
 		}
 		ck := &d.Header.Chunks[ci]
@@ -316,6 +371,33 @@ func (d *Draft) Run(ctx context.Context, cc Codec, subset []int, opt Options, sc
 		ck.Min, ck.Max = cst.Min, cst.Max
 		return nil
 	})
+}
+
+// quantize is chunk ci's quantize step: with staged, the quantize loop
+// over the chunk's held stage output, staging the chunk first if no pass
+// has yet; otherwise QuantizeChunk.
+func (d *Draft) quantize(ctx context.Context, cq ChunkQuantizer, staged bool, ci int, data []float64, opt Options, sc *Scratch) (Quantized, error) {
+	dims := d.Header.ChunkDims(ci)
+	if !staged {
+		return cq.QuantizeChunk(ctx, data, dims, d.Header.Precision, opt, sc)
+	}
+	sq := cq.(StagedQuantizer)
+	st := &d.stages[ci]
+	if st.Values == nil {
+		s, err := sq.StageChunk(ctx, data, dims, d.Header.Precision, opt, sc)
+		if err != nil {
+			return Quantized{}, err
+		}
+		s.sc = sc
+		*st = s
+	}
+	return sq.QuantizeStaged(*st, opt, sc)
+}
+
+// setPayload records chunk ci's finished payload.
+func (d *Draft) setPayload(ci int, payload []byte) {
+	d.payloads[ci] = payload
+	d.Header.Chunks[ci].Len = len(payload)
 }
 
 // EntropyCode runs the entropy step over the chunks of subset still
@@ -338,14 +420,15 @@ func (d *Draft) EntropyCode(ctx context.Context, subset []int, workers int, sc *
 		if err != nil {
 			return err
 		}
-		d.payloads[ci] = payload
-		d.Header.Chunks[ci].Len = len(payload)
+		d.setPayload(ci, payload)
 		return nil
 	})
 }
 
 // Assemble entropy-codes every chunk still held quantized and returns
-// the stream — the header followed by the payloads — and its stats.
+// the stream — the header followed by the payloads — and its stats. Held
+// stage output stays until Release: a steering loop assembles to measure
+// a pass's bytes and may run another pass.
 func (d *Draft) Assemble(ctx context.Context, workers int, sc *Scratch) ([]byte, *Stats, error) {
 	if err := d.EntropyCode(ctx, d.All(), workers, sc); err != nil {
 		return nil, nil, err
@@ -357,14 +440,19 @@ func (d *Draft) Assemble(ctx context.Context, workers int, sc *Scratch) ([]byte,
 	return out, StatsFromChunks(d.Header, len(out), d.Header.NPoints()*d.Header.Precision.Bytes()), nil
 }
 
-// Release returns the codes of every chunk still held quantized to the
-// scratch they came from. A nil Draft holds none.
+// Release returns the codes of every chunk still held quantized, and
+// every held stage output, to the scratch they came from. A nil Draft
+// holds none.
 func (d *Draft) Release() {
 	if d == nil {
 		return
 	}
 	for ci := range d.quant {
 		d.drop(ci)
+	}
+	for ci, st := range d.stages {
+		st.sc.PutFloats(st.Values)
+		d.stages[ci] = Staged{}
 	}
 }
 

@@ -237,34 +237,39 @@ func (c otcCodec) CompressChunk(ctx context.Context, data []float64, dims []int,
 	return codec.CompressQuantized(ctx, c, data, dims, prec, opt, sc)
 }
 
-// QuantizeChunk implements codec.ChunkQuantizer: it transforms and
-// quantizes one row slab. Blocks are cut to the chunk boundary, so every
-// chunk is independently decodable. The blocks run in grid order through
-// one buffer from sc; the container's chunk loop is the only parallelism.
-func (otcCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) (codec.Quantized, error) {
-	if err := ctx.Err(); err != nil {
+// QuantizeChunk implements codec.ChunkQuantizer: StageChunk, then
+// QuantizeStaged, with the stage output back in sc before it returns.
+func (c otcCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) (codec.Quantized, error) {
+	st, err := c.StageChunk(ctx, data, dims, prec, opt, sc)
+	if err != nil {
 		return codec.Quantized{}, err
 	}
-	if opt.Capacity == 0 {
-		opt.Capacity = quantizer.DefaultCapacity
+	defer sc.PutFloats(st.Values)
+	return c.QuantizeStaged(st, opt, sc)
+}
+
+// StageChunk implements codec.StagedQuantizer: the part of QuantizeChunk
+// that does not depend on the bound. It gathers each block of one row
+// slab, forward-transforms it and writes its coefficients where the
+// block's codes go, so Values is in code order. Blocks are cut to the
+// chunk boundary, so every chunk is independently decodable. The blocks
+// run in grid order through one buffer from sc; the container's chunk
+// loop is the only parallelism.
+func (otcCodec) StageChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) (codec.Staged, error) {
+	if err := ctx.Err(); err != nil {
+		return codec.Staged{}, err
 	}
 	if err := checkBlockSize(opt); err != nil {
-		return codec.Quantized{}, err
-	}
-	// quantizer.New takes the half-width (error bound) convention; the
-	// coefficient bin width is δ = 2·ErrorBound.
-	q, err := quantizer.New(opt.ErrorBound, opt.Capacity)
-	if err != nil {
-		return codec.Quantized{}, fmt.Errorf("otc: %w", err)
+		return codec.Staged{}, err
 	}
 	g := newBlockGrid(dims, blockEdge(opt))
-	codes := sc.Int32s(len(data))
 	// Room for the largest block twice over: the DCT axis kernel writes
-	// out of place.
+	// out of place. It is taken before the coefficients and returned
+	// first, so the pool hands both back in the same order next chunk.
 	m := g.maxPoints()
 	buf := sc.Floats(2 * m)
 	defer sc.PutFloats(buf)
-	var literals []float64
+	coefs := sc.Floats(len(data))
 	var zero [3]int
 	rank := len(dims)
 	for bi := range g.len() {
@@ -273,19 +278,40 @@ func (otcCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, p
 		field.CopyRegion(cur, br.size[:rank], zero[:rank], data, dims, br.off[:rank], br.size[:rank])
 		coef, err := applyBlock(cur, tmp, br.size[:rank], opt.Transform, false)
 		if err != nil {
-			sc.PutInt32s(codes)
-			return codec.Quantized{}, err
+			sc.PutFloats(coefs)
+			return codec.Staged{}, err
 		}
-		cs := codes[br.pos : br.pos+br.n]
-		for i, c := range coef {
-			code, ok := q.Quantize(c)
-			if !ok {
-				literals = append(literals, c)
-				cs[i] = 0
-				continue
-			}
-			cs[i] = int32(code)
+		copy(coefs[br.pos:br.pos+br.n], coef)
+	}
+	st := codec.Staged{Values: coefs}
+	st.Min, st.Max = codec.ValueBounds(data)
+	return st, nil
+}
+
+// QuantizeStaged implements codec.StagedQuantizer: the quantize loop of
+// QuantizeChunk over a chunk's coefficients at opt.ErrorBound. A
+// coefficient outside the quantizer's capacity is stored as a literal
+// behind a zero code.
+func (otcCodec) QuantizeStaged(st codec.Staged, opt Options, sc *codec.Scratch) (codec.Quantized, error) {
+	if opt.Capacity == 0 {
+		opt.Capacity = quantizer.DefaultCapacity
+	}
+	// quantizer.New takes the half-width (error bound) convention; the
+	// coefficient bin width is δ = 2·ErrorBound.
+	q, err := quantizer.New(opt.ErrorBound, opt.Capacity)
+	if err != nil {
+		return codec.Quantized{}, fmt.Errorf("otc: %w", err)
+	}
+	codes := sc.Int32s(len(st.Values))
+	var literals []float64
+	for i, c := range st.Values {
+		code, ok := q.Quantize(c)
+		if !ok {
+			literals = append(literals, c)
+			codes[i] = 0
+			continue
 		}
+		codes[i] = int32(code)
 	}
 
 	// The payload prefix records the transform and block size; the
@@ -295,7 +321,7 @@ func (otcCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, p
 	out := codec.Quantized{Prefix: prefix, Codes: codes, MaxSym: opt.Capacity - 1, Literals: literals, Prec: field.Float64}
 	out.Stats.Unpredictable = len(literals)
 	out.Stats.MSE = math.NaN() // quantization happens in the transform domain
-	out.Stats.Min, out.Stats.Max = codec.ValueBounds(data)
+	out.Stats.Min, out.Stats.Max = st.Min, st.Max
 	return out, nil
 }
 

@@ -115,8 +115,10 @@ type steering struct {
 // AutoCapacity included — and runs on the Draft: it stops at
 // quantization when the codec is a ChunkQuantizer and tgt reads no bytes
 // (a nil tgt, the region groups' shared pass, reads none), and runs
-// CompressChunk otherwise. A constant field has no chunks to steer and
-// is an error.
+// CompressChunk otherwise. The Draft holds stages, so a
+// codec.StagedQuantizer stages each chunk on this pass only and every
+// later pass, on whatever target, re-runs just its quantize loop. A
+// constant field has no chunks to steer and is an error.
 func steer(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options, tgt Target, sc *codec.Scratch) (*steering, error) {
 	d, err := codec.TileField(f, c, opt)
 	if err != nil {
@@ -125,6 +127,7 @@ func steer(ctx context.Context, f *field.Field, c codec.Codec, opt codec.Options
 	if d == nil {
 		return nil, fmt.Errorf("plan: steering needs a chunked stream (a constant field has no chunks)")
 	}
+	d.HoldStages()
 	s := &steering{f: f, c: c, opt: opt, sc: sc, d: d}
 	if err := s.run(ctx, tgt, d.All()); err != nil {
 		d.Release()
