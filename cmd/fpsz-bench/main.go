@@ -17,10 +17,6 @@
 // fixed-ratio sweep (optionally folding in parsed `go test -bench`
 // output) and emits one combined JSON record — the per-PR perf artifact
 // CI uploads.
-//
-// For backward compatibility, invoking fpsz-bench with a leading flag
-// (e.g. `fpsz-bench -experiment table1`) routes to the experiments
-// subcommand.
 package main
 
 import (
@@ -34,12 +30,7 @@ func main() {
 	args := os.Args[1:]
 	sub := "help"
 	if len(args) > 0 {
-		if strings.HasPrefix(args[0], "-") {
-			// Legacy spelling: flags straight after the binary name.
-			sub = "experiments"
-		} else {
-			sub, args = args[0], args[1:]
-		}
+		sub, args = args[0], args[1:]
 	}
 	var err error
 	switch sub {

@@ -506,7 +506,7 @@ func extract(args []string) error {
 	defer ar.Close()
 	var f *fixedpsnr.Field
 	if *regionArg != "" {
-		off, ext, err := parseRegion(*regionArg)
+		off, ext, err := serve.ParseRegionSpec(*regionArg)
 		if err != nil {
 			return fmt.Errorf("extract: %w", err)
 		}
@@ -525,12 +525,6 @@ func extract(args []string) error {
 	}
 	fmt.Printf("extracted %s %v -> %s\n", f.Name, f.Dims, *out)
 	return nil
-}
-
-// parseRegion parses "off:ext,off:ext,..." into offset and extent
-// vectors — one syntax shared with the server's ROI query parameters.
-func parseRegion(s string) (off, ext []int, err error) {
-	return serve.ParseRegionSpec(s)
 }
 
 // serveCmd runs the archive catalog daemon in-process — the same engine

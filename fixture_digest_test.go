@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -74,12 +75,9 @@ func decodeDigest(f *fixedpsnr.Field) string {
 }
 
 // TestFixtureDecodeDigests decodes every fixture stream and compares the
-// reconstruction bit for bit against its pinned digest. It also decodes
-// one interior region, crossing two chunk boundaries on every axis-0
-// chunking the fixtures use, and requires it to equal the matching
-// slice of the full decode.
+// reconstruction bit for bit against its pinned digest, full and by
+// region (checkFixtureDecode).
 func TestFixtureDecodeDigests(t *testing.T) {
-	off, ext := []int{9, 5, 2}, []int{33, 50, 11}
 	for _, path := range fixtureStreamPaths(t) {
 		rel, _ := filepath.Rel(filepath.Join("testdata", "streams"), path)
 		name := filepath.ToSlash(rel)
@@ -88,36 +86,82 @@ func TestFixtureDecodeDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, _, err := fixedpsnr.Decompress(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := decodeDigest(full)
-			if want, ok := fixtureDecodeDigests[name]; !ok || got != want {
-				t.Fatalf("decode digest %s, pinned %q", got, want)
-			}
+			checkFixtureDecode(t, blob, fixtureDecodeDigests[name])
+		})
+	}
+}
 
-			reg, _, err := fixedpsnr.DecompressRegion(blob, off, ext)
+// TestLegacyHeaderFixtures decodes the frozen version-1 and version-2
+// streams under testdata/streams/legacy: sz_abs.fpsz's payloads behind
+// the (len, rows) chunk table MarshalLegacy writes. They must parse as
+// their own version with unmeasured chunk MSEs and decode to
+// sz_abs.fpsz's pinned digest, full and by region. Every other v1/v2
+// stream the tests decode is written by MarshalLegacy on the fly, so only
+// these bytes catch a matched change to it and the legacy chunk-table
+// parser.
+func TestLegacyHeaderFixtures(t *testing.T) {
+	for _, version := range []byte{1, 2} {
+		name := fmt.Sprintf("sz_abs_v%d.fpsz", version)
+		t.Run(name, func(t *testing.T) {
+			blob, err := os.ReadFile(filepath.Join("testdata", "streams", "legacy", name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			d1, d2 := full.Dims[1], full.Dims[2]
-			k := 0
-			for i := off[0]; i < off[0]+ext[0]; i++ {
-				for j := off[1]; j < off[1]+ext[1]; j++ {
-					row := full.Data[(i*d1+j)*d2+off[2] : (i*d1+j)*d2+off[2]+ext[2]]
-					for c, v := range row {
-						if math.Float64bits(reg.Data[k+c]) != math.Float64bits(v) {
-							t.Fatalf("region point (%d,%d,%d) = %x, full decode %x",
-								i, j, off[2]+c, math.Float64bits(reg.Data[k+c]), math.Float64bits(v))
-						}
-					}
-					k += ext[2]
+			// The version byte follows the 4-byte magic.
+			if len(blob) < 5 || blob[4] != version {
+				t.Fatalf("stream does not carry version byte %d", version)
+			}
+			h, err := fixedpsnr.Inspect(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Version != version {
+				t.Fatalf("Inspect: Version %d, want %d", h.Version, version)
+			}
+			for ci, c := range h.Chunks {
+				if !math.IsNaN(c.MSE) {
+					t.Fatalf("chunk %d MSE %g: a legacy chunk table records none", ci, c.MSE)
 				}
 			}
-			if k != len(reg.Data) {
-				t.Fatalf("region has %d points, want %d", len(reg.Data), k)
-			}
+			checkFixtureDecode(t, blob, fixtureDecodeDigests["sz_abs.fpsz"])
 		})
+	}
+}
+
+// checkFixtureDecode decodes blob and requires the digest of its
+// reconstruction to be want. It also decodes one interior region,
+// crossing two chunk boundaries on every axis-0 chunking the fixtures
+// use, and requires it to equal the matching slice of the full decode.
+func checkFixtureDecode(t *testing.T, blob []byte, want string) {
+	t.Helper()
+	off, ext := []int{9, 5, 2}, []int{33, 50, 11}
+	full, _, err := fixedpsnr.Decompress(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decodeDigest(full); got != want {
+		t.Fatalf("decode digest %s, pinned %q", got, want)
+	}
+
+	reg, _, err := fixedpsnr.DecompressRegion(blob, off, ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, d2 := full.Dims[1], full.Dims[2]
+	k := 0
+	for i := off[0]; i < off[0]+ext[0]; i++ {
+		for j := off[1]; j < off[1]+ext[1]; j++ {
+			row := full.Data[(i*d1+j)*d2+off[2] : (i*d1+j)*d2+off[2]+ext[2]]
+			for c, v := range row {
+				if math.Float64bits(reg.Data[k+c]) != math.Float64bits(v) {
+					t.Fatalf("region point (%d,%d,%d) = %x, full decode %x",
+						i, j, off[2]+c, math.Float64bits(reg.Data[k+c]), math.Float64bits(v))
+				}
+			}
+			k += ext[2]
+		}
+	}
+	if k != len(reg.Data) {
+		t.Fatalf("region has %d points, want %d", len(reg.Data), k)
 	}
 }

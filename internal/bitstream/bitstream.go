@@ -22,17 +22,13 @@ var ErrOutOfBits = errors.New("bitstream: out of bits")
 
 // Reader consumes bits most-significant-first from a byte slice. It keeps
 // a 64-bit staging window refilled from up to 8 input bytes at a time, so
-// short reads are branch-light: one window check, one shift.
+// short reads are branch-light: one window check, one shift. Reset
+// points a zero Reader at a stream.
 type Reader struct {
 	buf []byte
 	pos int    // next byte to refill from
 	w   uint64 // staging window, left-aligned (next stream bit at bit 63)
 	wn  uint   // number of valid bits in w
-}
-
-// NewReader returns a Reader over buf. The Reader does not copy buf.
-func NewReader(buf []byte) *Reader {
-	return &Reader{buf: buf}
 }
 
 // Reset points the Reader at buf and rewinds it, retaining no state from
@@ -112,9 +108,4 @@ func Refill4(a, b, c, d *Reader) {
 	b.refill()
 	c.refill()
 	d.refill()
-}
-
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int {
-	return (len(r.buf)-r.pos)*8 + int(r.wn)
 }

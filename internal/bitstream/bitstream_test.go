@@ -6,6 +6,16 @@ import (
 	"testing/quick"
 )
 
+// NewReader returns a Reader over buf. The Reader does not copy buf.
+func NewReader(buf []byte) *Reader {
+	return &Reader{buf: buf}
+}
+
+// Remaining returns the number of unread bits.
+func (r *Reader) Remaining() int {
+	return (len(r.buf)-r.pos)*8 + int(r.wn)
+}
+
 // readBits is the decode loops' read pattern over the Reader's window
 // primitives: refill when the window runs short, take the next width
 // bits from the top of the window, skip them. ok is false when fewer

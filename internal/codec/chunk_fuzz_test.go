@@ -82,8 +82,8 @@ func checkParsedChunkInvariants(t *testing.T, h *codec.Header, data []byte) {
 		if c.Off < prevEnd {
 			t.Fatalf("chunk %d payload overlaps previous (off %d < end %d)", i, c.Off, prevEnd)
 		}
-		if c.Group < 0 || c.Group >= h.NumGroups() {
-			t.Fatalf("chunk %d group %d outside table of %d", i, c.Group, h.NumGroups())
+		if ngroups := max(1, len(h.Groups)); c.Group < 0 || c.Group >= ngroups {
+			t.Fatalf("chunk %d group %d outside table of %d", i, c.Group, ngroups)
 		}
 		if len(h.Groups) == 0 && c.Group != 0 {
 			t.Fatalf("ungrouped stream gave chunk %d group %d", i, c.Group)

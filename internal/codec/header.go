@@ -326,40 +326,18 @@ func (h *Header) ChunkBound(ci int) float64 {
 
 // AggregateMSE computes the field MSE as the point-count-weighted mean of
 // the per-chunk MSEs — the global accounting the fixed-PSNR guarantee is
-// defined on (Eqs. 4–5 hold for the whole field, not per chunk). It
-// returns NaN when any chunk's MSE is unmeasured, and 0 for constant
-// streams.
+// defined on (Eqs. 4–5 hold for the whole field, not per chunk): the
+// GroupAggregateMSE of every chunk. It returns NaN when any chunk's MSE
+// is unmeasured or there are no chunks, and 0 for constant streams.
 func (h *Header) AggregateMSE() float64 {
 	if h.Codec == IDConstant {
 		return 0
 	}
-	if len(h.Chunks) == 0 {
-		return math.NaN()
+	all := make([]int, len(h.Chunks))
+	for ci := range all {
+		all[ci] = ci
 	}
-	inner := h.InnerPoints()
-	var sumSq float64
-	var n int
-	for _, c := range h.Chunks {
-		if math.IsNaN(c.MSE) {
-			return math.NaN()
-		}
-		pts := c.Rows * inner
-		sumSq += c.MSE * float64(pts)
-		n += pts
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sumSq / float64(n)
-}
-
-// NumGroups returns the number of region groups, treating an empty group
-// table (v1–v3 streams and ungrouped v4 writers) as one implicit group.
-func (h *Header) NumGroups() int {
-	if len(h.Groups) == 0 {
-		return 1
-	}
-	return len(h.Groups)
+	return h.GroupAggregateMSE(all)
 }
 
 // GroupChunks returns the indices of the chunks in group g, in chunk
@@ -375,10 +353,9 @@ func (h *Header) GroupChunks(g int) []int {
 }
 
 // GroupAggregateMSE computes the point-count-weighted mean of the MSEs of
-// one chunk subset — the per-group distortion accounting the region-aware
-// steering loop drives on, defined exactly like the field-level
-// AggregateMSE but over a group's chunks only. NaN when any chunk in the
-// subset is unmeasured or the subset is empty.
+// one chunk subset, summed in subset order — the per-group distortion
+// accounting the region-aware steering loop drives on. NaN when any chunk
+// in the subset is unmeasured or the subset is empty.
 func (h *Header) GroupAggregateMSE(chunks []int) float64 {
 	inner := h.InnerPoints()
 	var sumSq float64

@@ -11,7 +11,7 @@ import (
 func analyticProbe(bias float64, count *int) CompressProbe {
 	return func(ebRel float64) (float64, error) {
 		*count++
-		return EstimatePSNRFromRelBound(ebRel) + bias, nil
+		return EstimatePSNRFromAbsBound(1, ebRel) + bias, nil
 	}
 }
 

@@ -42,19 +42,6 @@ func PSNR(mse, vr float64) float64 {
 	return -10*math.Log10(mse) + 20*math.Log10(vr)
 }
 
-// EstimatePSNRUniform predicts the PSNR of midpoint uniform quantization
-// with bin width delta over data of value range vr (Eq. 6). The estimate
-// assumes the quantized quantity is approximately uniform within each bin.
-func EstimatePSNRUniform(vr, delta float64) float64 {
-	if vr <= 0 {
-		return math.Inf(1)
-	}
-	if delta <= 0 {
-		return math.Inf(1)
-	}
-	return 20*math.Log10(vr/delta) + 10*math.Log10(12)
-}
-
 // EstimatePSNRFromAbsBound predicts the PSNR of SZ-style compression with
 // absolute error bound ebAbs over data of value range vr (Eq. 7, using
 // SZ's δ = 2·ebabs).
@@ -65,69 +52,11 @@ func EstimatePSNRFromAbsBound(vr, ebAbs float64) float64 {
 	return 20*math.Log10(vr/ebAbs) + 10*math.Log10(3)
 }
 
-// EstimatePSNRFromRelBound predicts the PSNR from a value-range-based
-// relative error bound ebrel = ebabs/vr (value-range form of Eq. 7).
-func EstimatePSNRFromRelBound(ebRel float64) float64 {
-	if ebRel <= 0 {
-		return math.Inf(1)
-	}
-	return -20*math.Log10(ebRel) + 10*math.Log10(3)
-}
-
 // RelBoundForPSNR derives the value-range-based relative error bound that
 // achieves the target PSNR (Eq. 8): ebrel = √3·10^(−PSNR/20).
 func RelBoundForPSNR(targetPSNR float64) float64 {
 	return math.Sqrt(3) * math.Pow(10, -targetPSNR/20)
 }
-
-// AbsBoundForPSNR derives the absolute error bound for the target PSNR
-// given the data's value range: ebabs = ebrel·vr.
-func AbsBoundForPSNR(targetPSNR, vr float64) float64 {
-	return RelBoundForPSNR(targetPSNR) * vr
-}
-
-// DeltaForPSNR derives the uniform quantization bin width achieving the
-// target PSNR for data of value range vr (inverse of Eq. 6). Useful for
-// transform-domain quantizers that control δ directly rather than ebabs.
-func DeltaForPSNR(targetPSNR, vr float64) float64 {
-	return vr * math.Sqrt(12) * math.Pow(10, -targetPSNR/20)
-}
-
-// EstimateMSEFromLayout evaluates Eq. 3 for an arbitrary symmetric bin
-// layout: widths[i] is the width δi of the i-th one-sided bin and
-// density[i] the probability density P(mi) at its midpoint. The returned
-// value already includes the ×2 symmetry factor.
-func EstimateMSEFromLayout(widths, density []float64) (float64, error) {
-	if len(widths) != len(density) {
-		return 0, fmt.Errorf("core: %d widths but %d densities", len(widths), len(density))
-	}
-	var sum float64
-	for i, w := range widths {
-		if w < 0 || density[i] < 0 {
-			return 0, fmt.Errorf("core: negative width or density at bin %d", i)
-		}
-		sum += w * w * w * density[i]
-	}
-	return sum / 6, nil
-}
-
-// EstimatePSNRFromLayout evaluates Eq. 5 for an arbitrary symmetric bin
-// layout over data of value range vr.
-func EstimatePSNRFromLayout(widths, density []float64, vr float64) (float64, error) {
-	mse, err := EstimateMSEFromLayout(widths, density)
-	if err != nil {
-		return 0, err
-	}
-	if vr <= 0 {
-		return math.Inf(1), nil
-	}
-	return PSNR(mse, vr), nil
-}
-
-// UniformAssumptionMSE returns δ²/12, the per-point MSE of midpoint
-// uniform quantization under the uniform-within-bin assumption that
-// underlies Eqs. 6–8.
-func UniformAssumptionMSE(delta float64) float64 { return delta * delta / 12 }
 
 // QuantizationMSE computes the *exact* expected distortion the SZ
 // quantizer introduces for a given set of prediction errors: the mean of
@@ -135,8 +64,9 @@ func UniformAssumptionMSE(delta float64) float64 { return delta * delta / 12 }
 // outside the range become lossless literals and contribute zero. The
 // second return value is the fraction of errors inside the range.
 //
-// The ablation experiment compares this against UniformAssumptionMSE to
-// explain why low PSNR targets overshoot (Table II's 20 dB rows).
+// The ablation experiment compares this against δ²/12, the MSE of the
+// uniform-within-bin assumption behind Eqs. 6–8, to explain why low PSNR
+// targets overshoot (Table II's 20 dB rows).
 func QuantizationMSE(predErrors []float64, delta float64, radius int) (mse, inRange float64) {
 	if len(predErrors) == 0 || delta <= 0 {
 		return 0, 0

@@ -17,7 +17,7 @@ func TestEq7Eq8Inverse(t *testing.T) {
 			return true
 		}
 		ebRel := RelBoundForPSNR(psnr)
-		back := EstimatePSNRFromRelBound(ebRel)
+		back := EstimatePSNRFromAbsBound(1, ebRel)
 		return almostEqual(back, psnr, 1e-9)
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -34,86 +34,21 @@ func TestEq8KnownValue(t *testing.T) {
 }
 
 func TestEq7MatchesEq6WithSZDelta(t *testing.T) {
-	// SZ sets δ = 2·ebabs; Eq. 7 must equal Eq. 6 at that δ.
+	// SZ sets δ = 2·ebabs; Eq. 7 must equal Eq. 6,
+	// 20·log10(vr/δ) + 10·log10 12, at that δ.
 	vr, eb := 12.5, 3e-4
-	if got, want := EstimatePSNRFromAbsBound(vr, eb), EstimatePSNRUniform(vr, 2*eb); !almostEqual(got, want, 1e-9) {
-		t.Fatalf("Eq.7 %g != Eq.6 %g", got, want)
-	}
-}
-
-func TestAbsBoundForPSNRScalesWithRange(t *testing.T) {
-	if got := AbsBoundForPSNR(60, 10); !almostEqual(got, 10*RelBoundForPSNR(60), 1e-15) {
-		t.Fatalf("AbsBoundForPSNR = %g", got)
-	}
-}
-
-func TestDeltaForPSNRInvertsEq6(t *testing.T) {
-	vr := 7.25
-	for _, psnr := range []float64{20, 60, 100, 140} {
-		delta := DeltaForPSNR(psnr, vr)
-		if got := EstimatePSNRUniform(vr, delta); !almostEqual(got, psnr, 1e-9) {
-			t.Fatalf("Eq.6(DeltaForPSNR(%g)) = %g", psnr, got)
-		}
+	eq6 := 20*math.Log10(vr/(2*eb)) + 10*math.Log10(12)
+	if got := EstimatePSNRFromAbsBound(vr, eb); !almostEqual(got, eq6, 1e-9) {
+		t.Fatalf("Eq.7 %g != Eq.6 %g", got, eq6)
 	}
 }
 
 func TestEstimatorEdgeCases(t *testing.T) {
-	if !math.IsInf(EstimatePSNRUniform(0, 1), 1) {
+	if !math.IsInf(EstimatePSNRFromAbsBound(0, 1), 1) {
 		t.Fatal("zero range should be +Inf")
-	}
-	if !math.IsInf(EstimatePSNRUniform(1, 0), 1) {
-		t.Fatal("zero delta should be +Inf (lossless)")
 	}
 	if !math.IsInf(EstimatePSNRFromAbsBound(1, 0), 1) {
 		t.Fatal("zero bound should be +Inf")
-	}
-	if !math.IsInf(EstimatePSNRFromRelBound(0), 1) {
-		t.Fatal("zero rel bound should be +Inf")
-	}
-}
-
-// Eq. 3 with uniform bins and total one-sided probability 1/2 must reduce
-// to the Eq. 6 closed form.
-func TestLayoutEstimatorReducesToUniform(t *testing.T) {
-	vr := 42.0
-	delta := 1e-3 * vr
-	n := 1000
-	widths := make([]float64, n)
-	density := make([]float64, n)
-	for i := range widths {
-		widths[i] = delta
-		// Σ P(mi)·δ = 1/2 → P(mi) = 1/(2nδ) distributed arbitrarily;
-		// uniform here.
-		density[i] = 1 / (2 * float64(n) * delta)
-	}
-	mse, err := EstimateMSEFromLayout(widths, density)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := delta * delta / 12; !almostEqual(mse, want, 1e-12*want) {
-		t.Fatalf("layout MSE = %g, want %g", mse, want)
-	}
-	psnr, err := EstimatePSNRFromLayout(widths, density, vr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := EstimatePSNRUniform(vr, delta); !almostEqual(psnr, want, 1e-9) {
-		t.Fatalf("layout PSNR = %g, want %g", psnr, want)
-	}
-}
-
-func TestLayoutEstimatorValidates(t *testing.T) {
-	if _, err := EstimateMSEFromLayout([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("expected error for mismatched lengths")
-	}
-	if _, err := EstimateMSEFromLayout([]float64{-1}, []float64{1}); err == nil {
-		t.Fatal("expected error for negative width")
-	}
-	if p, err := EstimatePSNRFromLayout(nil, nil, 1); err != nil || !math.IsInf(p, 1) {
-		t.Fatalf("empty layout should be lossless: %g, %v", p, err)
-	}
-	if p, err := EstimatePSNRFromLayout([]float64{1}, []float64{0.5}, 0); err != nil || !math.IsInf(p, 1) {
-		t.Fatalf("zero range should be +Inf: %g, %v", p, err)
 	}
 }
 
@@ -127,7 +62,7 @@ func TestQuantizationMSEUniformErrors(t *testing.T) {
 		errs[i] = (rng.Float64() - 0.5) * delta
 	}
 	mse, inRange := QuantizationMSE(errs, delta, 100)
-	want := UniformAssumptionMSE(delta)
+	want := delta * delta / 12
 	if !almostEqual(mse, want, 0.02*want) {
 		t.Fatalf("uniform-error MSE = %g, want ≈ %g", mse, want)
 	}
@@ -147,8 +82,8 @@ func TestQuantizationMSEPeakedErrorsBeatAssumption(t *testing.T) {
 		errs[i] = rng.NormFloat64() * 0.01
 	}
 	mse, _ := QuantizationMSE(errs, delta, 100)
-	if mse >= UniformAssumptionMSE(delta)/100 {
-		t.Fatalf("peaked-error MSE %g not ≪ uniform assumption %g", mse, UniformAssumptionMSE(delta))
+	if uniform := delta * delta / 12; mse >= uniform/100 {
+		t.Fatalf("peaked-error MSE %g not ≪ uniform assumption %g", mse, uniform)
 	}
 }
 

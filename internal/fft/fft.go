@@ -24,23 +24,9 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// Forward computes the in-place forward DFT of x (length must be a power
-// of two): X[k] = Σ x[j]·exp(−2πi·jk/N).
-func Forward(x []complex128) error { return transform(x, false) }
-
-// Inverse computes the in-place inverse DFT of x including the 1/N
-// normalization, so Inverse(Forward(x)) == x up to rounding.
-func Inverse(x []complex128) error {
-	if err := transform(x, true); err != nil {
-		return err
-	}
-	n := float64(len(x))
-	for i := range x {
-		x[i] /= complex(n, 0)
-	}
-	return nil
-}
-
+// transform computes the in-place DFT of x (length must be a power of
+// two), X[k] = Σ x[j]·exp(∓2πi·jk/N), with the + sign when inverse is
+// set and no 1/N normalization.
 func transform(x []complex128, inverse bool) error {
 	n := len(x)
 	if !IsPow2(n) {

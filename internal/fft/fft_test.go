@@ -7,6 +7,24 @@ import (
 	"testing"
 )
 
+// Forward computes the in-place forward DFT of x (length must be a power
+// of two): X[k] = Σ x[j]·exp(−2πi·jk/N). The tests drive the transform
+// kernel through it and build spectra with it.
+func Forward(x []complex128) error { return transform(x, false) }
+
+// Inverse computes the in-place inverse DFT of x including the 1/N
+// normalization, so Inverse(Forward(x)) == x up to rounding.
+func Inverse(x []complex128) error {
+	if err := transform(x, true); err != nil {
+		return err
+	}
+	n := float64(len(x))
+	for i := range x {
+		x[i] /= complex(n, 0)
+	}
+	return nil
+}
+
 func randComplex(n int, seed int64) []complex128 {
 	rng := rand.New(rand.NewSource(seed))
 	x := make([]complex128, n)

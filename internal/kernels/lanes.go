@@ -1,14 +1,12 @@
 package kernels
 
-// Lane split/join for the four-lane interleaved Huffman payloads
+// Lane split for the four-lane interleaved Huffman payloads
 // (internal/huffman EncodeLanes4/DecodeLanes4Into): lane i of a symbol
 // slice holds positions i, i+4, i+8, … — the same assignment
 // CountLanes4 accumulates by, so the frequency count's lanes are
-// exactly the emission lanes. The loops are strided int32 copies; the
-// generic forms below are the reference semantics an AVX2
-// gather/scatter form would have to match element-for-element, and are
-// fast enough that none has been needed yet (the split is a vanishing
-// slice of the encode profile next to the per-lane bit emission).
+// exactly the emission lanes. LaneSplit4 is the reference semantics of
+// that assignment: EncodeLanes4 fuses the split into its emit loop, and
+// internal/huffman's tests check the fused emit against LaneSplit4.
 
 // LaneSplit4 scatters syms into four lane slices: lane i receives
 // syms[i], syms[i+4], syms[i+8], …. The lane slices must have exactly
@@ -32,30 +30,6 @@ func LaneSplit4(l0, l1, l2, l3 []int32, syms []int32) {
 	}
 	if i < len(syms) {
 		l2[i>>2] = syms[i]
-	}
-}
-
-// LaneJoin4 is the inverse of LaneSplit4: it gathers the four lane
-// slices back into syms in interleaved order. The lane lengths must be
-// LaneLens4(len(syms)); the lanes must not alias syms.
-func LaneJoin4(syms []int32, l0, l1, l2, l3 []int32) {
-	i := 0
-	for ; i+4 <= len(syms); i += 4 {
-		syms[i] = l0[i>>2]
-		syms[i+1] = l1[i>>2]
-		syms[i+2] = l2[i>>2]
-		syms[i+3] = l3[i>>2]
-	}
-	if i < len(syms) {
-		syms[i] = l0[i>>2]
-		i++
-	}
-	if i < len(syms) {
-		syms[i] = l1[i>>2]
-		i++
-	}
-	if i < len(syms) {
-		syms[i] = l2[i>>2]
 	}
 }
 

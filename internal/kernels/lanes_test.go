@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // TestLaneLens4 pins the lane length formula against the definition:
 // lane i of an n-symbol slice holds the positions congruent to i mod 4.
@@ -23,12 +20,12 @@ func TestLaneLens4(t *testing.T) {
 	}
 }
 
-// FuzzLaneSplitJoin drives the split→join identity on fuzzer-chosen
-// lengths — the byte count is the symbol count, so every tail shape
-// (0–3 mod 4) comes up without generator cooperation. Symbol values
-// encode their own position, so a symbol landing in the wrong lane or
-// slot can never alias a correct one.
-func FuzzLaneSplitJoin(f *testing.F) {
+// FuzzLaneSplit checks LaneSplit4 slot by slot against the lane
+// definition on fuzzer-chosen lengths — the byte count is the symbol
+// count, so every tail shape (0–3 mod 4) comes up without generator
+// cooperation. Symbol values encode their own position, so a symbol
+// landing in the wrong lane or slot can never alias a correct one.
+func FuzzLaneSplit(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add([]byte{1, 2})
@@ -54,11 +51,6 @@ func FuzzLaneSplitJoin(f *testing.F) {
 			if got := lanes[i%4][i/4]; got != s {
 				t.Fatalf("lane %d slot %d holds %#x, want syms[%d] = %#x", i%4, i/4, got, i, s)
 			}
-		}
-		joined := make([]int32, len(syms))
-		LaneJoin4(joined, lanes[0], lanes[1], lanes[2], lanes[3])
-		if !slices.Equal(joined, syms) {
-			t.Fatalf("join(split(syms)) != syms for n=%d", len(syms))
 		}
 	})
 }

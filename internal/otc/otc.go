@@ -231,7 +231,7 @@ func (otcCodec) ChunkSpans(dims []int, opt codec.Options) [][2]int {
 	return parallel.Chunks(dims[0], rows)
 }
 
-// CompressChunk implements codec.ChunkCodec: QuantizeChunk, then the
+// CompressChunk implements codec.Codec: QuantizeChunk, then the
 // container's Huffman and DEFLATE entropy step.
 func (c otcCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
 	return codec.CompressQuantized(ctx, c, data, dims, prec, opt, sc)
@@ -325,7 +325,7 @@ func (otcCodec) QuantizeStaged(st codec.Staged, opt Options, sc *codec.Scratch) 
 	return out, nil
 }
 
-// DecompressChunk implements codec.ChunkCodec for OTC streams: it
+// DecompressChunk implements codec.Codec for OTC streams: it
 // reverses CompressChunk for chunk ci, reconstructing into dst (the
 // chunk's points). The blocks run in grid order through one buffer from
 // sc (nil = fresh allocations), each consuming its literals as its zero

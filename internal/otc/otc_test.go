@@ -223,13 +223,13 @@ func TestRoundTrip1D3D(t *testing.T) {
 
 // Theorem 2 in action: for the orthonormal-transform pipeline, the
 // end-to-end MSE equals the coefficient-domain quantization MSE, so the
-// Eq. 6 estimate (with δ on coefficients) predicts the data-domain PSNR.
+// Eq. 8 bound (Eq. 6 with δ = 2·ebabs on coefficients) predicts the
+// data-domain PSNR.
 func TestTheorem2FixedPSNR(t *testing.T) {
 	f := smoothField("thm2", 0.05, 64, 64)
 	_, _, vr := f.ValueRange()
 	for _, target := range []float64{50, 70, 90} {
-		delta := core.DeltaForPSNR(target, vr)
-		g, _ := roundTrip(t, f, Options{ErrorBound: delta / 2, Workers: 1})
+		g, _ := roundTrip(t, f, Options{ErrorBound: core.RelBoundForPSNR(target) * vr, Workers: 1})
 		d := stats.Compare(f.Data, g.Data)
 		// The uniform-within-bin assumption makes the estimate
 		// conservative; actual PSNR must be ≥ target − 1 dB and within
@@ -323,8 +323,7 @@ func TestHaarPipelineFixedPSNR(t *testing.T) {
 	f := smoothField("haarpsnr", 0.05, 64, 64)
 	_, _, vr := f.ValueRange()
 	for _, target := range []float64{50, 80} {
-		delta := core.DeltaForPSNR(target, vr)
-		g, _ := roundTrip(t, f, Options{ErrorBound: delta / 2, Transform: TransformHaar, Workers: 1})
+		g, _ := roundTrip(t, f, Options{ErrorBound: core.RelBoundForPSNR(target) * vr, Transform: TransformHaar, Workers: 1})
 		d := stats.Compare(f.Data, g.Data)
 		if d.PSNR < target-1 {
 			t.Fatalf("target %g: Haar actual %g fell below", target, d.PSNR)

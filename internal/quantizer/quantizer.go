@@ -123,6 +123,3 @@ func (q *Quantizer) QuantizeRecon(diff float64) (code int, rec, err float64, ok 
 func (q *Quantizer) Reconstruct(code int) float64 {
 	return float64(code-q.radius) * q.delta
 }
-
-// IsUnpredictable reports whether code marks a literal value.
-func IsUnpredictable(code int) bool { return code == 0 }

@@ -89,12 +89,6 @@ func TestReconstructMidpoint(t *testing.T) {
 	}
 }
 
-func TestIsUnpredictable(t *testing.T) {
-	if !IsUnpredictable(0) || IsUnpredictable(1) {
-		t.Fatal("IsUnpredictable misclassifies")
-	}
-}
-
 // Property: for any finite diff, either the code is 0 (unpredictable) or
 // |diff − Reconstruct(code)| ≤ eb and 1 ≤ code ≤ capacity−1.
 func TestErrorBoundProperty(t *testing.T) {

@@ -1,15 +1,9 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Histogram is a uniform-bin histogram over a closed interval [Lo, Hi].
-// It backs Figure 1 (the prediction-error distribution plot) and the
-// general MSE estimator of Eq. 3, which needs P(m_i) — the empirical
-// density evaluated at bin midpoints.
+// It backs Figure 1, the prediction-error distribution plot.
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int64
@@ -61,33 +55,12 @@ func (h *Histogram) AddAll(xs []float64) {
 	}
 }
 
-// BinWidth returns the width of each bin.
-func (h *Histogram) BinWidth() float64 {
-	return (h.Hi - h.Lo) / float64(len(h.Counts))
-}
-
-// Midpoint returns the midpoint of bin i.
-func (h *Histogram) Midpoint(i int) float64 {
-	w := h.BinWidth()
-	return h.Lo + (float64(i)+0.5)*w
-}
-
 // Fraction returns the fraction of all samples that landed in bin i.
 func (h *Histogram) Fraction(i int) float64 {
 	if h.Total == 0 {
 		return 0
 	}
 	return float64(h.Counts[i]) / float64(h.Total)
-}
-
-// Density returns the empirical probability density evaluated at the
-// midpoint of bin i: fraction / bin width. This is the P(m_i) of Eq. 3.
-func (h *Histogram) Density(i int) float64 {
-	w := h.BinWidth()
-	if w == 0 {
-		return 0
-	}
-	return h.Fraction(i) / w
 }
 
 // InRangeFraction returns the fraction of samples that fell inside
@@ -97,27 +70,4 @@ func (h *Histogram) InRangeFraction() float64 {
 		return 0
 	}
 	return float64(h.Total-h.Underflow-h.Overflow) / float64(h.Total)
-}
-
-// Quantile returns an empirical quantile (0 ≤ q ≤ 1) of xs. It sorts a
-// copy; callers on hot paths should pre-sort. An empty input returns 0.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(math.Floor(pos))
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
 }

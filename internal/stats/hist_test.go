@@ -40,51 +40,16 @@ func TestHistogramBinning(t *testing.T) {
 
 func TestHistogramMidpointAndDensity(t *testing.T) {
 	h, _ := NewHistogram(-1, 1, 4)
-	if !almostEqual(h.BinWidth(), 0.5, 1e-12) {
-		t.Fatalf("BinWidth = %g", h.BinWidth())
-	}
-	if !almostEqual(h.Midpoint(0), -0.75, 1e-12) {
-		t.Fatalf("Midpoint(0) = %g", h.Midpoint(0))
-	}
 	h.AddAll([]float64{-0.9, -0.8, 0.1})
 	if !almostEqual(h.Fraction(0), 2.0/3.0, 1e-12) {
 		t.Fatalf("Fraction(0) = %g", h.Fraction(0))
-	}
-	// Density integrates to 1 over in-range samples.
-	var integral float64
-	for i := range h.Counts {
-		integral += h.Density(i) * h.BinWidth()
-	}
-	if !almostEqual(integral, 1, 1e-12) {
-		t.Fatalf("density integral = %g, want 1", integral)
 	}
 }
 
 func TestHistogramEmptyDensity(t *testing.T) {
 	h, _ := NewHistogram(0, 1, 2)
-	if h.Density(0) != 0 || h.Fraction(0) != 0 || h.InRangeFraction() != 0 {
+	if h.Fraction(0) != 0 || h.InRangeFraction() != 0 {
 		t.Fatal("empty histogram should report zeros")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct {
-		q, want float64
-	}{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {-1, 1}, {2, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEqual(got, c.want, 1e-12) {
-			t.Fatalf("Quantile(%g) = %g, want %g", c.q, got, c.want)
-		}
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Fatal("quantile of empty should be 0")
-	}
-	// Interpolation between order statistics.
-	if got := Quantile([]float64{0, 10}, 0.25); !almostEqual(got, 2.5, 1e-12) {
-		t.Fatalf("interpolated quantile = %g, want 2.5", got)
 	}
 }
 

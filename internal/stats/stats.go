@@ -1,7 +1,7 @@
 // Package stats provides the distortion metrics used throughout the
 // module: mean squared error, normalized root mean squared error, peak
-// signal-to-noise ratio, maximum pointwise error, and supporting moment and
-// histogram utilities.
+// signal-to-noise ratio and maximum pointwise error, plus the histogram
+// behind Figure 1.
 //
 // Definitions follow the paper exactly:
 //
@@ -95,76 +95,4 @@ func PSNRFromNRMSE(nrmse float64) float64 {
 	default:
 		return -20 * math.Log10(nrmse)
 	}
-}
-
-// NRMSEFromPSNR inverts PSNRFromNRMSE.
-func NRMSEFromPSNR(psnr float64) float64 {
-	if math.IsInf(psnr, 1) {
-		return 0
-	}
-	return math.Pow(10, -psnr/20)
-}
-
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Moments holds streaming mean/variance accumulators (Welford's method),
-// which stay numerically stable across the value magnitudes seen in HPC
-// fields.
-type Moments struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (m *Moments) Add(x float64) {
-	m.n++
-	delta := x - m.mean
-	m.mean += delta / float64(m.n)
-	m.m2 += delta * (x - m.mean)
-}
-
-// N returns the number of observations.
-func (m *Moments) N() int { return m.n }
-
-// Mean returns the running mean.
-func (m *Moments) Mean() float64 { return m.mean }
-
-// Variance returns the population variance (division by n).
-func (m *Moments) Variance() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// SampleVariance returns the unbiased sample variance (division by n−1).
-func (m *Moments) SampleVariance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// SampleStdDev returns the sample standard deviation, the STDEV column of
-// the paper's Table II.
-func (m *Moments) SampleStdDev() float64 { return math.Sqrt(m.SampleVariance()) }
-
-// MeanStd computes mean and sample standard deviation of xs in one pass.
-func MeanStd(xs []float64) (mean, std float64) {
-	var m Moments
-	for _, x := range xs {
-		m.Add(x)
-	}
-	return m.Mean(), m.SampleStdDev()
 }

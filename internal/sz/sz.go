@@ -54,7 +54,7 @@ func (szCodec) EstimateCapacity(data []float64, dims []int, ebAbs float64) int {
 	return estimateCapacity(data, dims, ebAbs)
 }
 
-// CompressChunk implements codec.ChunkCodec: the full per-chunk
+// CompressChunk implements codec.Codec: the full per-chunk
 // pipeline — QuantizeChunk, then the container's Huffman and DEFLATE
 // entropy step — over one row slab.
 func (c szCodec) CompressChunk(ctx context.Context, data []float64, dims []int, prec field.Precision, opt Options, sc *codec.Scratch) ([]byte, codec.ChunkStats, error) {
@@ -92,7 +92,7 @@ func (szCodec) QuantizeChunk(ctx context.Context, data []float64, dims []int, pr
 	return out, nil
 }
 
-// DecompressChunk implements codec.ChunkCodec, reconstructing chunk c
+// DecompressChunk implements codec.Codec, reconstructing chunk c
 // into dst (the chunk's points): Lorenzo chunks here, and the one chunk
 // of a log-domain (pointwise-relative) stream in decompressPWRelChunk.
 // Per-chunk bounds written by selective recompression take precedence
