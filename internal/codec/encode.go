@@ -194,8 +194,11 @@ func ConstantStream(name string, prec field.Precision, dims []int, mode Mode, v 
 // Scratch.AppendPayload writes the chunk's payload from, and the chunk's
 // statistics. Codes come from the Scratch passed to QuantizeChunk.
 type Quantized struct {
-	Prefix   []byte
-	Codes    []int32
+	Prefix []byte
+	Codes  []int32
+	// MaxSym bounds every code (the quantizer's capacity−1). It sizes
+	// the Huffman coder's symbol-indexed tables, not the work per chunk:
+	// a table build counts only code 0 and the chunk's code window.
 	MaxSym   int
 	Literals []float64
 	// Prec is the precision the literals are stored at.

@@ -74,7 +74,9 @@ func CodesDeflateWins(rawLen, compLen int) bool {
 // and returns the extended slice. Every code must lie in [0, maxSym] —
 // the pipelines pass their quantizer's capacity−1, since quantization
 // codes are below the capacity by construction — which lets the Huffman
-// coder skip a validation pass. Literals are stored at precision prec.
+// coder skip a validation pass. maxSym sizes the coder's tables once per
+// scratch; each chunk's table build costs what its code window holds
+// (huffman.EncodeLanes4). Literals are stored at precision prec.
 // The codes keep the DEFLATE wrap only when it wins (CodesDeflateWins);
 // the literal section is always deflated. Staging buffers and encoders
 // come from s (nil = fresh allocations); the appended bytes share no

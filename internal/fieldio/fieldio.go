@@ -28,45 +28,63 @@ import (
 // Magic identifies a field file.
 var Magic = [4]byte{'S', 'D', 'F', '1'}
 
-// Write serializes the field to w at its declared precision.
+// writeBlock is how many values Write encodes per call to w.Write: 64
+// KiB of float64 values.
+const writeBlock = 8192
+
+// Write serializes the field to w at its declared precision. The values
+// are encoded a block at a time into one buffer, the first block behind
+// the header, and each block goes out in one w.Write call.
 func Write(w io.Writer, f *field.Field) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(Magic[:]); err != nil {
-		return err
+	buf := appendHeader(nil, f)
+	for data := f.Data; ; buf = buf[:0] {
+		n := min(len(data), writeBlock)
+		buf = appendValues(buf, data[:n], f.Precision)
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		if data = data[n:]; len(data) == 0 {
+			return nil
+		}
 	}
-	if err := bw.WriteByte(byte(f.Precision)); err != nil {
-		return err
-	}
-	var hdr []byte
-	hdr = binary.AppendUvarint(hdr, uint64(len(f.Name)))
-	hdr = append(hdr, f.Name...)
-	hdr = binary.AppendUvarint(hdr, uint64(len(f.Dims)))
+}
+
+// Size returns the number of bytes Write writes for f.
+func Size(f *field.Field) int {
+	return len(appendHeader(nil, f)) + len(f.Data)*f.Precision.Bytes()
+}
+
+// appendHeader appends f's SDF1 header, everything before the values.
+func appendHeader(dst []byte, f *field.Field) []byte {
+	dst = append(dst, Magic[:]...)
+	dst = append(dst, byte(f.Precision))
+	dst = binary.AppendUvarint(dst, uint64(len(f.Name)))
+	dst = append(dst, f.Name...)
+	dst = binary.AppendUvarint(dst, uint64(len(f.Dims)))
 	for _, d := range f.Dims {
-		hdr = binary.AppendUvarint(hdr, uint64(d))
+		dst = binary.AppendUvarint(dst, uint64(d))
 	}
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	var buf [8]byte
-	if f.Precision == field.Float32 {
-		for _, v := range f.Data {
-			binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(float32(v)))
-			if _, err := bw.Write(buf[:4]); err != nil {
-				return err
-			}
+	return dst
+}
+
+// appendValues appends vals little-endian at precision prec.
+func appendValues(dst []byte, vals []float64, prec field.Precision) []byte {
+	off, n := len(dst), len(vals)*prec.Bytes()
+	dst = slices.Grow(dst, n)[:off+n]
+	out := dst[off:]
+	if prec == field.Float32 {
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(float32(v)))
 		}
 	} else {
-		for _, v := range f.Data {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			if _, err := bw.Write(buf[:]); err != nil {
-				return err
-			}
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
 		}
 	}
-	return bw.Flush()
+	return dst
 }
 
 // Read deserializes a field written by Write. The body must end with

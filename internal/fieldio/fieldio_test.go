@@ -223,6 +223,53 @@ func TestReadGrowsUnknownLength(t *testing.T) {
 	}
 }
 
+// countingWriter counts the Write calls that reach it.
+type countingWriter struct {
+	bytes.Buffer
+	calls int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteMatchesPerValueEncoding pins Write's blocked encoding to the
+// format's definition, one value at a time, at lengths on and around the
+// block size, and checks Size and the number of Write calls.
+func TestWriteMatchesPerValueEncoding(t *testing.T) {
+	for _, prec := range []field.Precision{field.Float32, field.Float64} {
+		for _, n := range []int{1, 7, writeBlock - 1, writeBlock, writeBlock + 1, 2*writeBlock + 5} {
+			f := testField(prec, n)
+			want := append([]byte("SDF1"), byte(prec))
+			want = binary.AppendUvarint(want, uint64(len(f.Name)))
+			want = append(want, f.Name...)
+			want = append(want, 1)
+			want = binary.AppendUvarint(want, uint64(n))
+			for _, v := range f.Data {
+				if prec == field.Float32 {
+					want = binary.LittleEndian.AppendUint32(want, math.Float32bits(float32(v)))
+				} else {
+					want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
+				}
+			}
+			var w countingWriter
+			if err := Write(&w, f); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w.Bytes(), want) {
+				t.Fatalf("%v, %d values: Write differs from the per-value encoding", prec, n)
+			}
+			if Size(f) != len(want) {
+				t.Fatalf("%v, %d values: Size = %d, want %d", prec, n, Size(f), len(want))
+			}
+			if blocks := (n + writeBlock - 1) / writeBlock; w.calls != blocks {
+				t.Fatalf("%v, %d values: %d Write calls, want %d", prec, n, w.calls, blocks)
+			}
+		}
+	}
+}
+
 // FuzzRead feeds arbitrary bodies to Read, over a reader of known length
 // (as a server holds a request body) and one of unknown length. Read must
 // never panic, both readers must agree, and an accepted field must
@@ -254,6 +301,9 @@ func FuzzRead(f *testing.F) {
 		var w1 bytes.Buffer
 		if err := Write(&w1, got); err != nil {
 			t.Fatalf("accepted field does not write: %v", err)
+		}
+		if w1.Len() != Size(got) {
+			t.Fatalf("Write wrote %d bytes, Size says %d", w1.Len(), Size(got))
 		}
 		back, err := Read(bytes.NewReader(w1.Bytes()))
 		if err != nil {

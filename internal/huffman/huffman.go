@@ -126,8 +126,9 @@ func (c *canonicalSorter) Swap(i, j int) {
 // self-describing table header — uvarint(len(syms)), uvarint(nsym), then
 // the (symbol, length) pairs in canonical order — to dst. It returns the
 // dense symbol→length and symbol→code tables the emit loops index, both
-// scratch-owned (valid until the next build with the same sc), and the
-// exact bit size of each four-lane body. A nil sc allocates fresh.
+// scratch-owned (valid until the next build with the same sc) and
+// written only at present symbols, and the exact bit size of each
+// four-lane body. A nil sc allocates fresh.
 func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, lenOf []uint8, codes []uint64, laneBits [4]int64, err error) {
 	if sc == nil {
 		sc = &Scratch{}
@@ -141,27 +142,48 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 	// totals feed the shared table, which is what keeps one canonical
 	// code valid for all four lane bitstreams. The lane-summing pass
 	// also rebuilds the present list, replacing the per-symbol branch.
+	//
+	// The lanes are indexed by symbol up to maxSym, but a symbol can
+	// only be the literal marker 0 or lie in the code window
+	// (kernels.CodeWindow), a few hundred codes where the capacity is
+	// tens of thousands. So only counter 0 and the window are cleared,
+	// counted and summed; whatever earlier builds left elsewhere in the
+	// lanes is never read.
 	m := maxSym + 1
 	lanes := grow(&sc.freq, 4*m)
-	clear(lanes)
 	lane0, lane1 := lanes[:m], lanes[m:2*m]
 	lane2, lane3 := lanes[2*m:3*m], lanes[3*m:]
+	lo, hi := kernels.CodeWindow(syms)
+	if lo == 0 { // no nonzero code: an empty window
+		hi = -1
+	}
+	spans := [2][2]int{{0, min(1, m)}, {int(lo), int(hi) + 1}}
+	for _, sp := range spans {
+		clear(lane0[sp[0]:sp[1]])
+		clear(lane1[sp[0]:sp[1]])
+		clear(lane2[sp[0]:sp[1]])
+		clear(lane3[sp[0]:sp[1]])
+	}
 	kernels.CountLanes4(lane0, lane1, lane2, lane3, syms)
 	freq := lane0
 	present := sc.present[:0]
-	for s, f := range lane0 {
-		f += lane1[s] + lane2[s] + lane3[s]
-		if f != 0 {
-			freq[s] = f
-			present = append(present, int32(s))
+	for _, sp := range spans {
+		w0, w1 := lane0[sp[0]:sp[1]], lane1[sp[0]:sp[1]]
+		w2, w3 := lane2[sp[0]:sp[1]], lane3[sp[0]:sp[1]]
+		for i, f := range w0 {
+			f += w1[i] + w2[i] + w3[i]
+			if f != 0 {
+				w0[i] = f
+				present = append(present, int32(sp[0]+i))
+			}
 		}
 	}
 	sc.present = present
 	nsym := len(present)
 
-	// Code lengths per symbol (dense table; zero = absent).
+	// Code lengths per symbol: a dense table the emit loops index, of
+	// which only the present symbols' entries are written (and read).
 	lenOf = grow(&sc.lenOf, m)
-	clear(lenOf)
 	switch nsym {
 	case 0:
 		// Empty input: emit the trivial header below.
@@ -339,8 +361,11 @@ func emitLane(out []byte, syms []int32, lenOf []uint8, codes []uint64) {
 // pass over the symbols; one outside that range panics (slice bounds)
 // rather than returning an error. The emitted table covers only symbols
 // that occur, so an over-estimated bound costs scratch memory, not
-// stream bytes. A nil sc allocates fresh; the encoded bytes are identical
-// whatever sc is.
+// stream bytes, and not time either: maxSym sizes sc's symbol-indexed
+// tables, but the table build clears, counts and sums only code 0 and
+// the code window (kernels.CodeWindow, smallest nonzero code to largest
+// code), and writes lengths and codes for present symbols only. A nil sc
+// allocates fresh; the encoded bytes are identical whatever sc is.
 func EncodeLanes4(dst []byte, syms []int32, maxSym int, sc *Scratch) ([]byte, error) {
 	dst, lenOf, codes, laneBits, err := buildTable(dst, syms, maxSym, sc)
 	if err != nil {

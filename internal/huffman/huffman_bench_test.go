@@ -1,6 +1,7 @@
 package huffman
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -31,17 +32,25 @@ func quantCodes(n int, seed int64) []int32 {
 	return syms
 }
 
+// BenchmarkEncode times EncodeLanes4 on quantization codes at the
+// default capacity (maxSym 65535), on one warm scratch: a 2^20-symbol
+// block, and a 2^14-symbol block, a small chunk's, where the table build
+// is the larger share.
 func BenchmarkEncode(b *testing.B) {
-	syms := quantCodes(1<<20, 1)
-	sc := NewScratch()
-	var dst []byte
-	b.SetBytes(int64(len(syms)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if dst, err = EncodeLanes4(dst[:0], syms, 1<<16-1, sc); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{1 << 20, 1 << 14} {
+		b.Run(fmt.Sprintf("syms=%d", n), func(b *testing.B) {
+			syms := quantCodes(n, 1)
+			sc := NewScratch()
+			var dst []byte
+			b.SetBytes(int64(len(syms)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if dst, err = EncodeLanes4(dst[:0], syms, 1<<16-1, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -86,6 +86,50 @@ func TestEncodeLanes4MatchesSplitReference(t *testing.T) {
 	}
 }
 
+// TestScratchMovingWindows runs one Scratch over blocks whose code
+// windows move — wide, narrow, literal-only, one symbol, empty, at the
+// window's ends, and back — under alphabet bounds that also move, so
+// each build's tables start on what the last one left. Every block must
+// encode to a fresh scratch's bytes and decode to its symbols.
+func TestScratchMovingWindows(t *testing.T) {
+	fill := func(n int, s int32) []int32 {
+		syms := make([]int32, n)
+		for i := range syms {
+			syms[i] = s
+		}
+		return syms
+	}
+	wide, narrow := wideCodes(1<<14, 3), quantCodes(1<<12, 4)
+	lowEnd := append(fill(300, 1), fill(200, 2)...)
+	highEnd := append(fill(300, 1<<16-1), 0, 1<<16-2, 0)
+	blocks := [][]int32{
+		wide, narrow, fill(777, 0), fill(100, 40000), nil, wide,
+		lowEnd, highEnd, fill(5, 0), narrow, {0, 1<<16 - 1}, wide, narrow,
+	}
+	sc := NewScratch()
+	ds := NewDecodeScratch()
+	for _, maxSym := range []int{1<<16 - 1, 1<<20 - 1, 1<<16 - 1} {
+		for i, syms := range blocks {
+			got, err := EncodeLanes4(nil, syms, maxSym, sc)
+			if err != nil {
+				t.Fatalf("maxSym %d, block %d: %v", maxSym, i, err)
+			}
+			want, err := EncodeLanes4(nil, syms, maxSym, NewScratch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("maxSym %d, block %d (%d symbols): reused scratch gave %d bytes, a fresh one %d, and they differ",
+					maxSym, i, len(syms), len(got), len(want))
+			}
+			dec, _, err := DecodeLanes4Into(nil, got, ds)
+			if err != nil || !slices.Equal(dec, syms) {
+				t.Fatalf("maxSym %d, block %d: decode error %v or symbols differ", maxSym, i, err)
+			}
+		}
+	}
+}
+
 // TestLanes4RoundTrip drives encode→decode over the corpus shapes,
 // checks consumed covers exactly the encoding, and confirms trailing
 // bytes are left alone — the embedding contract the chunk payloads rely

@@ -218,10 +218,12 @@ func countEntries(step byte, counts ...int) []byte {
 }
 
 // FuzzBuildTableDifferential holds buildTable's two-queue merge to the
-// heap build it replaced: for every count table, the dense code-length
-// table and the emitted table header must be identical. One scratch
-// serves every input, so tables of every size also reuse each other's
-// buffers.
+// heap build it replaced: for every count table, every present symbol's
+// code length and the emitted table header must be identical. One
+// scratch serves every input, so tables of every size and window also
+// reuse each other's buffers, and an absent symbol's entry in the dense
+// length table may hold what an earlier build left there: the emit
+// loops read only present symbols.
 func FuzzBuildTableDifferential(f *testing.F) {
 	equal := make([]int, 37)
 	for i := range equal {
@@ -252,8 +254,8 @@ func FuzzBuildTableDifferential(f *testing.F) {
 		if err != nil || wantErr != nil {
 			t.Fatalf("build errors: two-queue %v, heap %v", err, wantErr)
 		}
-		for s := range wantLens {
-			if gotLens[s] != wantLens[s] {
+		for s, l := range wantLens {
+			if l != 0 && gotLens[s] != l {
 				t.Fatalf("symbol %d: two-queue length %d, heap length %d", s, gotLens[s], wantLens[s])
 			}
 		}

@@ -78,3 +78,77 @@ done:
 oob:
 	CALL ·countLanes4OOB(SB)
 	RET
+
+// func codeWindowAVX2(syms []int32) (lo, hi int32)
+//
+// Vector form of codeWindowGeneric: sixteen codes per iteration in two
+// YMM registers. VPADDD of all-ones forms s−1, so VPMINUD's unsigned
+// minimum skips code 0 (it wraps to 0xFFFFFFFF, the seed), and VPMAXSD
+// keeps the signed maximum from a zero seed. Minimum and maximum are
+// associative and commutative, so the two accumulator pairs, the
+// horizontal folds and the scalar tail give codeWindowGeneric's result
+// in any order.
+TEXT ·codeWindowAVX2(SB), NOSPLIT, $0-32
+	MOVQ syms_base+0(FP), SI
+	MOVQ syms_len+8(FP), CX
+
+	VPCMPEQD Y15, Y15, Y15 // all ones: the minimum's seed and the −1 addend
+	VMOVDQU  Y15, Y0
+	VMOVDQU  Y15, Y1
+	VPXOR    Y2, Y2, Y2
+	VPXOR    Y3, Y3, Y3
+
+	XORQ BX, BX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+
+wloop:
+	CMPQ    BX, DX
+	JGE     wfold
+	VMOVDQU (SI)(BX*4), Y4
+	VMOVDQU 32(SI)(BX*4), Y5
+	VPMAXSD Y4, Y2, Y2
+	VPMAXSD Y5, Y3, Y3
+	VPADDD  Y15, Y4, Y4
+	VPADDD  Y15, Y5, Y5
+	VPMINUD Y4, Y0, Y0
+	VPMINUD Y5, Y1, Y1
+	ADDQ    $16, BX
+	JMP     wloop
+
+wfold:
+	VPMINUD      Y1, Y0, Y0
+	VPMAXSD      Y3, Y2, Y2
+	VEXTRACTI128 $1, Y0, X1
+	VPMINUD      X1, X0, X0
+	VEXTRACTI128 $1, Y2, X3
+	VPMAXSD      X3, X2, X2
+	VPSHUFD      $0x4E, X0, X1
+	VPMINUD      X1, X0, X0
+	VPSHUFD      $0xB1, X0, X1
+	VPMINUD      X1, X0, X0
+	VPSHUFD      $0x4E, X2, X3
+	VPMAXSD      X3, X2, X2
+	VPSHUFD      $0xB1, X2, X3
+	VPMAXSD      X3, X2, X2
+	VMOVD        X0, AX // unsigned minimum of s−1
+	VMOVD        X2, R8 // signed maximum
+	VZEROUPPER
+
+wtail:
+	CMPQ    BX, CX
+	JGE     wdone
+	MOVL    (SI)(BX*4), DX
+	CMPL    DX, R8
+	CMOVLGT DX, R8
+	DECL    DX
+	CMPL    DX, AX
+	CMOVLCS DX, AX
+	INCQ    BX
+	JMP     wtail
+
+wdone:
+	INCL AX
+	MOVL AX, lo+24(FP)
+	MOVL R8, hi+28(FP)
+	RET

@@ -20,6 +20,9 @@ func minMaxAVX2(data []float64) (min, max float64)
 func countLanes4Asm(l0, l1, l2, l3 []int64, syms []int32)
 
 //go:noescape
+func codeWindowAVX2(syms []int32) (lo, hi int32)
+
+//go:noescape
 func pqRowAsm(q *Quant, a *PQRow)
 
 //go:noescape
@@ -57,6 +60,7 @@ func init() {
 	}
 	minMaxFn = minMaxAVX2
 	countLanes4Fn = countLanes4Asm
+	codeWindowFn = codeWindowAVX2
 	pqRows4Fn = pqRows4Asm
 	pqRows2Fn = pqRows2Asm
 	pqRowFn = pqRowAsm

@@ -171,20 +171,77 @@ func FuzzKernelValueBounds(f *testing.F) {
 	})
 }
 
+// codeBytes packs codes as FuzzKernelCount's raw input.
+func codeBytes(codes ...int32) []byte {
+	raw := make([]byte, 4*len(codes))
+	for i, c := range codes {
+		binary.LittleEndian.PutUint32(raw[4*i:], uint32(c))
+	}
+	return raw
+}
+
+// FuzzKernelCount drives the two kernels of the Huffman table build,
+// CountLanes4 and CodeWindow, against their generic twins on the same
+// inputs. CodeWindow also sees the raw int32s, so negative values and
+// the top int32 reach its unsigned-minimum and signed-maximum folds.
 func FuzzKernelCount(f *testing.F) {
 	f.Add([]byte{}, uint16(100))
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, uint16(7))
-	f.Add(make([]byte, 4*1001), uint16(1))
+	f.Add(make([]byte, 4*1001), uint16(1)) // literal-only: every code 0
+	// No literals: a window of nonzero codes around a radius.
+	noLits := make([]int32, 67)
+	for i := range noLits {
+		noLits[i] = int32(1000 + (i*37)%29 - 14)
+	}
+	f.Add(codeBytes(noLits...), uint16(2047))
+	// Tails of 1–15 codes past a whole vector block, the window's ends
+	// and a literal in the tail.
+	for tail := 1; tail <= 15; tail++ {
+		codes := make([]int32, 16+tail)
+		for i := range codes {
+			codes[i] = 500
+		}
+		codes[16] = 0
+		codes[len(codes)-1] = int32(400 - tail)
+		if tail > 1 {
+			codes[len(codes)-2] = int32(600 + tail)
+		}
+		f.Add(codeBytes(codes...), uint16(1023))
+	}
+	// The top symbol: the lanes' last counter, and the top int32 for the
+	// window's raw pass.
+	f.Add(codeBytes(2047, 1, 0, 2047, 5, 2047, 0, 3, 2047, 2047, 9, 0, 1, 2047, 4, 2047, 2047), uint16(2047))
+	f.Add(codeBytes(1<<31-1, 0, 7, -1, 1<<31-1, -(1<<31), 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10), uint16(99))
 	f.Fuzz(func(t *testing.T, raw []byte, laneLen uint16) {
 		m := int32(laneLen%2048) + 1
 		syms := make([]int32, len(raw)/4)
+		rawSyms := make([]int32, len(raw)/4)
 		for i := range syms {
 			v := int32(binary.LittleEndian.Uint32(raw[i*4:]))
+			rawSyms[i] = v
 			v %= m
 			if v < 0 {
 				v += m
 			}
 			syms[i] = v
+		}
+		for _, in := range [][]int32{syms, rawSyms} {
+			wantLo, wantHi := codeWindowGeneric(in)
+			if lo, hi := CodeWindow(in); lo != wantLo || hi != wantHi {
+				t.Fatalf("CodeWindow = [%d, %d], want [%d, %d]", lo, hi, wantLo, wantHi)
+			}
+		}
+		// On codes (non-negative) the window is the smallest nonzero code
+		// and the largest code.
+		var lo, hi int32
+		for _, s := range syms {
+			if s != 0 && (lo == 0 || s < lo) {
+				lo = s
+			}
+			hi = max(hi, s)
+		}
+		if gotLo, gotHi := codeWindowGeneric(syms); gotLo != lo || gotHi != hi {
+			t.Fatalf("codeWindowGeneric = [%d, %d], want [%d, %d]", gotLo, gotHi, lo, hi)
 		}
 		var want, got [4][]int64
 		for l := range want {

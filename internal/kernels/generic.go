@@ -81,6 +81,17 @@ func countLanes4Generic(l0, l1, l2, l3 []int64, syms []int32) {
 	}
 }
 
+// codeWindowGeneric is the portable CodeWindow. Unsigned s−1 wraps code
+// 0 to the largest uint32, so zeros never win the minimum.
+func codeWindowGeneric(syms []int32) (lo, hi int32) {
+	m := ^uint32(0)
+	for _, s := range syms {
+		m = min(m, uint32(s)-1)
+		hi = max(hi, s)
+	}
+	return int32(m + 1), hi
+}
+
 // pqRowGeneric is the reference fused predict+quantize row loop. Keep
 // the operation order in sync with quantizer.QuantizeRecon and the
 // assembly kernels: prediction sums left-to-right, binning via one

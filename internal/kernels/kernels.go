@@ -1,8 +1,9 @@
 // Package kernels collects the hot-loop kernels shared by the
 // compression pipelines — the fused Lorenzo-3D predict+quantize row
 // loop and its reconstruction inverse (internal/sz), the min/max value
-// scan (field.ValueRange, codec.ValueBounds), and the four-lane Huffman
-// frequency count (internal/huffman) — each with a portable generic
+// scan (field.ValueRange, codec.ValueBounds), and the Huffman table
+// build's code-window scan and four-lane frequency count
+// (internal/huffman) — each with a portable generic
 // implementation and, on amd64, an AVX2+FMA assembly implementation
 // selected once at init via CPUID feature detection.
 //
@@ -82,6 +83,7 @@ type RRRow struct {
 var (
 	minMaxFn      func(data []float64) (min, max float64)    = minMaxGeneric
 	countLanes4Fn func(l0, l1, l2, l3 []int64, syms []int32) = countLanes4Generic
+	codeWindowFn  func(syms []int32) (lo, hi int32)          = codeWindowGeneric
 	pqRows4Fn     func(q *Quant, a, b, c, d *PQRow)          = pqRows4Generic
 	pqRows2Fn     func(q *Quant, a, b *PQRow)                = pqRows2Generic
 	pqRowFn       func(q *Quant, a *PQRow)                   = pqRowGeneric
@@ -103,16 +105,16 @@ func Active() string { return implName }
 // implementations in one process) and must not race concurrent kernel
 // callers: flip it only around single-threaded sections.
 func ForceGeneric() (restore func()) {
-	prevMinMax, prevCount := minMaxFn, countLanes4Fn
+	prevMinMax, prevCount, prevWindow := minMaxFn, countLanes4Fn, codeWindowFn
 	prevPQ4, prevPQ2, prevPQ1 := pqRows4Fn, pqRows2Fn, pqRowFn
 	prevRR4, prevRR2, prevRR1 := reconRows4Fn, reconRows2Fn, reconRowFn
 	prevName := implName
-	minMaxFn, countLanes4Fn = minMaxGeneric, countLanes4Generic
+	minMaxFn, countLanes4Fn, codeWindowFn = minMaxGeneric, countLanes4Generic, codeWindowGeneric
 	pqRows4Fn, pqRows2Fn, pqRowFn = pqRows4Generic, pqRows2Generic, pqRowGeneric
 	reconRows4Fn, reconRows2Fn, reconRowFn = reconRows4Generic, reconRows2Generic, reconRowGeneric
 	implName = "generic"
 	return func() {
-		minMaxFn, countLanes4Fn = prevMinMax, prevCount
+		minMaxFn, countLanes4Fn, codeWindowFn = prevMinMax, prevCount, prevWindow
 		pqRows4Fn, pqRows2Fn, pqRowFn = prevPQ4, prevPQ2, prevPQ1
 		reconRows4Fn, reconRows2Fn, reconRowFn = prevRR4, prevRR2, prevRR1
 		implName = prevName
@@ -141,6 +143,17 @@ func MinMax(data []float64) (min, max float64) { return minMaxFn(data) }
 func CountLanes4(l0, l1, l2, l3 []int64, syms []int32) {
 	countLanes4Fn(l0, l1, l2, l3, syms)
 }
+
+// CodeWindow returns the window a Huffman table build has to count: lo
+// is the smallest nonzero code in syms and hi the largest code. Code 0
+// is the literal marker, which every chunk with a literal carries, so it
+// stays outside the window — counted on its own, one literal would
+// otherwise stretch the window from 0 to the chunk's codes, the full
+// capacity. lo is 0 when no code is nonzero, and hi is 0 for empty
+// input. For any int32 values the result is specified as lo = 1 + the
+// unsigned minimum of uint32(s)−1 (wrapping) and hi = the signed maximum
+// of 0 and every s, so every implementation agrees on every input.
+func CodeWindow(syms []int32) (lo, hi int32) { return codeWindowFn(syms) }
 
 // PredictQuantizeRows4 runs the fused Lorenzo-3D predict + quantize
 // loop over four independent rows (same anti-diagonal). The

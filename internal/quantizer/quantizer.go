@@ -29,6 +29,7 @@ type Quantizer struct {
 	delta    float64 // bin width δ = 2·eb
 	invDelta float64 // 1/δ, for the reciprocal-multiply fast path
 	radius   int     // interval radius R = capacity/2
+	limit    float64 // R+1, Quantize's bound on |diff/δ|
 }
 
 // New creates a quantizer with the given absolute error bound and interval
@@ -44,7 +45,8 @@ func New(ebAbs float64, capacity int) (*Quantizer, error) {
 	if capacity < 4 || capacity%2 != 0 {
 		return nil, fmt.Errorf("quantizer: capacity must be an even number >= 4, got %d", capacity)
 	}
-	return &Quantizer{eb: ebAbs, delta: 2 * ebAbs, invDelta: 1 / (2 * ebAbs), radius: capacity / 2}, nil
+	r := capacity / 2
+	return &Quantizer{eb: ebAbs, delta: 2 * ebAbs, invDelta: 1 / (2 * ebAbs), radius: r, limit: float64(r) + 1}, nil
 }
 
 // ErrorBound returns the absolute error bound.
@@ -67,16 +69,36 @@ func (q *Quantizer) Capacity() int { return 2 * q.radius }
 // error falls outside the representable interval range (or is not finite),
 // in which case the caller must store the value losslessly and emit
 // code 0.
+//
+// The index is diff/δ (a true divide, not the reciprocal multiply of
+// QuantizeRecon) rounded half away from zero, the rounding of
+// math.Round, so every code matches that form bit for bit. The rounding
+// runs without math.Round's exponent branches, which mispredict on
+// transform coefficients: the guard |t| < R+1 sends NaN, ±Inf and every
+// out-of-range quotient to the literal path first, so t truncates to an
+// int exactly, t minus that truncation is its exact fractional part (the
+// truncation is 0 or within a factor of two of t), and a fractional part
+// of at least ½ in magnitude steps the index one away from zero. It is
+// small enough to inline into the transform pipeline's quantize loop.
 func (q *Quantizer) Quantize(diff float64) (code int, ok bool) {
-	if math.IsNaN(diff) || math.IsInf(diff, 0) {
+	t := diff / q.delta
+	if !(t < q.limit && t > -q.limit) {
 		return 0, false
 	}
-	idx := math.Round(diff / q.delta)
+	i := int(t)
+	f := t - float64(i)
+	if f >= 0.5 {
+		i++
+	}
+	if f <= -0.5 {
+		i--
+	}
 	// |q| must stay strictly below R so the code fits [1, 2R−1].
-	if idx >= float64(q.radius) || idx <= -float64(q.radius) {
+	code = i + q.radius
+	if uint(code-1) >= uint(2*q.radius-1) {
 		return 0, false
 	}
-	return int(idx) + q.radius, true
+	return code, true
 }
 
 // RoundMagic implements round-to-nearest (ties to even) by pushing the

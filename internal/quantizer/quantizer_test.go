@@ -142,3 +142,65 @@ func TestBoundaryRounding(t *testing.T) {
 		t.Fatalf("boundary error %g > eb", err)
 	}
 }
+
+// refQuantize is Quantize's former form, FuzzQuantizeRound's reference:
+// a non-finite check, then diff/δ rounded by math.Round and compared
+// against the radius as a float.
+func refQuantize(q *Quantizer, diff float64) (code int, ok bool) {
+	if math.IsNaN(diff) || math.IsInf(diff, 0) {
+		return 0, false
+	}
+	idx := math.Round(diff / q.delta)
+	if idx >= float64(q.radius) || idx <= -float64(q.radius) {
+		return 0, false
+	}
+	return int(idx) + q.radius, true
+}
+
+// FuzzQuantizeRound holds Quantize's truncate-and-step rounding to the
+// math.Round form for every diff, error bound and capacity from 4 to
+// 2^30: the same code and the same ok, so no stream byte can move. Each
+// input is also moved onto the nearest exact half of δ below it, the
+// case the rounding direction decides.
+func FuzzQuantizeRound(f *testing.F) {
+	const capExp64K = 14 // 4<<14 = 65536, R = 32768
+	for _, h := range []float64{0.5, 1.5, 2.5, 3.5, 100.5, 32767.5} {
+		f.Add(h, 0.5, uint8(capExp64K)) // exact halves of δ = 1
+		f.Add(-h, 0.5, uint8(capExp64K))
+		f.Add(h*0.6, 0.3, uint8(capExp64K)) // halves of a δ that is no power of two
+	}
+	for _, k := range []uint8{0, 3, capExp64K, 28} {
+		r := float64(int(2) << k)
+		for _, d := range []float64{r - 0.5, r + 0.5, -r + 0.5, -r - 0.5} {
+			f.Add(d, 0.5, k) // ±R ± ½
+		}
+	}
+	f.Add(math.Copysign(0, -1), 0.5, uint8(capExp64K))
+	f.Add(math.NaN(), 0.5, uint8(capExp64K))
+	f.Add(math.Inf(1), 0.5, uint8(capExp64K))
+	f.Add(math.Inf(-1), 0.5, uint8(capExp64K))
+	f.Add(math.SmallestNonzeroFloat64, 0.5, uint8(capExp64K))
+	f.Add(-math.SmallestNonzeroFloat64, 1e-300, uint8(capExp64K))
+	f.Add(5*math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, uint8(capExp64K)) // t = 2.5 on subnormals
+	f.Add(float64(1<<52), 0.5, uint8(28))
+	f.Add(float64(1<<52)-0.5, 0.5, uint8(28))
+	f.Add(-float64(1<<52), 0.5, uint8(28))
+	f.Fuzz(func(t *testing.T, diff, eb float64, capExp uint8) {
+		eb = math.Abs(eb)
+		if !(eb > 0) || math.IsInf(2*eb, 0) {
+			eb = 0.5
+		}
+		q, err := New(eb, 4<<(capExp%29))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []float64{diff, (math.Floor(diff/q.delta) + 0.5) * q.delta} {
+			code, ok := q.Quantize(d)
+			wantCode, wantOK := refQuantize(q, d)
+			if code != wantCode || ok != wantOK {
+				t.Fatalf("Quantize(%v) at δ=%v, R=%d = (%d, %v), want (%d, %v)",
+					d, q.delta, q.radius, code, ok, wantCode, wantOK)
+			}
+		}
+	})
+}

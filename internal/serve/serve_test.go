@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -813,3 +815,71 @@ func TestRunGracefulShutdown(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestServePutBodyLength pins how a PUT body's length is enforced: a
+// body of exactly MaxUploadBytes is read and stored; one byte over fails
+// with 400 whether its length is declared or it arrives chunked; a body
+// shorter than its Content-Length fails with 400 when the client closes
+// its side.
+func TestServePutBodyLength(t *testing.T) {
+	body := sdf1Bytes(t, synthField("x", 16, 24, 24))
+	s, err := NewServer(Config{
+		Root:           t.TempDir(),
+		CacheBytes:     64 << 20,
+		MaxUploadBytes: int64(len(body)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.cat.Close()
+	}()
+
+	put := func(body io.Reader, length int64) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/archives/b/fields/x?psnr=60", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = length
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := put(bytes.NewReader(body), int64(len(body))); code != http.StatusCreated {
+		t.Fatalf("body of exactly MaxUploadBytes: status %d, want 201", code)
+	}
+	over := append(body[:len(body):len(body)], 0)
+	if code := put(bytes.NewReader(over), int64(len(over))); code != http.StatusBadRequest {
+		t.Fatalf("declared body one byte over MaxUploadBytes: status %d, want 400", code)
+	}
+	// An unknown length is sent chunked.
+	if code := put(io.MultiReader(bytes.NewReader(over)), -1); code != http.StatusBadRequest {
+		t.Fatalf("chunked body one byte over MaxUploadBytes: status %d, want 400", code)
+	}
+
+	// Short body: declare 100 bytes more than are sent, then half-close.
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	half := body[:len(body)-200]
+	fmt.Fprintf(conn, "PUT /v1/archives/b/fields/x?psnr=60 HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n", len(half)+100)
+	conn.Write(half)
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("body shorter than its Content-Length: status %d, want 400", resp.StatusCode)
+	}
+}

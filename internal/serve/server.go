@@ -378,6 +378,7 @@ func (s *Server) regionRead(ctx context.Context, ar *fixedpsnr.ArchiveReader, ge
 func writeField(w http.ResponseWriter, f *fixedpsnr.Field) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	var buf bytes.Buffer
+	buf.Grow(fieldio.Size(f))
 	if err := fieldio.Write(&buf, f); err != nil {
 		httpErr(w, err)
 		return
@@ -485,12 +486,17 @@ func (s *Server) handlePutField(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, badRequest(err))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
-	if err != nil {
+	// Size the buffer from the declared length (capped), with MinRead
+	// spare so the read that meets the end needs no regrowth. The
+	// MaxBytesReader still fails an over-long body, and the transport a
+	// short one.
+	var body bytes.Buffer
+	body.Grow(int(min(max(r.ContentLength, 0), s.cfg.MaxUploadBytes, maxBodyPrealloc)) + bytes.MinRead)
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)); err != nil {
 		httpErr(w, badRequest(fmt.Errorf("reading body: %w", err)))
 		return
 	}
-	f, err := fieldio.Read(bytes.NewReader(body))
+	f, err := fieldio.Read(bytes.NewReader(body.Bytes()))
 	if err != nil {
 		httpErr(w, badRequest(fmt.Errorf("body is not an SDF1 field: %w", err)))
 		return
@@ -529,6 +535,11 @@ func (s *Server) handlePutField(w http.ResponseWriter, r *http.Request) {
 		"regions":          len(res.Regions),
 	})
 }
+
+// maxBodyPrealloc bounds what a PUT allocates on its Content-Length
+// alone, before the bytes arrive: a longer body grows the buffer as it
+// is read, so a declared length by itself buys at most this much.
+const maxBodyPrealloc = 64 << 20
 
 // optionsFromQuery builds compression options from PUT query parameters.
 func optionsFromQuery(r *http.Request) (fixedpsnr.Options, error) {
