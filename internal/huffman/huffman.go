@@ -20,6 +20,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -86,9 +87,10 @@ const tableBits = 12
 // back to fresh allocation. Not safe for concurrent use; pool instances
 // and hand one to each in-flight decode.
 type DecodeScratch struct {
-	syms []int32 // symbols in canonical order (by length, then symbol)
-	lens []uint8 // parallel code lengths
-	dup  []int32 // duplicate-detection scratch
+	syms []int32  // symbols in canonical order (by length, then symbol)
+	lens []uint8  // parallel code lengths
+	dup  []int32  // duplicate check: sorted copy of a wide-window table
+	seen []uint64 // duplicate check: bitmap over the symbol window
 
 	table     [1 << tableBits]uint16 // peek pattern → idx<<4 | len; len 0: long, walk from idx
 	firstCode [maxCodeLen + 2]uint64
@@ -453,17 +455,65 @@ func parseTable(buf []byte, ds *DecodeScratch) (n uint64, csyms []int32, clens [
 		sort.Sort(&canonicalSorter{syms: csyms, lens: clens})
 	}
 	// Duplicate symbols would make the code ambiguous; the canonical sort
-	// does not make equal symbols with different lengths adjacent, so the
-	// check sorts a scratch copy by symbol value.
-	dup := grow(&ds.dup, len(csyms))
-	copy(dup, csyms)
-	slices.Sort(dup)
-	for i := 1; i < len(dup); i++ {
-		if dup[i] == dup[i-1] {
-			return 0, nil, nil, 0, fmt.Errorf("huffman: duplicate symbols in table")
-		}
+	// does not make equal symbols with different lengths adjacent.
+	if ds.hasDuplicates(csyms) {
+		return 0, nil, nil, 0, fmt.Errorf("huffman: duplicate symbols in table")
 	}
 	return n, csyms, clens, consumed, nil
+}
+
+// dupWindowBits caps hasDuplicates' bitmap at this many bits per table
+// entry: 32 bits are the 4 bytes per entry of the sorted copy it falls
+// back to, so no table makes the check allocate more than that copy.
+const dupWindowBits = 32
+
+// hasDuplicates reports whether csyms holds a symbol twice. It marks each
+// nonzero symbol in a bitmap over their window [lo, hi] and counts symbol
+// 0 on its own: 0 is the literal marker, which most chunks' tables
+// carry, and would otherwise stretch the window from 0 to the codes
+// around the interval radius. A window wider than dupWindowBits per
+// entry — a sparse or hostile table — sorts a copy instead.
+func (ds *DecodeScratch) hasDuplicates(csyms []int32) bool {
+	lo, hi, zeros := int32(math.MaxInt32), int32(0), 0
+	for _, s := range csyms {
+		if s == 0 {
+			zeros++
+			continue
+		}
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	if zeros > 1 {
+		return true
+	}
+	if lo > hi {
+		return false
+	}
+	width := uint64(hi-lo) + 1
+	if width > dupWindowBits*uint64(len(csyms)) {
+		dup := grow(&ds.dup, len(csyms))
+		copy(dup, csyms)
+		slices.Sort(dup)
+		for i := 1; i < len(dup); i++ {
+			if dup[i] == dup[i-1] {
+				return true
+			}
+		}
+		return false
+	}
+	seen := grow(&ds.seen, int((width+63)/64))
+	clear(seen)
+	for _, s := range csyms {
+		if s == 0 {
+			continue
+		}
+		b := uint32(s - lo)
+		w, m := b/64, uint64(1)<<(b%64)
+		if seen[w]&m != 0 {
+			return true
+		}
+		seen[w] |= m
+	}
+	return false
 }
 
 // prepareTables builds the decoding tables for the canonical code

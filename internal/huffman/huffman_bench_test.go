@@ -54,16 +54,20 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkDecode times DecodeLanes4Into on 2^20 quantization codes,
+// into one warm scratch and output slice, as a chunk decoder runs it.
 func BenchmarkDecode(b *testing.B) {
 	syms := quantCodes(1<<20, 2)
 	enc, err := EncodeLanes4(nil, syms, 1<<16-1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ds := NewDecodeScratch()
+	dst := make([]int32, 0, len(syms))
 	b.SetBytes(int64(len(syms)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeLanes4Into(nil, enc, nil); err != nil {
+		if dst, _, err = DecodeLanes4Into(dst, enc, ds); err != nil {
 			b.Fatal(err)
 		}
 	}

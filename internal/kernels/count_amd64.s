@@ -152,3 +152,84 @@ wdone:
 	MOVL AX, lo+24(FP)
 	MOVL R8, hi+28(FP)
 	RET
+
+// func countZerosAVX2(codes []int32) int
+//
+// Vector form of countZerosGeneric: VPCMPEQD against zero gives −1 in
+// each lane holding a 0 code, and VPSUBD adds it to one of two int32
+// lane accumulators, 32 codes per iteration, then 8 at a time. The
+// accumulators fold into the 64-bit total every 2^26 codes at most, so
+// no lane can overflow; the last 0–7 codes count in scalar.
+TEXT ·countZerosAVX2(SB), NOSPLIT, $0-32
+	MOVQ  codes_base+0(FP), SI
+	MOVQ  codes_len+8(FP), CX
+	XORQ  AX, AX
+	VPXOR Y7, Y7, Y7
+
+zseg:
+	CMPQ CX, $8
+	JLT  ztail
+	MOVQ CX, DX
+	CMPQ DX, $(1<<26)
+	JLE  zsized
+	MOVQ $(1<<26), DX
+
+zsized:
+	ANDQ  $-8, DX
+	SUBQ  DX, CX
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+
+z32:
+	CMPQ     DX, $32
+	JLT      z8
+	VPCMPEQD (SI), Y7, Y2
+	VPCMPEQD 32(SI), Y7, Y3
+	VPCMPEQD 64(SI), Y7, Y4
+	VPCMPEQD 96(SI), Y7, Y5
+	VPSUBD   Y2, Y0, Y0
+	VPSUBD   Y3, Y1, Y1
+	VPSUBD   Y4, Y0, Y0
+	VPSUBD   Y5, Y1, Y1
+	ADDQ     $128, SI
+	SUBQ     $32, DX
+	JMP      z32
+
+z8:
+	TESTQ    DX, DX
+	JZ       zfold
+	VPCMPEQD (SI), Y7, Y2
+	VPSUBD   Y2, Y0, Y0
+	ADDQ     $32, SI
+	SUBQ     $8, DX
+	JMP      z8
+
+zfold:
+	VPADDD       Y1, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0x4E, X0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0xB1, X0, X1
+	VPADDD       X1, X0, X0
+	VMOVD        X0, DX
+	ADDQ         DX, AX
+	JMP          zseg
+
+ztail:
+	VZEROUPPER
+
+ztloop:
+	TESTQ CX, CX
+	JZ    zdone
+	XORL  DX, DX
+	CMPL  (SI), $0
+	SETEQ DL
+	ADDQ  DX, AX
+	ADDQ  $4, SI
+	DECQ  CX
+	JMP   ztloop
+
+zdone:
+	MOVQ AX, ret+24(FP)
+	RET

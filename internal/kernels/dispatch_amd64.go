@@ -37,14 +37,27 @@ func reconRowAsm(q *Quant, a *RRRow)
 //go:noescape
 func reconRows2Asm(q *Quant, a, b *RRRow)
 
-// reconRows4Asm is two pair calls: the reconstruction pair kernel
-// already keeps both chains' working state in registers, and a wider
-// interleave showed no further gain on the decode side (the quad form
-// exists so the wavefront scheduler can hand both pipelines the same
-// row groups).
-func reconRows4Asm(q *Quant, a, b, c, d *RRRow) {
-	reconRows2Asm(q, a, b)
-	reconRows2Asm(q, c, d)
+//go:noescape
+func reconRows4Asm(q *Quant, a, b, c, d *RRRow)
+
+//go:noescape
+func countZerosAVX2(codes []int32) int
+
+// reconRows4AVX2 runs a quad through the vector kernel, which holds the
+// four rows in the lanes of one YMM register. Rows shorter than one
+// four-column block, and a Radius outside int32 (the vector conversion
+// is exact only for int32 radii), take two scalar pair calls. Before the
+// vector kernel, a quad was two pair calls because a wider scalar
+// interleave gained nothing; that was the legacy CVTSQ2SD conversion
+// merging into its destination register, which tied the chains together
+// (see recon_amd64.s).
+func reconRows4AVX2(q *Quant, a, b, c, d *RRRow) {
+	if len(a.Out) < 4 || int64(int32(q.Radius)) != q.Radius {
+		reconRows2Asm(q, a, b)
+		reconRows2Asm(q, c, d)
+		return
+	}
+	reconRows4Asm(q, a, b, c, d)
 }
 
 // countLanes4OOB backs the bounds check in countLanes4Asm: the assembly
@@ -61,10 +74,11 @@ func init() {
 	minMaxFn = minMaxAVX2
 	countLanes4Fn = countLanes4Asm
 	codeWindowFn = codeWindowAVX2
+	countZerosFn = countZerosAVX2
 	pqRows4Fn = pqRows4Asm
 	pqRows2Fn = pqRows2Asm
 	pqRowFn = pqRowAsm
-	reconRows4Fn = reconRows4Asm
+	reconRows4Fn = reconRows4AVX2
 	reconRows2Fn = reconRows2Asm
 	reconRowFn = reconRowAsm
 	implName = "avx2"

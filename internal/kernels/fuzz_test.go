@@ -91,20 +91,59 @@ func FuzzKernelPredictQuantize(f *testing.F) {
 	})
 }
 
+// quadSeed lays out FuzzKernelReconstructRow's raw input for rows of n
+// points: the four carved arrays (data, up, pl, pu) take value(a, k) at
+// column k.
+func quadSeed(n int, value func(a, k int) float64) []byte {
+	raw := make([]byte, 32*n)
+	for a := 0; a < 4; a++ {
+		for k := 0; k < n; k++ {
+			binary.LittleEndian.PutUint64(raw[8*(a*n+k):], math.Float64bits(value(a, k)))
+		}
+	}
+	return raw
+}
+
+// FuzzKernelReconstructRow drives the reconstruction kernels against
+// reconRowGeneric on four distinct rows, each the generic encoder's
+// codes and literals for one permutation of the carved arrays, and then
+// on the raw bytes read as codes (any int32, negative ones included).
 func FuzzKernelReconstructRow(f *testing.F) {
 	f.Add(make([]byte, 32*3), 1e-3, uint8(6))
 	f.Add([]byte{0xff, 0x00, 0x7f}, 2.0, uint8(3))
+	smooth := func(a, k int) float64 { return float64(a+1) * math.Sin(float64(k)/7) }
+	for n := 0; n <= 9; n++ {
+		f.Add(quadSeed(n, smooth), 1e-3, uint8(8))
+	}
+	f.Add(quadSeed(128, smooth), 1e-4, uint8(12))
+	// Literal codes in every lane of the first column and of the first
+	// block, with NaN, ±Inf and −0 literals (a point after an infinite
+	// literal predicts from ±Inf or NaN, so −0 there is a literal too),
+	// then smooth columns and a tail of 1–3 points.
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for tail := 1; tail <= 3; tail++ {
+		f.Add(quadSeed(8+tail, func(a, k int) float64 {
+			if k < len(specials) {
+				return specials[(k+a)%len(specials)]
+			}
+			return smooth(a, k)
+		}), 1e-3, uint8(8))
+	}
+	// Mostly literals: large values against a tiny bound and capacity 16.
+	f.Add(quadSeed(37, func(a, k int) float64 { return 1e10 * math.Sin(float64(3*k+a)) }), 1e-9, uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, eb float64, capExp uint8) {
 		q := fuzzQuant(eb, capExp)
 		data, up, pl, pu := carve4(raw)
-		// Encode with the generic reference to get a (codes, lits) pair
-		// that satisfies the kernel contract (lits length == zero-code
+		// Encode with the generic reference to get (codes, lits) pairs
+		// that satisfy the kernel contract (lits length == zero-code
 		// count, in row order) while still carrying special values.
-		enc := newPQRow(data, up, pl, pu)
-		pqRowGeneric(q, enc)
-		encB := newPQRow(up, pl, pu, data)
-		pqRowGeneric(q, encB)
-
+		var enc [4]*PQRow
+		for l, in := range [4][4][]float64{
+			{data, up, pl, pu}, {up, pl, pu, data}, {pl, pu, data, up}, {pu, data, up, pl},
+		} {
+			enc[l] = newPQRow(in[0], in[1], in[2], in[3])
+			pqRowGeneric(q, enc[l])
+		}
 		mk := func(e *PQRow) *RRRow {
 			return &RRRow{
 				Out:   make([]float64, len(e.Data)),
@@ -115,34 +154,73 @@ func FuzzKernelReconstructRow(f *testing.F) {
 				Lits:  e.Lits,
 			}
 		}
-		compare := func(label string, want, got *RRRow) {
-			t.Helper()
-			for k := range want.Out {
-				if math.Float64bits(want.Out[k]) != math.Float64bits(got.Out[k]) {
-					t.Fatalf("%s: out[%d] = %x, want %x", label, k,
-						math.Float64bits(got.Out[k]), math.Float64bits(want.Out[k]))
+		checkReconGroups(t, q, mk(enc[0]), mk(enc[1]), mk(enc[2]), mk(enc[3]))
+
+		// Raw codes: every int32, each row's literals drawn from another
+		// array.
+		codes := make([][]int32, 4)
+		for l, bits := range [4][]float64{data, up, pl, pu} {
+			codes[l] = make([]int32, len(bits))
+			for k, v := range bits {
+				codes[l][k] = int32(math.Float64bits(v) >> (16 * l))
+			}
+		}
+		var rows [4]*RRRow
+		for l := range rows {
+			lits := make([]float64, 0, len(data))
+			for k, c := range codes[l] {
+				if c == 0 {
+					lits = append(lits, enc[(l+1)%4].Up[k])
+				}
+			}
+			rows[l] = &RRRow{Out: make([]float64, len(data)), Codes: codes[l], Up: enc[l].Up, Pl: enc[l].Pl, Pu: enc[l].Pu, Lits: lits}
+		}
+		checkReconGroups(t, q, rows[0], rows[1], rows[2], rows[3])
+	})
+}
+
+// checkReconGroups reconstructs rows a–d with reconRowGeneric and with
+// the dispatched single, pair and quad kernels, and fails on any output
+// bit that differs.
+func checkReconGroups(t *testing.T, q *Quant, a, b, c, d *RRRow) {
+	t.Helper()
+	in := [4]*RRRow{a, b, c, d}
+	clone := func() [4]*RRRow {
+		var out [4]*RRRow
+		for l, r := range in {
+			cp := *r
+			cp.Out = make([]float64, len(r.Out))
+			out[l] = &cp
+		}
+		return out
+	}
+	compare := func(label string, want, got [4]*RRRow) {
+		t.Helper()
+		for l := range want {
+			for k := range want[l].Out {
+				if math.Float64bits(want[l].Out[k]) != math.Float64bits(got[l].Out[k]) {
+					t.Fatalf("%s lane %d: out[%d] = %x, want %x", label, l, k,
+						math.Float64bits(got[l].Out[k]), math.Float64bits(want[l].Out[k]))
 				}
 			}
 		}
-
-		ref, got := mk(enc), mk(enc)
-		reconRowGeneric(q, ref)
-		ReconstructRow(q, got)
-		compare("row", ref, got)
-
-		refB, gotA, gotB := mk(encB), mk(enc), mk(encB)
-		reconRowGeneric(q, refB)
-		ReconstructRows2(q, gotA, gotB)
-		compare("pairA", ref, gotA)
-		compare("pairB", refB, gotB)
-
-		qa, qb, qc, qd := mk(enc), mk(encB), mk(enc), mk(encB)
-		ReconstructRows4(q, qa, qb, qc, qd)
-		compare("quadA", ref, qa)
-		compare("quadB", refB, qb)
-		compare("quadC", ref, qc)
-		compare("quadD", refB, qd)
-	})
+	}
+	ref := clone()
+	for _, r := range ref {
+		reconRowGeneric(q, r)
+	}
+	row := clone()
+	for _, r := range row {
+		ReconstructRow(q, r)
+	}
+	compare("row", ref, row)
+	pair := clone()
+	ReconstructRows2(q, pair[0], pair[1])
+	ReconstructRows2(q, pair[2], pair[3])
+	compare("pair", ref, pair)
+	quad := clone()
+	ReconstructRows4(q, quad[0], quad[1], quad[2], quad[3])
+	compare("quad", ref, quad)
 }
 
 func FuzzKernelValueBounds(f *testing.F) {
@@ -181,9 +259,10 @@ func codeBytes(codes ...int32) []byte {
 }
 
 // FuzzKernelCount drives the two kernels of the Huffman table build,
-// CountLanes4 and CodeWindow, against their generic twins on the same
-// inputs. CodeWindow also sees the raw int32s, so negative values and
-// the top int32 reach its unsigned-minimum and signed-maximum folds.
+// CountLanes4 and CodeWindow, and the decoder's literal count,
+// CountZeros, against their generic twins on the same inputs. CodeWindow
+// and CountZeros also see the raw int32s, so negative values and the top
+// int32 reach CodeWindow's unsigned-minimum and signed-maximum folds.
 func FuzzKernelCount(f *testing.F) {
 	f.Add([]byte{}, uint16(100))
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, uint16(7))
@@ -229,6 +308,9 @@ func FuzzKernelCount(f *testing.F) {
 			wantLo, wantHi := codeWindowGeneric(in)
 			if lo, hi := CodeWindow(in); lo != wantLo || hi != wantHi {
 				t.Fatalf("CodeWindow = [%d, %d], want [%d, %d]", lo, hi, wantLo, wantHi)
+			}
+			if got, want := CountZeros(in), countZerosGeneric(in); got != want {
+				t.Fatalf("CountZeros = %d, want %d", got, want)
 			}
 		}
 		// On codes (non-negative) the window is the smallest nonzero code

@@ -92,6 +92,17 @@ func codeWindowGeneric(syms []int32) (lo, hi int32) {
 	return int32(m + 1), hi
 }
 
+// countZerosGeneric is the portable CountZeros.
+func countZerosGeneric(codes []int32) int {
+	n := 0
+	for _, c := range codes {
+		if c == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // pqRowGeneric is the reference fused predict+quantize row loop. Keep
 // the operation order in sync with quantizer.QuantizeRecon and the
 // assembly kernels: prediction sums left-to-right, binning via one

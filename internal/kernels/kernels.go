@@ -22,15 +22,18 @@
 //
 // The predict+quantize and reconstruct kernels come in grouped forms
 // (pairs and quads): rows from the same Lorenzo anti-diagonal are
-// independent, so a grouped kernel can interleave their serial
-// floating-point dependency chains in one loop, multiplying the
-// throughput of a latency-bound loop without changing any per-point
-// operation (see internal/sz for the wavefront schedule that feeds
-// them). Because the rows are independent, a grouped call's outputs
-// are — by construction — bit-identical to N single-row calls, which
-// is why the generic grouped forms are plain serial loops (the Go
-// compiler spills an interleaved form's ~20 live floats and loses the
-// benefit) while the assembly forms interleave for real.
+// independent, so a grouped kernel can run their serial floating-point
+// dependency chains side by side, multiplying the throughput of a
+// latency-bound loop without changing any per-point operation (see
+// internal/sz for the wavefront schedules that feed them). A group's
+// rows share one length. Because the rows are independent, a grouped
+// call's outputs are — by construction — bit-identical to N single-row
+// calls, which is why the generic grouped forms are plain serial loops
+// (the Go compiler spills an interleaved form's ~20 live floats and loses
+// the benefit). The assembly pair forms and the predict+quantize quad
+// interleave scalar chains; the reconstruction quad holds its four rows
+// in the four float64 lanes of one YMM register and runs one vector
+// chain, four points per step.
 package kernels
 
 // Quant mirrors the quantizer constants the fused kernels need, laid
@@ -84,6 +87,7 @@ var (
 	minMaxFn      func(data []float64) (min, max float64)    = minMaxGeneric
 	countLanes4Fn func(l0, l1, l2, l3 []int64, syms []int32) = countLanes4Generic
 	codeWindowFn  func(syms []int32) (lo, hi int32)          = codeWindowGeneric
+	countZerosFn  func(codes []int32) int                    = countZerosGeneric
 	pqRows4Fn     func(q *Quant, a, b, c, d *PQRow)          = pqRows4Generic
 	pqRows2Fn     func(q *Quant, a, b *PQRow)                = pqRows2Generic
 	pqRowFn       func(q *Quant, a *PQRow)                   = pqRowGeneric
@@ -105,16 +109,16 @@ func Active() string { return implName }
 // implementations in one process) and must not race concurrent kernel
 // callers: flip it only around single-threaded sections.
 func ForceGeneric() (restore func()) {
-	prevMinMax, prevCount, prevWindow := minMaxFn, countLanes4Fn, codeWindowFn
+	prevMinMax, prevCount, prevWindow, prevZeros := minMaxFn, countLanes4Fn, codeWindowFn, countZerosFn
 	prevPQ4, prevPQ2, prevPQ1 := pqRows4Fn, pqRows2Fn, pqRowFn
 	prevRR4, prevRR2, prevRR1 := reconRows4Fn, reconRows2Fn, reconRowFn
 	prevName := implName
-	minMaxFn, countLanes4Fn, codeWindowFn = minMaxGeneric, countLanes4Generic, codeWindowGeneric
+	minMaxFn, countLanes4Fn, codeWindowFn, countZerosFn = minMaxGeneric, countLanes4Generic, codeWindowGeneric, countZerosGeneric
 	pqRows4Fn, pqRows2Fn, pqRowFn = pqRows4Generic, pqRows2Generic, pqRowGeneric
 	reconRows4Fn, reconRows2Fn, reconRowFn = reconRows4Generic, reconRows2Generic, reconRowGeneric
 	implName = "generic"
 	return func() {
-		minMaxFn, countLanes4Fn, codeWindowFn = prevMinMax, prevCount, prevWindow
+		minMaxFn, countLanes4Fn, codeWindowFn, countZerosFn = prevMinMax, prevCount, prevWindow, prevZeros
 		pqRows4Fn, pqRows2Fn, pqRowFn = prevPQ4, prevPQ2, prevPQ1
 		reconRows4Fn, reconRows2Fn, reconRowFn = prevRR4, prevRR2, prevRR1
 		implName = prevName
@@ -155,6 +159,11 @@ func CountLanes4(l0, l1, l2, l3 []int64, syms []int32) {
 // of 0 and every s, so every implementation agrees on every input.
 func CodeWindow(syms []int32) (lo, hi int32) { return codeWindowFn(syms) }
 
+// CountZeros returns how many of codes are 0: the literal count of a
+// row of quantization codes, which fixes where the row's literals start
+// in a decoded chunk's scan-order literal stream.
+func CountZeros(codes []int32) int { return countZerosFn(codes) }
+
 // PredictQuantizeRows4 runs the fused Lorenzo-3D predict + quantize
 // loop over four independent rows (same anti-diagonal). The
 // rows do not interact, so the outputs equal four PredictQuantizeRow
@@ -178,7 +187,8 @@ func PredictQuantizeRows2(q *Quant, a, b *PQRow) { pqRows2Fn(q, a, b) }
 func PredictQuantizeRow(q *Quant, a *PQRow) { pqRowFn(q, a) }
 
 // ReconstructRows4 is the decode-side inverse of PredictQuantizeRows4:
-// four independent rows reconstructed in one call.
+// four independent rows of one length reconstructed in one call, as
+// four lanes of one vector chain in the AVX2 form.
 func ReconstructRows4(q *Quant, a, b, c, d *RRRow) { reconRows4Fn(q, a, b, c, d) }
 
 // ReconstructRows2 is the decode-side inverse of PredictQuantizeRows2:

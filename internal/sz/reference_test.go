@@ -122,7 +122,7 @@ func compress3DRef(data []float64, dims []int, codes []int32, recon []float64, s
 		seg[2*r], seg[2*r+1] = start, len(row.Lits)
 		ssum += row.SumSq
 	}
-	wavefront3D(d0, d1, func(int, int) {},
+	wavefront3D(d0, d1, false, func(int, int) {},
 		func(i1, j1, i2, j2, i3, j3, i4, j4 int) {
 			setRow(&rows[0], i1, j1, wf.lit[0])
 			setRow(&rows[1], i2, j2, wf.lit[1])
@@ -259,7 +259,7 @@ func decompress3DRef(out []float64, codes []int32, literals []float64, dims []in
 		row.Pu = out[base-plane-d2 : base-plane : base-plane] // (i-1, j-1, ·)
 		row.Lits = rowLits(i, j)
 	}
-	wavefront3D(d0, d1, func(int, int) {},
+	wavefront3D(d0, d1, false, func(int, int) {},
 		func(i1, j1, i2, j2, i3, j3, i4, j4 int) {
 			setRow(&rows[0], i1, j1)
 			setRow(&rows[1], i2, j2)

@@ -269,12 +269,41 @@ func neighbourRows(buf, zero []float64, i, j, d2, plane int) (up, pl, pu []float
 // schedule hands them out in the widest groups available — quads, then a
 // pair, then a leftover single — and each callback may process its rows
 // concurrently-in-one-loop.
-func wavefront3D(d0, d1 int, border func(i, j int), quad func(i1, j1, i2, j2, i3, j3, i4, j4 int), pair func(i1, j1, i2, j2 int), single func(i, j int)) {
+//
+// With cross set, the one to three rows a diagonal leaves over wait for
+// the next diagonal's first rows and form a group with them. Row (i', j')
+// on diagonal d+1 reads only rows i' and i'−1 of diagonal d, so a row
+// with a smaller i than every leftover row does not read them; the
+// leftovers take such rows, smallest i first, up to four, and the next
+// diagonal's quads start after them. A diagonal with at least one quad
+// always has enough, so only the grid's short corner diagonals still
+// leave pairs and singles. The decoder runs this order. The encoder
+// does not: it adds each group's Σe² to the chunk total in schedule
+// order, and that sum is written into the chunk table, so its order is
+// part of the stream.
+func wavefront3D(d0, d1 int, cross bool, border func(i, j int), quad func(i1, j1, i2, j2, i3, j3, i4, j4 int), pair func(i1, j1, i2, j2 int), single func(i, j int)) {
 	for j := 0; j < d1; j++ {
 		border(0, j)
 	}
 	for i := 1; i < d0; i++ {
 		border(i, 0)
+	}
+	// held are the rows waiting for a group, as (i, j).
+	var held [4][2]int
+	nh := 0
+	flush := func() {
+		switch nh {
+		case 4:
+			quad(held[0][0], held[0][1], held[1][0], held[1][1], held[2][0], held[2][1], held[3][0], held[3][1])
+		case 3:
+			pair(held[0][0], held[0][1], held[1][0], held[1][1])
+			single(held[2][0], held[2][1])
+		case 2:
+			pair(held[0][0], held[0][1], held[1][0], held[1][1])
+		case 1:
+			single(held[0][0], held[0][1])
+		}
+		nh = 0
 	}
 	for d := 2; d <= (d0-1)+(d1-1); d++ {
 		iLo := 1
@@ -286,17 +315,25 @@ func wavefront3D(d0, d1 int, border func(i, j int), quad func(i1, j1, i2, j2, i3
 			iHi = d0 - 1
 		}
 		i := iLo
+		if nh > 0 {
+			for ; nh < 4 && i <= iHi && i < held[0][0]; i++ {
+				held[nh] = [2]int{i, d - i}
+				nh++
+			}
+			flush()
+		}
 		for ; i+3 <= iHi; i += 4 {
 			quad(i, d-i, i+1, d-i-1, i+2, d-i-2, i+3, d-i-3)
 		}
-		if i+1 <= iHi {
-			pair(i, d-i, i+1, d-i-1)
-			i += 2
+		for ; i <= iHi; i++ {
+			held[nh] = [2]int{i, d - i}
+			nh++
 		}
-		if i <= iHi {
-			single(i, d-i)
+		if !cross {
+			flush()
 		}
 	}
+	flush()
 }
 
 // compress3D runs the 3-D Lorenzo predictor through the fused
@@ -360,7 +397,7 @@ func compress3D(data []float64, dims []int, codes []int32, recon []float64, st *
 		seg[2*r], seg[2*r+1] = start, len(row.Lits)
 		ssum += row.SumSq
 	}
-	wavefront3D(d0, d1,
+	wavefront3D(d0, d1, false,
 		func(i, j int) {
 			// The row carries the running Σe² and flush adds it back to
 			// a zeroed total, which is exact.
@@ -480,15 +517,18 @@ func decompressCore(out []float64, codes []int32, literals []float64, dims []int
 	return nil
 }
 
-// decompress3D reconstructs a 3-D slab in compress3D's wavefront order
-// through the reconstruction row kernels: border rows one at a time
-// through kernels.ReconstructRow, with the zero row standing in for
-// neighbours outside the slab, then interior anti-diagonals through the
-// grouped kernels (kernels.ReconstructRows4/Rows2), whose interleaved
-// loops overlap the rows' serial prediction chains. The literal stream
-// is stored in scan order, so a counting pre-pass over the codes gives
-// every row its exact literal segment and rows can then run in any
-// dependency-respecting order.
+// decompress3D reconstructs a 3-D slab through the reconstruction row
+// kernels: border rows one at a time through kernels.ReconstructRow,
+// with the zero row standing in for neighbours outside the slab, then
+// interior anti-diagonals through the grouped kernels
+// (kernels.ReconstructRows4/Rows2). It runs wavefront3D's cross-diagonal
+// order, which turns a diagonal's leftover rows into quads with the
+// next diagonal's first rows, so nearly every interior row goes through
+// the four-lane quad kernel. The literal stream is stored in scan
+// order, so a count of each row's zero codes (kernels.CountZeros) gives
+// every row its exact literal segment, and rows can then run in any
+// dependency-respecting order: each row's values are its own stencil's,
+// whatever order or group it runs in.
 func decompress3D(out []float64, codes []int32, literals []float64, dims []int, q *quantizer.Quantizer) error {
 	d0, d1, d2 := dims[0], dims[1], dims[2]
 	if d0 == 0 || d1 == 0 || d2 == 0 {
@@ -507,14 +547,7 @@ func decompress3D(out []float64, codes []int32, literals []float64, dims []int, 
 	total := 0
 	for r := 0; r < nrows; r++ {
 		offs[r] = total
-		base := r * d2
-		z := 0
-		for _, c := range codes[base : base+d2] {
-			if c == 0 {
-				z++
-			}
-		}
-		total += z
+		total += kernels.CountZeros(codes[r*d2 : (r+1)*d2])
 	}
 	offs[nrows] = total
 	if total > len(literals) {
@@ -541,7 +574,7 @@ func decompress3D(out []float64, codes []int32, literals []float64, dims []int, 
 		setRow(&rows[0], i, j)
 		kernels.ReconstructRow(&qk, &rows[0])
 	}
-	wavefront3D(d0, d1, single,
+	wavefront3D(d0, d1, true, single,
 		func(i1, j1, i2, j2, i3, j3, i4, j4 int) {
 			setRow(&rows[0], i1, j1)
 			setRow(&rows[1], i2, j2)
