@@ -20,7 +20,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -468,24 +467,19 @@ func parseTable(buf []byte, ds *DecodeScratch) (n uint64, csyms []int32, clens [
 const dupWindowBits = 32
 
 // hasDuplicates reports whether csyms holds a symbol twice. It marks each
-// nonzero symbol in a bitmap over their window [lo, hi] and counts symbol
-// 0 on its own: 0 is the literal marker, which most chunks' tables
-// carry, and would otherwise stretch the window from 0 to the codes
-// around the interval radius. A window wider than dupWindowBits per
-// entry — a sparse or hostile table — sorts a copy instead.
+// nonzero symbol in a bitmap over their window [lo, hi], which
+// kernels.CodeWindow finds as it does for the encoder's table build,
+// and counts symbol 0 on its own: 0 is the literal marker, which most
+// chunks' tables carry, and would otherwise stretch the window from 0
+// to the codes around the interval radius. A window wider than
+// dupWindowBits per entry — a sparse or hostile table — sorts a copy
+// instead.
 func (ds *DecodeScratch) hasDuplicates(csyms []int32) bool {
-	lo, hi, zeros := int32(math.MaxInt32), int32(0), 0
-	for _, s := range csyms {
-		if s == 0 {
-			zeros++
-			continue
-		}
-		lo, hi = min(lo, s), max(hi, s)
-	}
-	if zeros > 1 {
+	if kernels.CountZeros(csyms) > 1 {
 		return true
 	}
-	if lo > hi {
+	lo, hi := kernels.CodeWindow(csyms)
+	if lo == 0 { // no nonzero symbol
 		return false
 	}
 	width := uint64(hi-lo) + 1

@@ -255,7 +255,10 @@ done:
 // the current block's four columns of pl, up and pu, one column (four
 // rows) per 32 bytes; the block's codes, four int32 per column; the
 // literal of each (column, lane) whose code is 0; and per lane the row
-// pointers and the literal cursor.
+// pointers and the literal cursor. The layout takes 800 bytes. SP is
+// only 8-byte aligned, so rounding it up moves R12 by up to 24 bytes,
+// and the caller's frame pointer is saved just above the frame: the
+// frame is 800+24 = 824 bytes, so the layout never reaches that slot.
 #define S_PLC   0   // pl columns 0..3
 #define S_UPC   128 // up columns 0..3
 #define S_PUC   256 // pu columns 0..3
@@ -267,9 +270,7 @@ done:
 #define S_PL    672 // pl base per lane
 #define S_PU    704 // pu base per lane
 #define S_LIT   736 // lits base per lane
-#define S_LI    768 // literal cursor per lane
-#define S_N     800 // row length
-#define S_RAD   808 // radius
+#define S_LI    768 // literal cursor per lane; the layout ends at 800
 
 // STASH copies the RRRow at AX into lane's slots.
 #define STASH(lane) \
@@ -344,20 +345,16 @@ done:
 // carries into the next block); R8–R11 the out bases, R12 the frame,
 // R13 the block's zero mask, BX the block's first column. Not NOSPLIT:
 // the frame is larger than the nosplit limit.
-TEXT ·reconRows4Asm(SB), $832-40
+TEXT ·reconRows4Asm(SB), $824-40
 	LEAQ 31(SP), R12
 	ANDQ $-32, R12
 
 	MOVQ         q+0(FP), AX
 	VBROADCASTSD 8(AX), Y2  // delta
-	MOVQ         32(AX), DX // radius
-	MOVQ         DX, S_RAD(R12)
-	VCVTSI2SDQ   DX, X2, X3
-	VBROADCASTSD X3, Y3     // float64(radius)
+	VBROADCASTSD 24(AX), Y3 // RadiusF = float64(radius)
 
 	MOVQ a+8(FP), AX
 	MOVQ 8(AX), CX
-	MOVQ CX, S_N(R12)
 	STASH(0)
 	MOVQ b+16(FP), AX
 	STASH(1)
@@ -478,10 +475,12 @@ gloop:
 	JMP   staged
 
 tail:
-	MOVQ S_N(R12), CX
+	MOVQ a+8(FP), AX
+	MOVQ 8(AX), CX // n
 	CMPQ BX, CX
 	JGE  done
-	MOVQ S_RAD(R12), DX
+	MOVQ q+0(FP), AX
+	MOVQ 32(AX), DX // radius
 	XORQ SI, SI
 
 tlane:
