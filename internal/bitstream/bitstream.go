@@ -42,7 +42,7 @@ func (r *Reader) Reset(buf []byte) {
 // refill tops the staging window up to ≥ 57 valid bits (or to the end of
 // the stream), loading 8 bytes in one aligned read when possible. The
 // fast path is deliberately branch- and loop-free so refill inlines into
-// the packed decode loops (and into Refill4): OR a full 8-byte load
+// the packed decode loops: OR a full 8-byte load
 // under the valid bits, then account exactly the whole bytes that fit.
 // The unaccounted low bits are the true next bits of the stream, so
 // re-ORing them on a later refill is idempotent — which also makes wn==0
@@ -94,18 +94,4 @@ func (r *Reader) Window() uint64 { return r.w }
 func (r *Reader) Skip(width uint) {
 	r.w <<= width
 	r.wn -= width
-}
-
-// Refill4 tops up four readers' staging windows in one fused call — the
-// multi-stream decode loops (huffman.DecodeLanes4Into) keep four
-// independent lane readers in flight and refill them together once per
-// round, so the four memory loads issue back to back instead of being
-// interleaved with each lane's symbol resolution. Each window ends up
-// with ≥ 57 valid bits or the remainder of its lane's stream, exactly as
-// four Refill calls would leave them.
-func Refill4(a, b, c, d *Reader) {
-	a.refill()
-	b.refill()
-	c.refill()
-	d.refill()
 }

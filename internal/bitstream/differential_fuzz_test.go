@@ -53,37 +53,31 @@ func FuzzReaderDifferential(f *testing.F) {
 
 // FuzzPeekConsume checks the four-lane form of the decode loops' peek
 // (Window) and consume (Skip): four lanes cut from buf are read in
-// lockstep, one group refilled together by Refill4 and a twin group one
-// by one by Refill, and every lane's window must match its twin's and
-// the reference reader's bits until the lane runs out.
+// lockstep, all refilled when one runs short, and every lane's window
+// must match the reference reader's bits until the lane runs out.
 func FuzzPeekConsume(f *testing.F) {
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef}, uint(11))
 	f.Add([]byte{1}, uint(13))
 	f.Add([]byte{}, uint(1))
 	f.Fuzz(func(t *testing.T, buf []byte, seed uint) {
 		width := seed%57 + 1 // 1..57
-		var quad, twin [4]Reader
+		var quad [4]Reader
 		var ref [4]refReader
 		for l := range quad {
 			lane := buf[len(buf)*l/4 : len(buf)*(l+1)/4]
 			quad[l].Reset(lane)
-			twin[l].Reset(lane)
 			ref[l] = refReader{buf: lane}
 		}
 		for live := true; live; {
 			if quad[0].Buffered() < width || quad[1].Buffered() < width ||
 				quad[2].Buffered() < width || quad[3].Buffered() < width {
-				Refill4(&quad[0], &quad[1], &quad[2], &quad[3])
-				for l := range twin {
-					twin[l].Refill()
+				for l := range quad {
+					quad[l].Refill()
 				}
 			}
 			live = false
 			for l := range quad {
-				q, w := &quad[l], &twin[l]
-				if q.Buffered() != w.Buffered() || q.Window() != w.Window() || q.Remaining() != w.Remaining() {
-					t.Fatalf("lane %d: Refill4 staged %d bits %x, Refill %d bits %x", l, q.Buffered(), q.Window(), w.Buffered(), w.Window())
-				}
+				q := &quad[l]
 				if q.Buffered() < width {
 					if ref[l].Remaining() >= int(width) {
 						t.Fatalf("lane %d: %d-bit read falls short, reference has %d bits", l, width, ref[l].Remaining())
@@ -92,7 +86,6 @@ func FuzzPeekConsume(f *testing.F) {
 				}
 				got := q.Window() >> (64 - width)
 				q.Skip(width)
-				w.Skip(width)
 				want, err := ref[l].ReadBits(width)
 				if err != nil || got != want {
 					t.Fatalf("lane %d: peek %x, reference %x (%v)", l, got, want, err)

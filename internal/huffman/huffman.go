@@ -9,6 +9,20 @@
 // it. DecodeInto reads the older single-stream layout and serves legacy
 // chunk payloads only; nothing writes that layout any more.
 //
+// DecodeLanes4Into runs two decode paths. A complete code of at most 24
+// bits with fewer than 2^24 symbols — every table the encoder writes for
+// two or more symbols, in practice — gets a two-level table, a 12-bit
+// first level and a subtable for each 12-bit prefix that longer codes
+// extend (at most 2^16 subtable entries in all), and the lane loop
+// (kernels.DecodeLanes4) decodes the lanes through it with every lane's
+// window in a register. A one-symbol code whose lanes hold only its
+// zero bits decodes as a fill. The checked path finishes every lane, and
+// decodes every other stream (an incomplete or oversubscribed code, codes
+// over 24 bits, subtables past the cap, a corrupt one-symbol stream)
+// from the start: the one-level 12-bit table, then the canonical
+// per-length walk for longer codes, with every symbol's bits checked
+// against its lane's end.
+//
 // Symbols are non-negative int32s — the quantization-code element type,
 // which halves the memory traffic of the counting and emit passes over
 // multi-megapoint symbol slices compared to machine-word ints. Typical
@@ -20,6 +34,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -37,15 +52,17 @@ import (
 const maxCodeLen = 57
 
 // Scratch holds the Huffman encoder's construction state — frequency
-// table, present-symbol list, the merge's node weights and parent links,
-// and the symbol→length/code tables — sized by the symbol alphabet, so
-// sessions that encode many chunks reuse one set instead of reallocating
-// them every call. A nil *Scratch is valid and falls back to fresh
-// allocation. Scratch is not safe for concurrent use; pool instances and
-// hand one to each in-flight encode.
+// table, present-symbol list, the merge's leaf order (then the canonical
+// order), node weights and parent links, and the symbol→length/code
+// tables — sized by the symbol alphabet, so sessions that encode many
+// chunks reuse one set instead of reallocating them every call. A nil
+// *Scratch is valid and falls back to fresh allocation. Scratch is not
+// safe for concurrent use; pool instances and hand one to each in-flight
+// encode.
 type Scratch struct {
 	freq    []int64
 	present []int32
+	order   []int32
 	weight  []int64
 	minSym  []int32
 	parent  []int32
@@ -66,17 +83,20 @@ func grow[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// tableBits is the width of the one-level decode lookup table: the next
+// tableBits is the width of the checked path's one-level lookup table
+// and of the lane loop's first level. In the one-level table, the next
 // tableBits peeked bits resolve (canonical index, code length) for every
 // code no longer than tableBits in a single load. Canonical order sorts
 // short codes first, so at most 1<<tableBits of them exist and their
 // canonical indices fit 12 bits — one uint16 entry packs idx<<4 | length,
 // and the table is 8 KB. Longer codes (common at the 90 dB end of the
-// fixed-PSNR range, where a fifth of the codes exceed 11 bits) resolve
+// fixed-PSNR range, where about 12% of the codes exceed 12 bits) resolve
 // from the reader's refilled 64-bit window by the canonical per-length
 // walk, longSym. Their entries have length field 0 and hold, in the
 // index field, the shortest code length under that 12-bit prefix, where
-// the walk starts.
+// the walk starts. The lane loop's two-level table (buildLaneTable)
+// resolves a long code with one more load, from the subtable its prefix
+// links to, so only the checked path and DecodeInto walk.
 const tableBits = 12
 
 // DecodeScratch holds the Huffman decoder's reusable state — the lookup
@@ -96,8 +116,12 @@ type DecodeScratch struct {
 	firstSym  [maxCodeLen + 2]int32
 	countAt   [maxCodeLen + 2]int32
 
+	tab []uint32              // the lane loop's two-level table
+	sub [1 << tableBits]uint8 // its build: each prefix's longest code
+	ld  kernels.LaneDecode    // the lane loop's state
+
 	r     bitstream.Reader
-	lanes [4]bitstream.Reader // four-lane round-robin readers (DecodeLanes4Into)
+	lanes [4]bitstream.Reader // four-lane checked readers (DecodeLanes4Into)
 }
 
 // NewDecodeScratch returns an empty Huffman decode scratch.
@@ -185,6 +209,7 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 	// Code lengths per symbol: a dense table the emit loops index, of
 	// which only the present symbols' entries are written (and read).
 	lenOf = grow(&sc.lenOf, m)
+	canon := present // the symbols in canonical (length, symbol) order
 	switch nsym {
 	case 0:
 		// Empty input: emit the trivial header below.
@@ -201,8 +226,11 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 		// order. So each step takes the nodes a min-heap on that order
 		// would pop, and the code lengths are the heap build's.
 		// deflate's buildLens breaks ties leaf-first instead, which
-		// would move these lengths.
-		slices.SortFunc(present, func(a, b int32) int {
+		// would move these lengths. The leaves are sorted in a copy:
+		// present stays ascending for the canonical order below.
+		leaves := grow(&sc.order, nsym)
+		copy(leaves, present)
+		slices.SortFunc(leaves, func(a, b int32) int {
 			if freq[a] != freq[b] {
 				return cmp.Compare(freq[a], freq[b])
 			}
@@ -212,7 +240,7 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 		weight := grow(&sc.weight, nodes)
 		minSym := grow(&sc.minSym, nodes)
 		parent := grow(&sc.parent, nodes)
-		for i, s := range present {
+		for i, s := range leaves {
 			weight[i], minSym[i] = freq[s], s
 		}
 		leaf, inner := 0, nsym
@@ -239,25 +267,36 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 		for i := nodes - 2; i >= 0; i-- {
 			depth[i] = depth[parent[i]] + 1
 		}
-		for i, s := range present {
+		for i, s := range leaves {
 			if depth[i] > maxCodeLen {
 				return nil, nil, nil, laneBits, fmt.Errorf("huffman: code length %d exceeds maximum %d", depth[i], maxCodeLen)
 			}
 			lenOf[s] = uint8(depth[i])
 		}
+		// Canonical order is a counting sort by length: present is
+		// ascending, so each length's symbols land in ascending order.
+		// The merge is done with the leaves, so their slice takes it.
+		var next [maxCodeLen + 1]int32
+		for _, s := range present {
+			next[lenOf[s]]++
+		}
+		at := int32(0)
+		for l, c := range next {
+			next[l] = at
+			at += c
+		}
+		for _, s := range present {
+			l := lenOf[s]
+			leaves[next[l]] = s
+			next[l]++
+		}
+		canon = leaves
 	}
 
-	// Canonical order: by (length, symbol).
-	slices.SortFunc(present, func(a, b int32) int {
-		if lenOf[a] != lenOf[b] {
-			return int(lenOf[a]) - int(lenOf[b])
-		}
-		return int(a - b)
-	})
 	codes = grow(&sc.codes, m)
 	var code uint64
 	prevLen := uint8(0)
-	for _, s := range present {
+	for _, s := range canon {
 		l := lenOf[s]
 		code <<= uint(l - prevLen)
 		codes[s] = code
@@ -280,7 +319,7 @@ func buildTable(dst []byte, syms []int32, maxSym int, sc *Scratch) (out []byte, 
 
 	dst = binary.AppendUvarint(dst, uint64(len(syms)))
 	dst = binary.AppendUvarint(dst, uint64(nsym))
-	for _, s := range present {
+	for _, s := range canon {
 		dst = binary.AppendUvarint(dst, uint64(s))
 		dst = binary.AppendUvarint(dst, uint64(lenOf[s]))
 	}
@@ -605,9 +644,10 @@ func (ds *DecodeScratch) longSym(r *bitstream.Reader, e uint16, csyms []int32) (
 
 // decodeSym resolves one symbol from r through the prepared tables: a
 // single-load table hit on short codes, longSym on long ones. It is the
-// checked path the four-lane decoder finishes each stream with; the hot
-// loops inline the table hit themselves. Returns bitstream.ErrOutOfBits
-// on exhaustion.
+// checked path the four-lane decoder finishes each lane with, and
+// decodes every symbol of a table the lane loop cannot take; DecodeInto
+// inlines the table hit itself. Returns bitstream.ErrOutOfBits on
+// exhaustion.
 func (ds *DecodeScratch) decodeSym(r *bitstream.Reader, csyms []int32) (int32, error) {
 	if r.Buffered() < tableBits {
 		r.Refill()
@@ -712,13 +752,15 @@ func DecodeInto(dst []int32, buf []byte, ds *DecodeScratch) (syms []int32, consu
 }
 
 // DecodeLanes4Into reverses EncodeLanes4, appending the symbols into
-// dst[:0] (grown as needed). The four lane bitstreams decode round-robin
-// on four independent reader windows: one fused refill per round, then
-// four table loads whose symbol resolutions carry no data dependency on
-// each other, so the peek→consume chain that serializes single-stream
-// decode runs four-wide. Nil dst and/or ds allocate fresh; the decoded
-// symbols are identical to DecodeInto over the equivalent single-stream
-// encoding.
+// dst[:0] (grown as needed). The four lane bitstreams are independent,
+// so the lane loop (laneLoop) resolves four symbols at a time whose
+// table loads carry no data dependency on each other: the peek→consume
+// chain that serializes single-stream decode runs four-wide. Each lane's
+// last symbols, and every symbol of a table the loop cannot take, decode
+// on the checked path (decodeSym), except that a one-symbol stream whose
+// lanes hold only its zero bits is a fill. Nil dst and/or ds allocate
+// fresh; the decoded symbols are identical to DecodeInto over the
+// equivalent single-stream encoding.
 func DecodeLanes4Into(dst []int32, buf []byte, ds *DecodeScratch) (syms []int32, consumed int, err error) {
 	if ds == nil {
 		ds = &DecodeScratch{}
@@ -771,74 +813,42 @@ func DecodeLanes4Into(dst []int32, buf []byte, ds *DecodeScratch) (syms []int32,
 		return nil, 0, fmt.Errorf("huffman: %d symbols cannot fit in %d lane body bytes", n, total)
 	}
 	c0, c1, c2, c3 := kernels.LaneLens4(int(n))
-	for i, c := range [4]int{c0, c1, c2, c3} {
+	counts := [4]int{c0, c1, c2, c3}
+	for i, c := range counts {
 		if c > laneLen[i]*8 {
 			return nil, 0, fmt.Errorf("huffman: lane %d: %d symbols cannot fit in %d body bytes", i, c, laneLen[i])
 		}
 	}
 
-	ds.prepareTables(csyms, clens)
-	table := &ds.table
-
-	r0, r1, r2, r3 := &ds.lanes[0], &ds.lanes[1], &ds.lanes[2], &ds.lanes[3]
-	r0.Reset(body[0])
-	r1.Reset(body[1])
-	r2.Reset(body[2])
-	r3.Reset(body[3])
 	if uint64(cap(dst)) < n {
 		dst = make([]int32, n)
 	}
 	out := dst[:n]
-	// Block hot loop: one fused refill buys every lane ≥ 48 staged bits —
-	// four table codes of ≤ tableBits each — so four whole rounds (16
-	// symbols) run with no refill branch, no exhaustion check, and no
-	// per-symbol call. Within each round the four table lookups depend
-	// only on their own lane's window, so the CPU overlaps all four
-	// symbol resolutions — the ILP the single-stream peek→consume chain
-	// can never expose. A round that meets a long code (length field 0)
-	// finishes
-	// here too: the other lanes consume their table codes, each long lane
-	// refills its own window and resolves the code from it (longSym), and
-	// the block re-arms, since that refill and the long code spent the
-	// lane's block budget.
-	pos := 0
-blocks:
-	for pos+16 <= int(n) {
-		if r0.Buffered() < 4*tableBits || r1.Buffered() < 4*tableBits ||
-			r2.Buffered() < 4*tableBits || r3.Buffered() < 4*tableBits {
-			bitstream.Refill4(r0, r1, r2, r3)
-			if r0.Buffered() < 4*tableBits || r1.Buffered() < 4*tableBits ||
-				r2.Buffered() < 4*tableBits || r3.Buffered() < 4*tableBits {
-				break
-			}
+	// A one-symbol code (a smooth chunk at low PSNR) spends clens[0] zero
+	// bits per symbol. When every lane holds just those, the decode is a
+	// fill; any other lane goes to the checked path, which reports it.
+	if len(csyms) == 1 && zeroLanes(body, counts, int(clens[0])) {
+		for i := range out {
+			out[i] = csyms[0]
 		}
-		for k := 0; k < 4; k++ {
-			e0 := table[r0.Window()>>(64-tableBits)]
-			e1 := table[r1.Window()>>(64-tableBits)]
-			e2 := table[r2.Window()>>(64-tableBits)]
-			e3 := table[r3.Window()>>(64-tableBits)]
-			if e0&0xf == 0 || e1&0xf == 0 || e2&0xf == 0 || e3&0xf == 0 {
-				if lane, err := ds.longRound(out[pos:pos+4], [4]uint16{e0, e1, e2, e3}, csyms); err != nil {
-					return nil, 0, laneErr(err, pos+lane, n)
-				}
-				pos += 4
-				continue blocks
-			}
-			r0.Skip(uint(e0 & 0xf))
-			r1.Skip(uint(e1 & 0xf))
-			r2.Skip(uint(e2 & 0xf))
-			r3.Skip(uint(e3 & 0xf))
-			out[pos] = csyms[e0>>4]
-			out[pos+1] = csyms[e1>>4]
-			out[pos+2] = csyms[e2>>4]
-			out[pos+3] = csyms[e3>>4]
-			pos += 4
+		return out, consumed, nil
+	}
+	ds.prepareTables(csyms, clens)
+	// The lane loop decodes while every lane has bytes to spare, then
+	// hands each lane's bit position to the checked remainder: the final
+	// symbols, with full guards, one at a time, so a truncated or corrupt
+	// lane fails here, at the same symbol and with the same error as a
+	// decode that checked every symbol. Symbol pos sits on lane pos mod
+	// 4, matching LaneSplit4.
+	pos, bit := ds.laneLoop(out, rd[:total], laneLen, csyms, clens)
+	for lane := range ds.lanes {
+		r := &ds.lanes[lane]
+		r.Reset(body[lane][bit[lane]>>3:])
+		if b := uint(bit[lane] & 7); b != 0 {
+			r.Refill()
+			r.Skip(b)
 		}
 	}
-	// Checked remainder: the final < 16 symbols, plus everything after a
-	// lane runs too near its end to arm a block — under 48 bits, so under
-	// 48 of its symbols — decode one at a time with full guards. Symbol
-	// pos sits on lane pos mod 4, matching LaneSplit4.
 	for ; pos < int(n); pos++ {
 		s, err := ds.decodeSym(&ds.lanes[pos&3], csyms)
 		if err != nil {
@@ -849,29 +859,154 @@ blocks:
 	return out, consumed, nil
 }
 
-// longRound finishes a block-loop round that met a long code: lanes with
-// a table entry consume it, each long lane resolves its code through
-// longSym, and the symbols land in out[0:4]. On failure it returns the
-// failing lane. It is kept out of line so the block loop's fast path
-// holds its four entries in registers instead of spilling them for this
-// rarer path.
-//
-//go:noinline
-func (ds *DecodeScratch) longRound(out []int32, e [4]uint16, csyms []int32) (int, error) {
-	for lane := range 4 {
-		r := &ds.lanes[lane]
-		if e[lane]&0xf != 0 {
-			r.Skip(uint(e[lane] & 0xf))
-			out[lane] = csyms[e[lane]>>4]
-			continue
+// zeroLanes reports whether the first counts[lane]·width bits of each
+// lane body are zeros: every symbol of the lane under a one-symbol code
+// of width bits.
+func zeroLanes(body [4][]byte, counts [4]int, width int) bool {
+	for lane, c := range counts {
+		b := body[lane]
+		if c > len(b)*8/width {
+			return false
 		}
-		s, err := ds.longSym(r, e[lane], csyms)
-		if err != nil {
-			return lane, err
+		nb := c * width
+		for _, x := range b[:nb/8] {
+			if x != 0 {
+				return false
+			}
 		}
-		out[lane] = s
+		if r := nb % 8; r != 0 && b[nb/8]>>(8-r) != 0 {
+			return false
+		}
 	}
-	return 0, nil
+	return true
+}
+
+// laneLoop decodes the leading symbols of out through the lane loop
+// (kernels.DecodeLanes4) and returns how many it decoded and each lane's
+// bit position in its body. bodies holds the four lane bodies back to
+// back, laneLen[i] bytes each. One iteration of the loop moves a lane at
+// most 7 bytes, and its reload reads 8, so a call runs only as many
+// iterations as keep every lane's loads inside that lane's own body;
+// laneLoop calls again while that is at least one. A table the loop
+// cannot take (buildLaneTable), or lanes too short for one iteration,
+// decode nothing here.
+func (ds *DecodeScratch) laneLoop(out []int32, bodies []byte, laneLen [4]int, csyms []int32, clens []uint8) (pos int, bit [4]int) {
+	maxLen := int(clens[len(clens)-1])
+	if maxLen > laneMaxLen {
+		return 0, bit
+	}
+	d := &ds.ld
+	d.Rounds = 56 / maxLen
+	step := 4 * d.Rounds
+	var start [4]int
+	for lane := 1; lane < 4; lane++ {
+		start[lane] = start[lane-1] + laneLen[lane-1]
+	}
+	d.Pos = start
+	iters := func() int {
+		k := (len(out) - pos) / step
+		for lane, p := range d.Pos {
+			k = min(k, (start[lane]+laneLen[lane]-p-8)/7)
+		}
+		return k
+	}
+	k := iters()
+	if k < 1 || !ds.buildLaneTable(clens) {
+		return 0, bit
+	}
+	d.Body, d.Syms, d.Table = bodies, csyms, ds.tab
+	for lane, p := range d.Pos {
+		d.Win[lane] = binary.BigEndian.Uint64(bodies[p:]) | 1
+	}
+	for ; k >= 1; k = iters() {
+		d.Out = out[pos : pos+k*step]
+		kernels.DecodeLanes4(d)
+		pos += k * step
+	}
+	for lane, p := range d.Pos {
+		bit[lane] = 8*(p-start[lane]) + bits.TrailingZeros64(d.Win[lane])
+	}
+	d.Body, d.Out, d.Syms = nil, nil, nil
+	return pos, bit
+}
+
+// laneMaxLen is the longest code the lane loop's two-level table
+// resolves: a tableBits first level, and subtables of at most tableBits.
+const laneMaxLen = 2 * tableBits
+
+// laneSubCap caps the two-level table's subtables at 2^16 entries in
+// all, so no table's second level takes more than 256 KB.
+const laneSubCap = 1 << 16
+
+// buildLaneTable builds the lane loop's two-level table
+// (kernels.LaneDecode) for the canonical code clens describes into
+// ds.tab; prepareTables' per-length tables must be current. Each 12-bit
+// prefix that longer codes extend gets one subtable, sized by the
+// longest code under it. It reports false for every table the loop
+// cannot take, which then decodes through the checked path: an
+// incomplete code, one symbol's included, or an oversubscribed one
+// (where not every window decodes, or not uniquely), a code longer than
+// laneMaxLen, 2^24 symbols or more (indices past the entries' 24 bits),
+// or subtables past laneSubCap. clens must not be empty.
+func (ds *DecodeScratch) buildLaneTable(clens []uint8) bool {
+	n := len(clens)
+	if n >= 1<<24 {
+		return false
+	}
+	// The canonical counter ends at 2^maxLen times the Kraft sum:
+	// exactly 2^maxLen for a complete code.
+	maxLen := uint(clens[n-1])
+	if maxLen > laneMaxLen || ds.firstCode[maxLen]+uint64(ds.countAt[maxLen]) != 1<<maxLen {
+		return false
+	}
+	code := func(i int) uint64 {
+		l := clens[i]
+		return ds.firstCode[l] + uint64(int32(i)-ds.firstSym[l])
+	}
+	// In a complete code the codes under one prefix run contiguously in
+	// canonical order, from an all-zeros suffix to an all-ones one, and
+	// the last is the longest: record each prefix's longest code there.
+	long := int(ds.firstSym[tableBits+1])
+	total := 0
+	for i := long; i < n; i++ {
+		ext := uint(clens[i]) - tableBits
+		if c := code(i); c&(1<<ext-1) == 1<<ext-1 {
+			ds.sub[c>>ext] = clens[i]
+			total += 1 << ext
+		}
+	}
+	if total > laneSubCap {
+		return false
+	}
+	tab := grow(&ds.tab, kernels.LaneTableRoot+total)
+	for i := 0; i < long; i++ {
+		l := uint(clens[i])
+		lo := code(i) << (tableBits - l)
+		fill(tab[lo:lo+1<<(tableBits-l)], uint32(i)<<8|uint32(l))
+	}
+	next, base := uint32(kernels.LaneTableRoot), uint32(0)
+	for i := long; i < n; i++ {
+		l := uint(clens[i])
+		ext := l - tableBits
+		c := code(i)
+		p, suf := c>>ext, c&(1<<ext-1)
+		sb := uint(ds.sub[p]) - tableBits
+		if suf == 0 { // the prefix's first code opens its subtable
+			base = next
+			tab[p] = base<<8 | kernels.LaneLink | uint32(64-sb)
+			next += 1 << sb
+		}
+		lo := base + uint32(suf<<(sb-ext))
+		fill(tab[lo:lo+1<<(sb-ext)], uint32(i)<<8|uint32(l))
+	}
+	return true
+}
+
+// fill sets every element of s to v.
+func fill(s []uint32, v uint32) {
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // laneErr words a failed four-lane symbol decode at output position pos

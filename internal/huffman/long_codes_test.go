@@ -9,11 +9,12 @@ import (
 )
 
 // wideCorpora returns wideCodes streams of 1<<14 + r symbols for r =
-// 0..15, so the length takes every residue mod 16 — the block loop's
-// block size — and every 1–3-symbol tail. Symbols 12..19 (the round
-// before and after the first block boundary) and the last three are
-// forced onto rare far-tail values, so long codes also land at a block
-// boundary, in the checked remainder and in the tail.
+// 0..15, so the length takes every residue mod 16, and so every
+// 1–3-symbol tail. Symbols 12..19 (around the end of the lane loop's
+// first iteration, 4·Rounds = 12 or 16 symbols for these codes) and the
+// last three are forced onto rare far-tail values, so long codes also
+// land at an iteration boundary, in the checked remainder and in the
+// tail.
 func wideCorpora() [][]int32 {
 	var corpora [][]int32
 	for r := 0; r < 16; r++ {

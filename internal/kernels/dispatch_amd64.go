@@ -43,6 +43,9 @@ func reconRows4Asm(q *Quant, a, b, c, d *RRRow)
 //go:noescape
 func countZerosAVX2(codes []int32) int
 
+//go:noescape
+func decodeLanes4Asm(d *LaneDecode)
+
 // reconRows4AVX2 runs a quad through the vector kernel, which holds the
 // four rows in the lanes of one YMM register. Rows shorter than one
 // four-column block, and a Radius outside int32 (the vector conversion
@@ -68,6 +71,9 @@ func countLanes4OOB() {
 }
 
 func init() {
+	if haveBMI() {
+		decodeLanes4Fn = decodeLanes4Asm
+	}
 	if !haveAVX2FMA() {
 		return
 	}
@@ -109,4 +115,21 @@ func haveAVX2FMA() bool {
 	_, ebx7, _, _ := cpuid(7, 0)
 	const avx2 = 1 << 5
 	return ebx7&avx2 != 0
+}
+
+// haveBMI reports whether the CPU has BMI1 and BMI2 (CPUID leaf 7, EBX
+// bits 3 and 8), which the lane decode loop's TZCNT, SHLX and SHRX need.
+// They are VEX-encoded but use only general registers, so unlike the
+// AVX2 kernels they need no OS-enabled vector state.
+func haveBMI() bool {
+	maxID, _, _, _ := cpuid(0, 0)
+	if maxID < 7 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const (
+		bmi1 = 1 << 3
+		bmi2 = 1 << 8
+	)
+	return ebx7&(bmi1|bmi2) == bmi1|bmi2
 }

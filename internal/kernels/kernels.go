@@ -5,7 +5,10 @@
 // build's code-window scan and four-lane frequency count
 // (internal/huffman) — each with a portable generic
 // implementation and, on amd64, an AVX2+FMA assembly implementation
-// selected once at init via CPUID feature detection.
+// selected once at init via CPUID feature detection. Beside them sits
+// one scalar kernel, the four-lane Huffman decode loop (DecodeLanes4):
+// its assembly needs BMI1 and BMI2 instead, and is selected on those
+// alone.
 //
 // The contract that makes runtime dispatch safe is bit-identity: every
 // implementation of a kernel produces exactly the same outputs for the
@@ -17,8 +20,8 @@
 // differential fuzzers (FuzzKernel* in this package) gate the pairing.
 //
 // Build with `-tags noasm` (or on non-amd64 targets) to compile the
-// generic implementations only; kernels.Active() reports which set is
-// live.
+// generic implementations only; kernels.Active() reports which vector
+// set is live.
 //
 // The predict+quantize and reconstruct kernels come in grouped forms
 // (pairs and quads): rows from the same Lorenzo anti-diagonal are
@@ -84,17 +87,18 @@ type RRRow struct {
 
 // Dispatched implementations, chosen once at init (see dispatch_*.go).
 var (
-	minMaxFn      func(data []float64) (min, max float64)    = minMaxGeneric
-	countLanes4Fn func(l0, l1, l2, l3 []int64, syms []int32) = countLanes4Generic
-	codeWindowFn  func(syms []int32) (lo, hi int32)          = codeWindowGeneric
-	countZerosFn  func(codes []int32) int                    = countZerosGeneric
-	pqRows4Fn     func(q *Quant, a, b, c, d *PQRow)          = pqRows4Generic
-	pqRows2Fn     func(q *Quant, a, b *PQRow)                = pqRows2Generic
-	pqRowFn       func(q *Quant, a *PQRow)                   = pqRowGeneric
-	reconRows4Fn  func(q *Quant, a, b, c, d *RRRow)          = reconRows4Generic
-	reconRows2Fn  func(q *Quant, a, b *RRRow)                = reconRows2Generic
-	reconRowFn    func(q *Quant, a *RRRow)                   = reconRowGeneric
-	implName                                                 = "generic"
+	minMaxFn       func(data []float64) (min, max float64)    = minMaxGeneric
+	countLanes4Fn  func(l0, l1, l2, l3 []int64, syms []int32) = countLanes4Generic
+	codeWindowFn   func(syms []int32) (lo, hi int32)          = codeWindowGeneric
+	countZerosFn   func(codes []int32) int                    = countZerosGeneric
+	pqRows4Fn      func(q *Quant, a, b, c, d *PQRow)          = pqRows4Generic
+	pqRows2Fn      func(q *Quant, a, b *PQRow)                = pqRows2Generic
+	pqRowFn        func(q *Quant, a *PQRow)                   = pqRowGeneric
+	reconRows4Fn   func(q *Quant, a, b, c, d *RRRow)          = reconRows4Generic
+	reconRows2Fn   func(q *Quant, a, b *RRRow)                = reconRows2Generic
+	reconRowFn     func(q *Quant, a *RRRow)                   = reconRowGeneric
+	decodeLanes4Fn func(d *LaneDecode)                        = decodeLanes4Generic
+	implName                                                  = "generic"
 )
 
 // Active reports which kernel implementation set is live: "avx2" when
@@ -112,15 +116,18 @@ func ForceGeneric() (restore func()) {
 	prevMinMax, prevCount, prevWindow, prevZeros := minMaxFn, countLanes4Fn, codeWindowFn, countZerosFn
 	prevPQ4, prevPQ2, prevPQ1 := pqRows4Fn, pqRows2Fn, pqRowFn
 	prevRR4, prevRR2, prevRR1 := reconRows4Fn, reconRows2Fn, reconRowFn
+	prevLanes := decodeLanes4Fn
 	prevName := implName
 	minMaxFn, countLanes4Fn, codeWindowFn, countZerosFn = minMaxGeneric, countLanes4Generic, codeWindowGeneric, countZerosGeneric
 	pqRows4Fn, pqRows2Fn, pqRowFn = pqRows4Generic, pqRows2Generic, pqRowGeneric
 	reconRows4Fn, reconRows2Fn, reconRowFn = reconRows4Generic, reconRows2Generic, reconRowGeneric
+	decodeLanes4Fn = decodeLanes4Generic
 	implName = "generic"
 	return func() {
 		minMaxFn, countLanes4Fn, codeWindowFn, countZerosFn = prevMinMax, prevCount, prevWindow, prevZeros
 		pqRows4Fn, pqRows2Fn, pqRowFn = prevPQ4, prevPQ2, prevPQ1
 		reconRows4Fn, reconRows2Fn, reconRowFn = prevRR4, prevRR2, prevRR1
+		decodeLanes4Fn = prevLanes
 		implName = prevName
 	}
 }

@@ -53,6 +53,15 @@ func TestAsmStructOffsets(t *testing.T) {
 	check("RRRow.Pu", unsafe.Offsetof(r.Pu), 96)
 	check("RRRow.Lits", unsafe.Offsetof(r.Lits), 120)
 
+	var d LaneDecode
+	check("LaneDecode.Body", unsafe.Offsetof(d.Body), 0)
+	check("LaneDecode.Out", unsafe.Offsetof(d.Out), 24)
+	check("LaneDecode.Syms", unsafe.Offsetof(d.Syms), 48)
+	check("LaneDecode.Table", unsafe.Offsetof(d.Table), 72)
+	check("LaneDecode.Pos", unsafe.Offsetof(d.Pos), 96)
+	check("LaneDecode.Win", unsafe.Offsetof(d.Win), 128)
+	check("LaneDecode.Rounds", unsafe.Offsetof(d.Rounds), 160)
+
 	if size := unsafe.Sizeof(int(0)); size != 8 {
 		t.Skipf("assembly kernels assume 64-bit int, have %d bytes", size)
 	}
@@ -355,4 +364,44 @@ func TestForceGeneric(t *testing.T) {
 	if Active() != before {
 		t.Fatalf("Active() = %q after restore, want %q", Active(), before)
 	}
+}
+
+// TestDecodeLanes4Bounds pins DecodeLanes4's entry checks: a call whose
+// reloads would read past Body, or whose Out is not whole iterations,
+// panics before the loop runs; an empty Out decodes nothing.
+func TestDecodeLanes4Bounds(t *testing.T) {
+	tab := make([]uint32, LaneTableRoot)
+	for i := range tab {
+		tab[i] = uint32(i>>11)<<8 | 1 // a 1-bit code for each of two symbols
+	}
+	body := make([]byte, 4*(8+7*2))
+	d := LaneDecode{Body: body, Syms: []int32{5, 9}, Table: tab, Rounds: 3}
+	for lane := range d.Pos {
+		d.Pos[lane] = lane * (8 + 7*2)
+	}
+	mustPanic := func(name string, out int, shift int) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: no panic", name)
+			}
+		}()
+		c := d
+		c.Out = make([]int32, out)
+		c.Pos[3] += shift
+		DecodeLanes4(&c)
+	}
+	mustPanic("three iterations in two iterations' bytes", 3*12, 0)
+	mustPanic("a lane one byte further on", 2*12, 1)
+	mustPanic("half an iteration", 6, 0)
+	c := d
+	c.Out = make([]int32, 2*12)
+	DecodeLanes4(&c)
+	for i, s := range c.Out {
+		if s != 5 {
+			t.Fatalf("symbol %d of a zero body is %d, want 5", i, s)
+		}
+	}
+	c.Out = c.Out[:0]
+	DecodeLanes4(&c)
 }

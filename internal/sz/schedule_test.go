@@ -13,8 +13,10 @@ import (
 // TestWavefrontSchedule checks both of wavefront3D's orders on every
 // row grid up to 40×40: each row is visited exactly once, after its
 // three stencil neighbours (i, j−1), (i−1, j) and (i−1, j−1), so no row
-// of a group reads another row of the same group. Border rows go one at
-// a time through border, interior rows never do.
+// of a group reads another row of the same group. In the per-diagonal
+// order border rows go one at a time through border and interior rows
+// never do; in the cross order border is never called, and border rows
+// run in groups like interior rows.
 func TestWavefrontSchedule(t *testing.T) {
 	for _, cross := range []bool{false, true} {
 		for d0 := 1; d0 <= 40; d0++ {
@@ -37,7 +39,7 @@ func checkSchedule(t *testing.T, d0, d1 int, cross bool) {
 			if i < 0 || i >= d0 || j < 0 || j >= d1 {
 				t.Fatalf("%dx%d cross=%v: %s visits row (%d, %d) outside the grid", d0, d1, cross, kind, i, j)
 			}
-			if border := i == 0 || j == 0; border != (kind == "border") {
+			if onBorder := i == 0 || j == 0; kind == "border" && (cross || !onBorder) || kind != "border" && !cross && onBorder {
 				t.Fatalf("%dx%d cross=%v: %s visits row (%d, %d)", d0, d1, cross, kind, i, j)
 			}
 			if step[i*d1+j] != 0 {
@@ -80,35 +82,42 @@ func checkSchedule(t *testing.T, d0, d1 int, cross bool) {
 	}
 }
 
-// TestCrossScheduleQuads pins what the cross order buys on the interior
-// of an 8-plane chunk of 128-row planes (ratio-steer's sz chunk shape):
-// 381 of its 889 interior rows run outside quads in the per-diagonal
-// order and 13 in the cross order, near the short corner diagonals.
+// TestCrossScheduleQuads pins what the cross order buys on an 8-plane
+// chunk of 128-row planes (ratio-steer's sz chunk shape) and a 4-plane
+// one (serve-mixed's). In the per-diagonal order the 135 or 131 border
+// rows run one at a time, and 381 of the 889 or all 381 interior rows
+// outside quads. In the cross order 12 rows of each chunk run outside
+// quads, near the short corner diagonals.
 func TestCrossScheduleQuads(t *testing.T) {
-	count := func(cross bool) (quads, rest int) {
-		wavefront3D(8, 128, cross, func(int, int) {},
+	count := func(d0 int, cross bool) (quads, rest, border int) {
+		wavefront3D(d0, 128, cross, func(int, int) { border++ },
 			func(int, int, int, int, int, int, int, int) { quads++ },
 			func(int, int, int, int) { rest += 2 },
 			func(int, int) { rest++ })
-		return quads, rest
+		return quads, rest, border
 	}
-	q0, r0 := count(false)
-	q1, r1 := count(true)
-	if 4*q0+r0 != 7*127 || 4*q1+r1 != 7*127 {
-		t.Fatalf("interior rows: %d and %d, want %d", 4*q0+r0, 4*q1+r1, 7*127)
-	}
-	if r1 != 13 || r0 != 381 {
-		t.Fatalf("rows outside quads: cross %d, per-diagonal %d; want 13 and 381", r1, r0)
+	for _, c := range []struct{ d0, border, interiorRest int }{{8, 135, 381}, {4, 131, 381}} {
+		q0, r0, b0 := count(c.d0, false)
+		q1, r1, b1 := count(c.d0, true)
+		if rows := c.d0 * 128; 4*q0+r0+b0 != rows || 4*q1+r1+b1 != rows {
+			t.Fatalf("d0 %d: rows %d and %d, want %d", c.d0, 4*q0+r0+b0, 4*q1+r1+b1, rows)
+		}
+		if b0 != c.border || r0 != c.interiorRest || b1 != 0 || r1 != 12 {
+			t.Fatalf("d0 %d: per-diagonal order has %d border and %d interior rows outside quads, cross order %d border and %d other; want %d, %d, 0 and 12",
+				c.d0, b0, r0, b1, r1, c.border, c.interiorRest)
+		}
 	}
 }
 
 // TestDecompress3DMatchesWavefrontOrder decodes slabs of many plane
-// counts through decompress3D (the cross-diagonal order) and through
-// decompress3DRef (wavefront3D's per-diagonal order, the encoder's),
-// with the dispatched and the generic kernels: every decoded bit must
-// match. Row lengths 5, 14 and 15 leave the quad kernel tails of 1–3
-// points, and the noise against the bound makes about a fifth of the
-// points literals.
+// counts through decompress3D (the cross-diagonal order, border rows in
+// its groups) and through decompress3DRef (wavefront3D's per-diagonal
+// order, the encoder's, with the border rows through the scalar
+// stencil), with the dispatched and the generic kernels: every decoded
+// bit must match. Grids of 4×4 and up put border rows into quads beside
+// interior rows, and row lengths 5, 14 and 15 leave the quad kernel
+// tails of 1–3 points; the noise against the bound makes about a fifth
+// of the points literals.
 func TestDecompress3DMatchesWavefrontOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	q, err := quantizer.New(1e-3, 1<<10)
@@ -117,7 +126,7 @@ func TestDecompress3DMatchesWavefrontOrder(t *testing.T) {
 	}
 	lits, points := 0, 0
 	for _, d0 := range []int{1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33} {
-		for _, d1 := range []int{1, 6, 13} {
+		for _, d1 := range []int{1, 4, 6, 13} {
 			for _, d2 := range []int{1, 5, 8, 14, 15} {
 				dims := []int{d0, d1, d2}
 				n := d0 * d1 * d2

@@ -261,32 +261,42 @@ func neighbourRows(buf, zero []float64, i, j, d2, plane int) (up, pl, pu []float
 }
 
 // wavefront3D visits every row of a d0×d1 row grid in an order that
-// respects the Lorenzo dependency. Border rows (i == 0 or j == 0) depend
-// on each other, so they go to border one at a time: plane i = 0 by j,
-// then column j = 0 by i. Interior rows follow in anti-diagonal order:
-// all rows with i+j == d are mutually independent (row (i,j) reads only
-// rows (i,j−1), (i−1,j), (i−1,j−1), all on earlier diagonals), so the
+// respects the Lorenzo dependency. Rows in anti-diagonal order: all rows
+// with i+j == d are mutually independent (row (i,j) reads only rows
+// (i,j−1), (i−1,j), (i−1,j−1), all on earlier diagonals), so the
 // schedule hands them out in the widest groups available — quads, then a
 // pair, then a leftover single — and each callback may process its rows
 // concurrently-in-one-loop.
 //
-// With cross set, the one to three rows a diagonal leaves over wait for
-// the next diagonal's first rows and form a group with them. Row (i', j')
-// on diagonal d+1 reads only rows i' and i'−1 of diagonal d, so a row
-// with a smaller i than every leftover row does not read them; the
-// leftovers take such rows, smallest i first, up to four, and the next
-// diagonal's quads start after them. A diagonal with at least one quad
-// always has enough, so only the grid's short corner diagonals still
-// leave pairs and singles. The decoder runs this order. The encoder
-// does not: it adds each group's Σe² to the chunk total in schedule
-// order, and that sum is written into the chunk table, so its order is
-// part of the stream.
+// Without cross, border rows (i == 0 or j == 0) go first to border, one
+// at a time: plane i = 0 by j, then column j = 0 by i. Then the interior
+// rows follow by diagonal, each diagonal's groups on their own. The
+// encoder runs this order: it adds each row's Σe² to the chunk total in
+// schedule order, the border's point by point in scan order, and that
+// sum is written into the chunk table, so its order is part of the
+// stream.
+//
+// With cross set, the decoder's order, border rows are rows of their
+// diagonals like any other (row (0, j) reads only (0, j−1), and (i, 0)
+// only (i−1, 0)), and border is never called. And the one to three rows a
+// diagonal leaves over wait for the next diagonal's first rows and form
+// a group with them. Row (i', j') on diagonal d+1 reads only rows i' and
+// i'−1 of diagonal d, so a row with a smaller i than every leftover row
+// does not read them; the leftovers take such rows, smallest i first, up
+// to four, and the next diagonal's quads start after them. A diagonal
+// with at least one quad always has enough, so only the grid's short
+// corner diagonals still leave pairs and singles.
 func wavefront3D(d0, d1 int, cross bool, border func(i, j int), quad func(i1, j1, i2, j2, i3, j3, i4, j4 int), pair func(i1, j1, i2, j2 int), single func(i, j int)) {
-	for j := 0; j < d1; j++ {
-		border(0, j)
-	}
-	for i := 1; i < d0; i++ {
-		border(i, 0)
+	// first is the smallest i and j a diagonal's groups take.
+	first := 0
+	if !cross {
+		for j := 0; j < d1; j++ {
+			border(0, j)
+		}
+		for i := 1; i < d0; i++ {
+			border(i, 0)
+		}
+		first = 1
 	}
 	// held are the rows waiting for a group, as (i, j).
 	var held [4][2]int
@@ -305,15 +315,9 @@ func wavefront3D(d0, d1 int, cross bool, border func(i, j int), quad func(i1, j1
 		}
 		nh = 0
 	}
-	for d := 2; d <= (d0-1)+(d1-1); d++ {
-		iLo := 1
-		if lo := d - (d1 - 1); lo > 1 {
-			iLo = lo
-		}
-		iHi := d - 1
-		if iHi > d0-1 {
-			iHi = d0 - 1
-		}
+	for d := 2 * first; d <= (d0-1)+(d1-1); d++ {
+		iLo := max(first, d-(d1-1))
+		iHi := min(d-first, d0-1)
 		i := iLo
 		if nh > 0 {
 			for ; nh < 4 && i <= iHi && i < held[0][0]; i++ {
@@ -518,13 +522,13 @@ func decompressCore(out []float64, codes []int32, literals []float64, dims []int
 }
 
 // decompress3D reconstructs a 3-D slab through the reconstruction row
-// kernels: border rows one at a time through kernels.ReconstructRow,
-// with the zero row standing in for neighbours outside the slab, then
-// interior anti-diagonals through the grouped kernels
-// (kernels.ReconstructRows4/Rows2). It runs wavefront3D's cross-diagonal
-// order, which turns a diagonal's leftover rows into quads with the
-// next diagonal's first rows, so nearly every interior row goes through
-// the four-lane quad kernel. The literal stream is stored in scan
+// kernels, anti-diagonal by anti-diagonal through the grouped kernels
+// (kernels.ReconstructRows4/Rows2), with the zero row standing in for
+// neighbours outside the slab. It runs wavefront3D's cross-diagonal
+// order, in which border rows join their diagonals and a diagonal's
+// leftover rows form quads with the next diagonal's first rows, so
+// nearly every row goes through the four-lane quad kernel. The literal
+// stream is stored in scan
 // order, so a count of each row's zero codes (kernels.CountZeros) gives
 // every row its exact literal segment, and rows can then run in any
 // dependency-respecting order: each row's values are its own stencil's,
@@ -570,11 +574,7 @@ func decompress3D(out []float64, codes []int32, literals []float64, dims []int, 
 		row.Up, row.Pl, row.Pu = neighbourRows(out, zero, i, j, d2, plane)
 		row.Lits = literals[offs[r]:offs[r+1]:offs[r+1]]
 	}
-	single := func(i, j int) {
-		setRow(&rows[0], i, j)
-		kernels.ReconstructRow(&qk, &rows[0])
-	}
-	wavefront3D(d0, d1, true, single,
+	wavefront3D(d0, d1, true, nil,
 		func(i1, j1, i2, j2, i3, j3, i4, j4 int) {
 			setRow(&rows[0], i1, j1)
 			setRow(&rows[1], i2, j2)
@@ -587,7 +587,10 @@ func decompress3D(out []float64, codes []int32, literals []float64, dims []int, 
 			setRow(&rows[1], i2, j2)
 			kernels.ReconstructRows2(&qk, &rows[0], &rows[1])
 		},
-		single)
+		func(i, j int) {
+			setRow(&rows[0], i, j)
+			kernels.ReconstructRow(&qk, &rows[0])
+		})
 	wfPool.Put(wf)
 	return nil
 }
