@@ -828,9 +828,7 @@ func DecodeLanes4Into(dst []int32, buf []byte, ds *DecodeScratch) (syms []int32,
 	// bits per symbol. When every lane holds just those, the decode is a
 	// fill; any other lane goes to the checked path, which reports it.
 	if len(csyms) == 1 && zeroLanes(body, counts, int(clens[0])) {
-		for i := range out {
-			out[i] = csyms[0]
-		}
+		fill(out, csyms[0])
 		return out, consumed, nil
 	}
 	ds.prepareTables(csyms, clens)
@@ -1003,7 +1001,7 @@ func (ds *DecodeScratch) buildLaneTable(clens []uint8) bool {
 }
 
 // fill sets every element of s to v.
-func fill(s []uint32, v uint32) {
+func fill[T any](s []T, v T) {
 	for i := range s {
 		s[i] = v
 	}
